@@ -11,10 +11,17 @@ nabla_Z Z = [Z, Z]/2 = 0, and on the duals (naturally reductive for the
 symmetric pair) the m-projection [Z, Z]_m/2 vanishes equally, so no
 correction term appears in either sum.
 
+A sweep at a plain complex point carries all B basis directions through a
+single evaluation: `batched_jet` builds the packed jet of the matrix
+x (I + tZ_b + t^2 Z_b^2/2) directly, with coefficient arrays x of shape
+(n, n) and x Z_b, x Z_b^2/2 of shape (B, n, n).  Matrix products then run
+on those stacks (see `matrices`), and the value of f is one jet whose first
+and second coefficients are (B,) arrays, one entry per direction.
+
 Iterated tau nests fresh nilpotent variables: the outer sweep sees a group
-element whose entries are already jets, and lifting adds one more variable
-per level.  Evaluations at a plain complex point batch all directions of a
-sweep through a single call by using array-valued jet coefficients.
+element that is already jet-valued (packed, and batched over the outer
+directions), and `one_parameter_jet` appends one more variable per level by
+multiplying every packed coefficient by Z and Z^2/2.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 
 from .jets import JetDomainError, JetScalar
 from .lie import AlgebraBasis, GroupSpec
-from .matrices import CMatrix
+from .matrices import CMatrix, jet_width
 
 Scalar = Union[complex, JetScalar]
 
@@ -78,37 +85,18 @@ def one_parameter_jet(x: CMatrix, z: np.ndarray) -> CMatrix:
     """The order-2 jet of t -> x (I + tZ + t^2 Z^2/2) in one fresh variable.
 
     Works both for plain complex x (producing 1-variable jets) and for
-    jet-valued x (appending a new trailing variable).
+    jet-valued x (appending a new trailing variable to its packed jet).
     """
     z = np.asarray(z, dtype=complex)
     z2 = z @ z / 2.0
-    if not x.is_object():
-        x0 = x.data
-        x1 = x0 @ z
-        x2 = x0 @ z2
-        n, m = x0.shape
-        out = np.empty((n, m), dtype=object)
-        for i in range(n):
-            for j in range(m):
-                out[i, j] = JetScalar(1, {(0,): x0[i, j], (1,): x1[i, j], (2,): x2[i, j]})
-        return CMatrix(out)
-
-    xz = np.dot(x.data, z)
-    xz2 = np.dot(x.data, z2)
-    n, m = x.shape
-    k = _jet_width(x)
-    out = np.empty((n, m), dtype=object)
-    for i in range(n):
-        for j in range(m):
-            coeffs = {}
-            for entry, deg in ((x.data[i, j], 0), (xz[i, j], 1), (xz2[i, j], 2)):
-                if isinstance(entry, JetScalar):
-                    for key, v in entry.coeffs.items():
-                        coeffs[key + (deg,)] = v
-                else:
-                    coeffs[(0,) * k + (deg,)] = entry
-            out[i, j] = JetScalar(k + 1, coeffs)
-    return CMatrix(out)
+    k = jet_width(x)
+    base = x.packed() if k else JetScalar(0, {(): x.to_complex()})
+    coeffs = {}
+    for key, v in base.coeffs.items():
+        coeffs[key + (0,)] = v
+        coeffs[key + (1,)] = v @ z
+        coeffs[key + (2,)] = v @ z2
+    return CMatrix.from_jet(JetScalar(k + 1, coeffs))
 
 
 def batched_jet(x: CMatrix, dirs: np.ndarray) -> CMatrix:
@@ -120,19 +108,7 @@ def batched_jet(x: CMatrix, dirs: np.ndarray) -> CMatrix:
     x0 = x.to_complex()
     x1 = np.einsum("ij,bjk->bik", x0, dirs)
     x2 = np.einsum("ij,bjk->bik", x0, np.matmul(dirs, dirs) / 2.0)
-    n, m = x0.shape
-    out = np.empty((n, m), dtype=object)
-    for i in range(n):
-        for j in range(m):
-            out[i, j] = JetScalar(1, {(0,): x0[i, j], (1,): x1[:, i, j], (2,): x2[:, i, j]})
-    return CMatrix(out)
-
-
-def _jet_width(x: CMatrix) -> int:
-    for v in x.data.flat:
-        if isinstance(v, JetScalar):
-            return v.k
-    return 0
+    return CMatrix.from_jet(JetScalar(1, {(0,): x0, (1,): x1, (2,): x2}))
 
 
 def _as_jet(value: Scalar, k: int) -> JetScalar:
@@ -143,7 +119,7 @@ def _as_jet(value: Scalar, k: int) -> JetScalar:
 
 def _numeric_point(x: CMatrix) -> CMatrix:
     """Exact group elements differentiate as plain complex points."""
-    if x.is_object() and _jet_width(x) == 0:
+    if x.is_object() and jet_width(x) == 0:
         return CMatrix(x.to_complex())
     return x
 
@@ -157,7 +133,7 @@ def directional_jet(f: GroupFunction, x: CMatrix, z) -> tuple:
     """(f, Z(f), Z^2(f)) at x along the one-parameter subgroup of Z."""
     x = _numeric_point(x)
     z = z.to_complex() if isinstance(z, CMatrix) else np.asarray(z, dtype=complex)
-    w = _as_jet(f(one_parameter_jet(x, z)), _jet_width(x) + 1)
+    w = _as_jet(f(one_parameter_jet(x, z)), jet_width(x) + 1)
     if x.is_object():
         base = w.drop_last(0)
         first = w.drop_last(1)
@@ -188,7 +164,7 @@ def tau_over_directions(f: GroupFunction, x: CMatrix, dirs) -> Scalar:
     if not x.is_object():
         _, _, second = _sweep_complex(f, x, dirs)
         return complex(np.sum(second))
-    k = _jet_width(x)
+    k = jet_width(x)
     total = JetScalar(k, {})
     for i, z in enumerate(dirs):
         try:
@@ -207,7 +183,7 @@ def kappa_over_directions(f: GroupFunction, g: GroupFunction, x: CMatrix, dirs) 
         _, df, _ = _sweep_complex(f, x, dirs)
         dg = df if g is f else _sweep_complex(g, x, dirs)[1]
         return complex(np.sum(df * dg))
-    k = _jet_width(x)
+    k = jet_width(x)
     total = JetScalar(k, {})
     for i, z in enumerate(dirs):
         try:

@@ -2,8 +2,20 @@
 
 A CMatrix wraps a 2-D numpy array whose dtype is either complex128 (the
 fast numeric mode) or object (entries are RationalComplex for exact work,
-or JetScalar for derivative-carrying work).  All operations are pure; a
-CMatrix is never mutated after construction.
+or JetScalar for derivative-carrying work).
+
+A jet-valued CMatrix built by `CMatrix.from_jet` carries its packed jet in
+the `jet` slot: one JetScalar whose coefficients are complex arrays of
+shape (..., rows, cols), the leading axes being batch axes shared by every
+entry.  Products of jet-valued matrices are computed on the packed form,
+as `cols` broadcast JetScalar products of a column slice by a row slice,
+so the truncated Taylor product stays in `jets.py`; the object array of
+entries is built from the packed arrays only when something reads `data`,
+and its batched coefficients are views into them.
+
+All operations are pure; a CMatrix is never mutated after construction.
+That covers the packed coefficient arrays and the entries' coefficients:
+nothing may update them in place.
 """
 
 from __future__ import annotations
@@ -27,13 +39,82 @@ def _as_2d(data) -> np.ndarray:
     return arr
 
 
+def _coefficientwise(jet: JetScalar, fn) -> JetScalar:
+    return JetScalar(jet.k, {key: fn(v) for key, v in jet.coeffs.items()})
+
+
+def _take(x, idx):
+    """x[idx] for a complex array, or applied to every coefficient of a packed jet."""
+    if isinstance(x, JetScalar):
+        return _coefficientwise(x, lambda v: v[idx])
+    return x[idx]
+
+
+def _jet_matmul(a, b, cols: int) -> JetScalar:
+    """Product of two packed operands, at least one of them a JetScalar.
+
+    A complex operand stays an array; JetScalar.__mul__ broadcasts it over
+    the coefficients, so it is kept on the right of each product.
+    """
+    total = None
+    for l in range(cols):
+        left, right = _take(a, np.s_[..., :, l : l + 1]), _take(b, np.s_[..., l : l + 1, :])
+        term = left * right if isinstance(left, JetScalar) else right * left
+        total = term if total is None else total + term
+    return total
+
+
+def _pack(data: np.ndarray, k: int) -> JetScalar:
+    """One jet in k variables with (..., rows, cols) coefficients from an object
+    array of jet and constant entries; missing keys read as zero."""
+    entries = [v if isinstance(v, JetScalar) else JetScalar.constant(v, k) for v in data.flat]
+    for v in entries:
+        if v.k != k:
+            raise ValueError(f"jet variable counts differ: {k} vs {v.k}")
+    keys = sorted({(0,) * k}.union(*(v.coeffs for v in entries)))
+    batch = np.broadcast_shapes(*(np.shape(c) for v in entries for c in v.coeffs.values()))
+    coeffs = {}
+    for key in keys:
+        arr = np.zeros(batch + data.shape, dtype=complex)
+        for (i, j), v in zip(np.ndindex(data.shape), entries):
+            if key in v.coeffs:
+                arr[..., i, j] = v.coeffs[key]
+        coeffs[key] = arr
+    return JetScalar(k, coeffs)
+
+
+def _entries(jet: JetScalar, shape) -> np.ndarray:
+    """The object array of JetScalar entries of a packed jet."""
+    out = np.empty(shape, dtype=object)
+    for i, j in np.ndindex(shape):
+        # unbatched coefficients give scalars, batched ones views into the packed arrays
+        out[i, j] = JetScalar(jet.k, {key: v[..., i, j][()] for key, v in jet.coeffs.items()})
+    return out
+
+
 class CMatrix:
-    __slots__ = ("data",)
+    __slots__ = ("_data", "jet", "shape")
 
     def __init__(self, data):
-        self.data = _as_2d(data)
+        self._data = _as_2d(data)
+        self.jet = None
+        self.shape = self._data.shape
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = _entries(self.jet, self.shape)
+        return self._data
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def from_jet(jet: JetScalar) -> "CMatrix":
+        """A jet-valued matrix from its packed jet (coefficients (..., rows, cols))."""
+        m = CMatrix.__new__(CMatrix)
+        m._data, m.jet = None, jet
+        m.shape = np.shape(jet.value)[-2:]
+        return m
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable], exact: bool = False) -> "CMatrix":
@@ -67,19 +148,15 @@ class CMatrix:
     # -- structure ---------------------------------------------------------
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.shape[1]
 
     def is_object(self) -> bool:
-        return self.data.dtype == object
+        return self.jet is not None or self._data.dtype == object
 
     def __getitem__(self, idx):
         return self.data[idx]
@@ -106,12 +183,23 @@ class CMatrix:
         return CMatrix(-self.data)
 
     def _exact_entries(self) -> bool:
-        return self.data.dtype == object and isinstance(self.data[0, 0], RationalComplex)
+        if self.jet is not None or self._data.dtype != object:
+            return False
+        return isinstance(self._data[0, 0], RationalComplex)
+
+    def packed(self):
+        """The packed jet of a jet-valued matrix, the complex array of any other."""
+        if self.jet is not None:
+            return self.jet
+        k = jet_width(self)
+        return _pack(self.data, k) if k else self.to_complex()
 
     def __matmul__(self, other):
         self._binary_check(other, "matmul")
         if self.cols != other.rows:
             raise ShapeError(f"matmul: shapes {self.shape} and {other.shape} incompatible")
+        if jet_width(self) or jet_width(other):
+            return CMatrix.from_jet(_jet_matmul(self.packed(), other.packed(), self.cols))
         a, b = self, other
         # mixing a floating matrix with an exact one demotes the exact side
         if not a.is_object() and b._exact_entries():
@@ -131,6 +219,8 @@ class CMatrix:
     __rmul__ = __mul__
 
     def transpose(self) -> "CMatrix":
+        if self.jet is not None:
+            return CMatrix.from_jet(_coefficientwise(self.jet, lambda v: np.swapaxes(v, -1, -2)))
         return CMatrix(self.data.T)
 
     @property
@@ -155,6 +245,8 @@ class CMatrix:
     def trace(self):
         if self.rows != self.cols:
             raise ShapeError(f"trace: matrix is {self.shape}, not square")
+        if self.jet is not None:
+            return _coefficientwise(self.jet, lambda v: np.trace(v, axis1=-2, axis2=-1))
         total = self.data[0, 0]
         for i in range(1, self.rows):
             total = total + self.data[i, i]
@@ -189,6 +281,18 @@ class CMatrix:
 
     def __repr__(self):
         return f"CMatrix({self.data!r})"
+
+
+def jet_width(x: CMatrix) -> int:
+    """Number of jet variables of a matrix's entries; 0 for complex and exact ones."""
+    if x.jet is not None:
+        return x.jet.k
+    if not x.is_object() or x._exact_entries():
+        return 0
+    for v in x.data.flat:
+        if isinstance(v, JetScalar):
+            return v.k
+    return 0
 
 
 def kron_delta(i: int, j: int) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lieharm.harness import (
     RunConfig,
     SUITES,
     VerificationReport,
+    identities_suite,
     replay_record,
     report_fingerprint,
     report_write,
@@ -104,6 +106,16 @@ def test_determinism_same_seed():
     r1, r2 = run(cfg1).to_dict(), run(cfg2).to_dict()
     assert reports_equivalent(r1, r2)
     assert report_fingerprint(r1) == report_fingerprint(r2)
+
+
+def test_identity_batches_report_their_wall_time_once_per_record():
+    cfg = RunConfig(suites=("identities",), suite_overrides={"identities": {"samples": 2}})
+    records = [r for r in identities_suite(cfg) if r.name != "identities/coverage"]
+    # records of one batch share the batch's measured time; no time is divided out
+    sharing = Counter(r.ms for r in records)
+    assert max(sharing.values()) > 1
+    for r in records:
+        assert r.params["batch_records"] == sharing[r.ms]
 
 
 def test_jobs_do_not_change_results():
