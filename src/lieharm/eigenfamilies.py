@@ -27,7 +27,7 @@ from .diffops import (
     tau_subspace_iterated,
 )
 from .exact import RationalComplex
-from .formal import FormalSum, build_phi_p, evaluate_formal
+from .formal import FormalSum, build_phi_p, evaluate_formal, log_domain_ok
 from .lie import (
     SO2N_UN,
     SPN_UN,
@@ -267,12 +267,6 @@ class DualVerification:
         return max(self.max_tau_residual, self.max_kappa_residual, self.max_tau2_scaled)
 
 
-def _log_domain_ok(phi: complex) -> bool:
-    if abs(phi) < 1e-10:
-        return False
-    return not (phi.real <= 0 and abs(phi.imag) <= 1e-12 * max(1.0, abs(phi.real)))
-
-
 def verify_dual(
     spec: EigenfunctionSpec,
     samples: int,
@@ -315,7 +309,7 @@ def verify_dual(
         kap = complex(kappa_subspace(f, f, x, m_basis, sign=+1))
         r1 = abs(t - (-lam) * phi)
         r2 = abs(kap - (-mu) * phi * phi)
-        if _log_domain_ok(phi):
+        if log_domain_ok(phi):
             r3 = abs(complex(tau_subspace_iterated(h, x, m_basis, p=2, sign=+1, budget=budget)))
             # phi^{1-lam/mu} may dwarf unity; judge nullity against its size
             r3_scaled = r3 / max(1.0, abs(complex(h(x))))

@@ -1,8 +1,11 @@
-"""Exact scalar arithmetic: rationals extended by sqrt(2), and their complexification.
+"""Exact scalar arithmetic: rationals extended by sqrt(2), and rational complex numbers.
 
-All arithmetic here is exact; these scalars back the eigenvalue constants,
-the generator matrices and every identity check that must have residual
-*identically* zero rather than merely small.
+QSqrt2 is the type of the scale c of a lattice basis element c N (see
+`lie.Lattice`); `(c * c).as_fraction()` is the element's exact weight in
+the generator sums and raises if c^2 is irrational.  RationalComplex has
+plain rational real and imaginary parts; it backs the eigenvalue
+constants, the formal phi^a (log phi)^b algebra and every identity check
+that must have residual *identically* zero rather than merely small.
 """
 
 from __future__ import annotations
@@ -120,23 +123,33 @@ SQRT2 = QSqrt2(0, 1)
 INV_SQRT2 = QSqrt2(0, Fraction(1, 2))  # 1/sqrt(2) == sqrt(2)/2
 
 
+def _rational(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, QSqrt2):
+        return x.as_fraction()
+    return Fraction(x)
+
+
 class RationalComplex:
-    """Exact complex scalar re + im*i with re, im in Q(sqrt 2).
+    """Exact complex scalar re + im*i with rational re, im.
 
     (a + b) - b == a holds for all values; there is no rounding anywhere.
+    A QSqrt2 part is accepted only when it is rational: building one from
+    a value with a sqrt(2) part raises ValueError.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, QSqrt2) else QSqrt2(re)
-        self.im = im if isinstance(im, QSqrt2) else QSqrt2(im)
+        self.re = _rational(re)
+        self.im = _rational(im)
 
     @staticmethod
     def _coerce(x) -> "RationalComplex":
         if isinstance(x, RationalComplex):
             return x
-        if isinstance(x, (int, Fraction, QSqrt2)):
+        if isinstance(x, (int, Fraction)):
             return RationalComplex(x)
         return NotImplemented
 
@@ -164,7 +177,7 @@ class RationalComplex:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.im.is_zero() and o.im.is_zero():
+        if not self.im and not o.im:
             return RationalComplex(self.re * o.re)
         return RationalComplex(
             self.re * o.re - self.im * o.im,
@@ -181,10 +194,9 @@ class RationalComplex:
 
     def inverse(self) -> "RationalComplex":
         n = self.re * self.re + self.im * self.im
-        if n.is_zero():
+        if not n:
             raise ZeroDivisionError("division by zero RationalComplex")
-        ninv = n.inverse()
-        return RationalComplex(self.re * ninv, -self.im * ninv)
+        return RationalComplex(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -208,21 +220,21 @@ class RationalComplex:
         return hash((self.re, self.im))
 
     def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
+        return not self.re and not self.im
 
     def as_fraction(self) -> Fraction:
-        """The value as a plain rational; raises if imaginary or sqrt(2) parts exist."""
-        if not self.im.is_zero():
+        """The value as a plain rational; raises if an imaginary part exists."""
+        if self.im:
             raise ValueError(f"{self} is not real")
-        return self.re.as_fraction()
+        return self.re
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
     def __repr__(self):
-        if self.im.is_zero():
-            return repr(self.re)
-        if self.re.is_zero():
+        if not self.im:
+            return str(self.re)
+        if not self.re:
             return f"({self.im})i"
         return f"({self.re}+({self.im})i)"
 
@@ -233,5 +245,5 @@ RC_I = RationalComplex(0, 1)
 
 
 def rc(re=0, im=0) -> RationalComplex:
-    """Shorthand constructor accepting ints, Fractions or QSqrt2 parts."""
+    """Shorthand constructor accepting ints, Fractions or rational QSqrt2 parts."""
     return RationalComplex(re, im)

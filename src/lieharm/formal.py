@@ -205,6 +205,15 @@ def verify_p_harmonic(s: FormalSum, lam, mu, p: int) -> PHarmonicCertificate:
     )
 
 
+def log_domain_ok(phi: complex) -> bool:
+    """Whether phi is admissible for the principal log: not near zero and not
+    on the branch cut (the non-positive reals).  The cut test is relative to
+    |Re phi|, since rounding in Im phi grows with the size of phi."""
+    if abs(phi) < 1e-10:
+        return False
+    return not (phi.real <= 0 and abs(phi.imag) <= 1e-12 * max(1.0, abs(phi.real)))
+
+
 def _principal_pow(w: complex, a: Fraction) -> complex:
     if a == 0:
         return 1.0 + 0.0j

@@ -31,7 +31,7 @@ from .eigenfamilies import (
     verify_eigen,
 )
 from .exact import rc
-from .formal import build_phi_p, evaluate_formal, tau_formal, verify_p_harmonic
+from .formal import build_phi_p, evaluate_formal, log_domain_ok, tau_formal, verify_p_harmonic
 from .identities import (
     IdentityCheckResult,
     assert_full_coverage,
@@ -415,7 +415,7 @@ def crosscheck_suite(cfg: RunConfig) -> List[CheckRecord]:
                     raise RuntimeError(f"{space}: not enough admissible points for crosscheck")
                 x, _ = sample_with_coefficients(g_spec, rng, sigma)
                 phi = complex(f(x))
-                if abs(phi) < 1e-10 or (phi.real <= 0 and abs(phi.imag) <= 1e-12):
+                if not log_domain_ok(phi):
                     continue
                 done += 1
                 t2 = complex(tau_iterated(h, x, b, 2, budget=cfg.budget))

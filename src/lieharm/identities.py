@@ -5,29 +5,35 @@ formula, the skew-matrix index lemma, and two small symplectic facts.
 
 The generator-sum and decomposition checks run in exact arithmetic
 end-to-end; their residual is required to be identically zero, not small.
-The exact sums exploit E_ab = e_a e_b^t, so Q E_ab Q^t is the outer product
-of two columns of Q and only the handful of nonzero entries are touched.
+Every basis element is c N with N a Gaussian-integer matrix and c^2
+rational (`lie.Lattice`), and (N E_ab N^t)_ij = N_ia N_jb, so the sums
+over a basis for all (a, b) at once are one integer einsum weighted by
+the c^2, compared in integers with the closed forms.  `dense_exact_crosscheck`
+recomputes one (a, b) by dense RationalComplex matrix products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 
 from .diffops import coordinate_sweep
-from .exact import RationalComplex, rc
+from .exact import rc
 from .lie import (
     SO,
     SP,
     SU,
     GroupSpec,
+    Lattice,
     UsageError,
     basis_g,
-    generator,
+    basis_lattice,
+    generator_lattice,
     sample,
 )
 from .matrices import CMatrix, standard_symplectic
@@ -69,51 +75,78 @@ class IdentityCheckResult:
 # exact generator sums
 # ---------------------------------------------------------------------------
 
-
-def _exact_columns(m: CMatrix) -> List[List[Tuple[int, RationalComplex]]]:
-    """Sparse columns of an exact matrix: per column, the (row, value) pairs."""
-    cols = [[] for _ in range(m.cols)]
-    for i in range(m.rows):
-        for j in range(m.cols):
-            v = m.data[i, j]
-            if not v.is_zero():
-                cols[j].append((i, v))
-    return cols
+# every partial sum of the integer einsum stays below this magnitude
+_INT_BOUND = 2**62
 
 
-def _sum_conjugations(
-    mats: List[CMatrix],
-    alpha: int,
-    beta: int,
-    size: int,
-    columns: Optional[List[List[List[Tuple[int, RationalComplex]]]]] = None,
-) -> CMatrix:
-    """sum_Q Q E_{alpha beta} Q^t exactly, via Q E_ab Q^t = (col_a Q)(col_b Q)^t."""
-    if columns is None:
-        columns = [_exact_columns(m) for m in mats]
-    acc = CMatrix.zeros(size, size, exact=True).data.copy()
-    for cols in columns:
-        for (i, vi) in cols[alpha - 1]:
-            for (j, vj) in cols[beta - 1]:
-                acc[i, j] = acc[i, j] + vi * vj
-    return CMatrix(acc)
+def _exact_matrix(re: np.ndarray, im: np.ndarray, denom: int = 1) -> CMatrix:
+    """The RationalComplex matrix (re + i im) / denom of two integer arrays."""
+    return CMatrix.from_rows(
+        [
+            [rc(Fraction(int(a), denom), Fraction(int(b), denom)) for a, b in zip(row_re, row_im)]
+            for row_re, row_im in zip(re, im)
+        ],
+        exact=True,
+    )
 
 
-def _dense_sum_conjugations(mats: List[CMatrix], alpha: int, beta: int, size: int) -> CMatrix:
-    """Reference path: the same sum by dense exact matrix products."""
-    from .lie import elementary
+class LatticeSums(NamedTuple):
+    """sum_q w_q N_q E_ab N_q^t for every (a, b): `re[a, b]` and `im[a, b]`
+    are the integer real and imaginary parts of that matrix times `denom`."""
 
-    e = elementary(size, alpha, beta, exact=True)
-    acc = CMatrix.zeros(size, size, exact=True)
-    for m in mats:
-        acc = acc + (m @ e @ m.transpose())
-    return acc
+    re: np.ndarray
+    im: np.ndarray
+    denom: int
+
+    def at(self, alpha: int, beta: int) -> np.ndarray:
+        """The sum for 1-based (alpha, beta) as a complex matrix."""
+        return (self.re[alpha - 1, beta - 1] + 1j * self.im[alpha - 1, beta - 1]) / self.denom
+
+    def exact(self, alpha: int, beta: int) -> CMatrix:
+        """The sum for 1-based (alpha, beta) as an exact RationalComplex matrix."""
+        return _exact_matrix(self.re[alpha - 1, beta - 1], self.im[alpha - 1, beta - 1], self.denom)
 
 
-def _exact_residual(actual: CMatrix, expected: CMatrix) -> float:
-    if actual.exact_equals(expected):
-        return 0.0
-    return (actual - expected).max_abs()
+def conjugation_sums(lattice: Lattice) -> LatticeSums:
+    """sum_q c_q^2 N_q E_ab N_q^t for all (a, b) at once, exactly.
+
+    (N E_ab N^t)_ij = N_ia N_jb, so with the weights c_q^2 brought to
+    integers W_q over their common denominator the sums are int64
+    einsums over the real and imaginary parts.  Every partial sum is bounded by
+    max|N|^2 * sum|W| <= (max|Re N|^2 + max|Im N|^2) * sum|W|, which is
+    checked against 2^62 in Python integers before the einsum, so no int64
+    can wrap.
+    """
+    weights = lattice.weights()
+    denom = math.lcm(*(w.denominator for w in weights))
+    w = [int(x * denom) for x in weights]
+    peak = sum(max(-int(a.min()), int(a.max())) ** 2 for a in (lattice.re, lattice.im))
+    if peak * sum(abs(x) for x in w) >= _INT_BOUND:
+        raise OverflowError(f"{lattice.name}: entries too large for exact int64 sums")
+    w = np.array(w, dtype=np.int64)
+    re, im = lattice.re, lattice.im
+    pair = lambda a, b: np.einsum("q,qia,qjb->abij", w, a, b, optimize=True)
+    return LatticeSums(pair(re, re) - pair(im, im), pair(re, im) + pair(im, re), denom)
+
+
+def _lattice_residual(sums: LatticeSums, expected: np.ndarray, denom: int, pairs=None):
+    """(exact, residual): does every sum equal the real closed form
+    expected / denom, and the largest deviation as a float (0.0 if exact)."""
+    re, im = sums.re, sums.im
+    if pairs is not None:
+        idx = tuple(np.array(pairs).T - 1)
+        re, im, expected = re[idx], im[idx], expected[idx]
+    scaled, rem = np.divmod(expected * sums.denom, denom)
+    if not rem.any() and np.array_equal(re, scaled) and not im.any():
+        return True, 0.0
+    deviation = (re + 1j * im) / sums.denom - expected / denom
+    return False, float(np.max(np.abs(deviation)))
+
+
+def _delta_and_swap(size: int):
+    """delta_ab delta_ij and (E_ba)_ij = delta_ib delta_ja, both indexed [a, b, i, j]."""
+    eye = np.eye(size, dtype=np.int64)
+    return np.einsum("ab,ij->abij", eye, eye), np.einsum("ib,ja->abij", eye, eye)
 
 
 def check_generator_sums(n: int) -> List[IdentityCheckResult]:
@@ -125,37 +158,19 @@ def check_generator_sums(n: int) -> List[IdentityCheckResult]:
     """
     if n < 2:
         raise UsageError(f"n must be >= 2, got {n}")
-    xs = [generator("X", n, r, s, exact=True) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
-    ys = [generator("Y", n, r, s, exact=True) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
-    ds = [generator("D", n, t, exact=True) for t in range(1, n + 1)]
-    xs_cols = [_exact_columns(m) for m in xs]
-    ys_cols = [_exact_columns(m) for m in ys]
-    ds_cols = [_exact_columns(m) for m in ds]
-
-    half = rc(Fraction(1, 2))
-    results = [
-        IdentityCheckResult("generator_sum_X", {"n": n}, exact=True),
-        IdentityCheckResult("generator_sum_Y", {"n": n}, exact=True),
-        IdentityCheckResult("generator_sum_D", {"n": n}, exact=True),
-    ]
-    eye = CMatrix.identity(n, exact=True)
-    for alpha in range(1, n + 1):
-        for beta in range(1, n + 1):
-            delta = 1 if alpha == beta else 0
-            from .lie import elementary
-
-            e_ba = elementary(n, beta, alpha, exact=True)
-            expected_x = (eye.scale(rc(delta)) + e_ba.scale(rc((-1) ** delta))).scale(half)
-            expected_y = (eye.scale(rc(delta)) - e_ba).scale(half)
-            expected_d = e_ba.scale(rc(delta))
-            for res, mats, cols, expected in (
-                (results[0], xs, xs_cols, expected_x),
-                (results[1], ys, ys_cols, expected_y),
-                (results[2], ds, ds_cols, expected_d),
-            ):
-                actual = _sum_conjugations(mats, alpha, beta, n, cols)
-                r = _exact_residual(actual, expected)
-                res.merge(r, r == 0.0)
+    delta, e_ba = _delta_and_swap(n)
+    diag = np.eye(n, dtype=np.int64)[:, :, None, None]
+    closed = {
+        "X": (delta + (1 - 2 * diag) * e_ba, 2),
+        "Y": (delta - e_ba, 2),
+        "D": (diag * e_ba, 1),
+    }
+    results = []
+    for kind, (expected, denom) in closed.items():
+        ok, r = _lattice_residual(conjugation_sums(generator_lattice(kind, n)), expected, denom)
+        results.append(
+            IdentityCheckResult(f"generator_sum_{kind}", {"n": n}, r, ok, exact=True)
+        )
     return results
 
 
@@ -237,22 +252,6 @@ def check_coordinate_identities(
 # ---------------------------------------------------------------------------
 
 
-def _expected_decomposition(alpha: int, beta: int, n: int) -> CMatrix:
-    """-E_ba/2 + (J)_ab J/2 exactly (1-based alpha, beta in [1, 2n])."""
-    size = 2 * n
-    half = rc(Fraction(1, 2))
-    out = CMatrix.zeros(size, size, exact=True).data.copy()
-    out[beta - 1, alpha - 1] = out[beta - 1, alpha - 1] - half
-    j = standard_symplectic(n, exact=True)
-    j_ab = j.data[alpha - 1, beta - 1]
-    if not j_ab.is_zero():
-        w = j_ab * half
-        for i in range(n):
-            out[i, n + i] = out[i, n + i] + w
-            out[n + i, i] = out[n + i, i] - w
-    return CMatrix(out)
-
-
 def block_case(alpha: int, beta: int, n: int) -> int:
     top_a = alpha <= n
     top_b = beta <= n
@@ -279,22 +278,20 @@ def check_kappa_basis_decomposition(
     if n < 2:
         raise UsageError(f"n must be >= 2, got {n}")
     size = 2 * n
-    mats = list(basis_g(GroupSpec(SP, n), exact=True))
-    columns = [_exact_columns(m) for m in mats]
-    exact_res = IdentityCheckResult(
-        "kappa_basis_decomposition_exact", {"n": n, "cases": "1-4"}, exact=True
-    )
+    sums = conjugation_sums(basis_lattice(GroupSpec(SP, n)))
+    # -E_ba/2 + (J)_ab J/2, over the denominator 2
+    j = standard_symplectic(n).to_complex().real.astype(np.int64)
+    expected = np.einsum("ab,ij->abij", j, j) - _delta_and_swap(size)[1]
     pairs = (
         [(a, b) for a in range(1, size + 1) for b in range(1, size + 1)]
         if all_pairs
         else [(1, 1), (1, n + 1), (n + 1, 1), (n + 1, n + 1)]
     )
-    sums = {}
+    ok, r = _lattice_residual(sums, expected, 2, pairs)
+    exact_res = IdentityCheckResult(
+        "kappa_basis_decomposition_exact", {"n": n, "cases": "1-4"}, r, ok, exact=True
+    )
     for alpha, beta in pairs:
-        actual = _sum_conjugations(mats, alpha, beta, size, columns)
-        sums[(alpha, beta)] = actual
-        r = _exact_residual(actual, _expected_decomposition(alpha, beta, n))
-        exact_res.merge(r, r == 0.0)
         exact_res.params[f"case{block_case(alpha, beta, n)}"] = "checked"
 
     if samples <= 0:
@@ -309,10 +306,7 @@ def check_kappa_basis_decomposition(
         _, first, _ = coordinate_sweep(q, b)
         kap_all = np.einsum("bja,bkc->jakc", first, first)
         for alpha, beta in rep_pairs:
-            middle = sums.get((alpha, beta))
-            if middle is None:
-                middle = _sum_conjugations(mats, alpha, beta, size, columns)
-            conj = qc @ middle.to_complex() @ qc.T
+            conj = qc @ sums.at(alpha, beta) @ qc.T
             r = float(np.max(np.abs(kap_all[:, alpha - 1, :, beta - 1] - conj)))
             numeric_res.merge(r, r <= tol)
     return [exact_res, numeric_res]
@@ -410,13 +404,18 @@ def check_symplectic_facts(
     return [inv, tr]
 
 
-def dense_exact_crosscheck(n: int, alpha: int, beta: int) -> bool:
-    """Sparse and dense exact conjugation sums agree (dual-route guard)."""
-    mats = list(basis_g(GroupSpec(SP, n), exact=True))
-    size = 2 * n
-    return _sum_conjugations(mats, alpha, beta, size).exact_equals(
-        _dense_sum_conjugations(mats, alpha, beta, size)
-    )
+def dense_exact_crosscheck(lattice: Lattice, alpha: int, beta: int) -> bool:
+    """Second exact route: sum_q c_q^2 N_q E_ab N_q^t by dense RationalComplex
+    matrix products agrees with the integer einsum of `conjugation_sums`."""
+    size = lattice.re.shape[1]
+    e = np.zeros((size, size), dtype=np.int64)
+    e[alpha - 1, beta - 1] = 1
+    e_ab = _exact_matrix(e, np.zeros_like(e))
+    acc = CMatrix.zeros(size, size, exact=True)
+    for re, im, w in zip(lattice.re, lattice.im, lattice.weights()):
+        m = _exact_matrix(re, im)
+        acc = acc + (m @ e_ab @ m.transpose()).scale(rc(w))
+    return acc.exact_equals(conjugation_sums(lattice).exact(alpha, beta))
 
 
 def covered_identity_names(results: List[IdentityCheckResult]) -> set:

@@ -16,6 +16,7 @@ derivative directions are carried through a single evaluation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Tuple, Union
 
 import numpy as np
@@ -28,6 +29,20 @@ _NUMERIC = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
 class JetDomainError(ValueError):
     """log/pow/div of a jet whose base value is zero."""
+
+
+@lru_cache(maxsize=1024)
+def _product_plan(keys_a: Tuple[Key, ...], keys_b: Tuple[Key, ...]) -> Tuple[Tuple[int, int, Key], ...]:
+    """(index into keys_a, index into keys_b, summed key) for every pair of keys
+    whose sum survives truncation (no degree above 2), a-major then b, so a
+    product accumulates its terms in the same order on every call."""
+    plan = []
+    for ia, ka in enumerate(keys_a):
+        for ib, kb in enumerate(keys_b):
+            key = tuple(a + b for a, b in zip(ka, kb))
+            if all(d <= 2 for d in key):
+                plan.append((ia, ib, key))
+    return tuple(plan)
 
 
 class JetScalar:
@@ -127,21 +142,17 @@ class JetScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        va, vb = list(self.coeffs.values()), list(o.coeffs.values())
         out: Dict[Key, Coeff] = {}
-        for ka, va in self.coeffs.items():
-            if isinstance(va, complex) and va == 0:
+        for ia, ib, key in _product_plan(tuple(self.coeffs), tuple(o.coeffs)):
+            x, y = va[ia], vb[ib]
+            if (isinstance(x, complex) and x == 0) or (isinstance(y, complex) and y == 0):
                 continue
-            for kb, vb in o.coeffs.items():
-                if isinstance(vb, complex) and vb == 0:
-                    continue
-                key = tuple(a + b for a, b in zip(ka, kb))
-                if any(d > 2 for d in key):
-                    continue
-                prod = va * vb
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
+            prod = x * y
+            if key in out:
+                out[key] = out[key] + prod
+            else:
+                out[key] = prod
         return JetScalar(self.k, out)
 
     __rmul__ = __mul__

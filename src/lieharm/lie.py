@@ -8,22 +8,26 @@ skew-symmetric / diagonal generators
 
     X_rs = (E_rs + E_sr)/sqrt2,   Y_rs = (E_rs - E_sr)/sqrt2,   D_r = E_rr,
 
-and the complex structure J = [[0, I], [-I, 0]] are available both as
-floating matrices and exactly over Q(sqrt 2).  A unitary z = x + iy embeds
-into the 2n x 2n real matrices as [[x, y], [-y, x]]; that single embedding
-realises U(n) inside both SO(2n) and Sp(n).
+and the complex structure J = [[0, I], [-I, 0]] are floating matrices.
+The exact route sees a basis as a `Lattice`: every element is c N with N
+a Gaussian-integer matrix (int64 real and imaginary parts) and c in
+Q(sqrt 2), built from the same integer patterns as the floating basis.
+A unitary z = x + iy embeds into the 2n x 2n real matrices as
+[[x, y], [-y, x]]; that single embedding realises U(n) inside both
+SO(2n) and Sp(n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
 
-from .exact import INV_SQRT2, RC_I, RC_ONE, RationalComplex
+from .exact import INV_SQRT2, QSqrt2
 from .matrices import CMatrix, ShapeError, standard_symplectic
 
 SO = "SO"
@@ -114,62 +118,69 @@ class SymmetricSpaceSpec:
 # elementary generators
 # ---------------------------------------------------------------------------
 
+# X_rs, Y_rs and D_r are c N with N an integer pattern; c as a float and exactly
+_FLOAT_SCALE = {"X": 1.0 / np.sqrt(2.0), "Y": 1.0 / np.sqrt(2.0), "D": 1.0}
+_EXACT_SCALE = {"X": INV_SQRT2, "Y": INV_SQRT2, "D": QSqrt2(1)}
 
-def elementary(n: int, r: int, s: int, exact: bool = False) -> CMatrix:
+
+def elementary(n: int, r: int, s: int) -> CMatrix:
     """E_rs with a single 1 at (r, s); indices are 1-based."""
     if not (1 <= r <= n and 1 <= s <= n):
         raise UsageError(f"elementary: indices ({r},{s}) out of range for n={n}")
-    m = CMatrix.zeros(n, n, exact=exact).data.copy()
-    m[r - 1, s - 1] = RC_ONE if exact else 1.0 + 0.0j
+    m = np.zeros((n, n), dtype=complex)
+    m[r - 1, s - 1] = 1.0
     return CMatrix(m)
 
 
-def generator(kind: str, n: int, r: int, s: Optional[int] = None, exact: bool = False) -> CMatrix:
-    """X_rs, Y_rs (1 <= r < s <= n) or D_r (1 <= r <= n)."""
+def _pattern(kind: str, n: int, r: int, s: Optional[int] = None) -> np.ndarray:
+    """The int64 pattern N of a generator: X_rs = N/sqrt2, Y_rs = N/sqrt2, D_r = N."""
+    m = np.zeros((n, n), dtype=np.int64)
     if kind == "D":
         if s is not None and s != r:
             raise UsageError("generator: D takes a single index")
         if not 1 <= r <= n:
             raise UsageError(f"generator: D index {r} out of range for n={n}")
-        return elementary(n, r, r, exact=exact)
+        m[r - 1, r - 1] = 1
+        return m
     if kind not in ("X", "Y"):
         raise UsageError(f"generator: unknown kind {kind!r}")
     if s is None or not (1 <= r < s <= n):
         raise UsageError(f"generator: need 1 <= r < s <= n, got r={r}, s={s}, n={n}")
-    m = CMatrix.zeros(n, n, exact=exact).data.copy()
-    if exact:
-        half = RationalComplex(INV_SQRT2)
-        m[r - 1, s - 1] = half
-        m[s - 1, r - 1] = half if kind == "X" else -half
-    else:
-        c = 1.0 / np.sqrt(2.0)
-        m[r - 1, s - 1] = c
-        m[s - 1, r - 1] = c if kind == "X" else -c
-    return CMatrix(m)
+    m[r - 1, s - 1] = 1
+    m[s - 1, r - 1] = 1 if kind == "X" else -1
+    return m
 
 
-def _scale(m: CMatrix, scalar) -> CMatrix:
-    return m.scale(scalar)
+def _patterns(kind: str, n: int) -> List[np.ndarray]:
+    """The patterns of every X_rs or Y_rs (r < s), or of every D_t, in index order."""
+    if kind == "D":
+        return [_pattern("D", n, t) for t in range(1, n + 1)]
+    return [_pattern(kind, n, r, s) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
 
 
-def _i_times(m: CMatrix, exact: bool) -> CMatrix:
-    return m.scale(RC_I) if exact else m.scale(1j)
+def _float_generator(kind: str, pattern: np.ndarray) -> np.ndarray:
+    return (pattern * _FLOAT_SCALE[kind]).astype(complex)
 
 
-def _two_block_diag(a: CMatrix, d: CMatrix, exact: bool) -> CMatrix:
-    n = a.rows
-    out = CMatrix.zeros(2 * n, 2 * n, exact=exact).data.copy()
-    out[:n, :n] = a.data
-    out[n:, n:] = d.data
-    return CMatrix(out)
+def generator(kind: str, n: int, r: int, s: Optional[int] = None) -> CMatrix:
+    """X_rs, Y_rs (1 <= r < s <= n) or D_r (1 <= r <= n)."""
+    return CMatrix(_float_generator(kind, _pattern(kind, n, r, s)))
 
 
-def _two_block_off(b: CMatrix, c: CMatrix, exact: bool) -> CMatrix:
-    n = b.rows
-    out = CMatrix.zeros(2 * n, 2 * n, exact=exact).data.copy()
-    out[:n, n:] = b.data
-    out[n:, :n] = c.data
-    return CMatrix(out)
+def _block_diag(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    out[:n, :n] = a
+    out[n:, n:] = d
+    return out
+
+
+def _block_off(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    n = b.shape[0]
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    out[:n, n:] = b
+    out[n:, :n] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +194,6 @@ class AlgebraBasis:
 
     name: str
     elements: List[CMatrix]
-    exact: bool = False
     _stack: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __len__(self):
@@ -213,90 +223,134 @@ def _traceless_diagonal(n: int, t: int) -> CMatrix:
     return CMatrix(m)
 
 
-def so_basis(n: int, exact: bool = False) -> AlgebraBasis:
-    els = [generator("Y", n, r, s, exact=exact) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
-    return AlgebraBasis(f"so({n})", els, exact=exact)
+def so_basis(n: int) -> AlgebraBasis:
+    els = [generator("Y", n, r, s) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
+    return AlgebraBasis(f"so({n})", els)
 
 
-def su_basis(n: int, exact: bool = False) -> AlgebraBasis:
-    """Y_rs, i X_rs and i H_t with H_t the traceless diagonals.
-
-    Exact construction needs sqrt(t(t+1)) rational multiples of sqrt2,
-    which only happens for n = 2; larger n is floating-point only.
-    """
-    if exact and n > 2:
-        raise UsageError(f"exact su({n}) basis needs radicals outside Q(sqrt2)")
+def su_basis(n: int) -> AlgebraBasis:
+    """Y_rs, i X_rs and i H_t with H_t the traceless diagonals."""
     els: List[CMatrix] = []
     for r in range(1, n + 1):
         for s in range(r + 1, n + 1):
-            els.append(generator("Y", n, r, s, exact=exact))
+            els.append(generator("Y", n, r, s))
     for r in range(1, n + 1):
         for s in range(r + 1, n + 1):
-            els.append(_i_times(generator("X", n, r, s, exact=exact), exact))
+            els.append(generator("X", n, r, s).scale(1j))
     for t in range(1, n):
-        if exact:
-            # n == 2 only: H_1 = (D_1 - D_2)/sqrt2
-            h = CMatrix.zeros(n, n, exact=True).data.copy()
-            h[0, 0] = RationalComplex(INV_SQRT2)
-            h[1, 1] = -RationalComplex(INV_SQRT2)
-            els.append(_i_times(CMatrix(h), True))
-        else:
-            els.append(_i_times(_traceless_diagonal(n, t), False))
-    return AlgebraBasis(f"su({n})", els, exact=exact)
+        els.append(_traceless_diagonal(n, t).scale(1j))
+    return AlgebraBasis(f"su({n})", els)
 
 
-def _sp_families(n: int, exact: bool):
-    """The seven generator families of sp(n), each scaled by 1/sqrt2."""
-    half = RationalComplex(INV_SQRT2) if exact else 1.0 / np.sqrt(2.0)
-    xs = [generator("X", n, r, s, exact=exact) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
-    ys = [generator("Y", n, r, s, exact=exact) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
-    ds = [generator("D", n, t, exact=exact) for t in range(1, n + 1)]
-
-    fams: List[List[CMatrix]] = [[] for _ in range(7)]
-    for y in ys:
-        fams[0].append(_scale(_two_block_diag(y, y, exact), half))
-    for x in xs:
-        ix = _i_times(x, exact)
-        fams[1].append(_scale(_two_block_diag(ix, -ix, exact), half))
-    for d in ds:
-        idm = _i_times(d, exact)
-        fams[2].append(_scale(_two_block_diag(idm, -idm, exact), half))
-    for x in xs:
-        fams[3].append(_scale(_two_block_off(x, -x, exact), half))
-    for x in xs:
-        ix = _i_times(x, exact)
-        fams[4].append(_scale(_two_block_off(ix, ix, exact), half))
-    for d in ds:
-        fams[5].append(_scale(_two_block_off(d, -d, exact), half))
-    for d in ds:
-        idm = _i_times(d, exact)
-        fams[6].append(_scale(_two_block_off(idm, idm, exact), half))
-    return fams
+# the generator kind each family of _sp_families is built from, and the
+# families that span the embedded u(n)
+_SP_FAMILY_KINDS = ("Y", "X", "D", "X", "X", "D", "D")
+_U_FAMILIES = (0, 3, 5)
 
 
-def sp_basis(n: int, exact: bool = False) -> AlgebraBasis:
-    fams = _sp_families(n, exact)
-    els = [m for fam in fams for m in fam]
-    return AlgebraBasis(f"sp({n})", els, exact=exact)
+def _sp_families(xs: List[np.ndarray], ys: List[np.ndarray], ds: List[np.ndarray]):
+    """The seven generator families of sp(n), built from the n x n X, Y and D
+    generators; the common factor 1/sqrt2 is left to the caller."""
+    ixs = [x * 1j for x in xs]
+    ids = [d * 1j for d in ds]
+    return [
+        [_block_diag(y, y) for y in ys],
+        [_block_diag(ix, -ix) for ix in ixs],
+        [_block_diag(idm, -idm) for idm in ids],
+        [_block_off(x, -x) for x in xs],
+        [_block_off(ix, ix) for ix in ixs],
+        [_block_off(d, -d) for d in ds],
+        [_block_off(idm, idm) for idm in ids],
+    ]
 
 
-def u_embedded_basis(n: int, exact: bool = False) -> AlgebraBasis:
+def _sp_float_families(n: int) -> List[List[CMatrix]]:
+    half = 1.0 / np.sqrt(2.0)
+    gens = ([_float_generator(k, p) for p in _patterns(k, n)] for k in "XYD")
+    return [[CMatrix(m * half) for m in fam] for fam in _sp_families(*gens)]
+
+
+def sp_basis(n: int) -> AlgebraBasis:
+    els = [m for fam in _sp_float_families(n) for m in fam]
+    return AlgebraBasis(f"sp({n})", els)
+
+
+def u_embedded_basis(n: int) -> AlgebraBasis:
     """u(n) pushed through z = x + iy -> [[x, y], [-y, x]]; lies in both so(2n) and sp(n)."""
-    fams = _sp_families(n, exact)
-    els = fams[0] + fams[3] + fams[5]
-    return AlgebraBasis(f"u({n})-embedded", els, exact=exact)
+    fams = _sp_float_families(n)
+    els = [m for i in _U_FAMILIES for m in fams[i]]
+    return AlgebraBasis(f"u({n})-embedded", els)
 
 
 @lru_cache(maxsize=None)
-def basis_g(spec: GroupSpec, exact: bool = False) -> AlgebraBasis:
+def basis_g(spec: GroupSpec) -> AlgebraBasis:
     """Bases are cached; AlgebraBasis instances are shared and must not be mutated."""
     if spec.family == SO:
-        return so_basis(spec.n, exact=exact)
+        return so_basis(spec.n)
     if spec.family == SU:
-        return su_basis(spec.n, exact=exact)
+        return su_basis(spec.n)
     if spec.family == SP:
-        return sp_basis(spec.n, exact=exact)
-    return u_embedded_basis(spec.n, exact=exact)
+        return sp_basis(spec.n)
+    return u_embedded_basis(spec.n)
+
+
+# ---------------------------------------------------------------------------
+# exact bases as lattices
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """Matrices c_q N_q: each N_q a Gaussian-integer matrix, held as int64 real
+    and imaginary parts `re[q]`, `im[q]`, and each scale c_q in Q(sqrt 2).
+
+    Sums of products of two entries of one element, such as sum_q c_q^2
+    N_q E_ab N_q^t, are then integer linear algebra weighted by the
+    rationals c_q^2.  The arrays of a cached lattice are read-only.
+    """
+
+    name: str
+    re: np.ndarray
+    im: np.ndarray
+    scales: Tuple[QSqrt2, ...]
+
+    def weights(self) -> List[Fraction]:
+        """c_q^2 for every element; raises ValueError if one is irrational."""
+        return [(c * c).as_fraction() for c in self.scales]
+
+
+def _lattice(name: str, families) -> Lattice:
+    """A lattice from (scale, Gaussian-integer complex matrices) families."""
+    stack = np.array([m for _, fam in families for m in fam], dtype=complex)
+    re, im = stack.real.astype(np.int64), stack.imag.astype(np.int64)
+    re.flags.writeable = im.flags.writeable = False
+    return Lattice(name, re, im, tuple(c for c, fam in families for _ in fam))
+
+
+@lru_cache(maxsize=None)
+def generator_lattice(kind: str, n: int) -> Lattice:
+    """Every X_rs or Y_rs (r < s), or every D_t, of gl(n), in index order."""
+    patterns = _patterns(kind, n)  # raises UsageError for an unknown kind
+    return _lattice(f"{kind}({n})", [(_EXACT_SCALE[kind], patterns)])
+
+
+@lru_cache(maxsize=None)
+def basis_lattice(spec: GroupSpec) -> Lattice:
+    """The basis `basis_g(spec)` as a lattice, element for element.
+
+    su(n) has none: its diagonals i H_t carry 1/sqrt(t(t+1)), which lies
+    outside Q(sqrt 2) for t >= 2, and nothing needs su(2) exactly.
+    """
+    n = spec.n
+    if spec.family == SU:
+        raise UsageError(f"{spec}: su(n) has no basis over Q(sqrt2) lattices")
+    if spec.family == SO:
+        return _lattice(f"so({n})", [(INV_SQRT2, _patterns("Y", n))])
+    fams = _sp_families(*(_patterns(k, n) for k in "XYD"))
+    pairs = [(_EXACT_SCALE[k] * INV_SQRT2, fam) for k, fam in zip(_SP_FAMILY_KINDS, fams)]
+    if spec.family == SP:
+        return _lattice(f"sp({n})", pairs)
+    return _lattice(f"u({n})-embedded", [pairs[i] for i in _U_FAMILIES])
 
 
 def algebra_dimension(spec: GroupSpec) -> int:
@@ -317,31 +371,25 @@ def algebra_dimension(spec: GroupSpec) -> int:
 
 def _sun_son_m_basis(n: int) -> AlgebraBasis:
     els = [
-        _i_times(generator("X", n, r, s), False)
+        generator("X", n, r, s).scale(1j)
         for r in range(1, n + 1)
         for s in range(r + 1, n + 1)
     ]
-    els += [_i_times(_traceless_diagonal(n, t), False) for t in range(1, n)]
+    els += [_traceless_diagonal(n, t).scale(1j) for t in range(1, n)]
     return AlgebraBasis(f"m[su({n})/so({n})]", els)
 
 
 def _spn_un_m_basis(n: int) -> AlgebraBasis:
-    fams = _sp_families(n, exact=False)
+    fams = _sp_float_families(n)
     els = fams[1] + fams[2] + fams[4] + fams[6]
     return AlgebraBasis(f"m[sp({n})/u({n})]", els)
 
 
 def _so2n_un_m_basis(n: int) -> AlgebraBasis:
     half = 1.0 / np.sqrt(2.0)
-    els: List[CMatrix] = []
-    for r in range(1, n + 1):
-        for s in range(r + 1, n + 1):
-            y = generator("Y", n, r, s)
-            els.append(_scale(_two_block_diag(y, -y, False), half))
-    for r in range(1, n + 1):
-        for s in range(r + 1, n + 1):
-            y = generator("Y", n, r, s)
-            els.append(_scale(_two_block_off(y, y, False), half))
+    ys = [_float_generator("Y", p) for p in _patterns("Y", n)]
+    els = [CMatrix(_block_diag(y, -y) * half) for y in ys]
+    els += [CMatrix(_block_off(y, y) * half) for y in ys]
     return AlgebraBasis(f"m[so({2 * n})/u({n})]", els)
 
 
@@ -351,18 +399,10 @@ def _su2n_spn_m_basis(n: int) -> AlgebraBasis:
     els: List[CMatrix] = []
     for u in su_basis(n).elements:
         p = u.to_complex()
-        m = np.zeros((2 * n, 2 * n), dtype=complex)
-        m[:n, :n] = p
-        m[n:, n:] = -np.conj(p)
-        els.append(CMatrix(m * half))
-    for r in range(1, n + 1):
-        for s in range(r + 1, n + 1):
-            y = generator("Y", n, r, s).to_complex()
-            for q in (y, 1j * y):
-                m = np.zeros((2 * n, 2 * n), dtype=complex)
-                m[:n, n:] = q
-                m[n:, :n] = np.conj(q)
-                els.append(CMatrix(m * half))
+        els.append(CMatrix(_block_diag(p, -np.conj(p)) * half))
+    for y in (_float_generator("Y", p) for p in _patterns("Y", n)):
+        for q in (y, 1j * y):
+            els.append(CMatrix(_block_off(q, np.conj(q)) * half))
     return AlgebraBasis(f"m[su({2 * n})/sp({n})]", els)
 
 

@@ -1,18 +1,37 @@
 """The benchmark's layer tracer binds lieharm names from outside the package;
-every name it wraps must still resolve, or the traced benchmark crashes."""
+every name it wraps must still resolve, or the traced benchmark crashes, and
+every layer a workload must exercise must still be called, or the traced
+benchmark reports `correct: false`."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "benchmarks" / "layertrace.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARKS = ROOT / "benchmarks"
+
+# RunConfig fields that shrink each workload to a run of a few seconds
+REDUCED = {
+    "eigen-sweep": {"samples": 2},
+    "exact-algebra": {"spaces": [[f, 2] for f in ("sun_son", "spn_un", "so2n_un", "su2n_spn")], "p_max": 2},
+}
+
+
+def load_benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_layertrace():
-    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_benchmark_module("layertrace")
 
 
 def lieharm_module(name):
@@ -40,3 +59,24 @@ def test_counted_dunders_are_defined_on_their_classes():
     lie = lieharm_module("lie")
     for name in trace.LRU_CACHED:
         assert hasattr(getattr(lie, name), "cache_info"), f"lie.{name} is not lru-cached"
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED))
+def test_traced_child_exercises_every_layer(name):
+    workload = load_benchmark_module("workloads").WORKLOADS[name]
+    job = {"config": dict(workload.run_config(1), **REDUCED[name]), "trace": True}
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "child.py"), json.dumps(job)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["error"] is None
+    assert result["records"] and all(r["pass"] for r in result["records"])
+    layers, spans = result["layers"], load_layertrace().SPAN_GROUPS
+    for layer in sorted(workload.exercised):
+        calls = layers[layer + "_calls"] if layer in spans else layers[layer]
+        assert calls > 0, f"{name}: {layer} recorded no calls"

@@ -15,7 +15,7 @@ def q2s():
 
 
 def rcs():
-    return st.builds(RationalComplex, q2s(), q2s())
+    return st.builds(RationalComplex, rationals, rationals)
 
 
 @given(q2s(), q2s())
@@ -81,6 +81,14 @@ def test_rc_i_squares_to_minus_one():
 def test_rc_complex_conversion():
     z = rc(Fraction(3, 2), Fraction(-1, 4))
     assert complex(z) == complex(1.5, -0.25)
+
+
+def test_rc_parts_are_plain_fractions():
+    z = RationalComplex(QSqrt2(Fraction(3, 4)), 2)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert z == rc(Fraction(3, 4), 2)
+    with pytest.raises(ValueError):
+        RationalComplex(1, INV_SQRT2)
 
 
 def test_as_fraction_rejects_irrational_and_imaginary():

@@ -15,6 +15,7 @@ from lieharm.formal import (
     build_phi_p,
     evaluate_formal,
     exponent_for,
+    log_domain_ok,
     tau_formal,
     verify_p_harmonic,
 )
@@ -134,6 +135,17 @@ def test_evaluate_simple():
 def test_evaluate_rejects_zero():
     with pytest.raises(ValueError):
         evaluate_formal(FormalSum.term(1, 1, 0), 0j)
+
+
+def test_log_domain_cut_is_relative_to_re_phi():
+    # |Re phi| >> 1: an Im phi of 1e-8 is rounding noise of a value near the
+    # cut, which an absolute 1e-12 test would have admitted
+    assert not log_domain_ok(complex(-1e6, 1e-8))
+    assert log_domain_ok(complex(-1e6, 1e-5))
+    assert not log_domain_ok(complex(-0.5, 1e-13))
+    assert log_domain_ok(complex(-0.5, 1e-11))
+    assert log_domain_ok(complex(1e6, 0.0))
+    assert not log_domain_ok(complex(1e-11, 0.0))
 
 
 def test_evaluate_jet_matches_scalar_on_base():

@@ -168,6 +168,28 @@ def test_budget_skip_is_reported_not_failed():
     assert rec.params.get("skipped") == "budget"
 
 
+def test_crosscheck_and_dual_share_the_log_domain_predicate(monkeypatch):
+    from lieharm import eigenfamilies, harness
+
+    seen = []
+
+    def reject(phi):
+        seen.append(phi)
+        return False
+
+    monkeypatch.setattr(harness, "log_domain_ok", reject)
+    monkeypatch.setattr(eigenfamilies, "log_domain_ok", reject)
+    cfg = RunConfig(suites=("crosscheck",), spaces=((SUN_SON, 2),),
+                    suite_overrides={"crosscheck": {"samples": 1}})
+    with pytest.raises(RuntimeError, match="admissible"):
+        harness.crosscheck_suite(cfg)
+    assert len(seen) == 50
+    cfg = RunConfig(suites=("dual",), spaces=((SUN_SON, 2),),
+                    suite_overrides={"dual": {"samples": 2}})
+    assert run(cfg).records[0].params["rejected"] == 2
+    assert len(seen) == 52
+
+
 # --- CLI ---------------------------------------------------------------------------
 
 

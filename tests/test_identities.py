@@ -8,9 +8,9 @@ import pytest
 
 from lieharm.diffops import coordinate_function, kappa
 from lieharm.exact import rc
+from lieharm import identities
 from lieharm.identities import (
     IDENTITY_NAMES,
-    _sum_conjugations,
     assert_full_coverage,
     block_case,
     check_coordinate_identities,
@@ -18,12 +18,40 @@ from lieharm.identities import (
     check_kappa_basis_decomposition,
     check_skew_lemma,
     check_symplectic_facts,
+    conjugation_sums,
     dense_exact_crosscheck,
 )
-from lieharm.lie import GroupSpec, SO, SP, SU, basis_g, elementary, generator, sample
+from lieharm.lie import (
+    GroupSpec,
+    Lattice,
+    SO,
+    SP,
+    SU,
+    basis_g,
+    basis_lattice,
+    elementary,
+    generator_lattice,
+    sample,
+)
 from lieharm.matrices import CMatrix, standard_symplectic
 
 RNG = np.random.default_rng(99)
+
+
+def exact(m: CMatrix, scale=1) -> CMatrix:
+    """An exact copy of a floating matrix with dyadic entries, times `scale`."""
+    rows = m.to_complex()
+    return CMatrix.from_rows(
+        [[rc(Fraction(v.real) * scale, Fraction(v.imag) * scale) for v in row] for row in rows],
+        exact=True,
+    )
+
+
+def perturbed(lattice: Lattice) -> Lattice:
+    """The lattice with 1 added to the real part of one entry of its first element."""
+    re = lattice.re.copy()
+    re[0, 0, 0] += 1
+    return Lattice(lattice.name, re, lattice.im, lattice.scales)
 
 
 # --- generator sums ----------------------------------------------------------
@@ -31,18 +59,14 @@ RNG = np.random.default_rng(99)
 
 def test_y_sum_single_term_hand_expansion():
     # n=2, alpha=beta=1: Y_12 E_11 Y_12^t = E_22 / 2
-    ys = [generator("Y", 2, 1, 2, exact=True)]
-    out = _sum_conjugations(ys, 1, 1, 2)
-    expect = elementary(2, 2, 2, exact=True).scale(rc(Fraction(1, 2)))
-    assert out.exact_equals(expect)
+    sums = conjugation_sums(generator_lattice("Y", 2))
+    assert sums.exact(1, 1).exact_equals(exact(elementary(2, 2, 2), Fraction(1, 2)))
 
 
 def test_d_sum_diagonal_case():
-    ds = [generator("D", 3, t, exact=True) for t in (1, 2, 3)]
-    out = _sum_conjugations(ds, 2, 2, 3)
-    assert out.exact_equals(elementary(3, 2, 2, exact=True))
-    off = _sum_conjugations(ds, 1, 2, 3)
-    assert off.exact_equals(CMatrix.zeros(3, 3, exact=True))
+    sums = conjugation_sums(generator_lattice("D", 3))
+    assert sums.exact(2, 2).exact_equals(exact(elementary(3, 2, 2)))
+    assert sums.exact(1, 2).exact_equals(CMatrix.zeros(3, 3, exact=True))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -117,20 +141,18 @@ def test_block_cases():
 def test_decomposition_case1_value():
     # case (1): sum = -E_ba/2
     n = 2
-    mats = list(basis_g(GroupSpec(SP, n), exact=True))
-    out = _sum_conjugations(mats, 1, 2, 2 * n)
-    expect = elementary(2 * n, 2, 1, exact=True).scale(rc(Fraction(-1, 2)))
-    assert out.exact_equals(expect)
+    sums = conjugation_sums(basis_lattice(GroupSpec(SP, n)))
+    expect = exact(elementary(2 * n, 2, 1), Fraction(-1, 2))
+    assert sums.exact(1, 2).exact_equals(expect)
 
 
 def test_decomposition_case2_with_j_correction():
     # case (2) with alpha = beta - n: sum = -E_ba/2 + J/2
     n = 2
-    mats = list(basis_g(GroupSpec(SP, n), exact=True))
-    out = _sum_conjugations(mats, 1, 1 + n, 2 * n)
-    expect = elementary(2 * n, 1 + n, 1, exact=True).scale(rc(Fraction(-1, 2)))
+    sums = conjugation_sums(basis_lattice(GroupSpec(SP, n)))
+    expect = exact(elementary(2 * n, 1 + n, 1), Fraction(-1, 2))
     expect = expect + standard_symplectic(n, exact=True).scale(rc(Fraction(1, 2)))
-    assert out.exact_equals(expect)
+    assert sums.exact(1, 1 + n).exact_equals(expect)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -149,8 +171,38 @@ def test_decomposition_numeric_agreement():
 
 
 def test_sparse_matches_dense_reference():
-    assert dense_exact_crosscheck(2, 1, 3)
-    assert dense_exact_crosscheck(2, 2, 2)
+    # the integer einsum against dense RationalComplex matrix products
+    sp2 = basis_lattice(GroupSpec(SP, 2))
+    assert dense_exact_crosscheck(sp2, 1, 3)
+    assert dense_exact_crosscheck(sp2, 2, 2)
+    assert dense_exact_crosscheck(generator_lattice("X", 3), 1, 2)
+    # both routes see a perturbed lattice alike
+    assert dense_exact_crosscheck(perturbed(sp2), 1, 1)
+
+
+def test_perturbed_lattice_fails_generator_sums(monkeypatch):
+    lattice = identities.generator_lattice
+    monkeypatch.setattr(identities, "generator_lattice", lambda kind, n: perturbed(lattice(kind, n)))
+    for result in check_generator_sums(3):
+        assert not result.passed and result.max_residual > 0, result.name
+
+
+def test_perturbed_lattice_fails_decomposition(monkeypatch):
+    lattice = identities.basis_lattice
+    monkeypatch.setattr(identities, "basis_lattice", lambda spec: perturbed(lattice(spec)))
+    (result,) = check_kappa_basis_decomposition(2, samples=0, tol=1e-9, rng=RNG)
+    assert not result.passed and result.max_residual > 0
+
+
+def test_magnitude_bound_guards_int64_sums():
+    # X(2) is one element with weight 1/2: the sums scale with the square of
+    # the entries, and max|N|^2 * sum|W| must stay below 2^62
+    base = generator_lattice("X", 2)
+    scaled = lambda k: Lattice("big", base.re * k, base.im, base.scales)
+    sums = conjugation_sums(scaled(2**30))
+    assert np.array_equal(sums.re, conjugation_sums(base).re * 2**60)
+    with pytest.raises(OverflowError, match="too large"):
+        conjugation_sums(scaled(2**31))
 
 
 # --- skew lemma ---------------------------------------------------------------------

@@ -131,6 +131,47 @@ def test_division_by_zero_base_raises():
         jet1(1, 0, 0) / jet1(0, 1, 0)
 
 
+def _reference_product(x, y):
+    """The per-call key loop the cached product plan replaced."""
+    out = {}
+    for ka, va in x.coeffs.items():
+        if isinstance(va, complex) and va == 0:
+            continue
+        for kb, vb in y.coeffs.items():
+            if isinstance(vb, complex) and vb == 0:
+                continue
+            key = tuple(a + b for a, b in zip(ka, kb))
+            if any(d > 2 for d in key):
+                continue
+            out[key] = out[key] + va * vb if key in out else va * vb
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_mul_matches_reference_loop_bitwise(k):
+    rng = np.random.default_rng(k)
+    keys = [key for key in np.ndindex(*(3,) * k)]
+
+    def random_jet():
+        chosen = [keys[i] for i in rng.permutation(len(keys))[: len(keys) // 2 + 1]]
+        coeffs = {}
+        for i, key in enumerate(chosen):
+            if i % 4 == 1:
+                coeffs[key] = 0j  # exercises the zero skip
+            elif i % 4 == 2:
+                coeffs[key] = complex(rng.standard_normal(), rng.standard_normal())
+            else:
+                coeffs[key] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        return JetScalar(k, coeffs)
+
+    for _ in range(5):
+        x, y = random_jet(), random_jet()
+        got, want = (x * y).coeffs, _reference_product(x, y)
+        assert list(got) == list(want)
+        for key in want:
+            assert np.array_equal(got[key], want[key])
+
+
 def test_mixed_variable_counts_rejected():
     with pytest.raises(ValueError):
         JetScalar.constant(1.0, 1) + JetScalar.constant(1.0, 2)

@@ -1,6 +1,8 @@
 """Group catalog: generator values, basis dimensions and orthonormality,
 algebra membership, Cartan bracket relations, embeddings, sampling."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,11 @@ from lieharm.lie import (
     UsageError,
     algebra_dimension,
     basis_g,
+    basis_lattice,
     cartan_decomposition,
     embed_unitary,
     generator,
+    generator_lattice,
     membership_check,
     rebuild_sample,
     sample,
@@ -78,11 +82,19 @@ def test_x_y_orthogonal():
     assert abs((x @ y.T).trace()) < 1e-15
 
 
+def lattice_values(lattice):
+    """The lattice's matrices c_q N_q as floats."""
+    c = np.array([float(c) for c in lattice.scales])
+    return c[:, None, None] * (lattice.re + 1j * lattice.im)
+
+
 def test_exact_generators_match_float():
     for kind in ("X", "Y"):
-        e = generator(kind, 3, 1, 2, exact=True).to_complex()
+        e = lattice_values(generator_lattice(kind, 3))[0]
         f = generator(kind, 3, 1, 2).to_complex()
         assert np.max(np.abs(e - f)) < 1e-15
+    d2 = lattice_values(generator_lattice("D", 3))[1]
+    assert np.array_equal(d2, generator("D", 3, 2).to_complex())
 
 
 # --- bases -------------------------------------------------------------------
@@ -117,18 +129,28 @@ def test_dimension_closed_forms_all_families():
 
 @pytest.mark.parametrize("family,n", [(SO, 4), (SP, 2), (U_IN_SPN, 3)])
 def test_exact_basis_gram_is_identity(family, n):
-    b = basis_g(GroupSpec(family, n), exact=True)
-    eye = CMatrix.identity(b.elements[0].rows, exact=True)
-    for i, zi in enumerate(b):
-        for j, zj in enumerate(b):
-            val = np.real(complex((zi @ zj.conj_transpose()).trace()))
-            assert val == (1.0 if i == j else 0.0)
+    # c_i c_j Re tr(N_i N_j*) = delta_ij, with the trace in integers and c in Q(sqrt2)
+    lat = basis_lattice(GroupSpec(family, n))
+    gram = np.einsum("pij,qij->pq", lat.re, lat.re) + np.einsum("pij,qij->pq", lat.im, lat.im)
+    for i, ci in enumerate(lat.scales):
+        for j, cj in enumerate(lat.scales):
+            assert ci * cj * int(gram[i, j]) == (1 if i == j else 0)
 
 
-def test_exact_su_basis_beyond_two_rejected():
-    with pytest.raises(UsageError):
-        basis_g(GroupSpec(SU, 3), exact=True)
-    assert len(basis_g(GroupSpec(SU, 2), exact=True)) == 3
+@pytest.mark.parametrize("family", [SO, SP, U_IN_SPN, U_IN_SO2N])
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_lattice_basis_matches_float_basis(family, n):
+    spec = GroupSpec(family, n)
+    lat = basis_lattice(spec)
+    assert np.max(np.abs(lattice_values(lat) - basis_g(spec).stack())) < 1e-15
+    assert all(w in (Fraction(1, 2), Fraction(1, 4)) for w in lat.weights())
+
+
+def test_su_has_no_lattice_basis():
+    # i H_t carries 1/sqrt(t(t+1)), outside Q(sqrt2) for t >= 2
+    for n in (2, 3):
+        with pytest.raises(UsageError):
+            basis_lattice(GroupSpec(SU, n))
 
 
 def test_so_basis_skew_symmetric():
