@@ -8,7 +8,7 @@ from .exact import QSqrt2, RationalComplex, rc
 from .jets import JetDomainError, JetScalar, jet_log, jet_pow
 from .matrices import CMatrix, ShapeError, standard_symplectic
 from .lie import GroupSpec, SymmetricSpaceSpec, basis_g, cartan_decomposition
-from .diffops import GroupFunction, directional_jet, kappa, tau, tau_iterated, tau_subspace
+from .diffops import GroupFunction, directional_jet, kappa, tau, tau_iterated
 from .eigenfamilies import (
     EigenfunctionSpec,
     build_eigenfunction,
@@ -39,7 +39,6 @@ __all__ = [
     "kappa",
     "tau",
     "tau_iterated",
-    "tau_subspace",
     "EigenfunctionSpec",
     "build_eigenfunction",
     "expected_eigenvalues",

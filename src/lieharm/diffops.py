@@ -9,25 +9,32 @@ gives tau; summing products of first derivatives gives kappa.  On a group
 with bi-invariant metric the connection term for a left-invariant field is
 nabla_Z Z = [Z, Z]/2 = 0, and on the duals (naturally reductive for the
 symmetric pair) the m-projection [Z, Z]_m/2 vanishes equally, so no
-correction term appears in either sum.
+correction term appears in either sum.  The dual Laplacian is the same sum
+over the directions i Z, Z in m.
 
-A sweep at a plain complex point carries all B basis directions through a
-single evaluation: `batched_jet` builds the packed jet of the matrix
-x (I + tZ_b + t^2 Z_b^2/2) directly, with coefficient arrays x of shape
-(n, n) and x Z_b, x Z_b^2/2 of shape (B, n, n).  Matrix products then run
-on those stacks (see `matrices`), and the value of f is one jet whose first
-and second coefficients are (B,) arrays, one entry per direction.
+One sweep serves every point.  `_sweep` appends one fresh nilpotent
+variable to the packed jet of x (a plain point has none); the coefficients
+of t and t^2 get a new leading axis over a stack of directions, in front of
+any batch axes x already carries, and those of t^0 broadcast along it.  One
+evaluation of f then yields the derivatives along all the directions, and
+`drop_last` projects onto the new variable.  tau and kappa sum over the
+direction axis, so their value is a complex number at a plain point and a
+jet at a jet-valued one.  tau applied p times is tau of the function
+y -> tau(f, y): the outer sweep hands the inner one a point that is
+already a jet, batched over the outer directions (Li et al. 2023,
+"Forward Laplacian", sum the direction axis the same way inside one
+forward pass).
 
-Iterated tau nests fresh nilpotent variables: the outer sweep sees a group
-element that is already jet-valued (packed, and batched over the outer
-directions), and `one_parameter_jet` appends one more variable per level by
-multiplying every packed coefficient by Z and Z^2/2.
+The directions are swept in chunks, so that no coefficient array of the
+jet argument exceeds `_CHUNK_ENTRIES` entries; at a plain point every
+basis used here fits into one chunk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +43,9 @@ from .lie import AlgebraBasis, GroupSpec
 from .matrices import CMatrix, jet_width
 
 Scalar = Union[complex, JetScalar]
+
+# largest number of entries in one coefficient array of a swept jet argument
+_CHUNK_ENTRIES = 2**16
 
 
 class BudgetExceeded(RuntimeError):
@@ -52,7 +62,6 @@ class GroupFunction:
 
     fn: Callable[[CMatrix], Scalar]
     domain: Optional[GroupSpec] = None
-    k_invariant: bool = False
     name: str = ""
 
     def __call__(self, x: CMatrix) -> Scalar:
@@ -76,47 +85,6 @@ def _dirs_array(dirs) -> np.ndarray:
     return np.stack([d.to_complex() if isinstance(d, CMatrix) else np.asarray(d, dtype=complex) for d in dirs])
 
 
-# ---------------------------------------------------------------------------
-# jet arguments
-# ---------------------------------------------------------------------------
-
-
-def one_parameter_jet(x: CMatrix, z: np.ndarray) -> CMatrix:
-    """The order-2 jet of t -> x (I + tZ + t^2 Z^2/2) in one fresh variable.
-
-    Works both for plain complex x (producing 1-variable jets) and for
-    jet-valued x (appending a new trailing variable to its packed jet).
-    """
-    z = np.asarray(z, dtype=complex)
-    z2 = z @ z / 2.0
-    k = jet_width(x)
-    base = x.packed() if k else JetScalar(0, {(): x.to_complex()})
-    coeffs = {}
-    for key, v in base.coeffs.items():
-        coeffs[key + (0,)] = v
-        coeffs[key + (1,)] = v @ z
-        coeffs[key + (2,)] = v @ z2
-    return CMatrix.from_jet(JetScalar(k + 1, coeffs))
-
-
-def batched_jet(x: CMatrix, dirs: np.ndarray) -> CMatrix:
-    """One-variable jets through a plain complex x, batched over all directions.
-
-    Coefficient arrays carry a leading axis over the directions; a single
-    evaluation then yields every directional derivative at once.
-    """
-    x0 = x.to_complex()
-    x1 = np.einsum("ij,bjk->bik", x0, dirs)
-    x2 = np.einsum("ij,bjk->bik", x0, np.matmul(dirs, dirs) / 2.0)
-    return CMatrix.from_jet(JetScalar(1, {(0,): x0, (1,): x1, (2,): x2}))
-
-
-def _as_jet(value: Scalar, k: int) -> JetScalar:
-    if isinstance(value, JetScalar):
-        return value
-    return JetScalar.constant(value, k)
-
-
 def _numeric_point(x: CMatrix) -> CMatrix:
     """Exact group elements differentiate as plain complex points."""
     if x.is_object() and jet_width(x) == 0:
@@ -125,114 +93,97 @@ def _numeric_point(x: CMatrix) -> CMatrix:
 
 
 # ---------------------------------------------------------------------------
-# directional derivatives
+# the sweep
+# ---------------------------------------------------------------------------
+
+
+def _along(v, lead: tuple):
+    """A coefficient with the direction axis spelled out; one that does not
+    depend on the direction is broadcast along it."""
+    if np.ndim(v) == len(lead) and np.shape(v)[0] == lead[0]:
+        return v
+    return np.broadcast_to(v, np.broadcast_shapes(np.shape(v), lead))
+
+
+def _sweep(f: GroupFunction, x: CMatrix, dirs: np.ndarray) -> Iterator[Tuple[JetScalar, JetScalar]]:
+    """The first and second derivative jets of f along x (I + tZ + t^2 Z^2/2),
+    one pair per chunk of the directions Z.
+
+    The jets have the variables of x; each coefficient has the chunk's
+    direction axis in front of the batch axes of x.
+    """
+    x = _numeric_point(x)
+    k = jet_width(x)
+    base = x.packed() if k else JetScalar(0, {(): x.to_complex()})
+    batch = np.broadcast_shapes(*(np.shape(v)[:-2] for v in base.coeffs.values()))
+    # every coefficient gets all batch axes, so the direction axis lines up
+    base = {key: np.reshape(v, (1,) * (len(batch) + 2 - np.ndim(v)) + np.shape(v)) for key, v in base.coeffs.items()}
+    dirs2 = np.matmul(dirs, dirs) / 2.0
+    chunk = max(1, _CHUNK_ENTRIES // (math.prod(batch) * x.rows * x.cols))
+    for start in range(0, len(dirs), chunk):
+        z, z2 = dirs[start : start + chunk], dirs2[start : start + chunk]
+        coeffs = {}
+        for key, v in base.items():
+            coeffs[key + (0,)] = v
+            coeffs[key + (1,)] = np.einsum("...ij,bjk->b...ik", v, z)
+            coeffs[key + (2,)] = np.einsum("...ij,bjk->b...ik", v, z2)
+        try:
+            w = f(CMatrix.from_jet(JetScalar(k + 1, coeffs)))
+        except JetDomainError as exc:
+            raise JetDomainError(f"{f.name or 'f'} along directions {start}..{start + len(z) - 1}: {exc}") from exc
+        if not isinstance(w, JetScalar):
+            w = JetScalar.constant(w, k + 1)
+        lead = (len(z),) + (1,) * len(batch)
+        # Z^d f is d! times the coefficient of t^d, and d! = d for d <= 2
+        yield tuple(JetScalar(k, {key: d * _along(v, lead) for key, v in w.drop_last(d).coeffs.items()}) for d in (1, 2))
+
+
+def _reduce(parts: Iterable[JetScalar], k: int) -> Scalar:
+    """The sum of per-chunk jets over their direction axes: a complex number
+    at a plain point (k == 0), a jet in the k variables of a jet-valued one."""
+    total = {}
+    for part in parts:
+        for key, v in part.coeffs.items():
+            total[key] = total[key] + v.sum(axis=0) if key in total else v.sum(axis=0)
+    return complex(total.get((), 0.0)) if k == 0 else JetScalar(k, total)
+
+
+# ---------------------------------------------------------------------------
+# directional derivatives and the operators
 # ---------------------------------------------------------------------------
 
 
 def directional_jet(f: GroupFunction, x: CMatrix, z) -> tuple:
     """(f, Z(f), Z^2(f)) at x along the one-parameter subgroup of Z."""
-    x = _numeric_point(x)
     z = z.to_complex() if isinstance(z, CMatrix) else np.asarray(z, dtype=complex)
-    w = _as_jet(f(one_parameter_jet(x, z)), jet_width(x) + 1)
-    if x.is_object():
-        base = w.drop_last(0)
-        first = w.drop_last(1)
-        second = 2.0 * w.drop_last(2)
-    else:
-        base = w.coeff((0,))
-        first = w.coeff((1,))
-        second = 2.0 * w.coeff((2,))
-    return base, first, second
-
-
-def _sweep_complex(f: GroupFunction, x: CMatrix, dirs: np.ndarray):
-    """Batched (value, first-array, second-array) over all directions at once."""
-    w = f(batched_jet(x, dirs))
-    b = len(dirs)
-    if not isinstance(w, JetScalar):
-        zero = np.zeros(b, dtype=complex)
-        return w, zero, zero
-    first = np.broadcast_to(np.asarray(w.coeff((1,))), (b,))
-    second = np.broadcast_to(np.asarray(w.coeff((2,))) * 2.0, (b,))
-    return w.coeff((0,)), first, second
-
-
-def tau_over_directions(f: GroupFunction, x: CMatrix, dirs) -> Scalar:
-    """Sum of second directional derivatives of f at x over the given directions."""
     x = _numeric_point(x)
-    dirs = _dirs_array(dirs)
-    if not x.is_object():
-        _, _, second = _sweep_complex(f, x, dirs)
-        return complex(np.sum(second))
-    k = jet_width(x)
-    total = JetScalar(k, {})
-    for i, z in enumerate(dirs):
-        try:
-            _, _, second = directional_jet(f, x, z)
-        except JetDomainError as exc:
-            raise JetDomainError(f"{f.name or 'f'} along basis direction {i}: {exc}") from exc
-        total = total + second
-    return total
-
-
-def kappa_over_directions(f: GroupFunction, g: GroupFunction, x: CMatrix, dirs) -> Scalar:
-    """Sum over directions of Z(f) Z(g); complex bilinear, no conjugation."""
-    x = _numeric_point(x)
-    dirs = _dirs_array(dirs)
-    if not x.is_object():
-        _, df, _ = _sweep_complex(f, x, dirs)
-        dg = df if g is f else _sweep_complex(g, x, dirs)[1]
-        return complex(np.sum(df * dg))
-    k = jet_width(x)
-    total = JetScalar(k, {})
-    for i, z in enumerate(dirs):
-        try:
-            _, df, _ = directional_jet(f, x, z)
-            dg = df if g is f else directional_jet(g, x, z)[1]
-        except JetDomainError as exc:
-            raise JetDomainError(f"kappa along basis direction {i}: {exc}") from exc
-        total = total + df * dg
-    return total
+    value = f(x)
+    first, second = next(_sweep(f, x, z[None]))
+    return value, _reduce([first], first.k), _reduce([second], second.k)
 
 
 def tau(f: GroupFunction, x: CMatrix, basis) -> Scalar:
-    """Laplace-Beltrami operator: sum of Z^2(f)(x) over the orthonormal basis."""
-    return tau_over_directions(f, x, basis)
+    """Laplace-Beltrami operator: sum of Z^2(f)(x) over the given directions."""
+    return _reduce((second for _, second in _sweep(f, x, _dirs_array(basis))), jet_width(x))
 
 
 def kappa(f: GroupFunction, g: GroupFunction, x: CMatrix, basis) -> Scalar:
-    """Conformality operator kappa(f, g)(x) over the orthonormal basis."""
-    return kappa_over_directions(f, g, x, basis)
+    """Conformality operator: sum of Z(f) Z(g) over the given directions;
+    complex bilinear, no conjugation."""
+    dirs = _dirs_array(basis)
+    df = [first for first, _ in _sweep(f, x, dirs)]
+    dg = df if g is f else [first for first, _ in _sweep(g, x, dirs)]
+    return _reduce((a * b for a, b in zip(df, dg)), jet_width(x))
 
 
 def tau_and_kappa(f: GroupFunction, x: CMatrix, basis) -> tuple:
-    """(tau f, kappa(f, f)) from a single batched sweep at a complex point."""
-    x = _numeric_point(x)
-    dirs = _dirs_array(basis)
-    if x.is_object():
-        return tau_over_directions(f, x, dirs), kappa_over_directions(f, f, x, dirs)
-    _, first, second = _sweep_complex(f, x, dirs)
-    return complex(np.sum(second)), complex(np.sum(first * first))
+    """(tau f, kappa(f, f)) from one sweep."""
+    chunks = list(_sweep(f, x, _dirs_array(basis)))
+    k = jet_width(x)
+    return _reduce((s for _, s in chunks), k), _reduce((d * d for d, _ in chunks), k)
 
 
-# ---------------------------------------------------------------------------
-# iterated and subspace variants
-# ---------------------------------------------------------------------------
-
-
-def tau_as_function(f: GroupFunction, dirs) -> GroupFunction:
-    """tau(f) wrapped as a new scalar-polymorphic group function."""
-    dirs = _dirs_array(dirs)
-
-    def fn(x: CMatrix):
-        return tau_over_directions(f, x, dirs)
-
-    return GroupFunction(fn, domain=f.domain, k_invariant=f.k_invariant, name=f"tau({f.name})")
-
-
-def tau_iterated(
-    f: GroupFunction, x: CMatrix, basis, p: int, budget: int = 10**6
-) -> Scalar:
+def tau_iterated(f: GroupFunction, x: CMatrix, basis, p: int, budget: int = 10**6) -> Scalar:
     """tau applied p times via nested jets; cost grows like (dim basis)^p."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -243,53 +194,9 @@ def tau_iterated(
             f"tau^{p} over {len(dirs)} directions needs {cost} jet evaluations "
             f"(budget {budget})"
         )
-    g = f
     for _ in range(p - 1):
-        g = tau_as_function(g, dirs)
-    return tau_over_directions(g, x, dirs)
-
-
-def tau_subspace(f: GroupFunction, x: CMatrix, m_basis, sign: int = 1) -> Scalar:
-    """sign * sum over m of second derivatives along x exp(t iZ).
-
-    With sign +1 this is the Laplacian of the non-compact dual (directions
-    i m); with sign -1 it equals the sum over the real m-directions for
-    holomorphic functions.
-    """
-    dirs = 1j * _dirs_array(m_basis)
-    return sign * tau_over_directions(f, x, dirs)
-
-
-def kappa_subspace(
-    f: GroupFunction, g: GroupFunction, x: CMatrix, m_basis, sign: int = 1
-) -> Scalar:
-    """sign * sum over m of products of first derivatives along x exp(t iZ)."""
-    dirs = 1j * _dirs_array(m_basis)
-    return sign * kappa_over_directions(f, g, x, dirs)
-
-
-def tau_subspace_iterated(
-    f: GroupFunction, x: CMatrix, m_basis, p: int, sign: int = 1, budget: int = 10**6
-) -> Scalar:
-    """The dual Laplacian applied p times (nested jets along i m directions)."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    dirs = 1j * _dirs_array(m_basis)
-    cost = len(dirs) ** p
-    if cost > budget:
-        raise BudgetExceeded(
-            f"dual tau^{p} over {len(dirs)} directions needs {cost} jet evaluations "
-            f"(budget {budget})"
-        )
-    g = f
-    for _ in range(p - 1):
-        gg = g
-
-        def fn(y: CMatrix, inner=gg):
-            return sign * tau_over_directions(inner, y, dirs)
-
-        g = GroupFunction(fn, domain=f.domain, name=f"tau*({g.name})")
-    return sign * tau_over_directions(g, x, dirs)
+        f = GroupFunction(lambda y, inner=f: tau(inner, y, dirs), domain=f.domain, name=f"tau({f.name})")
+    return tau(f, x, dirs)
 
 
 # ---------------------------------------------------------------------------

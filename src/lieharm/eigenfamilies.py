@@ -19,13 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .diffops import (
-    GroupFunction,
-    kappa_subspace,
-    tau_and_kappa,
-    tau_subspace,
-    tau_subspace_iterated,
-)
+from .diffops import GroupFunction, tau_and_kappa, tau_iterated
 from .exact import RationalComplex
 from .formal import FormalSum, build_phi_p, evaluate_formal, log_domain_ok
 from .lie import (
@@ -115,7 +109,7 @@ def uses_complex_structure(space: SymmetricSpaceSpec) -> bool:
 
 
 def build_eigenfunction(spec: EigenfunctionSpec) -> GroupFunction:
-    """phi as a scalar-polymorphic group function, marked K-invariant."""
+    """phi as a scalar-polymorphic group function."""
     space = spec.space
     a_cm = build_matrix_A(spec)
     size = space.matrix_size
@@ -129,7 +123,7 @@ def build_eigenfunction(spec: EigenfunctionSpec) -> GroupFunction:
             m = m @ j_cm
         return m.trace()
 
-    return GroupFunction(fn, domain=space.group_spec(), k_invariant=True, name=f"phi[{space}]")
+    return GroupFunction(fn, domain=space.group_spec(), name=f"phi[{space}]")
 
 
 def expected_eigenvalues(spec_or_space) -> Tuple[RationalComplex, RationalComplex]:
@@ -285,6 +279,7 @@ def verify_dual(
         return out
     space = spec.space
     _, m_basis = cartan_decomposition(space)
+    dual_dirs = 1j * m_basis.stack()
     f = build_eigenfunction(spec)
     lam_rc, mu_rc = expected_eigenvalues(spec)
     lam, mu = complex(lam_rc), complex(mu_rc)
@@ -305,12 +300,11 @@ def verify_dual(
         x, a_c, b_c = sample_dual_with_coefficients(space, rng, sigma)
         phi = complex(f(x))
         scale = max(1.0, abs(phi))
-        t = complex(tau_subspace(f, x, m_basis, sign=+1))
-        kap = complex(kappa_subspace(f, f, x, m_basis, sign=+1))
+        t, kap = tau_and_kappa(f, x, dual_dirs)
         r1 = abs(t - (-lam) * phi)
         r2 = abs(kap - (-mu) * phi * phi)
         if log_domain_ok(phi):
-            r3 = abs(complex(tau_subspace_iterated(h, x, m_basis, p=2, sign=+1, budget=budget)))
+            r3 = abs(complex(tau_iterated(h, x, dual_dirs, 2, budget=budget)))
             # phi^{1-lam/mu} may dwarf unity; judge nullity against its size
             r3_scaled = r3 / max(1.0, abs(complex(h(x))))
         else:

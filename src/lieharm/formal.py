@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Tuple, Union
 
 import numpy as np
@@ -109,19 +110,26 @@ class FormalSum:
         return f"FormalSum({self.serialize()})"
 
 
+@lru_cache(maxsize=4096)
+def _tau_coefficients(a: Fraction, b: int, lam: RationalComplex, mu: RationalComplex) -> Tuple[RationalComplex, ...]:
+    """The coefficients of phi^a L^b, phi^a L^(b-1) and phi^a L^(b-2) in tau(phi^a L^b)."""
+    a_rc = RationalComplex(a)
+    keep = lam * a_rc + mu * a_rc * (a_rc - 1)
+    down1 = lam * b + mu * b * (2 * a_rc - 1)
+    return keep, down1, mu * (b * (b - 1))
+
+
 def tau_formal(s: FormalSum, lam: RationalComplex, mu: RationalComplex) -> FormalSum:
     """The action of tau on the formal algebra, extended linearly."""
     lam, mu = _as_rc(lam), _as_rc(mu)
     out = FormalSum()
     for (a, b), c in s.terms.items():
-        a_rc = RationalComplex(a)
-        keep = lam * a_rc + mu * a_rc * (a_rc - 1)
+        keep, down1, down2 = _tau_coefficients(a, b, lam, mu)
         out._accumulate(a, b, c * keep)
         if b >= 1:
-            down1 = lam * b + mu * b * (2 * a_rc - 1)
             out._accumulate(a, b - 1, c * down1)
         if b >= 2:
-            out._accumulate(a, b - 2, c * (mu * (b * (b - 1))))
+            out._accumulate(a, b - 2, c * down2)
     return out
 
 

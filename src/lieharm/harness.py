@@ -210,8 +210,19 @@ def strip_timing(report_dict: Dict) -> Dict:
     return out
 
 
+# config keys that shape a run but not its results
+_RUN_ONLY_KEYS = ("out", "jobs")
+
+
 def report_fingerprint(report_dict: Dict) -> str:
-    canonical = json.dumps(strip_timing(report_dict), sort_keys=True)
+    """Hash of the results and the config that determines them."""
+    out = strip_timing(report_dict)
+    config = out.get("config", {})
+    for key in _RUN_ONLY_KEYS:
+        config.pop(key, None)
+    if "explicit" in config:
+        config["explicit"] = [k for k in config["explicit"] if k not in _RUN_ONLY_KEYS]
+    canonical = json.dumps(out, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -75,11 +75,6 @@ class JetScalar:
     def coeff(self, key: Key) -> Coeff:
         return self.coeffs.get(tuple(key), 0.0 + 0.0j)
 
-    def lift(self, extra: int = 1) -> "JetScalar":
-        """Embed into a jet algebra with `extra` additional (trailing) variables."""
-        pad = (0,) * extra
-        return JetScalar(self.k + extra, {key + pad: v for key, v in self.coeffs.items()})
-
     def drop_last(self, degree: int) -> "JetScalar":
         """Project onto the given degree of the last variable, removing it."""
         out = {}

@@ -487,11 +487,6 @@ def rebuild_dual_sample(
     return CMatrix(x)
 
 
-def sample_subgroup(space: SymmetricSpaceSpec, rng: np.random.Generator, sigma: float = 0.5) -> CMatrix:
-    """A random element of the embedded divisor group K."""
-    return sample(space.subgroup_spec(), rng, sigma)
-
-
 # ---------------------------------------------------------------------------
 # membership diagnostics
 # ---------------------------------------------------------------------------

@@ -295,10 +295,6 @@ def jet_width(x: CMatrix) -> int:
     return 0
 
 
-def kron_delta(i: int, j: int) -> int:
-    return 1 if i == j else 0
-
-
 def standard_symplectic(n: int, exact: bool = False) -> CMatrix:
     """The 2n x 2n block matrix [[0, I], [-I, 0]]."""
     if exact:

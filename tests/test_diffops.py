@@ -9,11 +9,9 @@ from lieharm.diffops import (
     coordinate_function,
     directional_jet,
     kappa,
-    kappa_over_directions,
     tau,
     tau_and_kappa,
     tau_iterated,
-    tau_subspace,
 )
 from lieharm.eigenfamilies import (
     build_eigenfunction,
@@ -24,6 +22,7 @@ from lieharm.lie import (
     GroupSpec,
     SO,
     SP,
+    SPN_UN,
     SPACE_FAMILIES,
     SU,
     SUN_SON,
@@ -110,8 +109,8 @@ def test_basis_independence():
     for _ in range(20):
         x = sample(spec, rng, 0.5)
         assert abs(tau(f, x, stack) - tau(f, x, remixed)) < 1e-10
-        k1 = kappa_over_directions(f, f, x, stack)
-        k2 = kappa_over_directions(f, f, x, remixed)
+        k1 = kappa(f, f, x, stack)
+        k2 = kappa(f, f, x, remixed)
         assert abs(k1 - k2) < 1e-10
 
 
@@ -204,8 +203,8 @@ def test_tau_subspace_compact_equals_full_for_invariant_f():
     f = build_eigenfunction(random_parameters(space, rng))
     _, m_basis = cartan_decomposition(space)
     x = sample(space.group_spec(), rng, 0.5)
-    # sign -1 along i m equals the sum over real m for holomorphic f
-    t_m = tau_subspace(f, x, m_basis, sign=-1)
+    # minus the sum along i m equals the sum over real m for holomorphic f
+    t_m = -tau(f, x, 1j * m_basis.stack())
     t_full = tau(f, x, basis_g(space.group_spec()))
     assert abs(t_m - t_full) < 1e-10
 
@@ -220,7 +219,7 @@ def test_tau_subspace_dual_sign_flip():
     for _ in range(3):
         x = sample_dual(space, rng, sigma=0.2)
         phi = complex(f(x))
-        t = tau_subspace(f, x, m_basis, sign=+1)
+        t = tau(f, x, 1j * m_basis.stack())
         assert abs(t - 4.0 * phi) <= 1e-9 * max(1.0, abs(phi))
 
 
@@ -228,7 +227,7 @@ def test_tau_subspace_constant_is_zero():
     space = SymmetricSpaceSpec(SUN_SON, 2)
     _, m_basis = cartan_decomposition(space)
     f = GroupFunction(lambda g: 2.5 + 0j)
-    assert tau_subspace(f, CMatrix.identity(2), m_basis, sign=+1) == 0
+    assert tau(f, CMatrix.identity(2), 1j * m_basis.stack()) == 0
 
 
 def test_batched_and_sequential_sweeps_agree():
@@ -261,3 +260,55 @@ def test_tau_and_kappa_single_sweep_consistency():
     t, kap = tau_and_kappa(f, x, b)
     assert abs(t - tau(f, x, b)) < 1e-13
     assert abs(kap - kappa(f, f, x, b)) < 1e-13
+
+
+def _tau2_reference(f, x, dirs):
+    """tau^2 f(x) from one bivariate jet per direction pair (a, b) along
+    x exp(s Z_a) exp(t Z_b): the sum over pairs of 4 times the s^2 t^2 coefficient."""
+    from lieharm.jets import JetScalar
+
+    x0 = x.to_complex()
+    powers = [np.broadcast_to(np.eye(x0.shape[0]), dirs.shape), dirs, np.matmul(dirs, dirs) / 2.0]
+    coeffs = {
+        (i, j): np.einsum("ij,ajk,bkl->abil", x0, powers[i], powers[j]) for i in range(3) for j in range(3)
+    }
+    w = f(CMatrix.from_jet(JetScalar(2, coeffs)))
+    return complex(4.0 * np.sum(w.coeff((2, 2))))
+
+
+@pytest.mark.parametrize("family", [SUN_SON, SPN_UN])
+@pytest.mark.parametrize("subspace", ["g", "i m"])
+def test_tau_iterated_matches_bivariate_reference(family, subspace):
+    space = SymmetricSpaceSpec(family, 2)
+    rng = np.random.default_rng(16)
+    phi = build_eigenfunction(random_parameters(space, rng))
+    f = GroupFunction(lambda g: phi(g) * phi(g) * phi(g), name="phi^3")
+    if subspace == "g":
+        dirs = basis_g(space.group_spec()).stack()
+    else:
+        dirs = 1j * cartan_decomposition(space)[1].stack()
+    for _ in range(2):
+        x = sample(space.group_spec(), rng, 0.5)
+        ref = _tau2_reference(f, x, dirs)
+        assert abs(complex(tau_iterated(f, x, dirs, 2)) - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+def test_chunked_sweep_matches_single_chunk(monkeypatch):
+    import lieharm.diffops as diffops
+
+    space = SymmetricSpaceSpec(SUN_SON, 3)
+    rng = np.random.default_rng(17)
+    f = build_eigenfunction(random_parameters(space, rng))
+    g = build_eigenfunction(random_parameters(space, rng))
+    b = basis_g(space.group_spec()).stack()
+    x = sample(space.group_spec(), rng, 0.5)
+
+    def values():
+        return [tau(f, x, b), kappa(f, g, x, b), kappa(f, f, x, b), complex(tau_iterated(f, x, b, 2))]
+
+    single = values()
+    # 27 entries hold 3 directions of a 3x3 point: the 8 directions split 3 + 3 + 2
+    monkeypatch.setattr(diffops, "_CHUNK_ENTRIES", 27)
+    assert len(b) == 8
+    for chunked, whole in zip(values(), single):
+        assert abs(chunked - whole) <= 1e-12 * max(1.0, abs(whole))

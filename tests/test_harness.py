@@ -108,6 +108,19 @@ def test_determinism_same_seed():
     assert report_fingerprint(r1) == report_fingerprint(r2)
 
 
+def test_fingerprint_ignores_run_only_config(tmp_path):
+    base = dict(suites=("pharmonic",), spaces=((SUN_SON, 2),), p_max=2)
+    out = str(tmp_path / "report.json")
+    r1 = run(RunConfig(**base, explicit=("seed",))).to_dict()
+    r2 = run(RunConfig(**base, out=out, jobs=2, explicit=("out", "jobs", "seed"))).to_dict()
+    r3 = run(RunConfig(**base, seed=7, explicit=("seed",))).to_dict()
+    # the report keeps the run-only keys; only the fingerprint ignores them
+    assert r2["config"]["out"] == out and r2["config"]["jobs"] == 2
+    assert r2["config"]["explicit"] == ["out", "jobs", "seed"]
+    assert report_fingerprint(r1) == report_fingerprint(r2)
+    assert report_fingerprint(r1) != report_fingerprint(r3)
+
+
 def test_identity_batches_report_their_wall_time_once_per_record():
     cfg = RunConfig(suites=("identities",), suite_overrides={"identities": {"samples": 2}})
     records = [r for r in identities_suite(cfg) if r.name != "identities/coverage"]
