@@ -18,16 +18,17 @@ of t and t^2 get a new leading axis over a stack of directions, in front of
 any batch axes x already carries, and those of t^0 broadcast along it.  One
 evaluation of f then yields the derivatives along all the directions, and
 `drop_last` projects onto the new variable.  tau and kappa sum over the
-direction axis, so their value is a complex number at a plain point and a
-jet at a jet-valued one.  tau applied p times is tau of the function
-y -> tau(f, y): the outer sweep hands the inner one a point that is
-already a jet, batched over the outer directions (Li et al. 2023,
-"Forward Laplacian", sum the direction axis the same way inside one
+direction axis, so their value is a complex number at a plain point, an
+array of one value per point at a batch of plain points (a CMatrix with
+batch axes), and a jet at a jet-valued point.  tau applied p times is tau
+of the function y -> tau(f, y): the outer sweep hands the inner one a
+point that is already a jet, batched over the outer directions (Li et al.
+2023, "Forward Laplacian", sum the direction axis the same way inside one
 forward pass).
 
 The directions are swept in chunks, so that no coefficient array of the
-jet argument exceeds `_CHUNK_ENTRIES` entries; at a plain point every
-basis used here fits into one chunk.
+jet argument, batch axes included, exceeds `_CHUNK_ENTRIES` entries; a
+batch of 50 points of any n = 3 space fits into one chunk.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .jets import JetDomainError, JetScalar
 from .lie import AlgebraBasis, GroupSpec
 from .matrices import CMatrix, jet_width
 
-Scalar = Union[complex, JetScalar]
+Scalar = Union[complex, np.ndarray, JetScalar]
 
 # largest number of entries in one coefficient array of a swept jet argument
 _CHUNK_ENTRIES = 2**16
@@ -138,14 +139,26 @@ def _sweep(f: GroupFunction, x: CMatrix, dirs: np.ndarray) -> Iterator[Tuple[Jet
         yield tuple(JetScalar(k, {key: d * _along(v, lead) for key, v in w.drop_last(d).coeffs.items()}) for d in (1, 2))
 
 
+def _direction_sum(v: np.ndarray) -> np.ndarray:
+    """The sum over the leading direction axis, taken as a contiguous last
+    axis: numpy sums such an axis pairwise but a leading one term by term, so
+    this gives a point of a batch the same bits as the point alone."""
+    return np.ascontiguousarray(np.moveaxis(v, 0, -1)).sum(axis=-1)
+
+
 def _reduce(parts: Iterable[JetScalar], k: int) -> Scalar:
-    """The sum of per-chunk jets over their direction axes: a complex number
-    at a plain point (k == 0), a jet in the k variables of a jet-valued one."""
+    """The sum of per-chunk jets over their direction axes: at a plain point
+    (k == 0) a complex number, or an array with one per point of a batch;
+    a jet in the k variables of a jet-valued point."""
     total = {}
     for part in parts:
         for key, v in part.coeffs.items():
-            total[key] = total[key] + v.sum(axis=0) if key in total else v.sum(axis=0)
-    return complex(total.get((), 0.0)) if k == 0 else JetScalar(k, total)
+            v = _direction_sum(v)
+            total[key] = total[key] + v if key in total else v
+    if k:
+        return JetScalar(k, total)
+    value = total.get((), 0.0)
+    return complex(value) if np.ndim(value) == 0 else value
 
 
 # ---------------------------------------------------------------------------

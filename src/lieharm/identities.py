@@ -223,26 +223,25 @@ def check_coordinate_identities(
     kap_res = IdentityCheckResult(
         f"coordinate_kappa_{spec.family}", {"n": spec.n, "tuples": len(tuples)}
     )
-    for _ in range(samples):
-        x = sample(spec, rng, sigma)
-        x0, first, second = coordinate_sweep(x, b)
+    j, a, k, c = np.array(tuples).T
+    for x in sample(spec, rng, sigma, (samples,)).to_complex():
+        x0, first, second = coordinate_sweep(CMatrix(x), b)
         t_all = second.sum(axis=0)
         r_tau = float(np.max(np.abs(t_all - lam * x0)))
         tau_res.merge(r_tau, r_tau <= tol)
         kap_all = np.einsum("bja,bkc->jakc", first, first)
-        worst = 0.0
-        for (j, a, k, c) in tuples:
-            if spec.family == SO:
-                expect = -0.5 * (x0[j, c] * x0[k, a] - (j == k) * (a == c))
-            elif spec.family == SU:
-                expect = -x0[j, c] * x0[k, a] + x0[j, a] * x0[k, c] / size
-            else:
-                expect = -0.5 * x0[j, c] * x0[k, a] + 0.5 * j_mat[j, k] * j_mat[a, c]
-            r = abs(kap_all[j, a, k, c] - expect)
-            if r > worst:
-                worst = r
-                if r > tol:
-                    kap_res.params["worst_tuple"] = [j + 1, a + 1, k + 1, c + 1]
+        # the closed form at every index tuple at once
+        if spec.family == SO:
+            expect = -0.5 * (x0[j, c] * x0[k, a] - (j == k) * (a == c))
+        elif spec.family == SU:
+            expect = -x0[j, c] * x0[k, a] + x0[j, a] * x0[k, c] / size
+        else:
+            expect = -0.5 * x0[j, c] * x0[k, a] + 0.5 * j_mat[j, k] * j_mat[a, c]
+        r = np.abs(kap_all[j, a, k, c] - expect)
+        worst = float(r.max())
+        if worst > tol:
+            i = int(np.argmax(r))
+            kap_res.params["worst_tuple"] = [int(v[i]) + 1 for v in (j, a, k, c)]
         kap_res.merge(worst, worst <= tol)
     return [tau_res, kap_res]
 
@@ -300,10 +299,8 @@ def check_kappa_basis_decomposition(
     b = basis_g(spec)
     numeric_res = IdentityCheckResult("kappa_basis_decomposition_numeric", {"n": n})
     rep_pairs = [(1, 1), (1, n + 1), (n + 1, 1), (n + 1, n + 1)]
-    for _ in range(samples):
-        q = sample(spec, rng, sigma)
-        qc = q.to_complex()
-        _, first, _ = coordinate_sweep(q, b)
+    for qc in sample(spec, rng, sigma, (samples,)).to_complex():
+        _, first, _ = coordinate_sweep(CMatrix(qc), b)
         kap_all = np.einsum("bja,bkc->jakc", first, first)
         for alpha, beta in rep_pairs:
             conj = qc @ sums.at(alpha, beta) @ qc.T
@@ -379,8 +376,7 @@ def check_symplectic_facts(
     spec = GroupSpec(SP, n)
     j = standard_symplectic(n).to_complex()
     inv = IdentityCheckResult("symplectic_conjugation_invariance", {"n": n})
-    for _ in range(samples):
-        q = sample(spec, rng, sigma).to_complex()
+    for q in sample(spec, rng, sigma, (samples,)).to_complex():
         r = float(np.max(np.abs(q @ j @ q.T - j)))
         inv.merge(r, r <= tol)
 

@@ -15,17 +15,22 @@ Q(sqrt 2), built from the same integer patterns as the floating basis.
 A unitary z = x + iy embeds into the 2n x 2n real matrices as
 [[x, y], [-y, x]]; that single embedding realises U(n) inside both
 SO(2n) and Sp(n).
+
+Sample points are exp(sum_q c_q Z_q) with Gaussian c.  One call draws and
+exponentiates a whole batch: the coefficients carry leading batch axes,
+and `expm` (Taylor scaling and squaring in numpy) exponentiates the
+(..., n, n) stack at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .exact import INV_SQRT2, QSqrt2
 from .matrices import CMatrix, ShapeError, standard_symplectic
@@ -437,26 +442,82 @@ def embed_unitary(z: np.ndarray) -> np.ndarray:
     return out
 
 
+# degree of the Taylor polynomial in `expm`
+_TAYLOR_DEGREE = 30
+
+
+def expm(a) -> np.ndarray:
+    """The exponential of every matrix of an (..., n, n) stack of any inexact
+    dtype, complex128 and clongdouble among them.
+
+    Taylor scaling and squaring (Bader, Blanes & Casas 2019, "Computing the
+    matrix exponential with an optimized Taylor polynomial approximation"):
+    each matrix is halved s times until its 1-norm is at most theta, where
+    theta^(m+1)/(m+1)! is the unit roundoff u of its dtype for the degree
+    m = 30, so the Taylor remainder stays within about u; the polynomial is
+    evaluated by Horner's rule and squared s times.  Only matmuls and
+    elementwise arithmetic are used, so each matrix of a stack gets the
+    same bits as on its own.
+    """
+    a = np.asarray(a)
+    m = _TAYLOR_DEGREE
+    u = float(np.finfo(a.dtype).eps) / 2
+    theta = (u * math.factorial(m + 1)) ** (1.0 / (m + 1))
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    frac, exp2 = np.frexp(norm / theta)
+    s = np.maximum(exp2 - (frac == 0.5), 0)  # the least s >= 0 with norm / 2^s <= theta
+    a = a * np.ldexp(np.ones_like(norm), -s)[..., None, None]
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
+    p = eye + a / m
+    for k in range(m - 1, 0, -1):
+        p = eye + a @ p / k
+    for j in range(int(s.max(initial=0))):
+        p = np.where((s > j)[..., None, None], p @ p, p)
+    return p
+
+
+def _combination(stack: np.ndarray, coeffs) -> np.ndarray:
+    """sum_q c_q Z_q for every row of a (..., B) coefficient array.
+
+    A plain einsum gives a row the same bits in a batch of any size; a BLAS
+    contraction such as tensordot does not, and replay needs those bits.
+    """
+    return np.einsum("...q,qij->...ij", np.asarray(coeffs, dtype=float), stack)
+
+
 def sample_with_coefficients(
-    spec: GroupSpec, rng: np.random.Generator, sigma: float = 0.5
+    spec: GroupSpec,
+    rng: np.random.Generator,
+    sigma: float = 0.5,
+    shape: Tuple[int, ...] = (),
+    coeffs: Optional[np.ndarray] = None,
 ) -> Tuple[CMatrix, np.ndarray]:
-    """exp(sum_i c_i Z_i) with c_i ~ N(0, sigma^2); returns the point and its c."""
+    """exp(sum_i c_i Z_i) over the basis of g, with c_i ~ N(0, sigma^2); returns
+    the points and their c.
+
+    c has shape `shape` + (dim g,) and comes from one `rng.normal` call, so
+    a batch draws the same numbers as that many one-point calls in a row.
+    Coefficients drawn elsewhere can be passed as `coeffs` instead.  The
+    points form one CMatrix with batch axes `shape` (a single point for ()).
+    """
     if sigma <= 0:
         raise UsageError(f"sigma must be positive, got {sigma}")
     stack = basis_g(spec).stack()
-    coeffs = rng.normal(0.0, sigma, size=len(stack))
-    x = expm(np.tensordot(coeffs, stack, axes=1))
-    return CMatrix(x), coeffs
+    if coeffs is None:
+        coeffs = rng.normal(0.0, sigma, size=(*shape, len(stack)))
+    return CMatrix(expm(_combination(stack, coeffs))), coeffs
 
 
-def sample(spec: GroupSpec, rng: np.random.Generator, sigma: float = 0.5) -> CMatrix:
-    return sample_with_coefficients(spec, rng, sigma)[0]
+def sample(
+    spec: GroupSpec, rng: np.random.Generator, sigma: float = 0.5, shape: Tuple[int, ...] = ()
+) -> CMatrix:
+    return sample_with_coefficients(spec, rng, sigma, shape)[0]
 
 
-def rebuild_sample(spec: GroupSpec, coeffs: Sequence[float]) -> CMatrix:
-    """Replay helper: reconstruct the exact same point from stored coefficients."""
-    stack = basis_g(spec).stack()
-    return CMatrix(expm(np.tensordot(np.asarray(coeffs, dtype=float), stack, axes=1)))
+def rebuild_sample(spec: GroupSpec, coeffs) -> CMatrix:
+    """Replay helper: the points of stored coefficients, bit for bit the
+    points `sample_with_coefficients` drew with them."""
+    return CMatrix(expm(_combination(basis_g(spec).stack(), coeffs)))
 
 
 def sample_dual_with_coefficients(
@@ -466,24 +527,18 @@ def sample_dual_with_coefficients(
     if sigma <= 0:
         raise UsageError(f"sigma must be positive, got {sigma}")
     k_basis, m_basis = cartan_decomposition(space)
-    ks, ms = k_basis.stack(), m_basis.stack()
-    a = rng.normal(0.0, sigma, size=len(ks))
-    b = rng.normal(0.0, sigma, size=len(ms))
-    x = expm(np.tensordot(a, ks, axes=1)) @ expm(1j * np.tensordot(b, ms, axes=1))
-    return CMatrix(x), a, b
+    a = rng.normal(0.0, sigma, size=len(k_basis))
+    b = rng.normal(0.0, sigma, size=len(m_basis))
+    return rebuild_dual_sample(space, a, b), a, b
 
 
 def sample_dual(space: SymmetricSpaceSpec, rng: np.random.Generator, sigma: float = 0.2) -> CMatrix:
     return sample_dual_with_coefficients(space, rng, sigma)[0]
 
 
-def rebuild_dual_sample(
-    space: SymmetricSpaceSpec, a: Sequence[float], b: Sequence[float]
-) -> CMatrix:
+def rebuild_dual_sample(space: SymmetricSpaceSpec, a, b) -> CMatrix:
     k_basis, m_basis = cartan_decomposition(space)
-    x = expm(np.tensordot(np.asarray(a, dtype=float), k_basis.stack(), axes=1)) @ expm(
-        1j * np.tensordot(np.asarray(b, dtype=float), m_basis.stack(), axes=1)
-    )
+    x = expm(_combination(k_basis.stack(), a)) @ expm(1j * _combination(m_basis.stack(), b))
     return CMatrix(x)
 
 

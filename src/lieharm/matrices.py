@@ -1,8 +1,13 @@
 """Dense complex matrices over interchangeable scalar types.
 
-A CMatrix wraps a 2-D numpy array whose dtype is either complex128 (the
-fast numeric mode) or object (entries are RationalComplex for exact work,
-or JetScalar for derivative-carrying work).
+A CMatrix wraps a numpy array whose dtype is either complex128 (the fast
+numeric mode) or object (entries are RationalComplex for exact work, or
+JetScalar for derivative-carrying work).  An object array is 2-D.  A
+complex array may carry leading batch axes in front of its two matrix
+axes, a stack of matrices handled as one: `@` broadcasts over them,
+`transpose` swaps the matrix axes, `trace` sums each matrix's diagonal,
+indexing with a pair picks one entry of every matrix, and `shape` is the
+shape of one matrix.
 
 A jet-valued CMatrix built by `CMatrix.from_jet` carries its packed jet in
 the `jet` slot: one JetScalar whose coefficients are complex arrays of
@@ -32,10 +37,11 @@ class ShapeError(ValueError):
     """Dimension mismatch in a matrix operation."""
 
 
-def _as_2d(data) -> np.ndarray:
+def _as_matrices(data) -> np.ndarray:
+    """A 2-D array, or a complex stack (..., rows, cols) of matrices."""
     arr = np.asarray(data)
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-D array, got shape {arr.shape}")
+    if arr.ndim < 2 or (arr.ndim > 2 and arr.dtype == object):
+        raise ShapeError(f"expected a 2-D array or a numeric stack of them, got shape {arr.shape}")
     return arr
 
 
@@ -96,9 +102,9 @@ class CMatrix:
     __slots__ = ("_data", "jet", "shape")
 
     def __init__(self, data):
-        self._data = _as_2d(data)
+        self._data = _as_matrices(data)
         self.jet = None
-        self.shape = self._data.shape
+        self.shape = self._data.shape[-2:]
 
     @property
     def data(self) -> np.ndarray:
@@ -159,6 +165,9 @@ class CMatrix:
         return self.jet is not None or self._data.dtype == object
 
     def __getitem__(self, idx):
+        """A pair (i, j) picks entry (i, j) of every matrix of a stack."""
+        if isinstance(idx, tuple) and len(idx) == 2 and self.data.ndim > 2:
+            return self.data[(Ellipsis, *idx)]
         return self.data[idx]
 
     # -- arithmetic ----------------------------------------------------------
@@ -221,7 +230,7 @@ class CMatrix:
     def transpose(self) -> "CMatrix":
         if self.jet is not None:
             return CMatrix.from_jet(_coefficientwise(self.jet, lambda v: np.swapaxes(v, -1, -2)))
-        return CMatrix(self.data.T)
+        return CMatrix(np.swapaxes(self.data, -1, -2))
 
     @property
     def T(self) -> "CMatrix":
@@ -247,9 +256,9 @@ class CMatrix:
             raise ShapeError(f"trace: matrix is {self.shape}, not square")
         if self.jet is not None:
             return _coefficientwise(self.jet, lambda v: np.trace(v, axis1=-2, axis2=-1))
-        total = self.data[0, 0]
+        total = self[0, 0]
         for i in range(1, self.rows):
-            total = total + self.data[i, i]
+            total = total + self[i, i]
         return total
 
     # -- conversions and norms ----------------------------------------------

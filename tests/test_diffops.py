@@ -25,6 +25,7 @@ from lieharm.lie import (
     SPN_UN,
     SPACE_FAMILIES,
     SU,
+    SU2N_SPN,
     SUN_SON,
     SymmetricSpaceSpec,
     basis_g,
@@ -296,6 +297,7 @@ def test_tau_iterated_matches_bivariate_reference(family, subspace):
 def test_chunked_sweep_matches_single_chunk(monkeypatch):
     import lieharm.diffops as diffops
 
+    one_chunk = diffops._CHUNK_ENTRIES
     space = SymmetricSpaceSpec(SUN_SON, 3)
     rng = np.random.default_rng(17)
     f = build_eigenfunction(random_parameters(space, rng))
@@ -312,3 +314,32 @@ def test_chunked_sweep_matches_single_chunk(monkeypatch):
     assert len(b) == 8
     for chunked, whole in zip(values(), single):
         assert abs(chunked - whole) <= 1e-12 * max(1.0, abs(whole))
+
+    # a batch of 7 plain points gives one value per point; 189 entries hold
+    # 3 directions of the 7 points, so the 8 directions again split 3 + 3 + 2
+    def values_at(y):
+        return [tau(f, y, b), kappa(f, g, y, b), kappa(f, f, y, b), tau_iterated(f, y, b, 2)]
+
+    xs = sample(space.group_spec(), rng, 0.5, (7,))
+    monkeypatch.setattr(diffops, "_CHUNK_ENTRIES", one_chunk)
+    batch_single = values_at(xs)
+    monkeypatch.setattr(diffops, "_CHUNK_ENTRIES", 189)
+    batch_chunked = values_at(xs)
+    for i, point in enumerate(xs.to_complex()):
+        for chunked, whole, alone in zip(batch_chunked, batch_single, values_at(CMatrix(point))):
+            assert np.shape(chunked) == np.shape(whole) == (7,)
+            assert abs(chunked[i] - whole[i]) <= 1e-12 * max(1.0, abs(whole[i]))
+            assert abs(alone - whole[i]) <= 1e-12 * max(1.0, abs(whole[i]))
+
+
+def test_batched_sweep_gives_each_point_its_own_bits():
+    # replay rebuilds one point of a batch and must reproduce its residual, so a
+    # point of a batch gets exactly the tau and kappa it gets alone
+    space = SymmetricSpaceSpec(SU2N_SPN, 3)
+    rng = np.random.default_rng(23)
+    f = build_eigenfunction(random_parameters(space, rng))
+    b = basis_g(space.group_spec())
+    xs = sample(space.group_spec(), rng, 0.5, (6,))
+    t, k = tau_and_kappa(f, xs, b)
+    for i, point in enumerate(xs.to_complex()):
+        assert tau_and_kappa(f, CMatrix(point), b) == (t[i], k[i])

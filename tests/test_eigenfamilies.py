@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lieharm.diffops import kappa
+from lieharm.diffops import kappa, tau_and_kappa
 from lieharm.eigenfamilies import (
     EigenfunctionSpec,
     ValidationError,
@@ -32,6 +32,7 @@ from lieharm.lie import (
     basis_g,
     generator,
     sample,
+    sample_with_coefficients,
 )
 from lieharm.matrices import CMatrix
 
@@ -185,6 +186,57 @@ def test_verify_eigen_passes(family, n):
     assert v.max_tau_residual < 1e-10
     assert v.max_kappa_residual < 1e-10
     assert v.max_kinv_residual < 1e-10
+
+
+def _verify_eigen_point_by_point(spec, samples, tol, rng, sigma=0.5, k_samples=5):
+    """The per-point reference: one draw, one sweep and k_samples K-points at a
+    time, as verify_eigen did before it batched its points."""
+    space = spec.space
+    g_spec, k_spec = space.group_spec(), space.subgroup_spec()
+    b = basis_g(g_spec)
+    f = build_eigenfunction(spec)
+    lam, mu = (complex(v) for v in expected_eigenvalues(spec))
+    out = {"tau": 0.0, "kappa": 0.0, "kinv": 0.0, "passed": True, "witness": None}
+    proper = False
+    for _ in range(samples):
+        x, coeffs = sample_with_coefficients(g_spec, rng, sigma)
+        phi = complex(f(x))
+        scale = max(1.0, abs(phi))
+        proper = proper or abs(phi) > 1e-6
+        t, kap = tau_and_kappa(f, x, b)
+        r1, r2 = abs(t - lam * phi), abs(kap - mu * phi * phi)
+        r3 = 0.0
+        for _ in range(k_samples):
+            r3 = max(r3, abs(complex(f(x @ sample(k_spec, rng, sigma))) - phi))
+        if abs(phi) >= 1e-10:
+            out["tau"], out["kappa"] = max(out["tau"], r1), max(out["kappa"], r2)
+            out["kinv"] = max(out["kinv"], r3)
+        ok = all(r <= tol * scale for r in (r1, r2, r3))
+        if not ok and out["witness"] is None:
+            out["witness"] = [float(c) for c in coeffs]
+        out["passed"] = out["passed"] and ok
+    out["passed"] = out["passed"] and proper
+    return out
+
+
+@pytest.mark.parametrize("family", SPACE_FAMILIES)
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("tol", [1e-8, 1e-14, 1e-20])
+def test_batched_verify_eigen_matches_point_by_point(family, n, tol):
+    # 1e-8 passes every point, 1e-20 fails every point, 1e-14 lies among the residuals
+    space = SymmetricSpaceSpec(family, n)
+    spec = random_parameters(space, np.random.default_rng(100 + n))
+    rng_batch, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+    v = verify_eigen(spec, 6, tol, rng_batch)
+    ref = _verify_eigen_point_by_point(spec, 6, tol, rng_ref)
+    # the one batched draw consumes the stream exactly as the sequential draws
+    assert rng_batch.bit_generator.state == rng_ref.bit_generator.state
+    assert v.passed == ref["passed"]
+    assert v.passed == (tol == 1e-8) or tol == 1e-14
+    assert v.witness_coefficients == ref["witness"]
+    assert v.max_tau_residual == pytest.approx(ref["tau"], rel=1e-12, abs=0)
+    assert v.max_kappa_residual == pytest.approx(ref["kappa"], rel=1e-12, abs=0)
+    assert v.max_kinv_residual == pytest.approx(ref["kinv"], rel=1e-12, abs=0)
 
 
 def test_verify_eigen_zero_samples_vacuous():

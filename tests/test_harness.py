@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -23,7 +25,17 @@ from lieharm.harness import (
     strip_timing,
     substream,
 )
-from lieharm.lie import SPN_UN, SUN_SON
+from lieharm.diffops import tau_and_kappa
+from lieharm.eigenfamilies import build_eigenfunction, expected_eigenvalues, random_parameters
+from lieharm.lie import (
+    SPN_UN,
+    SU2N_SPN,
+    SUN_SON,
+    SymmetricSpaceSpec,
+    basis_g,
+    rebuild_sample,
+    sample_with_coefficients,
+)
 
 
 # --- seeding -----------------------------------------------------------------
@@ -170,6 +182,48 @@ def test_eigen_failure_records_witness_and_replays():
     replayed = replay_record(rec, cfg)
     assert replayed <= rec.residual + 1e-14
     assert replayed > 0
+
+
+def test_batched_eigen_witness_replays_its_point():
+    # the 50 points of a record are one batch; the witness row, rebuilt alone,
+    # is the batch's point bit for bit, and its replay gives that point's residual
+    space = SymmetricSpaceSpec(SU2N_SPN, 3)
+    cfg = RunConfig(suites=("eigen",), spaces=((SU2N_SPN, 3),), tol=1e-20,
+                    suite_overrides={"eigen": {"samples": 50, "draws": 1}})
+    report = run(cfg)
+    (rec,) = report.records
+    assert not rec.passed
+
+    # the record's own batch, redrawn from its substream: every point fails
+    # at this tolerance, so the witness is the first one
+    rng = substream(cfg.seed, "eigen", SU2N_SPN, 3, 0)
+    spec = random_parameters(space, rng)
+    g_spec, k_spec = space.group_spec(), space.subgroup_spec()
+    b = basis_g(g_spec)
+    width = len(b) + 5 * len(basis_g(k_spec))
+    coeffs = rng.normal(0.0, cfg.sigma, size=(50, width))[:, : len(b)]
+    x, _ = sample_with_coefficients(g_spec, rng, cfg.sigma, coeffs=coeffs)
+    assert rec.params["witness_coefficients"] == [float(c) for c in coeffs[0]]
+    point = rebuild_sample(g_spec, rec.params["witness_coefficients"]).to_complex()
+    assert np.array_equal(point, x.to_complex()[0])
+
+    f = build_eigenfunction(spec)
+    lam, mu = (complex(v) for v in expected_eigenvalues(spec))
+    phi = f(x)
+    t, kap = tau_and_kappa(f, x, b)
+    residual = max(abs(t[0] - lam * phi[0]), abs(kap[0] - mu * phi[0] * phi[0]))
+    replayed = replay_record(rec, cfg)
+    assert abs(replayed - residual) <= 1e-14
+    assert 0 < replayed <= rec.residual + 1e-14
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency; importing it would cost ~0.3 s per run
+    code = "import sys, lieharm, lieharm.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_budget_skip_is_reported_not_failed():

@@ -120,6 +120,38 @@ def test_coordinate_identity_suite(family, n):
         assert result.max_residual <= 1e-9
 
 
+@pytest.mark.parametrize("family,n", [(SO, 3), (SO, 4), (SU, 2), (SU, 3), (SP, 2), (SP, 3)])
+def test_coordinate_kappa_matches_tuple_loop(family, n):
+    # the closed form is evaluated at all index tuples at once; the reference
+    # takes one tuple at a time on the same points, whose products may round
+    # differently, so the residuals (all terms below 1.5) agree to 8 eps
+    spec = GroupSpec(family, n)
+    size = spec.matrix_size
+    _, kap = check_coordinate_identities(spec, 4, 0.0, np.random.default_rng(19))
+    rng = np.random.default_rng(19)
+    tuples = identities._index_tuples(size, n <= 3, 50, rng)
+    j_mat = standard_symplectic(n).to_complex()
+    worst = 0.0
+    for x in sample(spec, rng, 0.5, (4,)).to_complex():
+        _, first, _ = identities.coordinate_sweep(CMatrix(x), basis_g(spec))
+        kap_all = np.einsum("bja,bkc->jakc", first, first)
+        residuals = {}
+        for (j, a, k, c) in tuples:
+            if family == SO:
+                expect = -0.5 * (x[j, c] * x[k, a] - (j == k) * (a == c))
+            elif family == SU:
+                expect = -x[j, c] * x[k, a] + x[j, a] * x[k, c] / size
+            else:
+                expect = -0.5 * x[j, c] * x[k, a] + 0.5 * j_mat[j, k] * j_mat[a, c]
+            residuals[(j + 1, a + 1, k + 1, c + 1)] = abs(kap_all[j, a, k, c] - expect)
+        worst = max(worst, max(residuals.values()))
+    eps = np.finfo(float).eps
+    assert abs(kap.max_residual - worst) <= 8 * eps
+    # every point fails at tolerance 0, so the worst tuple is the last point's
+    assert not kap.passed and kap.params["tuples"] == len(tuples)
+    assert abs(residuals[tuple(kap.params["worst_tuple"])] - max(residuals.values())) <= 8 * eps
+
+
 def test_tuple_enumeration_policy():
     rng = np.random.default_rng(18)
     small = check_coordinate_identities(GroupSpec(SO, 3), 2, 1e-9, rng)

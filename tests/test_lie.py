@@ -1,10 +1,12 @@
 """Group catalog: generator values, basis dimensions and orthonormality,
 algebra membership, Cartan bracket relations, embeddings, sampling."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm  # the independent reference for lie.expm
 
 from lieharm.lie import (
     GroupSpec,
@@ -25,9 +27,11 @@ from lieharm.lie import (
     basis_lattice,
     cartan_decomposition,
     embed_unitary,
+    expm,
     generator,
     generator_lattice,
     membership_check,
+    rebuild_dual_sample,
     rebuild_sample,
     sample,
     sample_dual,
@@ -270,15 +274,99 @@ def test_sample_so6_membership():
 
 
 def test_rebuild_sample_is_bitwise():
+    # a batch draws the numbers of as many one-point draws in a row, and every
+    # point, rebuilt alone or in a batch from its stored coefficients, keeps its bits
     spec = GroupSpec(SP, 2)
-    x, coeffs = sample_with_coefficients(spec, np.random.default_rng(4), 0.5)
-    y = rebuild_sample(spec, coeffs)
-    assert np.array_equal(x.to_complex(), y.to_complex())
+    x, coeffs = sample_with_coefficients(spec, np.random.default_rng(4), 0.5, (7,))
+    assert x.shape == (4, 4) and x.to_complex().shape == (7, 4, 4) and coeffs.shape == (7, 10)
+    rng = np.random.default_rng(4)
+    for i in range(7):
+        xi, ci = sample_with_coefficients(spec, rng, 0.5)
+        assert np.array_equal(ci, coeffs[i])
+        assert np.array_equal(xi.to_complex(), x.to_complex()[i])
+        y = rebuild_sample(spec, [float(c) for c in coeffs[i]])
+        assert np.array_equal(x.to_complex()[i], y.to_complex())
+    assert np.array_equal(x.to_complex(), rebuild_sample(spec, coeffs).to_complex())
 
 
 def test_sigma_must_be_positive():
     with pytest.raises(UsageError):
         sample(GroupSpec(SO, 3), np.random.default_rng(0), sigma=0.0)
+
+
+# --- the matrix exponential -----------------------------------------------------
+
+_EXPM_CASES = [
+    (GroupSpec(SU, 3), 0.5),
+    (GroupSpec(SU, 6), 0.5),
+    (GroupSpec(SP, 3), 0.5),
+    (GroupSpec(SO, 6), 0.5),
+    (GroupSpec(U_IN_SPN, 3), 0.5),
+    (GroupSpec(SU, 6), 3.0),
+]
+
+
+def _algebra_stack(spec, sigma, count, seed):
+    stack = basis_g(spec).stack()
+    coeffs = np.random.default_rng(seed).normal(0.0, sigma, size=(count, len(stack)))
+    return np.einsum("...q,qij->...ij", coeffs, stack)
+
+
+def _unitarity_defect(x):
+    eye = np.eye(x.shape[-1])
+    return float(np.max(np.abs(x @ np.conj(np.swapaxes(x, -1, -2)) - eye)))
+
+
+@pytest.mark.parametrize("spec,sigma", _EXPM_CASES, ids=lambda v: str(v))
+def test_expm_matches_scipy(spec, sigma):
+    a = _algebra_stack(spec, sigma, 50, 31)
+    if sigma > 1:
+        # 1-norms above 8 force squarings at any Taylor radius up to 4
+        assert np.min(np.abs(a).sum(axis=-2).max(axis=-1)) > 8
+    x = expm(a)
+    ref = np.stack([scipy_expm(m) for m in a])
+    assert x.shape == a.shape and x.dtype == np.complex128
+    assert np.max(np.abs(x - ref)) <= 5e-15
+    assert _unitarity_defect(x) <= 2 * _unitarity_defect(ref)
+    if spec.family in (SP, U_IN_SPN):
+        j = standard_symplectic(spec.n).to_complex()
+        sym = lambda y: float(np.max(np.abs(y @ j @ np.swapaxes(y, -1, -2) - j)))
+        assert sym(x) <= 2 * sym(ref)
+
+
+def test_expm_of_zero_is_identity():
+    for dtype in (np.complex128, np.clongdouble):
+        x = expm(np.zeros((2, 4, 4), dtype=dtype))
+        assert x.dtype == dtype
+        assert np.array_equal(x, np.broadcast_to(np.eye(4), (2, 4, 4)))
+
+
+def test_expm_batch_slices_are_bitwise_single_calls():
+    a = np.concatenate([_algebra_stack(GroupSpec(SU, 6), sigma, 10, 5) for sigma in (0.1, 0.5, 3.0)])
+    x = expm(a)
+    for m, xm in zip(a, x):
+        assert np.array_equal(expm(m), xm)
+    assert np.array_equal(expm(a.reshape(3, 10, 6, 6)), x.reshape(3, 10, 6, 6))
+
+
+def test_expm_clongdouble():
+    a = _algebra_stack(GroupSpec(SU, 6), 0.5, 20, 8).astype(np.clongdouble)
+    x = expm(a)
+    assert x.dtype == np.clongdouble
+    assert _unitarity_defect(x) <= 1e-17
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.complex128, 1e-14), (np.clongdouble, 1e-17)])
+def test_expm_keeps_every_taylor_term(dtype, tol):
+    # the shift matrix N of size m + 1 has N^m != 0 = N^(m+1), so exp(N) is the
+    # Taylor polynomial of degree m itself: entry (0, k) is 1/k! for every k <= m
+    import lieharm.lie as lie
+
+    m = lie._TAYLOR_DEGREE
+    x = expm(np.eye(m + 1, k=1, dtype=dtype))
+    for k in range(m + 1):
+        exact = 1 / np.asarray(math.factorial(k), dtype=x.real.dtype)
+        assert abs(x[0, k] - exact) <= tol * exact, k
 
 
 # --- dual sampling -------------------------------------------------------------
@@ -304,11 +392,10 @@ def test_dual_sample_zero_coefficients_is_identity():
 
 def test_dual_pure_m_part_is_positive_definite():
     # i m for SU(n)/SO(n) is real symmetric traceless; exp of it is real SPD
-    from scipy.linalg import expm
-
-    _, m = cartan_decomposition(SymmetricSpaceSpec(SUN_SON, 2))
+    space = SymmetricSpaceSpec(SUN_SON, 2)
+    k, m = cartan_decomposition(space)
     coeffs = np.array([0.4, -0.7])
-    x = expm(1j * np.tensordot(coeffs, m.stack(), axes=1))
+    x = rebuild_dual_sample(space, np.zeros(len(k)), coeffs).to_complex()
     assert np.max(np.abs(np.imag(x))) < 1e-12
     xr = np.real(x)
     assert np.max(np.abs(xr - xr.T)) < 1e-12
