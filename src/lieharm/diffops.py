@@ -12,23 +12,26 @@ symmetric pair) the m-projection [Z, Z]_m/2 vanishes equally, so no
 correction term appears in either sum.  The dual Laplacian is the same sum
 over the directions i Z, Z in m.
 
-One sweep serves every point.  `_sweep` appends one fresh nilpotent
-variable to the packed jet of x (a plain point has none); the coefficients
-of t and t^2 get a new leading axis over a stack of directions, in front of
-any batch axes x already carries, and those of t^0 broadcast along it.  One
-evaluation of f then yields the derivatives along all the directions, and
-`drop_last` projects onto the new variable.  tau and kappa sum over the
-direction axis, so their value is a complex number at a plain point, an
-array of one value per point at a batch of plain points (a CMatrix with
-batch axes), and a jet at a jet-valued point.  tau applied p times is tau
-of the function y -> tau(f, y): the outer sweep hands the inner one a
-point that is already a jet, batched over the outer directions (Li et al.
-2023, "Forward Laplacian", sum the direction axis the same way inside one
-forward pass).
+One sweep serves every point.  `_sweep` gives the jet of x (a plain point
+has none) one fresh nilpotent variable, whose degree axis goes in front of
+the degree axes of x; the direction axis of a stack of directions goes
+right after the degree axes, in front of any batch axes x already carries.
+The coefficients of t and t^2 vary along it, and that of t^0 is x
+repeated.  One evaluation of f then yields the derivatives along all the
+directions, and the projection onto degree d of the new variable is the
+coefficient array's index d.  tau and kappa sum over the direction axis,
+so their value is a number at a plain point, an array of one value per
+point at a batch of plain points (a CMatrix with batch axes), and a jet at
+a jet-valued point; the dtype follows the point, so a clongdouble point
+gives clongdouble values.  tau applied p times is tau of the function
+y -> tau(f, y): the outer sweep hands the inner one a point that is
+already a jet, batched over the outer directions (Li et al. 2023, "Forward
+Laplacian", sum the direction axis the same way inside one forward pass).
 
-The directions are swept in chunks, so that no coefficient array of the
-jet argument, batch axes included, exceeds `_CHUNK_ENTRIES` entries; a
-batch of 50 points of any n = 3 space fits into one chunk.
+The directions are swept in chunks, so that no coefficient of the jet
+argument, a (..., rows, cols) array with the direction and batch axes,
+exceeds `_CHUNK_ENTRIES` entries; the whole coefficient array holds 3^(k+1)
+of them.  A batch of 50 points of any n = 3 space fits into one chunk.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .matrices import CMatrix, jet_width
 
 Scalar = Union[complex, np.ndarray, JetScalar]
 
-# largest number of entries in one coefficient array of a swept jet argument
+# largest number of entries in one coefficient of a swept jet argument
 _CHUNK_ENTRIES = 2**16
 
 
@@ -98,67 +101,50 @@ def _numeric_point(x: CMatrix) -> CMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _along(v, lead: tuple):
-    """A coefficient with the direction axis spelled out; one that does not
-    depend on the direction is broadcast along it."""
-    if np.ndim(v) == len(lead) and np.shape(v)[0] == lead[0]:
-        return v
-    return np.broadcast_to(v, np.broadcast_shapes(np.shape(v), lead))
-
-
 def _sweep(f: GroupFunction, x: CMatrix, dirs: np.ndarray) -> Iterator[Tuple[JetScalar, JetScalar]]:
     """The first and second derivative jets of f along x (I + tZ + t^2 Z^2/2),
     one pair per chunk of the directions Z.
 
-    The jets have the variables of x; each coefficient has the chunk's
+    The jets have the variables of x; their values have the chunk's
     direction axis in front of the batch axes of x.
     """
-    x = _numeric_point(x)
     k = jet_width(x)
-    base = x.packed() if k else JetScalar(0, {(): x.to_complex()})
-    batch = np.broadcast_shapes(*(np.shape(v)[:-2] for v in base.coeffs.values()))
-    # every coefficient gets all batch axes, so the direction axis lines up
-    base = {key: np.reshape(v, (1,) * (len(batch) + 2 - np.ndim(v)) + np.shape(v)) for key, v in base.coeffs.items()}
-    dirs2 = np.matmul(dirs, dirs) / 2.0
-    chunk = max(1, _CHUNK_ENTRIES // (math.prod(batch) * x.rows * x.cols))
+    base = x.jet.c if k else x.to_complex()
+    dirs = dirs.astype(np.result_type(dirs, base), copy=False)
+    dirs2 = np.matmul(dirs, dirs) / 2
+    # the direction axis goes right after the degree axes of x
+    y = np.expand_dims(base, k)
+    stack = (-1,) + (1,) * (base.ndim - k - 2) + dirs.shape[1:]
+    chunk = max(1, _CHUNK_ENTRIES // math.prod(base.shape[k:]))
     for start in range(0, len(dirs), chunk):
-        z, z2 = dirs[start : start + chunk], dirs2[start : start + chunk]
-        coeffs = {}
-        for key, v in base.items():
-            coeffs[key + (0,)] = v
-            coeffs[key + (1,)] = np.einsum("...ij,bjk->b...ik", v, z)
-            coeffs[key + (2,)] = np.einsum("...ij,bjk->b...ik", v, z2)
+        z, z2 = (d[start : start + chunk].reshape(stack) for d in (dirs, dirs2))
+        # the new variable's degree axis goes in front of those of x
+        coeffs = np.stack(np.broadcast_arrays(y, y @ z, y @ z2))
         try:
             w = f(CMatrix.from_jet(JetScalar(k + 1, coeffs)))
         except JetDomainError as exc:
             raise JetDomainError(f"{f.name or 'f'} along directions {start}..{start + len(z) - 1}: {exc}") from exc
         if not isinstance(w, JetScalar):
-            w = JetScalar.constant(w, k + 1)
-        lead = (len(z),) + (1,) * len(batch)
+            w = JetScalar.constant(np.broadcast_to(w, coeffs.shape[k + 1 : -2]), k + 1)
         # Z^d f is d! times the coefficient of t^d, and d! = d for d <= 2
-        yield tuple(JetScalar(k, {key: d * _along(v, lead) for key, v in w.drop_last(d).coeffs.items()}) for d in (1, 2))
+        yield JetScalar(k, w.c[1]), JetScalar(k, 2 * w.c[2])
 
 
-def _direction_sum(v: np.ndarray) -> np.ndarray:
-    """The sum over the leading direction axis, taken as a contiguous last
-    axis: numpy sums such an axis pairwise but a leading one term by term, so
-    this gives a point of a batch the same bits as the point alone."""
-    return np.ascontiguousarray(np.moveaxis(v, 0, -1)).sum(axis=-1)
+def _direction_sum(v: np.ndarray, axis: int) -> np.ndarray:
+    """The sum over the direction axis, taken as a contiguous last axis:
+    numpy sums such an axis pairwise but a leading one term by term, so this
+    gives a point of a batch the same bits as the point alone."""
+    return np.ascontiguousarray(np.moveaxis(v, axis, -1)).sum(axis=-1)
 
 
 def _reduce(parts: Iterable[JetScalar], k: int) -> Scalar:
     """The sum of per-chunk jets over their direction axes: at a plain point
-    (k == 0) a complex number, or an array with one per point of a batch;
-    a jet in the k variables of a jet-valued point."""
-    total = {}
-    for part in parts:
-        for key, v in part.coeffs.items():
-            v = _direction_sum(v)
-            total[key] = total[key] + v if key in total else v
+    (k == 0) a number, or an array with one per point of a batch; a jet in
+    the k variables of a jet-valued point."""
+    total = sum(JetScalar(k, _direction_sum(part.c, k)) for part in parts)
     if k:
-        return JetScalar(k, total)
-    value = total.get((), 0.0)
-    return complex(value) if np.ndim(value) == 0 else value
+        return total
+    return total.c.item() if total.c.ndim == 0 else total.c
 
 
 # ---------------------------------------------------------------------------

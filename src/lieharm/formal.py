@@ -238,12 +238,12 @@ def evaluate_formal(s: FormalSum, w: Union[complex, JetScalar]):
     if bad:
         raise ValueError("evaluate_formal: phi = 0 is outside the domain")
     if s.is_zero():
-        return JetScalar(w.k, {}) if isinstance(w, JetScalar) else 0.0 + 0.0j
+        return JetScalar(w.k, np.zeros_like(w.c)) if isinstance(w, JetScalar) else 0.0 + 0.0j
     if isinstance(w, JetScalar):
         log_w = jet_log(w)
-        total = JetScalar(w.k, {})
+        total = JetScalar(w.k, np.zeros_like(w.c))
         for (a, b), c in s.terms.items():
-            term = jet_pow(w, a) if a != 0 else JetScalar.constant(1.0 + 0.0j, w.k)
+            term = jet_pow(w, a) if a != 0 else w**0
             for _ in range(b):
                 term = term * log_w
             total = total + term * complex(c)

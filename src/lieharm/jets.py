@@ -1,28 +1,37 @@
 """Order-2 truncated Taylor scalars in nilpotent variables (forward-mode jets).
 
-A JetScalar carries the coefficients of a polynomial in k variables
-t_1..t_k subject to t_i^3 == 0, i.e. every monomial has degree <= 2 in
-each variable separately.  Plugging such jets through an evaluation gives
-the exact first and second directional derivatives of the composition:
-pushing one-parameter subgroups through matrix expressions needs nothing
-beyond ring operations, log and rational powers, all of which truncate
-exactly (there is no series-truncation error anywhere on this path).
+A JetScalar in k variables t_1..t_k, subject to t_i^3 == 0, is one dense
+coefficient array `c` of shape (3,)*k + value_shape: `c[i_1, ..., i_k]` is
+the coefficient of t_1^i_1 ... t_k^i_k, and every coefficient is an array
+of the value shape (Bettencourt, Johnson & Duvenaud 2019, "Taylor-mode
+automatic differentiation for higher-order derivatives in JAX").  Plugging
+such jets through an evaluation gives the exact first and second
+directional derivatives of the composition: pushing one-parameter
+subgroups through matrix expressions needs nothing beyond ring operations,
+log and rational powers, all of which truncate exactly (there is no
+series-truncation error anywhere on this path).
 
-Coefficient values are complex numbers or numpy arrays of complex numbers;
-array coefficients broadcast elementwise, which is how whole batches of
-derivative directions are carried through a single evaluation.
+The product is the truncated Cauchy product: one broadcast multiply per
+pair of degrees whose sum survives truncation (6 pairs for k = 1, 36 for
+k = 2).  With `np.matmul` in place of the multiply the same routine is the
+product of jets whose values are matrices; a jet times a plain array, on
+either side, is one operation over the stacked coefficients.  Value axes
+broadcast as numpy arrays do, aligned on the right, which is how whole
+batches of derivative directions are carried through a single evaluation.
+
+Nothing here fixes a dtype: the coefficients keep the precision they come
+in (complex128, or clongdouble for extended-precision checks), and the
+series coefficients of log, pow and the reciprocal are formed in the real
+dtype of the base value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple, Union
+from typing import Callable, Tuple
 
 import numpy as np
-
-Key = Tuple[int, ...]
-Coeff = Union[complex, np.ndarray]
 
 _NUMERIC = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
@@ -31,61 +40,78 @@ class JetDomainError(ValueError):
     """log/pow/div of a jet whose base value is zero."""
 
 
-@lru_cache(maxsize=1024)
-def _product_plan(keys_a: Tuple[Key, ...], keys_b: Tuple[Key, ...]) -> Tuple[Tuple[int, int, Key], ...]:
-    """(index into keys_a, index into keys_b, summed key) for every pair of keys
-    whose sum survives truncation (no degree above 2), a-major then b, so a
-    product accumulates its terms in the same order on every call."""
-    plan = []
-    for ia, ka in enumerate(keys_a):
-        for ib, kb in enumerate(keys_b):
-            key = tuple(a + b for a, b in zip(ka, kb))
-            if all(d <= 2 for d in key):
-                plan.append((ia, ib, key))
-    return tuple(plan)
+@lru_cache(maxsize=None)
+def _degree_pairs(k: int) -> Tuple[tuple, ...]:
+    """(degrees of a, degrees of b, degrees of a*b) for every pair of monomials
+    whose product survives truncation (no degree above 2), a-major then b, so
+    a product accumulates its terms in the same order on every call."""
+    keys = list(np.ndindex(*(3,) * k))
+    return tuple(
+        (ka, kb, tuple(a + b for a, b in zip(ka, kb)))
+        for ka in keys
+        for kb in keys
+        if all(a + b <= 2 for a, b in zip(ka, kb))
+    )
+
+
+def _cauchy(a: np.ndarray, b: np.ndarray, k: int, op: Callable) -> np.ndarray:
+    """The coefficients of the truncated product of two jets in k variables,
+    with op (np.multiply or np.matmul) combining two coefficients."""
+    out = None
+    for da, db, d in _degree_pairs(k):
+        term = op(a[da], b[db])
+        if out is None:
+            out = np.zeros((3,) * k + term.shape, dtype=term.dtype)
+        out[d] += term
+    return out
+
+
+def _lift(c: np.ndarray, k: int, ndim: int) -> np.ndarray:
+    """c with singleton axes after its k degree axes, so that its value has
+    at least ndim axes and lines up with a value of ndim axes."""
+    missing = ndim - (c.ndim - k)
+    return c.reshape(c.shape[:k] + (1,) * missing + c.shape[k:]) if missing > 0 else c
 
 
 class JetScalar:
-    """Truncated Taylor scalar: dict from per-variable degree tuples to coefficients."""
+    """Truncated Taylor scalar: one coefficient array of shape (3,)*k + value shape."""
 
-    __slots__ = ("k", "coeffs")
+    __slots__ = ("k", "c")
 
-    def __init__(self, k: int, coeffs: Dict[Key, Coeff]):
+    # numpy defers arithmetic with a jet to the jet's reflected operators
+    __array_ufunc__ = None
+
+    def __init__(self, k: int, c):
+        c = np.asarray(c)
+        if c.shape[:k] != (3,) * k:
+            raise ValueError(f"a jet in {k} variables needs {k} leading axes of size 3, got shape {c.shape}")
         self.k = k
-        self.coeffs = coeffs
+        self.c = c
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def constant(value: Coeff, k: int = 1) -> "JetScalar":
-        return JetScalar(k, {(0,) * k: value})
+    def constant(value, k: int = 1) -> "JetScalar":
+        value = np.asarray(value)
+        c = np.zeros((3,) * k + value.shape, dtype=value.dtype)
+        c[(0,) * k] = value
+        return JetScalar(k, c)
 
     @staticmethod
-    def variable(index: int, k: int, base: Coeff = 0.0) -> "JetScalar":
+    def variable(index: int, k: int, base=0.0) -> "JetScalar":
         """base + t_index (index is 0-based)."""
-        key = tuple(1 if i == index else 0 for i in range(k))
-        return JetScalar(k, {(0,) * k: base, key: 1.0 + 0.0j})
+        c = JetScalar.constant(base, k).c
+        c[tuple(1 if i == index else 0 for i in range(k))] = 1
+        return JetScalar(k, c)
 
     # -- structure ---------------------------------------------------------
 
     @property
-    def value(self) -> Coeff:
-        return self.coeffs.get((0,) * self.k, 0.0 + 0.0j)
+    def value(self):
+        return self.c[(0,) * self.k]
 
-    def coeff(self, key: Key) -> Coeff:
-        return self.coeffs.get(tuple(key), 0.0 + 0.0j)
-
-    def drop_last(self, degree: int) -> "JetScalar":
-        """Project onto the given degree of the last variable, removing it."""
-        out = {}
-        for key, v in self.coeffs.items():
-            if key[-1] == degree:
-                out[key[:-1]] = v
-        return JetScalar(self.k - 1, out)
-
-    def _nilpotent(self) -> "JetScalar":
-        base = (0,) * self.k
-        return JetScalar(self.k, {key: v for key, v in self.coeffs.items() if key != base})
+    def coeff(self, key):
+        return self.c[tuple(key)]
 
     # -- ring operations ----------------------------------------------------
 
@@ -94,9 +120,7 @@ class JetScalar:
             if other.k != self.k:
                 raise ValueError(f"jet variable counts differ: {self.k} vs {other.k}")
             return other
-        if isinstance(other, _NUMERIC):
-            return JetScalar.constant(complex(other), self.k)
-        if isinstance(other, np.ndarray):
+        if isinstance(other, (np.ndarray, *_NUMERIC)):
             return JetScalar.constant(other, self.k)
         return NotImplemented
 
@@ -104,77 +128,60 @@ class JetScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out = dict(self.coeffs)
-        for key, v in o.coeffs.items():
-            if key in out:
-                out[key] = out[key] + v
-            else:
-                out[key] = v
-        return JetScalar(self.k, out)
+        ndim = max(self.c.ndim, o.c.ndim) - self.k
+        return JetScalar(self.k, _lift(self.c, self.k, ndim) + _lift(o.c, self.k, ndim))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o + (-self)
+        return -self + other
 
     def __neg__(self):
-        return JetScalar(self.k, {key: -v for key, v in self.coeffs.items()})
+        return JetScalar(self.k, -self.c)
 
     def __mul__(self, other):
-        if isinstance(other, _NUMERIC) or isinstance(other, np.ndarray):
-            if isinstance(other, _NUMERIC) and other == 0:
-                return JetScalar(self.k, {})
-            return JetScalar(self.k, {key: v * other for key, v in self.coeffs.items()})
+        if isinstance(other, (np.ndarray, *_NUMERIC)):
+            return JetScalar(self.k, _lift(self.c, self.k, np.ndim(other)) * other)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        va, vb = list(self.coeffs.values()), list(o.coeffs.values())
-        out: Dict[Key, Coeff] = {}
-        for ia, ib, key in _product_plan(tuple(self.coeffs), tuple(o.coeffs)):
-            x, y = va[ia], vb[ib]
-            if (isinstance(x, complex) and x == 0) or (isinstance(y, complex) and y == 0):
-                continue
-            prod = x * y
-            if key in out:
-                out[key] = out[key] + prod
-            else:
-                out[key] = prod
-        return JetScalar(self.k, out)
+        return JetScalar(self.k, _cauchy(self.c, o.c, self.k, np.multiply))
 
     __rmul__ = __mul__
 
-    def _check_base(self, op: str) -> Coeff:
+    def __matmul__(self, other):
+        """Product of jets whose values end in matrix axes; a plain array is a
+        constant, multiplied into every coefficient at once."""
+        if isinstance(other, np.ndarray):
+            return JetScalar(self.k, _lift(self.c, self.k, other.ndim) @ other)
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return JetScalar(self.k, _cauchy(self.c, o.c, self.k, np.matmul))
+
+    def __rmatmul__(self, other):
+        if isinstance(other, np.ndarray):
+            return JetScalar(self.k, other @ _lift(self.c, self.k, other.ndim))
+        return NotImplemented
+
+    def _check_base(self, op: str):
         base = self.value
-        bad = np.any(base == 0) if isinstance(base, np.ndarray) else base == 0
-        if bad:
+        if np.any(base == 0):
             raise JetDomainError(f"{op} of a jet with zero base value (base={base!r})")
         return base
 
     def reciprocal(self) -> "JetScalar":
-        base = self._check_base("reciprocal")
-        u = self._nilpotent() * (1.0 / base)
-        # 1/(1+u) = sum (-u)^j, exact once u is nilpotent
-        out = JetScalar.constant(1.0 + 0.0j, self.k)
-        term = JetScalar.constant(1.0 + 0.0j, self.k)
-        for _ in range(2 * self.k):
-            term = term * u * (-1.0)
-            if not term.coeffs:
-                break
-            out = out + term
-        return out * (1.0 / base)
+        # 1/(c(1+u)) = (1/c) sum_j (-u)^j
+        one = _unit(self)
+        base, series = _nilpotent_series(self, "reciprocal", [(-one) ** j for j in range(1, 2 * self.k + 1)])
+        return (series + 1) * (1 / base)
 
     def __truediv__(self, other):
         if isinstance(other, _NUMERIC):
-            return self * (1.0 / complex(other))
+            return self * (1 / other)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -188,21 +195,39 @@ class JetScalar:
 
     def __pow__(self, a):
         if isinstance(a, (int, np.integer)) and a >= 0:
-            out = JetScalar.constant(1.0 + 0.0j, self.k)
+            out = JetScalar.constant(np.ones_like(self.value), self.k)
             for _ in range(int(a)):
                 out = out * self
             return out
         return jet_pow(self, a)
 
     def __repr__(self):
-        inner = ", ".join(f"{key}: {v}" for key, v in sorted(self.coeffs.items()))
-        return f"JetScalar(k={self.k}, {{{inner}}})"
+        return f"JetScalar(k={self.k}, {self.c!r})"
 
 
-def _principal_log(base: Coeff) -> Coeff:
-    if isinstance(base, np.ndarray):
-        return np.log(base.astype(complex))
-    return complex(np.log(complex(base)))
+def _unit(x: JetScalar):
+    """1 in the real dtype of the base value, to form series coefficients in."""
+    return np.real(x.value).dtype.type(1)
+
+
+def _nilpotent_series(x: JetScalar, op: str, coefs) -> tuple:
+    """(c, sum_j coefs[j-1] u^j over j = 1..2k) for x = c (1 + u), c the base
+    value.  u has no constant term, so every monomial of u^j has total degree
+    at least j and u^(2k+1) == 0: 2k terms make the series exact."""
+    base = x._check_base(op)
+    u = x * (1 / base)
+    u.c[(0,) * x.k] = 0
+    term = u
+    out = u * coefs[0]
+    for coef in coefs[1:]:
+        term = term * u
+        out = out + term * coef
+    return base, out
+
+
+def _principal_log(base):
+    """Principal log of the base value, complex in the precision of base."""
+    return np.log(base + 0j)
 
 
 def jet_log(x: JetScalar) -> JetScalar:
@@ -211,16 +236,9 @@ def jet_log(x: JetScalar) -> JetScalar:
     log(c(1+u)) = log c + sum_{j>=1} (-1)^{j+1} u^j / j with u nilpotent,
     so the series terminates exactly.
     """
-    base = x._check_base("log")
-    u = x._nilpotent() * (1.0 / base)
-    out = JetScalar.constant(_principal_log(base), x.k)
-    term = JetScalar.constant(1.0 + 0.0j, x.k)
-    for j in range(1, 2 * x.k + 1):
-        term = term * u
-        if not term.coeffs:
-            break
-        out = out + term * ((-1.0) ** (j + 1) / j)
-    return out
+    one = _unit(x)
+    base, series = _nilpotent_series(x, "log", [(-one) ** (j + 1) / j for j in range(1, 2 * x.k + 1)])
+    return series + _principal_log(base)
 
 
 def jet_pow(x: JetScalar, a) -> JetScalar:
@@ -229,31 +247,18 @@ def jet_pow(x: JetScalar, a) -> JetScalar:
     x^a = c^a (1+u)^a with the binomial series in the nilpotent u; for
     integer a this coincides with repeated multiplication.
     """
-    base = x._check_base("pow")
-    af = float(Fraction(a)) if isinstance(a, (int, Fraction)) else float(a)
-    if isinstance(base, np.ndarray):
-        head = np.exp(af * np.log(base.astype(complex)))
-    else:
-        head = complex(np.exp(af * np.log(complex(base))))
-    u = x._nilpotent() * (1.0 / base)
-    out = JetScalar.constant(1.0 + 0.0j, x.k)
-    term = JetScalar.constant(1.0 + 0.0j, x.k)
-    coef = 1.0
+    a = Fraction(a)
+    af = _unit(x) * a.numerator / a.denominator
+    coefs, coef = [], 1
     for j in range(1, 2 * x.k + 1):
-        coef *= (af - (j - 1)) / j  # binomial(a, j) built up incrementally
-        term = term * u
-        if not term.coeffs:
-            break
-        out = out + term * coef
-    return out * head
+        coef = coef * ((af - (j - 1)) / j)  # binomial(a, j) built up incrementally
+        coefs.append(coef)
+    base, series = _nilpotent_series(x, "pow", coefs)
+    return (series + 1) * np.exp(af * _principal_log(base))
 
 
 def jet_allclose(x: JetScalar, y: JetScalar, atol: float = 1e-12) -> bool:
-    """Coefficient-wise closeness; missing keys count as zero."""
+    """Coefficient-wise closeness; value axes broadcast."""
     if x.k != y.k:
         return False
-    for key in set(x.coeffs) | set(y.coeffs):
-        d = np.max(np.abs(np.asarray(x.coeff(key)) - np.asarray(y.coeff(key))))
-        if d > atol:
-            return False
-    return True
+    return bool(np.max(np.abs((x - y).c)) <= atol)

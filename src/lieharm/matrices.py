@@ -1,26 +1,29 @@
 """Dense complex matrices over interchangeable scalar types.
 
-A CMatrix wraps a numpy array whose dtype is either complex128 (the fast
-numeric mode) or object (entries are RationalComplex for exact work, or
-JetScalar for derivative-carrying work).  An object array is 2-D.  A
-complex array may carry leading batch axes in front of its two matrix
-axes, a stack of matrices handled as one: `@` broadcasts over them,
-`transpose` swaps the matrix axes, `trace` sums each matrix's diagonal,
-indexing with a pair picks one entry of every matrix, and `shape` is the
-shape of one matrix.
+A CMatrix is one of three kinds:
 
-A jet-valued CMatrix built by `CMatrix.from_jet` carries its packed jet in
-the `jet` slot: one JetScalar whose coefficients are complex arrays of
-shape (..., rows, cols), the leading axes being batch axes shared by every
-entry.  Products of jet-valued matrices are computed on the packed form,
-as `cols` broadcast JetScalar products of a column slice by a row slice,
-so the truncated Taylor product stays in `jets.py`; the object array of
-entries is built from the packed arrays only when something reads `data`,
-and its batched coefficients are views into them.
+* numeric: `data` is a complex array (complex128 in the fast mode; any
+  complex dtype works), either one matrix or a stack (..., rows, cols)
+  with leading batch axes, handled as one: `@` broadcasts over them,
+  `transpose` swaps the matrix axes, `trace` sums each matrix's diagonal,
+  indexing with a pair picks one entry of every matrix, and `shape` is the
+  shape of one matrix;
+* exact: `data` is a 2-D object array of RationalComplex entries;
+* jet-valued, built by `CMatrix.from_jet`: `data` is None and the `jet`
+  slot holds one JetScalar whose value axes end in (rows, cols), in front
+  of them any batch axes shared by every entry.  `+`, `-`, `scale`,
+  indexing, `transpose` and `trace` act on its coefficient array, and `@`
+  is the jet product of `jets.py`: a truncated Cauchy product of matmuls
+  between two jets, one matmul over the stacked coefficients between a
+  jet and a numeric matrix.
+
+A jet-valued matrix counts as an object matrix (`is_object`), since its
+entries are not plain numbers.  A product of a numeric and an exact matrix
+demotes the exact side to complex.
 
 All operations are pure; a CMatrix is never mutated after construction.
-That covers the packed coefficient arrays and the entries' coefficients:
-nothing may update them in place.
+That covers the coefficient arrays of a jet: nothing may update them in
+place.
 """
 
 from __future__ import annotations
@@ -45,81 +48,24 @@ def _as_matrices(data) -> np.ndarray:
     return arr
 
 
-def _coefficientwise(jet: JetScalar, fn) -> JetScalar:
-    return JetScalar(jet.k, {key: fn(v) for key, v in jet.coeffs.items()})
-
-
-def _take(x, idx):
-    """x[idx] for a complex array, or applied to every coefficient of a packed jet."""
-    if isinstance(x, JetScalar):
-        return _coefficientwise(x, lambda v: v[idx])
-    return x[idx]
-
-
-def _jet_matmul(a, b, cols: int) -> JetScalar:
-    """Product of two packed operands, at least one of them a JetScalar.
-
-    A complex operand stays an array; JetScalar.__mul__ broadcasts it over
-    the coefficients, so it is kept on the right of each product.
-    """
-    total = None
-    for l in range(cols):
-        left, right = _take(a, np.s_[..., :, l : l + 1]), _take(b, np.s_[..., l : l + 1, :])
-        term = left * right if isinstance(left, JetScalar) else right * left
-        total = term if total is None else total + term
-    return total
-
-
-def _pack(data: np.ndarray, k: int) -> JetScalar:
-    """One jet in k variables with (..., rows, cols) coefficients from an object
-    array of jet and constant entries; missing keys read as zero."""
-    entries = [v if isinstance(v, JetScalar) else JetScalar.constant(v, k) for v in data.flat]
-    for v in entries:
-        if v.k != k:
-            raise ValueError(f"jet variable counts differ: {k} vs {v.k}")
-    keys = sorted({(0,) * k}.union(*(v.coeffs for v in entries)))
-    batch = np.broadcast_shapes(*(np.shape(c) for v in entries for c in v.coeffs.values()))
-    coeffs = {}
-    for key in keys:
-        arr = np.zeros(batch + data.shape, dtype=complex)
-        for (i, j), v in zip(np.ndindex(data.shape), entries):
-            if key in v.coeffs:
-                arr[..., i, j] = v.coeffs[key]
-        coeffs[key] = arr
-    return JetScalar(k, coeffs)
-
-
-def _entries(jet: JetScalar, shape) -> np.ndarray:
-    """The object array of JetScalar entries of a packed jet."""
-    out = np.empty(shape, dtype=object)
-    for i, j in np.ndindex(shape):
-        # unbatched coefficients give scalars, batched ones views into the packed arrays
-        out[i, j] = JetScalar(jet.k, {key: v[..., i, j][()] for key, v in jet.coeffs.items()})
-    return out
-
-
 class CMatrix:
-    __slots__ = ("_data", "jet", "shape")
+    __slots__ = ("data", "jet", "shape")
 
     def __init__(self, data):
-        self._data = _as_matrices(data)
+        self.data = _as_matrices(data)
         self.jet = None
-        self.shape = self._data.shape[-2:]
-
-    @property
-    def data(self) -> np.ndarray:
-        if self._data is None:
-            self._data = _entries(self.jet, self.shape)
-        return self._data
+        self.shape = self.data.shape[-2:]
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_jet(jet: JetScalar) -> "CMatrix":
-        """A jet-valued matrix from its packed jet (coefficients (..., rows, cols))."""
+        """A jet-valued matrix from its jet, whose value axes end in (rows, cols)."""
+        if jet.c.ndim < jet.k + 2:
+            raise ShapeError(f"a jet matrix needs two matrix axes, got coefficient shape {jet.c.shape[jet.k:]}")
         m = CMatrix.__new__(CMatrix)
-        m._data, m.jet = None, jet
-        m.shape = np.shape(jet.value)[-2:]
+        m.data, m.jet = None, jet
+        m.shape = jet.c.shape[-2:]
         return m
 
     @staticmethod
@@ -162,11 +108,25 @@ class CMatrix:
         return self.shape[1]
 
     def is_object(self) -> bool:
-        return self.jet is not None or self._data.dtype == object
+        return self.jet is not None or self.data.dtype == object
+
+    def _values(self):
+        """The jet of a jet-valued matrix, the array of any other."""
+        return self.data if self.jet is None else self.jet
+
+    @staticmethod
+    def _of(values) -> "CMatrix":
+        return CMatrix.from_jet(values) if isinstance(values, JetScalar) else CMatrix(values)
 
     def __getitem__(self, idx):
-        """A pair (i, j) picks entry (i, j) of every matrix of a stack."""
-        if isinstance(idx, tuple) and len(idx) == 2 and self.data.ndim > 2:
+        """A pair (i, j) picks entry (i, j) of every matrix of a stack, or of
+        every coefficient of a jet."""
+        pair = isinstance(idx, tuple) and len(idx) == 2
+        if self.jet is not None:
+            if not pair:
+                raise TypeError("a jet-valued matrix is indexed by an entry pair (i, j)")
+            return JetScalar(self.jet.k, self.jet.c[(Ellipsis, *idx)])
+        if pair and self.data.ndim > 2:
             return self.data[(Ellipsis, *idx)]
         return self.data[idx]
 
@@ -180,47 +140,30 @@ class CMatrix:
         self._binary_check(other, "add")
         if self.shape != other.shape:
             raise ShapeError(f"add: shapes {self.shape} and {other.shape} differ")
-        return CMatrix(self.data + other.data)
+        return CMatrix._of(self._values() + other._values())
 
     def __sub__(self, other):
         self._binary_check(other, "sub")
         if self.shape != other.shape:
             raise ShapeError(f"sub: shapes {self.shape} and {other.shape} differ")
-        return CMatrix(self.data - other.data)
+        return CMatrix._of(self._values() - other._values())
 
     def __neg__(self):
-        return CMatrix(-self.data)
-
-    def _exact_entries(self) -> bool:
-        if self.jet is not None or self._data.dtype != object:
-            return False
-        return isinstance(self._data[0, 0], RationalComplex)
-
-    def packed(self):
-        """The packed jet of a jet-valued matrix, the complex array of any other."""
-        if self.jet is not None:
-            return self.jet
-        k = jet_width(self)
-        return _pack(self.data, k) if k else self.to_complex()
+        return CMatrix._of(-self._values())
 
     def __matmul__(self, other):
         self._binary_check(other, "matmul")
         if self.cols != other.rows:
             raise ShapeError(f"matmul: shapes {self.shape} and {other.shape} incompatible")
-        if jet_width(self) or jet_width(other):
-            return CMatrix.from_jet(_jet_matmul(self.packed(), other.packed(), self.cols))
-        a, b = self, other
+        if self.jet is not None or other.jet is not None:
+            return CMatrix.from_jet(self._values() @ other._values())
+        if self.is_object() and other.is_object():
+            return CMatrix(np.dot(self.data, other.data))
         # mixing a floating matrix with an exact one demotes the exact side
-        if not a.is_object() and b._exact_entries():
-            b = CMatrix(b.to_complex())
-        elif not b.is_object() and a._exact_entries():
-            a = CMatrix(a.to_complex())
-        if a.is_object() or b.is_object():
-            return CMatrix(np.dot(a.data, b.data))
-        return CMatrix(a.data @ b.data)
+        return CMatrix(self.to_complex() @ other.to_complex())
 
     def scale(self, scalar) -> "CMatrix":
-        return CMatrix(self.data * scalar)
+        return CMatrix._of(self._values() * scalar)
 
     def __mul__(self, scalar):
         return self.scale(scalar)
@@ -229,7 +172,7 @@ class CMatrix:
 
     def transpose(self) -> "CMatrix":
         if self.jet is not None:
-            return CMatrix.from_jet(_coefficientwise(self.jet, lambda v: np.swapaxes(v, -1, -2)))
+            return CMatrix.from_jet(JetScalar(self.jet.k, np.swapaxes(self.jet.c, -1, -2)))
         return CMatrix(np.swapaxes(self.data, -1, -2))
 
     @property
@@ -237,14 +180,13 @@ class CMatrix:
         return self.transpose()
 
     def conjugate(self) -> "CMatrix":
+        if self.jet is not None:
+            raise TypeError("conjugation of jet-valued matrices is not defined")
         if self.data.dtype == object:
             out = np.empty(self.shape, dtype=object)
             for i in range(self.rows):
                 for j in range(self.cols):
-                    v = self.data[i, j]
-                    if isinstance(v, JetScalar):
-                        raise TypeError("conjugation of jet-valued matrices is not defined")
-                    out[i, j] = v.conjugate()
+                    out[i, j] = self.data[i, j].conjugate()
             return CMatrix(out)
         return CMatrix(np.conj(self.data))
 
@@ -255,7 +197,7 @@ class CMatrix:
         if self.rows != self.cols:
             raise ShapeError(f"trace: matrix is {self.shape}, not square")
         if self.jet is not None:
-            return _coefficientwise(self.jet, lambda v: np.trace(v, axis1=-2, axis2=-1))
+            return JetScalar(self.jet.k, np.trace(self.jet.c, axis1=-2, axis2=-1))
         total = self[0, 0]
         for i in range(1, self.rows):
             total = total + self[i, i]
@@ -264,20 +206,20 @@ class CMatrix:
     # -- conversions and norms ----------------------------------------------
 
     def to_complex(self) -> np.ndarray:
-        """Plain complex128 array; exact entries convert, jets are rejected."""
+        """Plain complex array; exact entries convert, jets are rejected."""
+        if self.jet is not None:
+            raise TypeError("cannot flatten a jet-valued matrix to complex")
         if self.data.dtype != object:
             return self.data
         out = np.empty(self.shape, dtype=complex)
         for i in range(self.rows):
             for j in range(self.cols):
-                v = self.data[i, j]
-                if isinstance(v, JetScalar):
-                    raise TypeError("cannot flatten a jet-valued matrix to complex")
-                out[i, j] = complex(v)
+                out[i, j] = complex(self.data[i, j])
         return out
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.to_complex()))) if self.data.size else 0.0
+        values = self.to_complex()
+        return float(np.max(np.abs(values))) if values.size else 0.0
 
     def exact_equals(self, other: "CMatrix") -> bool:
         if self.shape != other.shape:
@@ -289,19 +231,12 @@ class CMatrix:
         return True
 
     def __repr__(self):
-        return f"CMatrix({self.data!r})"
+        return f"CMatrix({self._values()!r})"
 
 
 def jet_width(x: CMatrix) -> int:
-    """Number of jet variables of a matrix's entries; 0 for complex and exact ones."""
-    if x.jet is not None:
-        return x.jet.k
-    if not x.is_object() or x._exact_entries():
-        return 0
-    for v in x.data.flat:
-        if isinstance(v, JetScalar):
-            return v.k
-    return 0
+    """Number of jet variables of a matrix; 0 for complex and exact ones."""
+    return 0 if x.jet is None else x.jet.k
 
 
 def standard_symplectic(n: int, exact: bool = False) -> CMatrix:

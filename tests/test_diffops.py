@@ -30,6 +30,7 @@ from lieharm.lie import (
     SymmetricSpaceSpec,
     basis_g,
     cartan_decomposition,
+    expm,
     generator,
     sample,
     sample_dual,
@@ -270,9 +271,9 @@ def _tau2_reference(f, x, dirs):
 
     x0 = x.to_complex()
     powers = [np.broadcast_to(np.eye(x0.shape[0]), dirs.shape), dirs, np.matmul(dirs, dirs) / 2.0]
-    coeffs = {
-        (i, j): np.einsum("ij,ajk,bkl->abil", x0, powers[i], powers[j]) for i in range(3) for j in range(3)
-    }
+    coeffs = np.stack(
+        [np.stack([np.einsum("ij,ajk,bkl->abil", x0, powers[i], powers[j]) for j in range(3)]) for i in range(3)]
+    )
     w = f(CMatrix.from_jet(JetScalar(2, coeffs)))
     return complex(4.0 * np.sum(w.coeff((2, 2))))
 
@@ -343,3 +344,17 @@ def test_batched_sweep_gives_each_point_its_own_bits():
     t, k = tau_and_kappa(f, xs, b)
     for i, point in enumerate(xs.to_complex()):
         assert tau_and_kappa(f, CMatrix(point), b) == (t[i], k[i])
+
+
+def test_tau_and_kappa_keep_clongdouble():
+    space = SymmetricSpaceSpec(SUN_SON, 3)
+    rng = np.random.default_rng(18)
+    f = build_eigenfunction(random_parameters(space, rng))
+    b = basis_g(space.group_spec())
+    coeffs = rng.normal(0.0, 0.5, len(b))
+    x_ld = CMatrix(expm(np.einsum("q,qij->ij", coeffs.astype(np.longdouble), b.stack().astype(np.clongdouble))))
+    x = CMatrix(expm(np.einsum("q,qij->ij", coeffs, b.stack())))
+    assert x_ld.data.dtype == np.clongdouble
+    for got, want in zip(tau_and_kappa(f, x_ld, b), tau_and_kappa(f, x, b)):
+        assert np.asarray(got).dtype == np.clongdouble
+        assert abs(complex(got) - want) <= 1e-12 * abs(want)

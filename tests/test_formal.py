@@ -150,7 +150,7 @@ def test_log_domain_cut_is_relative_to_re_phi():
 
 def test_evaluate_jet_matches_scalar_on_base():
     s = build_phi_p(2, LAM, MU)
-    w = JetScalar(1, {(0,): 1.7 - 0.4j, (1,): 0.3 + 0.1j, (2,): -0.05 + 0j})
+    w = JetScalar(1, np.array([1.7 - 0.4j, 0.3 + 0.1j, -0.05 + 0j]))
     jet_val = evaluate_formal(s, w)
     assert abs(jet_val.value - evaluate_formal(s, 1.7 - 0.4j)) < 1e-12
 

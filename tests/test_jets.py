@@ -1,16 +1,19 @@
 """Jet scalars: truncated-Taylor examples with hand-computed oracles, ring
 properties, and agreement with finite differences through matrix expressions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lieharm.diffops import GroupFunction, directional_jet
 from lieharm.jets import JetDomainError, JetScalar, jet_allclose, jet_log, jet_pow
 from lieharm.matrices import CMatrix
 
 
 def jet1(c0, c1, c2):
-    return JetScalar(1, {(0,): complex(c0), (1,): complex(c1), (2,): complex(c2)})
+    return JetScalar(1, np.array([c0, c1, c2], dtype=complex))
 
 
 small_complex = st.complex_numbers(
@@ -116,8 +119,11 @@ def test_mul_associative(x, y, z):
 def test_truncation_never_materializes_degree_three():
     x = jet1(0, 1, 0)
     out = x * x * x * x  # t^4 == 0
-    assert all(d <= 2 for key in out.coeffs for d in key)
-    assert all(v == 0 for v in out.coeffs.values())
+    assert out.c.shape == (3,)
+    assert np.all(out.c == 0)
+    xy = JetScalar.variable(0, 2) * JetScalar.variable(1, 2)  # s t
+    assert (xy * xy * xy).c.shape == (3, 3)
+    assert np.all((xy * xy * xy).c == 0)
 
 
 def test_division_roundtrip():
@@ -132,44 +138,37 @@ def test_division_by_zero_base_raises():
 
 
 def _reference_product(x, y):
-    """The per-call key loop the cached product plan replaced."""
+    """The truncated product as a naive loop over pairs of monomials, a-major
+    then b, accumulating each product monomial in that order."""
     out = {}
-    for ka, va in x.coeffs.items():
-        if isinstance(va, complex) and va == 0:
-            continue
-        for kb, vb in y.coeffs.items():
-            if isinstance(vb, complex) and vb == 0:
-                continue
+    keys = list(np.ndindex(*(3,) * x.k))
+    for ka in keys:
+        for kb in keys:
             key = tuple(a + b for a, b in zip(ka, kb))
             if any(d > 2 for d in key):
                 continue
-            out[key] = out[key] + va * vb if key in out else va * vb
+            prod = x.c[ka] * y.c[kb]
+            out[key] = out[key] + prod if key in out else prod
     return out
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_mul_matches_reference_loop_bitwise(k):
     rng = np.random.default_rng(k)
-    keys = [key for key in np.ndindex(*(3,) * k)]
 
-    def random_jet():
-        chosen = [keys[i] for i in rng.permutation(len(keys))[: len(keys) // 2 + 1]]
-        coeffs = {}
-        for i, key in enumerate(chosen):
-            if i % 4 == 1:
-                coeffs[key] = 0j  # exercises the zero skip
-            elif i % 4 == 2:
-                coeffs[key] = complex(rng.standard_normal(), rng.standard_normal())
-            else:
-                coeffs[key] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        return JetScalar(k, coeffs)
+    def random_jet(value_shape):
+        shape = (3,) * k + value_shape
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c[rng.random((3,) * k) < 0.3] = 0  # random zero coefficients
+        return JetScalar(k, c)
 
-    for _ in range(5):
-        x, y = random_jet(), random_jet()
-        got, want = (x * y).coeffs, _reference_product(x, y)
-        assert list(got) == list(want)
+    for i in range(5):
+        # the values broadcast against each other in every other case
+        x, y = random_jet((2, 3)), random_jet((2, 3) if i % 2 else (3,))
+        got, want = (x * y).c, _reference_product(x, y)
+        assert got.shape == (3,) * k + (2, 3) and len(want) == 3**k
         for key in want:
-            assert np.array_equal(got[key], want[key])
+            assert np.array_equal(got[key], want[key]), key
 
 
 def test_mixed_variable_counts_rejected():
@@ -198,12 +197,8 @@ def test_jet_composition_matches_central_differences():
         g = x @ (np.eye(n) + t * z + t * t * (z @ z) / 2)
         return np.trace(g.T @ a @ g)
 
-    entries = np.empty((n, n), dtype=object)
     xz, xz2 = x @ z, x @ (z @ z) / 2
-    for i in range(n):
-        for j in range(n):
-            entries[i, j] = JetScalar(1, {(0,): x[i, j], (1,): xz[i, j], (2,): xz2[i, j]})
-    g = CMatrix(entries)
+    g = CMatrix.from_jet(JetScalar(1, np.stack([x, xz, xz2])))
     w = (g.T @ CMatrix(a) @ g).trace()
 
     h = 1e-4
@@ -212,3 +207,50 @@ def test_jet_composition_matches_central_differences():
     assert abs(w.coeff((0,)) - f(0)) < 1e-12
     assert abs(w.coeff((1,)) - d1) <= 1e-6 * max(1.0, abs(d1))
     assert abs(2 * w.coeff((2,)) - d2) <= 1e-6 * max(1.0, abs(d2))
+
+
+def test_jet_matrix_arithmetic_matches_central_differences():
+    # +, -, unary -, scale and entry access on a jet matrix, against the same
+    # function evaluated on plain matrices along the curve
+    rng = np.random.default_rng(124)
+    n = 3
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    def fn(g: CMatrix):
+        s = (g + g.T).scale(0.5) - (-g)
+        return (s @ g).trace() - 2 * (g - g.T)[0, 1] * g[1, 2]
+
+    def curve(t: complex) -> complex:
+        g = x @ (np.eye(n) + t * z + t * t * (z @ z) / 2)
+        s = 0.5 * (g + g.T) + g
+        return np.trace(s @ g) - 2 * (g[0, 1] - g[1, 0]) * g[1, 2]
+
+    value, d1_jet, d2_jet = directional_jet(GroupFunction(fn), CMatrix(x), z)
+    h = 1e-4
+    d1 = (curve(h) - curve(-h)) / (2 * h)
+    d2 = (curve(h) - 2 * curve(0) + curve(-h)) / (h * h)
+    assert abs(value - curve(0)) < 1e-12
+    assert abs(d1_jet - d1) <= 1e-6 * max(1.0, abs(d1))
+    assert abs(d2_jet - d2) <= 1e-6 * max(1.0, abs(d2))
+
+
+# --- dtype: jets keep the precision of their coefficients --------------------
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_log_and_pow_keep_clongdouble(k):
+    rng = np.random.default_rng(40 + k)
+    c = rng.standard_normal((3,) * k + (4,)) + 1j * rng.standard_normal((3,) * k + (4,))
+    c[(0,) * k] += 3.0
+    x = JetScalar(k, c.astype(np.clongdouble))
+    x64 = JetScalar(k, c)
+    for op in (jet_log, lambda v: jet_pow(v, Fraction(1, 3)), lambda v: jet_pow(v, -1.5), lambda v: 1 / v):
+        out, out64 = op(x), op(x64)
+        assert out.c.dtype == np.clongdouble
+        assert out64.c.dtype == np.complex128
+        assert jet_allclose(out, out64, atol=1e-13)
+    # and their precision: a cube root cubed, and the log's base value, agree
+    # far below float64 rounding
+    assert jet_allclose(jet_pow(x, Fraction(1, 3)) ** 3, x, atol=1e-16)
+    assert np.max(np.abs(jet_log(x).value - np.log(x.value))) <= 1e-17

@@ -84,7 +84,7 @@ def test_standard_symplectic_square():
     assert (j_exact @ j_exact).exact_equals(CMatrix.identity(6, exact=True).scale(rc(-1)))
 
 
-# --- packed jet products against the entrywise object-dtype reference ----
+# --- jet matrix products against an entrywise loop of scalar jet products ----
 
 
 def complex_array(rng, shape):
@@ -92,35 +92,41 @@ def complex_array(rng, shape):
 
 
 def random_jet_matrix(rng, rows, cols, k, batch=()):
-    """Jet entries with random missing keys, one constant and one empty entry."""
-    keys = list(itertools.product(range(3), repeat=k))
-    m = np.empty((rows, cols), dtype=object)
-    for i, j in np.ndindex(rows, cols):
-        coeffs = {}
-        for key in keys:
-            if rng.random() < 0.8:
-                shape = () if key == (0,) * k else batch
-                coeffs[key] = complex_array(rng, shape)[()]
-        m[i, j] = JetScalar(k, coeffs)
-    m[0, -1] = complex(rng.standard_normal(), rng.standard_normal())
-    m[-1, 0] = JetScalar(k, {})
-    return CMatrix(m)
+    """A jet matrix with random zero coefficients, one constant and one zero
+    entry; its base values are shared along the batch, as at a swept point."""
+    c = complex_array(rng, (3,) * k + batch + (rows, cols))
+    c[(0,) * k] = complex_array(rng, (rows, cols))
+    c = np.where(rng.random((3,) * k + (1,) * len(batch) + (rows, cols)) < 0.2, 0, c)
+    c[..., 0, -1] = 0
+    c[(0,) * k][..., 0, -1] = complex(rng.standard_normal(), rng.standard_normal())
+    c[..., -1, 0] = 0
+    return CMatrix.from_jet(JetScalar(k, c))
 
 
-def coefficient_stack(m: np.ndarray, key, batch):
-    def coeff(v):
-        if isinstance(v, JetScalar):
-            return v.coeff(key)
-        return v if not any(key) else 0.0
-
-    return np.stack([np.broadcast_to(np.asarray(coeff(v), dtype=complex), batch) for v in m.flat])
+def entries(m: CMatrix, k):
+    """The entries of a jet or complex matrix as scalar jets."""
+    if m.jet is not None:
+        return [[JetScalar(k, m.jet.c[..., i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return [[JetScalar.constant(v, k) for v in row] for row in m.to_complex()]
 
 
-def assert_jet_matrices_close(got: CMatrix, ref: np.ndarray, k, batch):
-    assert got.shape == ref.shape
+def transposed(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def entrywise_matmul(a, b):
+    return [[sum(a[i][l] * b[l][j] for l in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def assert_jet_matrices_close(got: CMatrix, ref, k, batch):
+    """got against a grid of scalar jets, coefficient by coefficient."""
+    want = np.stack(
+        [np.stack([np.broadcast_to(v.c, (3,) * k + batch) for v in row], axis=-1) for row in ref], axis=-2
+    )
+    assert got.shape == want.shape[-2:]
+    have = np.broadcast_to(got.jet.c, want.shape)
     for key in itertools.product(range(3), repeat=k):
-        g, r = coefficient_stack(got.data, key, batch), coefficient_stack(ref, key, batch)
-        assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r)), key
+        assert np.max(np.abs(have[key] - want[key])) <= 1e-13 * np.max(np.abs(want[key])), key
 
 
 JET_CASES = [(1, (5,)), (2, ())]  # k = 1 batched over 5 directions; k = 2 nested, scalar
@@ -138,7 +144,7 @@ def test_packed_jet_matmul_matches_entrywise_product(k, batch, kinds):
     a, b = make[left_kind](2, 3), make[right_kind](3, 4)
     out = a @ b
     assert out.jet is not None and out.is_object()
-    assert_jet_matrices_close(out, np.dot(a.data, b.data), k, batch)
+    assert_jet_matrices_close(out, entrywise_matmul(entries(a, k), entries(b, k)), k, batch)
 
 
 @pytest.mark.parametrize("k, batch", JET_CASES)
@@ -148,14 +154,18 @@ def test_packed_chain_and_transpose(k, batch):
     a = CMatrix(complex_array(rng, (3, 3)))
     j = CMatrix(complex_array(rng, (3, 2)))
     packed = a @ g
-    assert_jet_matrices_close(packed.T, packed.data.T, k, batch)
+    assert_jet_matrices_close(packed.T, transposed(entries(packed, k)), k, batch)
     out = g.T @ packed @ j
-    ref = np.dot(np.dot(g.data.T, np.dot(a.data, g.data)), j.data)
+    g_entries = entries(g, k)
+    ref = entrywise_matmul(
+        entrywise_matmul(transposed(g_entries), entrywise_matmul(entries(a, k), g_entries)), entries(j, k)
+    )
     assert_jet_matrices_close(out, ref, k, batch)
     square = g.T @ packed
-    ref_trace = square.data[0, 0] + square.data[1, 1] + square.data[2, 2]
-    as_matrix = lambda v: np.array([[v]], dtype=object)
-    assert_jet_matrices_close(CMatrix(as_matrix(square.trace())), as_matrix(ref_trace), k, batch)
+    s = entries(square, k)
+    ref_trace = s[0][0] + s[1][1] + s[2][2]
+    as_matrix = lambda v: CMatrix.from_jet(JetScalar(k, v.c[..., None, None]))
+    assert_jet_matrices_close(as_matrix(square.trace()), [[ref_trace]], k, batch)
 
 
 def test_packed_jet_entries_and_shape_errors():
