@@ -228,6 +228,14 @@ def _principal_pow(w: complex, a: Fraction) -> complex:
     return complex(np.exp(float(a) * np.log(complex(w))))
 
 
+def _coefficient(c: RationalComplex, dtype: np.dtype) -> np.complexfloating:
+    """c in the precision of `dtype`: each part is numerator over denominator
+    in its real dtype, so a clongdouble jet gets a clongdouble coefficient."""
+    real = np.finfo(dtype).dtype.type
+    part = lambda x: real(x.numerator) / real(x.denominator)
+    return part(c.re) + 1j * part(c.im)
+
+
 def evaluate_formal(s: FormalSum, w: Union[complex, JetScalar]):
     """Numeric value of the sum at phi = w (complex scalar or jet)."""
     if isinstance(w, JetScalar):
@@ -246,7 +254,7 @@ def evaluate_formal(s: FormalSum, w: Union[complex, JetScalar]):
             term = jet_pow(w, a) if a != 0 else w**0
             for _ in range(b):
                 term = term * log_w
-            total = total + term * complex(c)
+            total = total + term * _coefficient(c, w.c.dtype)
         return total
     log_w = complex(np.log(w))
     total = 0.0 + 0.0j

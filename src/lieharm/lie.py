@@ -18,8 +18,8 @@ SO(2n) and Sp(n).
 
 Sample points are exp(sum_q c_q Z_q) with Gaussian c.  One call draws and
 exponentiates a whole batch: the coefficients carry leading batch axes,
-and `expm` (Taylor scaling and squaring in numpy) exponentiates the
-(..., n, n) stack at once.
+and `expm` (Taylor scaling and squaring in numpy, the polynomial by
+Paterson-Stockmeyer) exponentiates the (..., n, n) stack at once.
 """
 
 from __future__ import annotations
@@ -446,6 +446,13 @@ def embed_unitary(z: np.ndarray) -> np.ndarray:
 _TAYLOR_DEGREE = 30
 
 
+@lru_cache(maxsize=None)
+def _inverse_factorials(real: np.dtype) -> tuple:
+    """1/j! for j <= _TAYLOR_DEGREE, computed in the real dtype `real`."""
+    factorials = np.array([math.factorial(j) for j in range(_TAYLOR_DEGREE + 1)], dtype=real)
+    return tuple(np.ones((), dtype=real) / factorials)
+
+
 def expm(a) -> np.ndarray:
     """The exponential of every matrix of an (..., n, n) stack of any inexact
     dtype, complex128 and clongdouble among them.
@@ -454,25 +461,50 @@ def expm(a) -> np.ndarray:
     matrix exponential with an optimized Taylor polynomial approximation"):
     each matrix is halved s times until its 1-norm is at most theta, where
     theta^(m+1)/(m+1)! is the unit roundoff u of its dtype for the degree
-    m = 30, so the Taylor remainder stays within about u; the polynomial is
-    evaluated by Horner's rule and squared s times.  Only matmuls and
-    elementwise arithmetic are used, so each matrix of a stack gets the
+    m = 30, so the Taylor remainder stays within about u; the polynomial
+    sum_{j<=m} A^j / j! is evaluated by the Paterson-Stockmeyer scheme
+    (Higham, *Functions of Matrices*, 2008, section 4.2) and squared s times.
+
+    With q = ceil(sqrt(m)) = 6 and R = ceil(m / q) - 1 = 4, the powers
+    A^2..A^q cost q - 1 = 5 products, and
+
+        p = B_0 + A^q (B_1 + A^q (B_2 + ... + A^q B_R)),
+        B_r = sum_j A^j / (qr + j)!  over j < q (over j <= m - qR for r = R),
+
+    costs R = 4 more: 9 matrix products in all (Horner's rule takes m = 30),
+    plus one per squaring.  The block sums are elementwise, with the
+    coefficients 1/j! formed in the real dtype of the input.  Only matmuls
+    and elementwise arithmetic are used, so each matrix of a stack gets the
     same bits as on its own.
     """
     a = np.asarray(a)
     m = _TAYLOR_DEGREE
+    real = np.finfo(a.dtype).dtype
     u = float(np.finfo(a.dtype).eps) / 2
     theta = (u * math.factorial(m + 1)) ** (1.0 / (m + 1))
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
     frac, exp2 = np.frexp(norm / theta)
     s = np.maximum(exp2 - (frac == 0.5), 0)  # the least s >= 0 with norm / 2^s <= theta
     a = a * np.ldexp(np.ones_like(norm), -s)[..., None, None]
-    eye = np.eye(a.shape[-1], dtype=a.dtype)
-    p = eye + a / m
-    for k in range(m - 1, 0, -1):
-        p = eye + a @ p / k
+    q = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
+    top = (m - 1) // q  # R, the index of the last block
+    powers = [np.eye(a.shape[-1], dtype=a.dtype), a]
+    for _ in range(q - 1):
+        powers.append(np.matmul(powers[-1], a))
+    coef = _inverse_factorials(real)
+
+    def block(r: int) -> np.ndarray:
+        last = q - 1 if r < top else m - q * top
+        b = powers[0] * coef[q * r]
+        for j in range(1, last + 1):
+            b = b + powers[j] * coef[q * r + j]
+        return b
+
+    p = block(top)
+    for r in range(top - 1, -1, -1):
+        p = block(r) + np.matmul(powers[q], p)
     for j in range(int(s.max(initial=0))):
-        p = np.where((s > j)[..., None, None], p @ p, p)
+        p = np.where((s > j)[..., None, None], np.matmul(p, p), p)
     return p
 
 
@@ -537,9 +569,11 @@ def sample_dual(space: SymmetricSpaceSpec, rng: np.random.Generator, sigma: floa
 
 
 def rebuild_dual_sample(space: SymmetricSpaceSpec, a, b) -> CMatrix:
+    """exp(sum a_i K_i) exp(sum b_j iM_j) from one `expm` call on the stack of
+    both exponents; each factor keeps the bits of its own one-matrix call."""
     k_basis, m_basis = cartan_decomposition(space)
-    x = expm(_combination(k_basis.stack(), a)) @ expm(1j * _combination(m_basis.stack(), b))
-    return CMatrix(x)
+    k, m = expm(np.stack([_combination(k_basis.stack(), a), 1j * _combination(m_basis.stack(), b)]))
+    return CMatrix(k @ m)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,17 @@ def test_evaluate_jet_matches_scalar_on_base():
     assert abs(jet_val.value - evaluate_formal(s, 1.7 - 0.4j)) < 1e-12
 
 
+def test_evaluate_jet_keeps_clongdouble_coefficients():
+    # a rational coefficient is formed in the jet's real dtype: rounded
+    # through complex128, 1/3 would be off by 512 longdouble eps
+    w = JetScalar(1, np.array([1.7 - 0.4j, 0.3 + 0.1j, -0.05 + 0j], dtype=np.clongdouble))
+    term = FormalSum.term(1, Fraction(1, 2), 1)
+    third = FormalSum.term(Fraction(1, 3), Fraction(1, 2), 1)
+    got, ref = evaluate_formal(third, w).c, np.longdouble(1) / 3 * evaluate_formal(term, w).c
+    assert got.dtype == np.clongdouble
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4 * np.finfo(np.longdouble).eps
+
+
 def test_numeric_consistency_with_diffops():
     # phi^r is again an eigenfunction, with rational eigenvalues
     # lam_r = r lam + r(r-1) mu and mu_r = r^2 mu: this exercises tau_formal

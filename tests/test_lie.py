@@ -369,7 +369,90 @@ def test_expm_keeps_every_taylor_term(dtype, tol):
         assert abs(x[0, k] - exact) <= tol * exact, k
 
 
+def _horner_expm(a):
+    """The Horner evaluation of the same scaled degree-m Taylor polynomial,
+    with the same scaling and squaring as lie.expm; returns it and s."""
+    import lieharm.lie as lie
+
+    a = np.asarray(a)
+    m = lie._TAYLOR_DEGREE
+    u = float(np.finfo(a.dtype).eps) / 2
+    theta = (u * math.factorial(m + 1)) ** (1.0 / (m + 1))
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    frac, exp2 = np.frexp(norm / theta)
+    s = np.maximum(exp2 - (frac == 0.5), 0)
+    a = a * np.ldexp(np.ones_like(norm), -s)[..., None, None]
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
+    p = eye + a / m
+    for k in range(m - 1, 0, -1):
+        p = eye + a @ p / k
+    for j in range(int(s.max(initial=0))):
+        p = np.where((s > j)[..., None, None], p @ p, p)
+    return p, s
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+@pytest.mark.parametrize("spec", [GroupSpec(SU, 6), GroupSpec(SP, 3)], ids=str)
+@pytest.mark.parametrize("sigma", [0.1, 0.5, 3.0])
+def test_expm_matches_horner(spec, sigma, dtype):
+    # two evaluations of one polynomial differ by rounding only: about one ulp
+    # of |exp A|, which each squaring can double; sigma 3 forces squarings
+    a = _algebra_stack(spec, sigma, 50, 17).astype(dtype)
+    ref, s = _horner_expm(a)
+    if sigma > 1:
+        assert s.min() >= 2
+    x = expm(a)
+    assert x.dtype == dtype
+    eps = np.finfo(dtype).eps
+    err = np.abs(x - ref).max(axis=(-2, -1))
+    assert np.all(err <= 4 * eps * 2.0**s * np.abs(ref).sum(axis=-2).max(axis=-1))
+
+
+def test_expm_matrix_product_count(monkeypatch):
+    # 9 products for the polynomial (A^2..A^6, then 4 Paterson-Stockmeyer
+    # steps in A^6) plus one per squaring; Horner's rule would take 30.
+    # The float64 radius theta is about 3.8: 1-norm 1 needs no squaring,
+    # 10 needs 2 and 100 needs 5.
+    calls = []
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    diagonal = np.diag([1j, -1j, 0])
+    for a, products in [
+        (_algebra_stack(GroupSpec(SU, 6), 0.1, 50, 17), 9),
+        (np.zeros((3, 3), dtype=complex), 9),
+        (diagonal, 9),
+        (10 * diagonal, 11),
+        (np.stack([diagonal, 10 * diagonal, 100 * diagonal]), 14),
+    ]:
+        calls.clear()
+        x = expm(a)
+        assert len(calls) == products
+        assert all(shape == a.shape for shape in calls)
+    monkeypatch.undo()
+    assert np.allclose(x, np.stack([np.diag(np.exp(c * np.diag(diagonal))) for c in (1, 10, 100)]))
+
+
 # --- dual sampling -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", SPACE_FAMILIES)
+def test_dual_sample_is_bitwise_two_expm_calls(family):
+    # one expm call on the stack [A_k, i A_m] gives each factor the bits of
+    # its own one-matrix call, so the point of stored coefficients never moves
+    import lieharm.lie as lie
+
+    space = SymmetricSpaceSpec(family, 2)
+    k, m = cartan_decomposition(space)
+    rng = np.random.default_rng(13)
+    for sigma in (0.2, 2.0):
+        a, b = rng.normal(0.0, sigma, len(k)), rng.normal(0.0, sigma, len(m))
+        two = expm(lie._combination(k.stack(), a)) @ expm(1j * lie._combination(m.stack(), b))
+        assert np.array_equal(rebuild_dual_sample(space, a, b).to_complex(), two)
 
 
 def test_dual_sample_special_linear_not_unitary():
