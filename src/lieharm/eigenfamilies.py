@@ -9,6 +9,12 @@ Families and their data:
   SO(2n)/U(n):   phi(x) = trace(x^t A x J),  A = a1 Y_rs + a2 Y_rq + a3 Y_sq,
                  a in C^3 isotropic (a1^2 + a2^2 + a3^2 = 0), 1 <= r < s < q <= 2n
   SU(2n)/Sp(n):  phi(z) = trace(z^t A z J),  same A, isotropy NOT required
+
+phi is evaluated as the Frobenius pairing <g, A g J> = sum_ij g_ij (A g J)_ij
+(`CMatrix.pair`, with J = I for the first two families), which is the same
+trace but never forms the product g^t (A g J): at a jet point that product
+would be a Cauchy product of matmuls between two jets, while the pairing
+contracts each pair of coefficients in O(n^2).
 """
 
 from __future__ import annotations
@@ -109,7 +115,7 @@ def uses_complex_structure(space: SymmetricSpaceSpec) -> bool:
 
 
 def build_eigenfunction(spec: EigenfunctionSpec) -> GroupFunction:
-    """phi as a scalar-polymorphic group function."""
+    """phi as a scalar-polymorphic group function: <g, A g J> = trace(g^t A g J)."""
     space = spec.space
     a_cm = build_matrix_A(spec)
     size = space.matrix_size
@@ -118,10 +124,10 @@ def build_eigenfunction(spec: EigenfunctionSpec) -> GroupFunction:
     def fn(g: CMatrix):
         if g.shape != (size, size):
             raise UsageError(f"{space}: expected a {size}x{size} group element, got {g.shape}")
-        m = g.T @ (a_cm @ g)
+        m = a_cm @ g
         if j_cm is not None:
             m = m @ j_cm
-        return m.trace()
+        return g.pair(m)
 
     return GroupFunction(fn, domain=space.group_spec(), name=f"phi[{space}]")
 

@@ -14,8 +14,10 @@ series-truncation error anywhere on this path).
 The product is the truncated Cauchy product: one broadcast multiply per
 pair of degrees whose sum survives truncation (6 pairs for k = 1, 36 for
 k = 2).  With `np.matmul` in place of the multiply the same routine is the
-product of jets whose values are matrices; a jet times a plain array, on
-either side, is one operation over the stacked coefficients.  Value axes
+product of jets whose values are matrices, and with a contraction of the
+matrix axes it is a bilinear pairing of two jet matrices (the Frobenius
+pairing of `matrices.py`); a jet times a plain array, on either side, is
+one operation over the stacked coefficients.  Value axes
 broadcast as numpy arrays do, aligned on the right, which is how whole
 batches of derivative directions are carried through a single evaluation.
 
@@ -56,7 +58,8 @@ def _degree_pairs(k: int) -> Tuple[tuple, ...]:
 
 def _cauchy(a: np.ndarray, b: np.ndarray, k: int, op: Callable) -> np.ndarray:
     """The coefficients of the truncated product of two jets in k variables,
-    with op (np.multiply or np.matmul) combining two coefficients."""
+    with op (np.multiply, np.matmul, or a contraction such as a Frobenius
+    pairing) combining two coefficients."""
     out = None
     for da, db, d in _degree_pairs(k):
         term = op(a[da], b[db])
@@ -156,7 +159,7 @@ class JetScalar:
         """Product of jets whose values end in matrix axes; a plain array is a
         constant, multiplied into every coefficient at once."""
         if isinstance(other, np.ndarray):
-            return JetScalar(self.k, _lift(self.c, self.k, other.ndim) @ other)
+            return JetScalar(self.k, np.matmul(_lift(self.c, self.k, other.ndim), other))
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -164,7 +167,7 @@ class JetScalar:
 
     def __rmatmul__(self, other):
         if isinstance(other, np.ndarray):
-            return JetScalar(self.k, other @ _lift(self.c, self.k, other.ndim))
+            return JetScalar(self.k, np.matmul(other, _lift(self.c, self.k, other.ndim)))
         return NotImplemented
 
     def _check_base(self, op: str):

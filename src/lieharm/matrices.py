@@ -6,8 +6,8 @@ A CMatrix is one of three kinds:
   complex dtype works), either one matrix or a stack (..., rows, cols)
   with leading batch axes, handled as one: `@` broadcasts over them,
   `transpose` swaps the matrix axes, `trace` sums each matrix's diagonal,
-  indexing with a pair picks one entry of every matrix, and `shape` is the
-  shape of one matrix;
+  `pair` contracts each pair of matrices, indexing with a pair picks one
+  entry of every matrix, and `shape` is the shape of one matrix;
 * exact: `data` is a 2-D object array of RationalComplex entries;
 * jet-valued, built by `CMatrix.from_jet`: `data` is None and the `jet`
   slot holds one JetScalar whose value axes end in (rows, cols), in front
@@ -15,7 +15,12 @@ A CMatrix is one of three kinds:
   indexing, `transpose` and `trace` act on its coefficient array, and `@`
   is the jet product of `jets.py`: a truncated Cauchy product of matmuls
   between two jets, one matmul over the stacked coefficients between a
-  jet and a numeric matrix.
+  jet and a numeric matrix.  `pair` is the same with the Frobenius
+  contraction in place of the matmul.
+
+`x.pair(y)` is the complex-bilinear Frobenius pairing sum_ij x_ij y_ij =
+trace(x^t y), with no conjugation: it costs O(rows cols) per matrix where
+forming x^t y and taking its trace costs a matrix product.
 
 A jet-valued matrix counts as an object matrix (`is_object`), since its
 entries are not plain numbers.  A product of a numeric and an exact matrix
@@ -33,11 +38,16 @@ from typing import Iterable
 import numpy as np
 
 from .exact import RC_ONE, RC_ZERO, RationalComplex
-from .jets import JetScalar
+from .jets import JetScalar, _cauchy, _lift
 
 
 class ShapeError(ValueError):
     """Dimension mismatch in a matrix operation."""
+
+
+def _frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_ij a_ij b_ij over the two matrix axes, for each pair of a stack."""
+    return (a * b).sum(axis=(-2, -1))
 
 
 def _as_matrices(data) -> np.ndarray:
@@ -161,6 +171,25 @@ class CMatrix:
             return CMatrix(np.dot(self.data, other.data))
         # mixing a floating matrix with an exact one demotes the exact side
         return CMatrix(self.to_complex() @ other.to_complex())
+
+    def pair(self, other: "CMatrix"):
+        """The Frobenius pairing sum_ij x_ij y_ij = trace(x^t y) of each matrix
+        of a stack, complex bilinear (no conjugation): a number for one
+        matrix, an array for a stack, a jet if either side is jet-valued."""
+        self._binary_check(other, "pair")
+        if self.shape != other.shape:
+            raise ShapeError(f"pair: shapes {self.shape} and {other.shape} differ")
+        x, y = self._values(), other._values()
+        if isinstance(x, JetScalar) and isinstance(y, JetScalar):
+            return JetScalar(x.k, _cauchy(x.c, x._coerce(y).c, x.k, _frobenius))
+        if isinstance(x, JetScalar):
+            return JetScalar(x.k, _frobenius(_lift(x.c, x.k, y.ndim), y))
+        if isinstance(y, JetScalar):
+            return JetScalar(y.k, _frobenius(x, _lift(y.c, y.k, x.ndim)))
+        if self.is_object() != other.is_object():
+            # as in a product, a floating side demotes an exact one
+            x, y = self.to_complex(), other.to_complex()
+        return _frobenius(x, y)
 
     def scale(self, scalar) -> "CMatrix":
         return CMatrix._of(self._values() * scalar)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lieharm.diffops import kappa, tau_and_kappa
+from lieharm.diffops import GroupFunction, _sweep, kappa, tau_and_kappa
 from lieharm.eigenfamilies import (
     EigenfunctionSpec,
     ValidationError,
@@ -15,10 +15,12 @@ from lieharm.eigenfamilies import (
     expected_eigenvalues,
     kappa_defect_nonisotropic,
     random_parameters,
+    uses_complex_structure,
     verify_dual,
     verify_eigen,
 )
 from lieharm.exact import RationalComplex
+from lieharm.jets import JetScalar
 from lieharm.lie import (
     GroupSpec,
     SO2N_UN,
@@ -34,7 +36,7 @@ from lieharm.lie import (
     sample,
     sample_with_coefficients,
 )
-from lieharm.matrices import CMatrix
+from lieharm.matrices import CMatrix, standard_symplectic
 
 
 def e1(n):
@@ -148,6 +150,96 @@ def test_scaling_in_a():
     x5 = sample(space5.group_spec(), rng, 0.5)
     g1, g2 = build_eigenfunction(spec5), build_eigenfunction(double5)
     assert complex(g2(x5)) == pytest.approx(2 * complex(g1(x5)))  # A linear in a
+
+
+def _phi_trace_form(spec):
+    """phi as trace(g^t A g [J]) with the jet matrix product g^t (A g [J])
+    formed in full: the reference for the pairing <g, A g J>."""
+    a = build_matrix_A(spec)
+    j = standard_symplectic(spec.space.n) if uses_complex_structure(spec.space) else None
+
+    def fn(g):
+        m = g.T @ (a @ g)
+        if j is not None:
+            m = m @ j
+        return m.trace()
+
+    return fn
+
+
+def _swept_points(x, dirs):
+    """The jet-valued points at which a sweep from x evaluates its function:
+    jets in one variable more than x has."""
+    seen = []
+
+    def capture(g):
+        seen.append(g)
+        return 0.0
+
+    list(_sweep(GroupFunction(capture), x, dirs))
+    return seen
+
+
+def _assert_same_phi(got, want):
+    """got within 1e-13 of want, relative to the largest |want|."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("family", SPACE_FAMILIES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_phi_pairing_matches_trace_form(family, n):
+    space = SymmetricSpaceSpec(family, n)
+    rng = np.random.default_rng(50 + n)
+    spec = random_parameters(space, rng)
+    f, ref = build_eigenfunction(spec), _phi_trace_form(spec)
+    g_spec = space.group_spec()
+    dirs = basis_g(g_spec).stack()
+    x = sample(g_spec, rng, 0.5)
+    batch = sample(g_spec, rng, 0.5, (7,))
+    k1 = _swept_points(x, dirs)
+    k2 = _swept_points(_swept_points(batch, dirs)[0], dirs)
+    assert np.ndim(f(x)) == 0 and np.shape(f(batch)) == (7,)
+    for i, point in enumerate(batch.to_complex()):
+        assert f(CMatrix(point)) == f(batch)[i]
+    assert [p.jet.k for p in k1 + k2] == [1] * len(k1) + [2] * len(k2)
+    for point in [x, batch] + k1 + k2:
+        got, want = f(point), ref(point)
+        if isinstance(want, JetScalar):
+            assert isinstance(got, JetScalar) and got.k == want.k
+            for key in np.ndindex(*(3,) * want.k):
+                _assert_same_phi(got.c[key], want.c[key])
+        else:
+            _assert_same_phi(got, want)
+
+
+@pytest.mark.parametrize(
+    "family, n", [(SUN_SON, 3), (SUN_SON, 6), (SPN_UN, 3), (SO2N_UN, 3), (SU2N_SPN, 3)]
+)
+def test_phi_at_a_jet_point_forms_no_jet_matrix_product(family, n, monkeypatch):
+    # phi = <g, A g J>: A g and (A g) J multiply the jet g by a plain matrix,
+    # and the pairing contracts g with A g J; g^t (A g J) would add a Cauchy
+    # product of matmuls between two jets (6 at one variable)
+    space = SymmetricSpaceSpec(family, n)
+    rng = np.random.default_rng(60 + n)
+    f = build_eigenfunction(random_parameters(space, rng))
+    su = GroupSpec(SU, space.matrix_size)
+    (point,) = _swept_points(sample(su, rng, 0.5), basis_g(su).stack())
+    calls = []
+    matmul = np.matmul
+
+    def counted(a, b, *args, **kwargs):
+        calls.append((np.ndim(a), np.ndim(b)))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    phi = f(point)
+    monkeypatch.undo()
+    assert isinstance(phi, JetScalar) and phi.k == 1
+    assert len(calls) == (2 if uses_complex_structure(space) else 1)
+    # each product has the plain A or J on one side
+    assert all(2 in dims for dims in calls), calls
 
 
 # --- eigenvalue pairs -------------------------------------------------------------

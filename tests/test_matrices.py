@@ -179,3 +179,84 @@ def test_packed_jet_entries_and_shape_errors():
         out @ g
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         g @ g
+
+
+# --- the Frobenius pairing against trace(x^t y) -------------------------------
+
+
+def trace_form(a, b):
+    """trace(a^t b) over the matrix axes of two arrays."""
+    return np.trace(np.swapaxes(a, -1, -2) @ b, axis1=-2, axis2=-1)
+
+
+def jet_trace_form(a, b, k):
+    """The coefficients of trace(x^t y) for jets x, y (coefficient arrays a,
+    b): one trace_form per pair of degrees, summed into the degree of the
+    product."""
+    out = {}
+    for da in itertools.product(range(3), repeat=k):
+        for db in itertools.product(range(3), repeat=k):
+            d = tuple(i + j for i, j in zip(da, db))
+            if max(d) <= 2:
+                out[d] = out.get(d, 0) + trace_form(a[da], b[db])
+    return out
+
+
+def assert_rel_close(got, want, dtype):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == dtype
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+PAIR_DTYPES = [np.complex128, np.clongdouble]
+
+
+@pytest.mark.parametrize("dtype", PAIR_DTYPES)
+def test_pair_of_plain_matrices_and_stacks(dtype):
+    rng = np.random.default_rng(40)
+    for shape in [(3, 4), (4, 5, 3, 3), (7, 6, 6)]:
+        x, y = (complex_array(rng, shape).astype(dtype) for _ in range(2))
+        got = CMatrix(x).pair(CMatrix(y))
+        assert_rel_close(got, trace_form(x, y), dtype)
+        assert np.shape(got) == shape[:-2]
+
+
+def test_pair_of_exact_matrices_is_exact():
+    rng = np.random.default_rng(41)
+    x, y = random_exact(rng, 3, 2), random_exact(rng, 3, 2)
+    assert x.pair(y) == (x.T @ y).trace()
+    assert abs(x.pair(CMatrix(y.to_complex())) - trace_form(x.to_complex(), y.to_complex())) < 1e-13
+
+
+@pytest.mark.parametrize("dtype", PAIR_DTYPES)
+@pytest.mark.parametrize("k, batch", JET_CASES)
+@pytest.mark.parametrize("kinds", ["jet,jet", "jet,complex", "complex,jet"])
+def test_pair_of_jet_matrices(dtype, k, batch, kinds):
+    rng = np.random.default_rng(42 + k)
+    make = {
+        "jet": lambda: CMatrix.from_jet(JetScalar(k, random_jet_matrix(rng, 3, 4, k, batch).jet.c.astype(dtype))),
+        "complex": lambda: CMatrix(complex_array(rng, (3, 4)).astype(dtype)),
+    }
+    x, y = (make[kind]() for kind in kinds.split(","))
+    got = x.pair(y)
+    assert isinstance(got, JetScalar) and got.k == k
+    coefficients = lambda m: m.jet.c if m.jet is not None else JetScalar.constant(m.data, k).c
+    want = jet_trace_form(coefficients(x), coefficients(y), k)
+    for d in itertools.product(range(3), repeat=k):
+        assert_rel_close(got.c[d], np.broadcast_to(want[d], batch), dtype)
+
+
+def test_pair_shape_errors():
+    rng = np.random.default_rng(43)
+    g = random_jet_matrix(rng, 2, 3, 1, (4,))
+    with pytest.raises(ShapeError, match=r"pair: shapes \(2, 3\) and \(3, 2\)"):
+        CMatrix.zeros(2, 3).pair(CMatrix.zeros(3, 2))
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 3\)"):
+        g.pair(CMatrix.zeros(3, 3))
+    with pytest.raises(ShapeError, match=r"\(3, 2\).*\(2, 3\)"):
+        g.T.pair(g)
+    with pytest.raises(TypeError):
+        g.pair(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="variable counts differ"):
+        g.pair(random_jet_matrix(rng, 2, 3, 2))
