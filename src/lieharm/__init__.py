@@ -13,8 +13,8 @@ from .eigenfamilies import (
     EigenfunctionSpec,
     build_eigenfunction,
     expected_eigenvalues,
-    verify_dual,
     verify_eigen,
+    verify_phi2,
 )
 from .formal import FormalSum, build_phi_p, evaluate_formal, tau_formal, verify_p_harmonic
 from .harness import RunConfig, run
@@ -42,8 +42,8 @@ __all__ = [
     "EigenfunctionSpec",
     "build_eigenfunction",
     "expected_eigenvalues",
-    "verify_dual",
     "verify_eigen",
+    "verify_phi2",
     "FormalSum",
     "build_phi_p",
     "evaluate_formal",

@@ -19,6 +19,7 @@ from .harness import (
     ConfigError,
     DEFAULT_SPACES,
     RunConfig,
+    SUITE_DEFAULTS,
     SUITES,
     report_fingerprint,
     run,
@@ -80,10 +81,11 @@ def load_config_file(path: str) -> Dict:
     return out
 
 
-def _convert(key: str, raw: str):
-    caster = _SCALAR_KEYS.get(key)
-    if caster is None:
-        return raw
+def _convert(key: str, raw: str, suite: Optional[str] = None):
+    """Parse a value as the type of its suite's built-in default or RunConfig
+    field; an unknown key stays a string, for `RunConfig.validate` to reject."""
+    defaults = SUITE_DEFAULTS.get(suite, {})
+    caster = type(defaults[key]) if key in defaults else _SCALAR_KEYS.get(key, str)
     try:
         if caster is int:
             return int(float(raw)) if "e" in raw.lower() else int(raw)
@@ -131,7 +133,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values["explicit"] = tuple(explicit)
 
     overrides = {
-        suite: {k: _convert(k, v) for k, v in section.items()}
+        suite: {k: _convert(k, v, suite) for k, v in section.items()}
         for suite, section in file_cfg["suites"].items()
     }
     values["suite_overrides"] = overrides

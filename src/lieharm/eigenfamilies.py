@@ -1,6 +1,7 @@
 """The four eigenfunction families: construction, parameter validation,
-exact expected eigenvalues, and verification of the eigen-equations on the
-compact spaces and (sign-flipped) on their non-compact duals.
+exact expected eigenvalues, verification of the eigen-equations on the
+compact spaces, and one nested-tau^2 check of Phi_2 o phi that runs on the
+compact spaces or (sign-flipped) on their non-compact duals.
 
 Families and their data:
 
@@ -21,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .diffops import GroupFunction, tau_and_kappa, tau_iterated
+from .diffops import GroupFunction, tau, tau_and_kappa, tau_iterated
 from .exact import RationalComplex
-from .formal import FormalSum, build_phi_p, evaluate_formal, log_domain_ok
+from .formal import FormalSum, build_phi_p, evaluate_formal, log_domain_ok, tau_formal
 from .lie import (
     SO2N_UN,
     SPN_UN,
@@ -258,83 +259,107 @@ def verify_eigen(
     return out
 
 
-@dataclass
-class DualVerification:
-    spec: EigenfunctionSpec
-    samples: int
-    tol: float
-    max_tau_residual: float = 0.0
-    max_kappa_residual: float = 0.0
-    max_tau2_residual: float = 0.0  # raw |tau^2 of the dual Phi_2|
-    max_tau2_scaled: float = 0.0  # the same, relative to max(1, |Phi_2|) at the point
-    rejected_points: int = 0
-    passed: bool = True
-    vacuous: bool = False
-    witness_coefficients: Optional[list] = None
+class Phi2Point(NamedTuple):
+    """The four checks of `verify_phi2` at one admissible point."""
+
+    phi: complex
+    tau: float  # |tau phi - lambda' phi|
+    kappa: float  # |kappa(phi, phi) - mu' phi^2|
+    tau1_rel: float  # |tau(Phi_2 o phi) - formal tau Phi_2| / max(1, |formal|)
+    tau2_abs: float  # |tau^2(Phi_2 o phi)|
+    tau2_scaled: float  # the same over max(1, |Phi_2 o phi|)
 
     @property
-    def max_residual(self) -> float:
-        return max(self.max_tau_residual, self.max_kappa_residual, self.max_tau2_scaled)
+    def residual(self) -> float:
+        return max(self.tau, self.kappa, self.tau1_rel, self.tau2_scaled)
 
 
-def verify_dual(
-    spec: EigenfunctionSpec,
-    samples: int,
-    tol: float,
-    rng: np.random.Generator,
-    sigma: float = 0.2,
-    tau2_tol: Optional[float] = None,
-    budget: int = 10**6,
-) -> DualVerification:
-    """On dual sample points: tau over i.m equals -lambda phi, kappa over i.m
-    equals -mu phi^2, and the dual Phi_2 (built from the flipped eigenvalues)
-    is annihilated by the squared dual Laplacian."""
-    out = DualVerification(spec, samples, tol)
-    if samples <= 0:
-        out.vacuous = True
-        return out
-    space = spec.space
-    _, m_basis = cartan_decomposition(space)
-    dual_dirs = 1j * m_basis.stack()
+def phi2_point(
+    spec: EigenfunctionSpec, dual: bool
+) -> Tuple[FormalSum, Callable[[CMatrix, int], Optional[Phi2Point]]]:
+    """The exact formal tau^2 of the Phi_2 that `verify_phi2` checks, and its
+    per-point code (which replay runs too): a function of (point, budget),
+    None where phi is outside the log domain.  `dual` selects the directions
+    (g, or 1j * m) and the signs ((lambda, mu), or (-lambda, -mu)) that
+    Phi_2 is built from.  The tau^1 comparison holds for any Phi_2 by the
+    chain rule; only tau^2 tells a wrong Phi_2 from the right one."""
     f = build_eigenfunction(spec)
-    lam_rc, mu_rc = expected_eigenvalues(spec)
-    lam, mu = complex(lam_rc), complex(mu_rc)
-    phi2_dual: FormalSum = build_phi_p(2, -lam_rc, -mu_rc)
+    lam, mu = expected_eigenvalues(spec)
+    if dual:
+        lam, mu = -lam, -mu
+        dirs = 1j * cartan_decomposition(spec.space)[1].stack()
+    else:
+        dirs = basis_g(spec.space.group_spec()).stack()
+    phi2 = build_phi_p(2, lam, mu)
+    tau1 = tau_formal(phi2, lam, mu)
+    tau2 = tau_formal(tau1, lam, mu)
+    h = GroupFunction(lambda g: evaluate_formal(phi2, f(g)), domain=f.domain, name="Phi2.phi")
+    lam, mu = complex(lam), complex(mu)
 
-    def h_fn(g: CMatrix):
-        return evaluate_formal(phi2_dual, f(g))
-
-    h = GroupFunction(h_fn, domain=f.domain, name="dual-Phi2")
-    tau2_tol = tol if tau2_tol is None else tau2_tol
-
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 50 * samples:
-            raise RuntimeError(f"{space}: could not find enough admissible dual points")
-        x, a_c, b_c = sample_dual_with_coefficients(space, rng, sigma)
+    def check(x: CMatrix, budget: int) -> Optional[Phi2Point]:
         phi = complex(f(x))
-        scale = max(1.0, abs(phi))
-        t, kap = tau_and_kappa(f, x, dual_dirs)
-        r1 = abs(t - (-lam) * phi)
-        r2 = abs(kap - (-mu) * phi * phi)
-        if log_domain_ok(phi):
-            r3 = abs(complex(tau_iterated(h, x, dual_dirs, 2, budget=budget)))
-            # phi^{1-lam/mu} may dwarf unity; judge nullity against its size
-            r3_scaled = r3 / max(1.0, abs(complex(h(x))))
+        if not log_domain_ok(phi):
+            return None
+        t, kap = tau_and_kappa(f, x, dirs)
+        t1_sym = complex(evaluate_formal(tau1, phi))
+        t1_rel = abs(complex(tau(h, x, dirs)) - t1_sym) / max(1.0, abs(t1_sym))
+        t2 = abs(complex(tau_iterated(h, x, dirs, 2, budget=budget)))
+        # phi^{1-lambda/mu} can be huge at small |phi|; judge the nullity of
+        # tau^2 relative to the size of the function it acts on
+        t2_scaled = t2 / max(1.0, abs(complex(h(x))))
+        return Phi2Point(phi, abs(t - lam * phi), abs(kap - mu * phi * phi), t1_rel, t2, t2_scaled)
+
+    return tau2, check
+
+
+@dataclass
+class Phi2Verification:
+    points: List[Phi2Point] = field(default_factory=list)
+    rejected_points: int = 0
+    witness_coefficients: Optional[list] = None  # of the first failing point
+    tau2_formal: FormalSum = field(default_factory=FormalSum)  # zero for a biharmonic Phi_2
+
+    @property
+    def passed(self) -> bool:
+        return self.witness_coefficients is None and self.tau2_formal.is_zero()
+
+    def worst(self, component: str) -> float:
+        """The largest value of a `Phi2Point` field or of its `residual`."""
+        return max((getattr(p, component) for p in self.points), default=0.0)
+
+
+def verify_phi2(
+    spec: EigenfunctionSpec, samples: int, tol: float, rng: np.random.Generator,
+    *, dual: bool, sigma: float, tau2_tol: float, budget: int = 10**6,
+) -> Phi2Verification:
+    """The nested-tau^2 check of Phi_2 o phi on the compact space or its dual.
+
+    The formal tau^2 of Phi_2 must be zero.  At `samples` points with phi in
+    the log domain: tau phi and kappa(phi, phi) match lambda' phi and
+    mu' phi^2 within tol * max(1, |phi|), tau(Phi_2 o phi) the formal tau Phi_2
+    within tol relative, and |tau^2(Phi_2 o phi)| / max(1, |Phi_2 o phi|) is
+    at most tau2_tol.  Other draws are redrawn and counted; past 50 * samples
+    draws RuntimeError.  `BudgetExceeded` if tau^2 would exceed the budget.
+    """
+    out = Phi2Verification()
+    out.tau2_formal, check = phi2_point(spec, dual)
+    while len(out.points) < samples:
+        if len(out.points) + out.rejected_points >= 50 * samples:
+            raise RuntimeError(f"{spec.space}: could not find enough admissible points")
+        if dual:
+            x, a, b = sample_dual_with_coefficients(spec.space, rng, sigma)
+            coeffs = np.concatenate([a, b])  # over k, then over m
         else:
-            r3 = r3_scaled = 0.0
+            x, coeffs = sample_with_coefficients(spec.space.group_spec(), rng, sigma)
+        point = check(x, budget)
+        if point is None:
             out.rejected_points += 1
-        out.max_tau_residual = max(out.max_tau_residual, r1)
-        out.max_kappa_residual = max(out.max_kappa_residual, r2)
-        out.max_tau2_residual = max(out.max_tau2_residual, r3)
-        out.max_tau2_scaled = max(out.max_tau2_scaled, r3_scaled)
-        point_ok = r1 <= tol * scale and r2 <= tol * scale and r3_scaled <= tau2_tol
-        if not point_ok and out.witness_coefficients is None:
-            out.witness_coefficients = [float(c) for c in np.concatenate([a_c, b_c])]
-        out.passed = out.passed and point_ok
-        done += 1
+            continue
+        out.points.append(point)
+        ok = max(point.tau, point.kappa) <= tol * max(1.0, abs(point.phi))
+        ok = ok and point.tau1_rel <= tol and point.tau2_scaled <= tau2_tol
+        if out.witness_coefficients is None and not ok:
+            out.witness_coefficients = [float(c) for c in coeffs]
     return out
 
 

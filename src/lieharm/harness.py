@@ -11,6 +11,7 @@ after stripping the timestamp and the per-record wall times.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -21,17 +22,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .diffops import GroupFunction, tau, tau_iterated
+from .diffops import BudgetExceeded, tau_and_kappa
 from .eigenfamilies import (
     EigenfunctionSpec,
     build_eigenfunction,
     expected_eigenvalues,
+    phi2_point,
     random_parameters,
-    verify_dual,
     verify_eigen,
+    verify_phi2,
 )
 from .exact import rc
-from .formal import build_phi_p, evaluate_formal, log_domain_ok, tau_formal, verify_p_harmonic
+from .formal import build_phi_p, verify_p_harmonic
 from .identities import (
     IdentityCheckResult,
     assert_full_coverage,
@@ -49,7 +51,9 @@ from .lie import (
     GroupSpec,
     SymmetricSpaceSpec,
     basis_g,
-    sample_with_coefficients,
+    cartan_decomposition,
+    rebuild_dual_sample,
+    rebuild_sample,
 )
 
 SUITES = ("eigen", "dual", "pharmonic", "identities", "crosscheck")
@@ -63,7 +67,7 @@ DEFAULT_SPACES: Tuple[Tuple[str, int], ...] = tuple(
 # Per-suite default overrides, applied beneath config-file sections and CLI flags.
 SUITE_DEFAULTS: Dict[str, Dict] = {
     "identities": {"samples": 20, "tol": 1e-9},
-    "crosscheck": {"samples": 10, "abs_tol": 1e-6, "rel_tol": 1e-7},
+    "crosscheck": {"samples": 10, "tau2_tol": 1e-6},
     "dual": {"sigma": 0.2, "tau2_tol": 1e-5, "tol": 1e-7},
     "eigen": {"draws": 3},
 }
@@ -100,10 +104,17 @@ class RunConfig:
                 raise ConfigError(f"space parameter n must be an integer >= 2, got {n!r}")
         if self.p_max < 1:
             raise ConfigError(f"p_max must be >= 1, got {self.p_max}")
-        if self.samples < 0:
-            raise ConfigError(f"samples must be >= 0, got {self.samples}")
-        if self.tol <= 0 or self.sigma <= 0:
-            raise ConfigError("tol and sigma must be positive")
+        globals_ = {"samples": self.samples, "tol": self.tol, "sigma": self.sigma}
+        for section, values in [("run", globals_), *self.suite_overrides.items()]:
+            known = tuple(globals_) + tuple(SUITE_DEFAULTS.get(section, {}))
+            for key, value in values.items():
+                if key not in known:
+                    raise ConfigError(f"unknown config key {key!r} in [{section}]")
+                # samples >= 0 and draws >= 1; tol, sigma and tau2_tol positive
+                least = {"samples": 0, "draws": 1}.get(key)
+                if (value < least) if least is not None else (value <= 0):
+                    bound = "positive" if least is None else f">= {least}"
+                    raise ConfigError(f"{key} in [{section}] must be {bound}, got {value!r}")
         if self.budget < 1:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")
         if self.jobs < 1:
@@ -277,45 +288,57 @@ def eigen_suite(cfg: RunConfig) -> List[CheckRecord]:
                 spec = random_parameters(space, rng)
                 v = verify_eigen(spec, samples, tol, rng, sigma=sigma)
                 params = {"n": space.n, "draw": draw}
-                if v.vacuous:
-                    params["warning"] = "no samples requested; vacuous pass"
-                if v.witness_coefficients is not None:
-                    params["witness_coefficients"] = v.witness_coefficients
-                    params["witness_a"] = [
-                        [float(z.real), float(z.imag)] for z in np.asarray(spec.a)
-                    ]
-                    if spec.indices is not None:
-                        params["witness_indices"] = list(spec.indices)
+                params.update(_sample_params(spec, samples, v.witness_coefficients))
                 return v.max_residual, v.passed, params
 
             records.append(_timed(task, f"eigen/{family}"))
     return records
 
 
-def dual_suite(cfg: RunConfig) -> List[CheckRecord]:
+def _sample_params(spec: EigenfunctionSpec, samples: int, witness: Optional[list]) -> Dict:
+    """A sampled record's warning if it checked no point, or what
+    `replay_record` needs to rebuild its first failing point and phi there."""
+    if samples <= 0:
+        return {"warning": "no samples requested; vacuous pass"}
+    if witness is None:
+        return {}
+    params = {
+        "witness_coefficients": witness,
+        "witness_a": [[float(z.real), float(z.imag)] for z in np.asarray(spec.a)],
+    }
+    if spec.indices is not None:
+        params["witness_indices"] = list(spec.indices)
+    return params
+
+
+def _phi2_suite(cfg: RunConfig, suite: str) -> List[CheckRecord]:
+    """`verify_phi2` per space: on the dual for "dual", the compact space for "crosscheck"."""
     records = []
-    samples = cfg.suite_param("dual", "samples")
-    tol = cfg.suite_param("dual", "tol")
-    sigma = cfg.suite_param("dual", "sigma")
-    tau2_tol = cfg.suite_param("dual", "tau2_tol")
+    samples, tol, sigma, tau2_tol = (cfg.suite_param(suite, k) for k in ("samples", "tol", "sigma", "tau2_tol"))
     for family, n in cfg.spaces:
         space = SymmetricSpaceSpec(family, n)
 
         def task(space=space):
-            rng = substream(cfg.seed, "dual", space.family, space.n)
+            rng = substream(cfg.seed, suite, space.family, space.n)
             spec = random_parameters(space, rng)
-            v = verify_dual(
-                spec, samples, tol, rng, sigma=sigma, tau2_tol=tau2_tol, budget=cfg.budget
-            )
+            try:
+                v = verify_phi2(spec, samples, tol, rng, dual=suite == "dual", sigma=sigma,
+                                tau2_tol=tau2_tol, budget=cfg.budget)
+            except BudgetExceeded:
+                return 0.0, True, {"n": space.n, "skipped": "budget"}
             params = {"n": space.n, "rejected": v.rejected_points}
-            if v.vacuous:
-                params["warning"] = "no samples requested; vacuous pass"
-            if v.witness_coefficients is not None:
-                params["witness_coefficients"] = v.witness_coefficients
-            return v.max_residual, v.passed, params
+            params.update((key, v.worst(key)) for key in ("tau2_abs", "tau2_scaled", "tau1_rel"))
+            if not v.tau2_formal.is_zero():
+                params["tau2_formal"] = v.tau2_formal.serialize()
+            params.update(_sample_params(spec, samples, v.witness_coefficients))
+            return v.worst("residual"), v.passed, params
 
-        records.append(_timed(task, f"dual/{family}"))
+        records.append(_timed(task, f"{suite}/{family}"))
     return records
+
+
+dual_suite = functools.partial(_phi2_suite, suite="dual")
+crosscheck_suite = functools.partial(_phi2_suite, suite="crosscheck")
 
 
 def pharmonic_suite(cfg: RunConfig) -> List[CheckRecord]:
@@ -392,64 +415,6 @@ def identities_suite(cfg: RunConfig) -> List[CheckRecord]:
     return records
 
 
-def crosscheck_suite(cfg: RunConfig) -> List[CheckRecord]:
-    records = []
-    samples = cfg.suite_param("crosscheck", "samples")
-    sigma = cfg.suite_param("crosscheck", "sigma")
-    abs_tol = cfg.suite_param("crosscheck", "abs_tol")
-    rel_tol = cfg.suite_param("crosscheck", "rel_tol")
-    for family, n in cfg.spaces:
-        space = SymmetricSpaceSpec(family, n)
-
-        def task(space=space):
-            rng = substream(cfg.seed, "crosscheck", space.family, space.n)
-            spec = random_parameters(space, rng)
-            f = build_eigenfunction(spec)
-            lam, mu = expected_eigenvalues(spec)
-            phi2 = build_phi_p(2, lam, mu)
-            tau1_formal = tau_formal(phi2, lam, mu)
-            g_spec = space.group_spec()
-            b = basis_g(g_spec)
-            dim = len(b)
-            if dim**2 > cfg.budget:
-                return 0.0, True, {"n": space.n, "skipped": "budget"}
-
-            def h_fn(g):
-                return evaluate_formal(phi2, f(g))
-
-            h = GroupFunction(h_fn, domain=g_spec, name="Phi2.phi")
-            worst_abs = worst_scaled = worst_rel = 0.0
-            done = attempts = 0
-            while done < samples:
-                attempts += 1
-                if attempts > 50 * max(samples, 1):
-                    raise RuntimeError(f"{space}: not enough admissible points for crosscheck")
-                x, _ = sample_with_coefficients(g_spec, rng, sigma)
-                phi = complex(f(x))
-                if not log_domain_ok(phi):
-                    continue
-                done += 1
-                t2 = complex(tau_iterated(h, x, b, 2, budget=cfg.budget))
-                # phi^{1-lam/mu} can be huge at small |phi|; judge the nullity
-                # of tau^2 relative to the size of the function it acts on
-                scale = max(1.0, abs(complex(h(x))))
-                worst_abs = max(worst_abs, abs(t2))
-                worst_scaled = max(worst_scaled, abs(t2) / scale)
-                t1_num = complex(tau(h, x, b))
-                t1_sym = complex(evaluate_formal(tau1_formal, phi))
-                worst_rel = max(worst_rel, abs(t1_num - t1_sym) / max(1.0, abs(t1_sym)))
-            ok = worst_scaled <= abs_tol and worst_rel <= rel_tol
-            return max(worst_scaled, worst_rel), ok, {
-                "n": space.n,
-                "tau2_abs": worst_abs,
-                "tau2_scaled": worst_scaled,
-                "tau1_rel": worst_rel,
-            }
-
-        records.append(_timed(task, f"crosscheck/{family}"))
-    return records
-
-
 SUITE_RUNNERS = {
     "eigen": eigen_suite,
     "dual": dual_suite,
@@ -492,26 +457,32 @@ def run(config: RunConfig) -> VerificationReport:
 
 
 def replay_record(record: CheckRecord, config: RunConfig) -> float:
-    """Recompute the residual of a failed eigen record from its stored witness.
+    """Recompute the residual of a failed sampled record at its stored witness.
 
-    Rebuilding the sample from the recorded algebra coefficients reproduces
-    the identical floating-point pipeline, so the residual matches to 1e-14.
+    The point is rebuilt from its recorded algebra coefficients, bit for bit
+    the point the suite drew.  An eigen record replays tau and kappa there;
+    a dual or crosscheck record replays the point's residual through
+    `phi2_point`, the per-point code of `verify_phi2`.  The witness is the
+    first failing point, so this is at most the record's (worst) residual.
     """
-    from .lie import rebuild_sample
-
     params = record.params
     if "witness_coefficients" not in params:
         raise ConfigError("record carries no witness to replay")
-    family = record.name.split("/", 1)[1]
+    suite, family = record.name.split("/", 1)
     space = SymmetricSpaceSpec(family, int(params["n"]))
     a = np.array([complex(re, im) for re, im in params["witness_a"]])
     indices = tuple(params["witness_indices"]) if "witness_indices" in params else None
     spec = EigenfunctionSpec(space, a, indices, _skip_validation=True)
+    coefficients = params["witness_coefficients"]
+    if suite == "dual":
+        k = len(cartan_decomposition(space)[0])
+        x = rebuild_dual_sample(space, coefficients[:k], coefficients[k:])
+        return phi2_point(spec, dual=True)[1](x, config.budget).residual
+    x = rebuild_sample(space.group_spec(), coefficients)
+    if suite == "crosscheck":
+        return phi2_point(spec, dual=False)[1](x, config.budget).residual
     f = build_eigenfunction(spec)
-    x = rebuild_sample(space.group_spec(), params["witness_coefficients"])
     lam, mu = (complex(v) for v in expected_eigenvalues(spec))
     phi = complex(f(x))
-    from .diffops import tau_and_kappa
-
     t, kap = tau_and_kappa(f, x, basis_g(space.group_spec()))
     return max(abs(t - lam * phi), abs(kap - mu * phi * phi))

@@ -16,8 +16,8 @@ from lieharm.eigenfamilies import (
     kappa_defect_nonisotropic,
     random_parameters,
     uses_complex_structure,
-    verify_dual,
     verify_eigen,
+    verify_phi2,
 )
 from lieharm.exact import RationalComplex
 from lieharm.jets import JetScalar
@@ -388,16 +388,51 @@ def test_intermediate_kappa_identity_su3():
 def test_verify_dual_sun_son():
     rng = np.random.default_rng(7)
     spec = random_parameters(SymmetricSpaceSpec(SUN_SON, 2), rng)
-    v = verify_dual(spec, samples=5, tol=1e-7, rng=rng, sigma=0.2, tau2_tol=1e-5)
+    v = verify_phi2(spec, samples=5, tol=1e-7, rng=rng, dual=True, sigma=0.2, tau2_tol=1e-5)
     assert v.passed
-    assert v.max_tau_residual < 1e-9
-    assert v.max_kappa_residual < 1e-9
-    assert v.max_tau2_residual < 1e-9
+    assert len(v.points) == 5
+    assert v.worst("tau") < 1e-9
+    assert v.worst("kappa") < 1e-9
+    assert v.worst("tau2_abs") < 1e-9
 
 
 def test_verify_dual_other_families():
     rng = np.random.default_rng(8)
     for family in (SPN_UN, SU2N_SPN):
         spec = random_parameters(SymmetricSpaceSpec(family, 2), rng)
-        v = verify_dual(spec, samples=3, tol=1e-7, rng=rng, sigma=0.2, tau2_tol=1e-5)
+        v = verify_phi2(spec, samples=3, tol=1e-7, rng=rng, dual=True, sigma=0.2, tau2_tol=1e-5)
         assert v.passed, (family, v)
+
+
+def _phi2_at_fault(monkeypatch, eps):
+    """Build Phi_2 from lambda (1 + eps) while phi keeps its true lambda."""
+    from lieharm import eigenfamilies
+    from lieharm.formal import build_phi_p
+
+    bump = RationalComplex(1 + eps)
+    monkeypatch.setattr(eigenfamilies, "build_phi_p", lambda p, lam, mu: build_phi_p(p, lam * bump, mu))
+
+
+@pytest.mark.parametrize("family", SPACE_FAMILIES)
+@pytest.mark.parametrize("suite", ["crosscheck", "dual"])
+def test_phi2_check_catches_a_perturbed_lambda(monkeypatch, family, suite):
+    from lieharm.harness import RunConfig, substream
+
+    cfg = RunConfig()
+    tol, sigma, tau2_tol = (cfg.suite_param(suite, key) for key in ("tol", "sigma", "tau2_tol"))
+
+    def run_check():
+        rng = substream(cfg.seed, suite, family, 2)
+        spec = random_parameters(SymmetricSpaceSpec(family, 2), rng)
+        return verify_phi2(spec, 2, tol, rng, dual=suite == "dual", sigma=sigma, tau2_tol=tau2_tol)
+
+    assert run_check().passed
+    # 1e-6 hides under the float64 noise of tau^2 on some spaces, and tau^1
+    # matches the formal layer for any Phi_2; the exact formal tau^2 sees it
+    _phi2_at_fault(monkeypatch, Fraction(1, 10**6))
+    v = run_check()
+    assert not v.passed and not v.tau2_formal.is_zero()
+    # 1e-4 is far enough above the noise that the numeric tau^2 alone fails
+    _phi2_at_fault(monkeypatch, Fraction(1, 10**4))
+    v = run_check()
+    assert v.worst("tau2_scaled") > tau2_tol and v.witness_coefficients is not None

@@ -217,6 +217,36 @@ def test_batched_eigen_witness_replays_its_point():
     assert 0 < replayed <= rec.residual + 1e-14
 
 
+@pytest.mark.parametrize("suite", ["dual", "crosscheck"])
+def test_nested_failure_records_witness_and_replays(suite):
+    # tau^2 is rounding noise, never below 1e-30 relative: every point fails,
+    # so the witness is the first point, and with one sample it is the record
+    cfg = RunConfig(suites=(suite,), spaces=((SU2N_SPN, 2),),
+                    suite_overrides={suite: {"samples": 1, "tau2_tol": 1e-30}})
+    (rec,) = run(cfg).records
+    assert not rec.passed
+    assert {"witness_coefficients", "witness_a", "witness_indices"} <= rec.params.keys()
+    assert rec.params["tau2_scaled"] > 1e-30
+    assert replay_record(rec, cfg) == rec.residual
+
+
+def test_nested_record_reports_a_nonzero_formal_tau2(monkeypatch):
+    # a Phi_2 built from a wrong lambda is not biharmonic in the formal
+    # algebra, however small the error; the sampled checks cannot see 1e-12
+    from fractions import Fraction
+
+    from lieharm import eigenfamilies
+    from lieharm.exact import RationalComplex
+    from lieharm.formal import build_phi_p
+
+    bump = RationalComplex(1 + Fraction(1, 10**12))
+    monkeypatch.setattr(eigenfamilies, "build_phi_p", lambda p, lam, mu: build_phi_p(p, lam * bump, mu))
+    cfg = RunConfig(suites=("dual",), spaces=((SUN_SON, 2),), suite_overrides={"dual": {"samples": 1}})
+    (rec,) = run(cfg).records
+    assert not rec.passed and rec.params["tau2_formal"] != "0"
+    assert "witness_coefficients" not in rec.params
+
+
 def test_import_does_not_load_scipy():
     # scipy is a test-only dependency; importing it would cost ~0.3 s per run
     code = "import sys, lieharm, lieharm.cli; print('scipy' in sys.modules)"
@@ -227,12 +257,13 @@ def test_import_does_not_load_scipy():
 
 
 def test_budget_skip_is_reported_not_failed():
-    cfg = RunConfig(suites=("crosscheck",), spaces=((SUN_SON, 3),), budget=4)
-    report = run(cfg)
-    assert report.passed
-    assert any("skipped (budget)" in w for w in report.warnings)
-    rec = report.records[0]
-    assert rec.params.get("skipped") == "budget"
+    for suite in ("crosscheck", "dual"):
+        cfg = RunConfig(suites=(suite,), spaces=((SUN_SON, 3),), budget=4)
+        report = run(cfg)
+        assert report.passed
+        assert any("skipped (budget)" in w for w in report.warnings)
+        rec = report.records[0]
+        assert rec.params.get("skipped") == "budget"
 
 
 def test_crosscheck_and_dual_share_the_log_domain_predicate(monkeypatch):
@@ -244,7 +275,6 @@ def test_crosscheck_and_dual_share_the_log_domain_predicate(monkeypatch):
         seen.append(phi)
         return False
 
-    monkeypatch.setattr(harness, "log_domain_ok", reject)
     monkeypatch.setattr(eigenfamilies, "log_domain_ok", reject)
     cfg = RunConfig(suites=("crosscheck",), spaces=((SUN_SON, 2),),
                     suite_overrides={"crosscheck": {"samples": 1}})
@@ -253,8 +283,30 @@ def test_crosscheck_and_dual_share_the_log_domain_predicate(monkeypatch):
     assert len(seen) == 50
     cfg = RunConfig(suites=("dual",), spaces=((SUN_SON, 2),),
                     suite_overrides={"dual": {"samples": 2}})
-    assert run(cfg).records[0].params["rejected"] == 2
-    assert len(seen) == 52
+    with pytest.raises(RuntimeError, match="admissible"):
+        harness.dual_suite(cfg)
+    assert len(seen) == 150
+
+
+def test_rejected_draws_are_redrawn_and_counted(monkeypatch):
+    # a draw outside the log domain is not a sample: the record still checks
+    # `samples` points, and counts the draws it rejected
+    from lieharm import eigenfamilies
+
+    calls = []
+
+    def reject_every_other(phi):
+        calls.append(phi)
+        return len(calls) % 2 == 0
+
+    monkeypatch.setattr(eigenfamilies, "log_domain_ok", reject_every_other)
+    for suite in ("crosscheck", "dual"):
+        calls.clear()
+        cfg = RunConfig(suites=(suite,), spaces=((SUN_SON, 2),),
+                        suite_overrides={suite: {"samples": 2}})
+        (rec,) = run(cfg).records
+        assert rec.passed and rec.params["rejected"] == 2, rec
+        assert len(calls) == 4
 
 
 # --- CLI ---------------------------------------------------------------------------
@@ -327,6 +379,48 @@ def test_cli_unknown_config_section(tmp_path):
     cfg_file.write_text("[mystery]\nsamples = 2\n")
     with pytest.raises(ConfigError, match="mystery"):
         build_config(_args(["all", "--config", str(cfg_file)]))
+
+
+def test_cli_suite_section_values_are_typed(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        "[eigen]\n"
+        "draws = 2\n"
+        "samples = 1e1\n"
+        "[dual]\n"
+        "tau2_tol = 1e-3\n"
+        "sigma = 0.25\n"
+        "[identities]\n"
+        "samples = 0\n"
+    )
+    cfg = build_config(_args(["all", "--config", str(cfg_file)]))
+    assert cfg.suite_overrides == {
+        "eigen": {"draws": 2, "samples": 10},
+        "dual": {"tau2_tol": 1e-3, "sigma": 0.25},
+        "identities": {"samples": 0},
+    }
+    assert main(["eigen", "--space", "sun_son:2", "--config", str(cfg_file)]) == 0
+    # the same range checks hold for overrides given through the API
+    for bad in ({"eigen": {"draws": 0}}, {"crosscheck": {"tau2_tol": -1e-6}}, {"dual": {"abs_tol": 1e-5}}):
+        with pytest.raises(ConfigError):
+            RunConfig(suite_overrides=bad).validate()
+
+
+@pytest.mark.parametrize("section", [
+    # keys no suite section takes, or not this one
+    "[crosscheck]\nabs_tol = 1e-5\n", "[crosscheck]\nrel_tol = 1e-7\n",
+    "[eigen]\ntau2_tol = 1e-3\n", "[dual]\ndraws = 2\n", "[eigen]\nseed = 3\n",
+    # values out of the range of the global field of that name
+    "[eigen]\ndraws = -1\n", "[eigen]\nsamples = -1\n", "[dual]\nsigma = 0\n",
+    "[crosscheck]\ntol = 0\n", "[dual]\ntau2_tol = -1e-5\n",
+])
+def test_cli_unknown_suite_key(tmp_path, section):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(section)
+    key = section.split("\n")[1].split(" ")[0]
+    with pytest.raises(ConfigError, match=key):
+        build_config(_args(["all", "--config", str(cfg_file)]))
+    assert main(["all", "--config", str(cfg_file)]) == 2
 
 
 def test_env_override(monkeypatch):
