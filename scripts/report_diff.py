@@ -1,0 +1,89 @@
+"""Residual-level diff of two lieharm reports.
+
+    python3 scripts/report_diff.py A.json B.json
+
+Keys every record of the old report A and the new report B on
+(name, n, draw, p); a key that occurs twice in one report is an error.
+Prints the records only one report has, every verdict flip, whether the two
+fingerprints match, and per suite the number of records both reports have,
+how many of their residuals are bitwise equal, the range of the new/old
+ratio of the others, and the worst residual of B.  Exits 1 if a verdict
+flipped or the record sets differ, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from lieharm.harness import report_fingerprint  # noqa: E402
+
+KEY_PARAMS = ("n", "draw", "p")
+
+
+def keyed_records(report: Dict, label: str) -> Dict[Tuple, Dict]:
+    """The records of a report by (name, n, draw, p); ValueError on a duplicate key."""
+    out: Dict[Tuple, Dict] = {}
+    for rec in report["records"]:
+        key = (rec["name"], *(rec["params"].get(k) for k in KEY_PARAMS))
+        if key in out:
+            raise ValueError(f"{label}: duplicate record key {format_key(key)}")
+        out[key] = rec
+    return out
+
+
+def format_key(key: Tuple) -> str:
+    params = " ".join(f"{k}={v}" for k, v in zip(KEY_PARAMS, key[1:]) if v is not None)
+    return f"{key[0]} {params}".rstrip()
+
+
+def ratio(old: float, new: float) -> float:
+    return new / old if old else math.inf
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", help="the report to compare against")
+    parser.add_argument("new", help="the report to compare")
+    args = parser.parse_args(argv)
+
+    reports = []
+    for label in (args.old, args.new):
+        with open(label, encoding="utf-8") as fh:
+            reports.append(json.load(fh))
+    old, new = (keyed_records(report, label) for report, label in zip(reports, (args.old, args.new)))
+
+    missing = [key for key in old if key not in new]
+    added = [key for key in new if key not in old]
+    common = [key for key in old if key in new]
+    flips = [key for key in common if old[key]["pass"] != new[key]["pass"]]
+    for title, keys in (("missing in new", missing), ("added in new", added)):
+        for key in keys:
+            print(f"{title}: {format_key(key)}")
+    for key in flips:
+        print(f"verdict flip: {format_key(key)} pass {old[key]['pass']} -> {new[key]['pass']}, "
+              f"residual {old[key]['residual']:.3e} -> {new[key]['residual']:.3e}")
+    same = report_fingerprint(reports[0]) == report_fingerprint(reports[1])
+    print(f"fingerprints {'match' if same else 'differ'}")
+
+    print(f"{'suite':12} {'records':>7} {'bitwise':>7} {'new/old ratio':>19} {'worst new':>10}")
+    for suite in sorted({key[0].split("/", 1)[0] for key in common}):
+        keys = [key for key in common if key[0].split("/", 1)[0] == suite]
+        pairs = [(old[key]["residual"], new[key]["residual"]) for key in keys]
+        ratios = [ratio(a, b) for a, b in pairs if a != b]
+        span = f"x{min(ratios):.2f} - x{max(ratios):.2f}" if ratios else "-"
+        equal = sum(a == b for a, b in pairs)
+        worst = max(b for _, b in pairs)
+        print(f"{suite:12} {len(keys):7} {equal:7} {span:>19} {worst:10.3e}")
+    print(f"{len(flips)} verdict flips, {len(missing)} missing and {len(added)} added records")
+    return 1 if flips or missing or added else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from .jets import JetDomainError, JetScalar
-from .lie import AlgebraBasis, GroupSpec
+from .lie import Basis, GroupSpec
 from .matrices import CMatrix, jet_width
 
 Scalar = Union[complex, np.ndarray, JetScalar]
@@ -82,7 +82,7 @@ def coordinate_function(j: int, alpha: int, domain: Optional[GroupSpec] = None) 
 
 
 def _dirs_array(dirs) -> np.ndarray:
-    if isinstance(dirs, AlgebraBasis):
+    if isinstance(dirs, Basis):
         return dirs.stack()
     if isinstance(dirs, np.ndarray):
         return dirs

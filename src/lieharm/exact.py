@@ -1,11 +1,12 @@
 """Exact scalar arithmetic: rationals extended by sqrt(2), and rational complex numbers.
 
-QSqrt2 is the type of the scale c of a lattice basis element c N (see
-`lie.Lattice`); `(c * c).as_fraction()` is the element's exact weight in
-the generator sums and raises if c^2 is irrational.  RationalComplex has
-plain rational real and imaginary parts; it backs the eigenvalue
-constants, the formal phi^a (log phi)^b algebra and every identity check
-that must have residual *identically* zero rather than merely small.
+RationalComplex has plain rational real and imaginary parts; it backs the
+eigenvalue constants, the formal phi^a (log phi)^b algebra and every
+identity check that must have residual *identically* zero rather than
+merely small.  No other module of the package uses QSqrt2: a basis
+element c N carries its exact weight c^2 as a Fraction (`lie.Basis`).  It
+stays only while the benchmark tracer counts its arithmetic, and goes with
+the exact object paths of `CMatrix`.
 """
 
 from __future__ import annotations

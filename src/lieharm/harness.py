@@ -22,10 +22,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .diffops import BudgetExceeded, tau_and_kappa
+from .diffops import BudgetExceeded
 from .eigenfamilies import (
     EigenfunctionSpec,
-    build_eigenfunction,
+    eigen_points,
     expected_eigenvalues,
     phi2_point,
     random_parameters,
@@ -50,7 +50,6 @@ from .lie import (
     SU,
     GroupSpec,
     SymmetricSpaceSpec,
-    basis_g,
     cartan_decomposition,
     rebuild_dual_sample,
     rebuild_sample,
@@ -460,10 +459,12 @@ def replay_record(record: CheckRecord, config: RunConfig) -> float:
     """Recompute the residual of a failed sampled record at its stored witness.
 
     The point is rebuilt from its recorded algebra coefficients, bit for bit
-    the point the suite drew.  An eigen record replays tau and kappa there;
-    a dual or crosscheck record replays the point's residual through
-    `phi2_point`, the per-point code of `verify_phi2`.  The witness is the
-    first failing point, so this is at most the record's (worst) residual.
+    the point the suite drew.  An eigen record replays its row through
+    `eigen_points`, the point with its K rotations, so the tau, kappa and
+    K-invariance residuals all come back; a dual or crosscheck record
+    replays the point's residual through `phi2_point`, the per-point code of
+    `verify_phi2`.  The witness is the first failing point, so this is at
+    most the record's (worst) residual.
     """
     params = record.params
     if "witness_coefficients" not in params:
@@ -478,11 +479,7 @@ def replay_record(record: CheckRecord, config: RunConfig) -> float:
         k = len(cartan_decomposition(space)[0])
         x = rebuild_dual_sample(space, coefficients[:k], coefficients[k:])
         return phi2_point(spec, dual=True)[1](x, config.budget).residual
-    x = rebuild_sample(space.group_spec(), coefficients)
     if suite == "crosscheck":
+        x = rebuild_sample(space.group_spec(), coefficients)
         return phi2_point(spec, dual=False)[1](x, config.budget).residual
-    f = build_eigenfunction(spec)
-    lam, mu = (complex(v) for v in expected_eigenvalues(spec))
-    phi = complex(f(x))
-    t, kap = tau_and_kappa(f, x, basis_g(space.group_spec()))
-    return max(abs(t - lam * phi), abs(kap - mu * phi * phi))
+    return float(eigen_points(spec, [coefficients]).residual[0])

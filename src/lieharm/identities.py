@@ -6,7 +6,7 @@ formula, the skew-matrix index lemma, and two small symplectic facts.
 The generator-sum and decomposition checks run in exact arithmetic
 end-to-end; their residual is required to be identically zero, not small.
 Every basis element is c N with N a Gaussian-integer matrix and c^2
-rational (`lie.Lattice`), and (N E_ab N^t)_ij = N_ia N_jb, so the sums
+rational (a `lie.Basis`), and (N E_ab N^t)_ij = N_ia N_jb, so the sums
 over a basis for all (a, b) at once are one integer einsum weighted by
 the c^2, compared in integers with the closed forms.  `dense_exact_crosscheck`
 recomputes one (a, b) by dense RationalComplex matrix products.
@@ -28,11 +28,10 @@ from .lie import (
     SO,
     SP,
     SU,
+    Basis,
     GroupSpec,
-    Lattice,
     UsageError,
     basis_g,
-    basis_lattice,
     generator_lattice,
     sample,
 )
@@ -107,7 +106,7 @@ class LatticeSums(NamedTuple):
         return _exact_matrix(self.re[alpha - 1, beta - 1], self.im[alpha - 1, beta - 1], self.denom)
 
 
-def conjugation_sums(lattice: Lattice) -> LatticeSums:
+def conjugation_sums(basis: Basis) -> LatticeSums:
     """sum_q c_q^2 N_q E_ab N_q^t for all (a, b) at once, exactly.
 
     (N E_ab N^t)_ij = N_ia N_jb, so with the weights c_q^2 brought to
@@ -117,14 +116,14 @@ def conjugation_sums(lattice: Lattice) -> LatticeSums:
     checked against 2^62 in Python integers before the einsum, so no int64
     can wrap.
     """
-    weights = lattice.weights()
+    weights = basis.weights
     denom = math.lcm(*(w.denominator for w in weights))
     w = [int(x * denom) for x in weights]
-    peak = sum(max(-int(a.min()), int(a.max())) ** 2 for a in (lattice.re, lattice.im))
+    peak = sum(max(-int(a.min()), int(a.max())) ** 2 for a in (basis.re, basis.im))
     if peak * sum(abs(x) for x in w) >= _INT_BOUND:
-        raise OverflowError(f"{lattice.name}: entries too large for exact int64 sums")
+        raise OverflowError(f"{basis.name}: entries too large for exact int64 sums")
     w = np.array(w, dtype=np.int64)
-    re, im = lattice.re, lattice.im
+    re, im = basis.re, basis.im
     pair = lambda a, b: np.einsum("q,qia,qjb->abij", w, a, b, optimize=True)
     return LatticeSums(pair(re, re) - pair(im, im), pair(re, im) + pair(im, re), denom)
 
@@ -277,7 +276,7 @@ def check_kappa_basis_decomposition(
     if n < 2:
         raise UsageError(f"n must be >= 2, got {n}")
     size = 2 * n
-    sums = conjugation_sums(basis_lattice(GroupSpec(SP, n)))
+    sums = conjugation_sums(basis_g(GroupSpec(SP, n)))
     # -E_ba/2 + (J)_ab J/2, over the denominator 2
     j = standard_symplectic(n).to_complex().real.astype(np.int64)
     expected = np.einsum("ab,ij->abij", j, j) - _delta_and_swap(size)[1]
@@ -400,18 +399,18 @@ def check_symplectic_facts(
     return [inv, tr]
 
 
-def dense_exact_crosscheck(lattice: Lattice, alpha: int, beta: int) -> bool:
+def dense_exact_crosscheck(basis: Basis, alpha: int, beta: int) -> bool:
     """Second exact route: sum_q c_q^2 N_q E_ab N_q^t by dense RationalComplex
     matrix products agrees with the integer einsum of `conjugation_sums`."""
-    size = lattice.re.shape[1]
+    size = basis.re.shape[1]
     e = np.zeros((size, size), dtype=np.int64)
     e[alpha - 1, beta - 1] = 1
     e_ab = _exact_matrix(e, np.zeros_like(e))
     acc = CMatrix.zeros(size, size, exact=True)
-    for re, im, w in zip(lattice.re, lattice.im, lattice.weights()):
+    for re, im, w in zip(basis.re, basis.im, basis.weights):
         m = _exact_matrix(re, im)
         acc = acc + (m @ e_ab @ m.transpose()).scale(rc(w))
-    return acc.exact_equals(conjugation_sums(lattice).exact(alpha, beta))
+    return acc.exact_equals(conjugation_sums(basis).exact(alpha, beta))
 
 
 def covered_identity_names(results: List[IdentityCheckResult]) -> set:

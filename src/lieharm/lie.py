@@ -8,10 +8,12 @@ skew-symmetric / diagonal generators
 
     X_rs = (E_rs + E_sr)/sqrt2,   Y_rs = (E_rs - E_sr)/sqrt2,   D_r = E_rr,
 
-and the complex structure J = [[0, I], [-I, 0]] are floating matrices.
-The exact route sees a basis as a `Lattice`: every element is c N with N
-a Gaussian-integer matrix (int64 real and imaginary parts) and c in
-Q(sqrt 2), built from the same integer patterns as the floating basis.
+and the complex structure J = [[0, I], [-I, 0]].  Every basis is one `Basis`
+built once from integer patterns: each element is c N with N a
+Gaussian-integer matrix (int64 real and imaginary parts) and c^2 rational.
+The exact route reads N and c^2; the numeric route reads the matrices c N
+in a complex dtype of its choice (complex128 by default, clongdouble for
+extended precision), with c = sqrt(num)/sqrt(den) formed in that dtype.
 A unitary z = x + iy embeds into the 2n x 2n real matrices as
 [[x, y], [-y, x]]; that single embedding realises U(n) inside both
 SO(2n) and Sp(n).
@@ -32,7 +34,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .exact import INV_SQRT2, QSqrt2
 from .matrices import CMatrix, ShapeError, standard_symplectic
 
 SO = "SO"
@@ -120,12 +121,59 @@ class SymmetricSpaceSpec:
 
 
 # ---------------------------------------------------------------------------
-# elementary generators
+# bases from integer patterns
 # ---------------------------------------------------------------------------
 
-# X_rs, Y_rs and D_r are c N with N an integer pattern; c as a float and exactly
-_FLOAT_SCALE = {"X": 1.0 / np.sqrt(2.0), "Y": 1.0 / np.sqrt(2.0), "D": 1.0}
-_EXACT_SCALE = {"X": INV_SQRT2, "Y": INV_SQRT2, "D": QSqrt2(1)}
+# c^2 of X_rs = N/sqrt2, Y_rs = N/sqrt2 and D_r = N, for N the pattern of each
+_WEIGHT = {"X": Fraction(1, 2), "Y": Fraction(1, 2), "D": Fraction(1)}
+
+
+def _root(weight: Fraction, real: np.dtype):
+    """c = sqrt(num) / sqrt(den) for c^2 = weight, formed in the real dtype `real`."""
+    return np.sqrt(real.type(weight.numerator)) / np.sqrt(real.type(weight.denominator))
+
+
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """An ordered orthonormal basis of a matrix Lie algebra: the matrices
+    c_q N_q, each N_q a Gaussian-integer pattern held as the int64 real and
+    imaginary parts `re[q]`, `im[q]`, and each c_q^2 = `weights[q]` rational.
+
+    The exact route reads N and the weights: sums of products of two entries
+    of one element, such as sum_q c_q^2 N_q E_ab N_q^t, are integer linear
+    algebra weighted by rationals.  The numeric route reads `stack(dtype)`.
+    The arrays of a cached basis are read-only.
+    """
+
+    name: str
+    re: np.ndarray
+    im: np.ndarray
+    weights: Tuple[Fraction, ...]
+    _stacks: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __len__(self):
+        return len(self.weights)
+
+    def stack(self, dtype=np.complex128) -> np.ndarray:
+        """Every element c_q N_q as one read-only (count, size, size) array of
+        the complex dtype `dtype`, with c_q formed in its real type; cached."""
+        dtype = np.dtype(dtype)
+        if dtype not in self._stacks:
+            real = np.finfo(dtype).dtype
+            c = np.array([_root(w, real) for w in self.weights], dtype=real)[:, None, None]
+            out = np.empty(self.re.shape, dtype=dtype)
+            out.real, out.imag = self.re * c, self.im * c
+            out.flags.writeable = False
+            self._stacks[dtype] = out
+        return self._stacks[dtype]
+
+
+def _basis(name: str, families) -> Basis:
+    """A basis from (c^2, Gaussian-integer complex patterns) families, in order."""
+    stack = np.array([m for _, fam in families for m in fam], dtype=complex)
+    re, im = stack.real.astype(np.int64), stack.imag.astype(np.int64)
+    re.flags.writeable = im.flags.writeable = False
+    return Basis(name, re, im, tuple(w for w, fam in families for _ in fam))
 
 
 def elementary(n: int, r: int, s: int) -> CMatrix:
@@ -163,13 +211,17 @@ def _patterns(kind: str, n: int) -> List[np.ndarray]:
     return [_pattern(kind, n, r, s) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
 
 
-def _float_generator(kind: str, pattern: np.ndarray) -> np.ndarray:
-    return (pattern * _FLOAT_SCALE[kind]).astype(complex)
-
-
 def generator(kind: str, n: int, r: int, s: Optional[int] = None) -> CMatrix:
     """X_rs, Y_rs (1 <= r < s <= n) or D_r (1 <= r <= n)."""
-    return CMatrix(_float_generator(kind, _pattern(kind, n, r, s)))
+    pattern = _pattern(kind, n, r, s)
+    return CMatrix((pattern * _root(_WEIGHT[kind], np.dtype(np.float64))).astype(complex))
+
+
+@lru_cache(maxsize=None)
+def generator_lattice(kind: str, n: int) -> Basis:
+    """Every X_rs or Y_rs (r < s), or every D_t, of gl(n), in index order."""
+    patterns = _patterns(kind, n)  # raises UsageError for an unknown kind
+    return _basis(f"{kind}({n})", [(_WEIGHT[kind], patterns)])
 
 
 def _block_diag(a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -188,74 +240,26 @@ def _block_off(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# orthonormal bases
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AlgebraBasis:
-    """Ordered orthonormal basis of a matrix Lie algebra."""
-
-    name: str
-    elements: List[CMatrix]
-    _stack: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def stack(self) -> np.ndarray:
-        """All elements as one (count, size, size) complex array."""
-        if self._stack is None:
-            self._stack = np.stack([e.to_complex() for e in self.elements])
-        return self._stack
-
-    def gram(self) -> np.ndarray:
-        s = self.stack()
-        return np.real(np.einsum("aij,bij->ab", s, np.conj(s)))
-
-
-def _traceless_diagonal(n: int, t: int) -> CMatrix:
-    """(D_1 + ... + D_t - t D_{t+1}) / sqrt(t(t+1)); unit norm, mutually orthogonal."""
-    m = np.zeros((n, n), dtype=complex)
-    c = 1.0 / np.sqrt(t * (t + 1))
-    for j in range(t):
-        m[j, j] = c
-    m[t, t] = -t * c
-    return CMatrix(m)
-
-
-def so_basis(n: int) -> AlgebraBasis:
-    els = [generator("Y", n, r, s) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
-    return AlgebraBasis(f"so({n})", els)
-
-
-def su_basis(n: int) -> AlgebraBasis:
-    """Y_rs, i X_rs and i H_t with H_t the traceless diagonals."""
-    els: List[CMatrix] = []
-    for r in range(1, n + 1):
-        for s in range(r + 1, n + 1):
-            els.append(generator("Y", n, r, s))
-    for r in range(1, n + 1):
-        for s in range(r + 1, n + 1):
-            els.append(generator("X", n, r, s).scale(1j))
+def _su_families(n: int):
+    """Y_rs, i X_rs and i H_t, with H_t = (D_1 + ... + D_t - t D_{t+1}) / sqrt(t(t+1))
+    the traceless diagonals: the pattern of i H_t is i diag(1, ..., 1, -t, 0, ...)."""
+    fams = [(_WEIGHT["Y"], _patterns("Y", n)), (_WEIGHT["X"], [1j * x for x in _patterns("X", n)])]
     for t in range(1, n):
-        els.append(_traceless_diagonal(n, t).scale(1j))
-    return AlgebraBasis(f"su({n})", els)
+        h = np.diag([1] * t + [-t] + [0] * (n - t - 1))
+        fams.append((Fraction(1, t * (t + 1)), [1j * h]))
+    return fams
 
 
-# the generator kind each family of _sp_families is built from, and the
-# families that span the embedded u(n)
+# the generator kind each family of _sp_families is built from, the families
+# that span the embedded u(n), and those that span m[sp(n)/u(n)]
 _SP_FAMILY_KINDS = ("Y", "X", "D", "X", "X", "D", "D")
 _U_FAMILIES = (0, 3, 5)
+_SP_M_FAMILIES = (1, 2, 4, 6)
 
 
 def _sp_families(xs: List[np.ndarray], ys: List[np.ndarray], ds: List[np.ndarray]):
     """The seven generator families of sp(n), built from the n x n X, Y and D
-    generators; the common factor 1/sqrt2 is left to the caller."""
+    patterns; the common factor 1/sqrt2, which halves c^2, is left to the caller."""
     ixs = [x * 1j for x in xs]
     ids = [d * 1j for d in ds]
     return [
@@ -269,93 +273,25 @@ def _sp_families(xs: List[np.ndarray], ys: List[np.ndarray], ds: List[np.ndarray
     ]
 
 
-def _sp_float_families(n: int) -> List[List[CMatrix]]:
-    half = 1.0 / np.sqrt(2.0)
-    gens = ([_float_generator(k, p) for p in _patterns(k, n)] for k in "XYD")
-    return [[CMatrix(m * half) for m in fam] for fam in _sp_families(*gens)]
-
-
-def sp_basis(n: int) -> AlgebraBasis:
-    els = [m for fam in _sp_float_families(n) for m in fam]
-    return AlgebraBasis(f"sp({n})", els)
-
-
-def u_embedded_basis(n: int) -> AlgebraBasis:
-    """u(n) pushed through z = x + iy -> [[x, y], [-y, x]]; lies in both so(2n) and sp(n)."""
-    fams = _sp_float_families(n)
-    els = [m for i in _U_FAMILIES for m in fams[i]]
-    return AlgebraBasis(f"u({n})-embedded", els)
-
-
-@lru_cache(maxsize=None)
-def basis_g(spec: GroupSpec) -> AlgebraBasis:
-    """Bases are cached; AlgebraBasis instances are shared and must not be mutated."""
-    if spec.family == SO:
-        return so_basis(spec.n)
-    if spec.family == SU:
-        return su_basis(spec.n)
-    if spec.family == SP:
-        return sp_basis(spec.n)
-    return u_embedded_basis(spec.n)
-
-
-# ---------------------------------------------------------------------------
-# exact bases as lattices
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Lattice:
-    """Matrices c_q N_q: each N_q a Gaussian-integer matrix, held as int64 real
-    and imaginary parts `re[q]`, `im[q]`, and each scale c_q in Q(sqrt 2).
-
-    Sums of products of two entries of one element, such as sum_q c_q^2
-    N_q E_ab N_q^t, are then integer linear algebra weighted by the
-    rationals c_q^2.  The arrays of a cached lattice are read-only.
-    """
-
-    name: str
-    re: np.ndarray
-    im: np.ndarray
-    scales: Tuple[QSqrt2, ...]
-
-    def weights(self) -> List[Fraction]:
-        """c_q^2 for every element; raises ValueError if one is irrational."""
-        return [(c * c).as_fraction() for c in self.scales]
-
-
-def _lattice(name: str, families) -> Lattice:
-    """A lattice from (scale, Gaussian-integer complex matrices) families."""
-    stack = np.array([m for _, fam in families for m in fam], dtype=complex)
-    re, im = stack.real.astype(np.int64), stack.imag.astype(np.int64)
-    re.flags.writeable = im.flags.writeable = False
-    return Lattice(name, re, im, tuple(c for c, fam in families for _ in fam))
-
-
-@lru_cache(maxsize=None)
-def generator_lattice(kind: str, n: int) -> Lattice:
-    """Every X_rs or Y_rs (r < s), or every D_t, of gl(n), in index order."""
-    patterns = _patterns(kind, n)  # raises UsageError for an unknown kind
-    return _lattice(f"{kind}({n})", [(_EXACT_SCALE[kind], patterns)])
-
-
-@lru_cache(maxsize=None)
-def basis_lattice(spec: GroupSpec) -> Lattice:
-    """The basis `basis_g(spec)` as a lattice, element for element.
-
-    su(n) has none: its diagonals i H_t carry 1/sqrt(t(t+1)), which lies
-    outside Q(sqrt 2) for t >= 2, and nothing needs su(2) exactly.
-    """
-    n = spec.n
-    if spec.family == SU:
-        raise UsageError(f"{spec}: su(n) has no basis over Q(sqrt2) lattices")
-    if spec.family == SO:
-        return _lattice(f"so({n})", [(INV_SQRT2, _patterns("Y", n))])
+def _sp_weighted_families(n: int):
+    """The families of sp(n) from the patterns, each with its c^2."""
     fams = _sp_families(*(_patterns(k, n) for k in "XYD"))
-    pairs = [(_EXACT_SCALE[k] * INV_SQRT2, fam) for k, fam in zip(_SP_FAMILY_KINDS, fams)]
+    return [(_WEIGHT[k] / 2, fam) for k, fam in zip(_SP_FAMILY_KINDS, fams)]
+
+
+@lru_cache(maxsize=None)
+def basis_g(spec: GroupSpec) -> Basis:
+    """The orthonormal basis of g; cached, so a Basis is shared and must not be mutated."""
+    n = spec.n
+    if spec.family == SO:
+        return _basis(f"so({n})", [(_WEIGHT["Y"], _patterns("Y", n))])
+    if spec.family == SU:
+        return _basis(f"su({n})", _su_families(n))
+    fams = _sp_weighted_families(n)
     if spec.family == SP:
-        return _lattice(f"sp({n})", pairs)
-    return _lattice(f"u({n})-embedded", [pairs[i] for i in _U_FAMILIES])
+        return _basis(f"sp({n})", fams)
+    # u(n) pushed through z = x + iy -> [[x, y], [-y, x]]; lies in both so(2n) and sp(n)
+    return _basis(f"u({n})-embedded", [fams[i] for i in _U_FAMILIES])
 
 
 def algebra_dimension(spec: GroupSpec) -> int:
@@ -374,54 +310,30 @@ def algebra_dimension(spec: GroupSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sun_son_m_basis(n: int) -> AlgebraBasis:
-    els = [
-        generator("X", n, r, s).scale(1j)
-        for r in range(1, n + 1)
-        for s in range(r + 1, n + 1)
-    ]
-    els += [_traceless_diagonal(n, t).scale(1j) for t in range(1, n)]
-    return AlgebraBasis(f"m[su({n})/so({n})]", els)
-
-
-def _spn_un_m_basis(n: int) -> AlgebraBasis:
-    fams = _sp_float_families(n)
-    els = fams[1] + fams[2] + fams[4] + fams[6]
-    return AlgebraBasis(f"m[sp({n})/u({n})]", els)
-
-
-def _so2n_un_m_basis(n: int) -> AlgebraBasis:
-    half = 1.0 / np.sqrt(2.0)
-    ys = [_float_generator("Y", p) for p in _patterns("Y", n)]
-    els = [CMatrix(_block_diag(y, -y) * half) for y in ys]
-    els += [CMatrix(_block_off(y, y) * half) for y in ys]
-    return AlgebraBasis(f"m[so({2 * n})/u({n})]", els)
-
-
-def _su2n_spn_m_basis(n: int) -> AlgebraBasis:
-    """Blocks [[P, Q], [conj(Q), -conj(P)]] with P in su(n), Q complex skew."""
-    half = 1.0 / np.sqrt(2.0)
-    els: List[CMatrix] = []
-    for u in su_basis(n).elements:
-        p = u.to_complex()
-        els.append(CMatrix(_block_diag(p, -np.conj(p)) * half))
-    for y in (_float_generator("Y", p) for p in _patterns("Y", n)):
-        for q in (y, 1j * y):
-            els.append(CMatrix(_block_off(q, np.conj(q)) * half))
-    return AlgebraBasis(f"m[su({2 * n})/sp({n})]", els)
+def _m_families(space: SymmetricSpaceSpec):
+    """The name of m and its (c^2, patterns) families, in basis order."""
+    n = space.n
+    if space.family == SUN_SON:
+        return f"m[su({n})/so({n})]", _su_families(n)[1:]
+    if space.family == SPN_UN:
+        fams = _sp_weighted_families(n)
+        return f"m[sp({n})/u({n})]", [fams[i] for i in _SP_M_FAMILIES]
+    ys = _patterns("Y", n)
+    quarter = _WEIGHT["Y"] / 2
+    if space.family == SO2N_UN:
+        fams = [(quarter, [_block_diag(y, -y) for y in ys]), (quarter, [_block_off(y, y) for y in ys])]
+        return f"m[so({2 * n})/u({n})]", fams
+    # blocks [[P, Q], [conj(Q), -conj(P)]] with P in su(n), Q complex skew
+    fams = [(w / 2, [_block_diag(p, -np.conj(p)) for p in fam]) for w, fam in _su_families(n)]
+    fams += [(quarter, [_block_off(q, np.conj(q)) for q in (y, 1j * y)]) for y in ys]
+    return f"m[su({2 * n})/sp({n})]", fams
 
 
 @lru_cache(maxsize=None)
-def cartan_decomposition(space: SymmetricSpaceSpec) -> Tuple[AlgebraBasis, AlgebraBasis]:
-    """Orthonormal bases of k and of its orthogonal complement m inside g."""
-    n = space.n
-    if space.family == SUN_SON:
-        return so_basis(n), _sun_son_m_basis(n)
-    if space.family == SPN_UN:
-        return u_embedded_basis(n), _spn_un_m_basis(n)
-    if space.family == SO2N_UN:
-        return u_embedded_basis(n), _so2n_un_m_basis(n)
-    return sp_basis(n), _su2n_spn_m_basis(n)
+def cartan_decomposition(space: SymmetricSpaceSpec) -> Tuple[Basis, Basis]:
+    """Orthonormal bases of k and of its orthogonal complement m inside g;
+    k is `basis_g(space.subgroup_spec())` itself."""
+    return basis_g(space.subgroup_spec()), _basis(*_m_families(space))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +431,7 @@ def _combination(stack: np.ndarray, coeffs) -> np.ndarray:
 
 def sample_with_coefficients(
     spec: GroupSpec,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     sigma: float = 0.5,
     shape: Tuple[int, ...] = (),
     coeffs: Optional[np.ndarray] = None,
@@ -549,7 +461,7 @@ def sample(
 def rebuild_sample(spec: GroupSpec, coeffs) -> CMatrix:
     """Replay helper: the points of stored coefficients, bit for bit the
     points `sample_with_coefficients` drew with them."""
-    return CMatrix(expm(_combination(basis_g(spec).stack(), coeffs)))
+    return sample_with_coefficients(spec, None, coeffs=coeffs)[0]
 
 
 def sample_dual_with_coefficients(

@@ -282,7 +282,8 @@ def test_verify_eigen_passes(family, n):
 
 def _verify_eigen_point_by_point(spec, samples, tol, rng, sigma=0.5, k_samples=5):
     """The per-point reference: one draw, one sweep and k_samples K-points at a
-    time, as verify_eigen did before it batched its points."""
+    time, as verify_eigen did before it batched its points; the witness is the
+    point's coefficients over g, then those of its K-points."""
     space = spec.space
     g_spec, k_spec = space.group_spec(), space.subgroup_spec()
     b = basis_g(g_spec)
@@ -292,6 +293,7 @@ def _verify_eigen_point_by_point(spec, samples, tol, rng, sigma=0.5, k_samples=5
     proper = False
     for _ in range(samples):
         x, coeffs = sample_with_coefficients(g_spec, rng, sigma)
+        coeffs = list(coeffs)
         phi = complex(f(x))
         scale = max(1.0, abs(phi))
         proper = proper or abs(phi) > 1e-6
@@ -299,7 +301,9 @@ def _verify_eigen_point_by_point(spec, samples, tol, rng, sigma=0.5, k_samples=5
         r1, r2 = abs(t - lam * phi), abs(kap - mu * phi * phi)
         r3 = 0.0
         for _ in range(k_samples):
-            r3 = max(r3, abs(complex(f(x @ sample(k_spec, rng, sigma))) - phi))
+            k, k_coeffs = sample_with_coefficients(k_spec, rng, sigma)
+            coeffs += list(k_coeffs)
+            r3 = max(r3, abs(complex(f(x @ k)) - phi))
         if abs(phi) >= 1e-10:
             out["tau"], out["kappa"] = max(out["tau"], r1), max(out["kappa"], r2)
             out["kinv"] = max(out["kinv"], r3)

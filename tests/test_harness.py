@@ -25,7 +25,7 @@ from lieharm.harness import (
     strip_timing,
     substream,
 )
-from lieharm.diffops import tau_and_kappa
+from lieharm.diffops import GroupFunction, tau_and_kappa
 from lieharm.eigenfamilies import build_eigenfunction, expected_eigenvalues, random_parameters
 from lieharm.lie import (
     SPN_UN,
@@ -33,9 +33,11 @@ from lieharm.lie import (
     SUN_SON,
     SymmetricSpaceSpec,
     basis_g,
+    expm,
     rebuild_sample,
     sample_with_coefficients,
 )
+from lieharm.matrices import CMatrix
 
 
 # --- seeding -----------------------------------------------------------------
@@ -185,8 +187,9 @@ def test_eigen_failure_records_witness_and_replays():
 
 
 def test_batched_eigen_witness_replays_its_point():
-    # the 50 points of a record are one batch; the witness row, rebuilt alone,
-    # is the batch's point bit for bit, and its replay gives that point's residual
+    # the 50 points of a record are one batch; the witness row (the point, then
+    # its 5 K-points), rebuilt alone, is the batch's point bit for bit, and its
+    # replay gives that point's residual
     space = SymmetricSpaceSpec(SU2N_SPN, 3)
     cfg = RunConfig(suites=("eigen",), spaces=((SU2N_SPN, 3),), tol=1e-20,
                     suite_overrides={"eigen": {"samples": 50, "draws": 1}})
@@ -200,21 +203,44 @@ def test_batched_eigen_witness_replays_its_point():
     spec = random_parameters(space, rng)
     g_spec, k_spec = space.group_spec(), space.subgroup_spec()
     b = basis_g(g_spec)
-    width = len(b) + 5 * len(basis_g(k_spec))
-    coeffs = rng.normal(0.0, cfg.sigma, size=(50, width))[:, : len(b)]
-    x, _ = sample_with_coefficients(g_spec, rng, cfg.sigma, coeffs=coeffs)
+    bg = len(b)
+    coeffs = rng.normal(0.0, cfg.sigma, size=(50, bg + 5 * len(basis_g(k_spec))))
+    x, _ = sample_with_coefficients(g_spec, rng, cfg.sigma, coeffs=coeffs[:, :bg])
     assert rec.params["witness_coefficients"] == [float(c) for c in coeffs[0]]
-    point = rebuild_sample(g_spec, rec.params["witness_coefficients"]).to_complex()
+    point = rebuild_sample(g_spec, rec.params["witness_coefficients"][:bg]).to_complex()
     assert np.array_equal(point, x.to_complex()[0])
 
     f = build_eigenfunction(spec)
     lam, mu = (complex(v) for v in expected_eigenvalues(spec))
     phi = f(x)
     t, kap = tau_and_kappa(f, x, b)
-    residual = max(abs(t[0] - lam * phi[0]), abs(kap[0] - mu * phi[0] * phi[0]))
+    k = rebuild_sample(k_spec, coeffs[0, bg:].reshape(5, -1))
+    kinv = max(abs(v - phi[0]) for v in f(CMatrix(point) @ k))
+    residual = max(abs(t[0] - lam * phi[0]), abs(kap[0] - mu * phi[0] * phi[0]), kinv)
     replayed = replay_record(rec, cfg)
     assert abs(replayed - residual) <= 1e-14
     assert 0 < replayed <= rec.residual + 1e-14
+
+
+def test_eigen_replay_reproduces_a_k_invariance_failure(monkeypatch):
+    # phi o R_g0 keeps the eigen-equations (tau and kappa are bi-invariant) but
+    # is not right-K-invariant, so only a replay that rebuilds the witness's
+    # K-points sees the failure; with one sample the witness is the record
+    from lieharm import eigenfamilies
+
+    g0 = CMatrix(expm(0.7 * basis_g(SymmetricSpaceSpec(SUN_SON, 3).group_spec()).stack()[-1]))
+    build = eigenfamilies.build_eigenfunction
+
+    def translated(spec):
+        f = build(spec)
+        return GroupFunction(lambda g: f(g @ g0), domain=f.domain, name=f.name)
+
+    monkeypatch.setattr(eigenfamilies, "build_eigenfunction", translated)
+    cfg = RunConfig(suites=("eigen",), spaces=((SUN_SON, 3),),
+                    suite_overrides={"eigen": {"samples": 1, "draws": 1}})
+    (rec,) = run(cfg).records
+    assert not rec.passed and rec.residual > 1e-3
+    assert replay_record(rec, cfg) == rec.residual
 
 
 @pytest.mark.parametrize("suite", ["dual", "crosscheck"])

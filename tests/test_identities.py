@@ -22,13 +22,12 @@ from lieharm.identities import (
     dense_exact_crosscheck,
 )
 from lieharm.lie import (
+    Basis,
     GroupSpec,
-    Lattice,
     SO,
     SP,
     SU,
     basis_g,
-    basis_lattice,
     elementary,
     generator_lattice,
     sample,
@@ -47,11 +46,11 @@ def exact(m: CMatrix, scale=1) -> CMatrix:
     )
 
 
-def perturbed(lattice: Lattice) -> Lattice:
-    """The lattice with 1 added to the real part of one entry of its first element."""
-    re = lattice.re.copy()
+def perturbed(basis: Basis) -> Basis:
+    """The basis with 1 added to the real part of one entry of its first pattern."""
+    re = basis.re.copy()
     re[0, 0, 0] += 1
-    return Lattice(lattice.name, re, lattice.im, lattice.scales)
+    return Basis(basis.name, re, basis.im, basis.weights)
 
 
 # --- generator sums ----------------------------------------------------------
@@ -173,7 +172,7 @@ def test_block_cases():
 def test_decomposition_case1_value():
     # case (1): sum = -E_ba/2
     n = 2
-    sums = conjugation_sums(basis_lattice(GroupSpec(SP, n)))
+    sums = conjugation_sums(basis_g(GroupSpec(SP, n)))
     expect = exact(elementary(2 * n, 2, 1), Fraction(-1, 2))
     assert sums.exact(1, 2).exact_equals(expect)
 
@@ -181,7 +180,7 @@ def test_decomposition_case1_value():
 def test_decomposition_case2_with_j_correction():
     # case (2) with alpha = beta - n: sum = -E_ba/2 + J/2
     n = 2
-    sums = conjugation_sums(basis_lattice(GroupSpec(SP, n)))
+    sums = conjugation_sums(basis_g(GroupSpec(SP, n)))
     expect = exact(elementary(2 * n, 1 + n, 1), Fraction(-1, 2))
     expect = expect + standard_symplectic(n, exact=True).scale(rc(Fraction(1, 2)))
     assert sums.exact(1, 1 + n).exact_equals(expect)
@@ -204,10 +203,12 @@ def test_decomposition_numeric_agreement():
 
 def test_sparse_matches_dense_reference():
     # the integer einsum against dense RationalComplex matrix products
-    sp2 = basis_lattice(GroupSpec(SP, 2))
+    sp2 = basis_g(GroupSpec(SP, 2))
     assert dense_exact_crosscheck(sp2, 1, 3)
     assert dense_exact_crosscheck(sp2, 2, 2)
     assert dense_exact_crosscheck(generator_lattice("X", 3), 1, 2)
+    # su(n) too: the weights of its diagonals i H_t are 1/(t(t+1))
+    assert dense_exact_crosscheck(basis_g(GroupSpec(SU, 3)), 1, 1)
     # both routes see a perturbed lattice alike
     assert dense_exact_crosscheck(perturbed(sp2), 1, 1)
 
@@ -220,8 +221,8 @@ def test_perturbed_lattice_fails_generator_sums(monkeypatch):
 
 
 def test_perturbed_lattice_fails_decomposition(monkeypatch):
-    lattice = identities.basis_lattice
-    monkeypatch.setattr(identities, "basis_lattice", lambda spec: perturbed(lattice(spec)))
+    basis = identities.basis_g
+    monkeypatch.setattr(identities, "basis_g", lambda spec: perturbed(basis(spec)))
     (result,) = check_kappa_basis_decomposition(2, samples=0, tol=1e-9, rng=RNG)
     assert not result.passed and result.max_residual > 0
 
@@ -230,7 +231,7 @@ def test_magnitude_bound_guards_int64_sums():
     # X(2) is one element with weight 1/2: the sums scale with the square of
     # the entries, and max|N|^2 * sum|W| must stay below 2^62
     base = generator_lattice("X", 2)
-    scaled = lambda k: Lattice("big", base.re * k, base.im, base.scales)
+    scaled = lambda k: Basis("big", base.re * k, base.im, base.weights)
     sums = conjugation_sums(scaled(2**30))
     assert np.array_equal(sums.re, conjugation_sums(base).re * 2**60)
     with pytest.raises(OverflowError, match="too large"):

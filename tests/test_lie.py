@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import expm as scipy_expm  # the independent reference for lie.expm
 
 from lieharm.lie import (
+    GROUP_FAMILIES,
     GroupSpec,
     SO,
     SO2N_UN,
@@ -24,7 +25,6 @@ from lieharm.lie import (
     UsageError,
     algebra_dimension,
     basis_g,
-    basis_lattice,
     cartan_decomposition,
     embed_unitary,
     expm,
@@ -86,18 +86,12 @@ def test_x_y_orthogonal():
     assert abs((x @ y.T).trace()) < 1e-15
 
 
-def lattice_values(lattice):
-    """The lattice's matrices c_q N_q as floats."""
-    c = np.array([float(c) for c in lattice.scales])
-    return c[:, None, None] * (lattice.re + 1j * lattice.im)
-
-
 def test_exact_generators_match_float():
     for kind in ("X", "Y"):
-        e = lattice_values(generator_lattice(kind, 3))[0]
+        e = generator_lattice(kind, 3).stack()[0]
         f = generator(kind, 3, 1, 2).to_complex()
         assert np.max(np.abs(e - f)) < 1e-15
-    d2 = lattice_values(generator_lattice("D", 3))[1]
+    d2 = generator_lattice("D", 3).stack()[1]
     assert np.array_equal(d2, generator("D", 3, 2).to_complex())
 
 
@@ -114,12 +108,15 @@ def test_basis_dimensions(family, n, dim):
     assert len(basis_g(spec)) == dim
 
 
+def _gram(stack):
+    return np.einsum("aij,bij->ab", stack, np.conj(stack)).real
+
+
 @pytest.mark.parametrize("family", [SO, SU, SP, U_IN_SPN, U_IN_SO2N])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_basis_orthonormal(family, n):
     b = basis_g(GroupSpec(family, n))
-    g = b.gram()
-    assert np.max(np.abs(g - np.eye(len(b)))) < 1e-12
+    assert np.max(np.abs(_gram(b.stack()) - np.eye(len(b)))) < 1e-12
 
 
 def test_dimension_closed_forms_all_families():
@@ -131,42 +128,56 @@ def test_dimension_closed_forms_all_families():
         assert len(basis_g(GroupSpec(U_IN_SO2N, n))) == n * n
 
 
-@pytest.mark.parametrize("family,n", [(SO, 4), (SP, 2), (U_IN_SPN, 3)])
+def _integer_gram(x, y):
+    """Re tr(N_i N_j^H) for every pair of patterns, in int64."""
+    return np.einsum("pij,qij->pq", x.re, y.re) + np.einsum("pij,qij->pq", x.im, y.im)
+
+
+@pytest.mark.parametrize("family,n", [
+    *((family, n) for family in (SO, SU, SP, U_IN_SPN, U_IN_SO2N) for n in range(2, 7)),
+    *((family, n) for family in SPACE_FAMILIES for n in range(2, 7)),
+])
 def test_exact_basis_gram_is_identity(family, n):
-    # c_i c_j Re tr(N_i N_j*) = delta_ij, with the trace in integers and c in Q(sqrt2)
-    lat = basis_lattice(GroupSpec(family, n))
-    gram = np.einsum("pij,qij->pq", lat.re, lat.re) + np.einsum("pij,qij->pq", lat.im, lat.im)
-    for i, ci in enumerate(lat.scales):
-        for j, cj in enumerate(lat.scales):
-            assert ci * cj * int(gram[i, j]) == (1 if i == j else 0)
+    # c_i^2 Re tr(N_i N_i*) = 1 as a Fraction and Re tr(N_i N_j*) = 0 in integers
+    # for i != j; for a space, the bases of k and of m, and k orthogonal to m
+    if family in SPACE_FAMILIES:
+        k, m = cartan_decomposition(SymmetricSpaceSpec(family, n))
+        bases = (k, m)
+        assert not _integer_gram(k, m).any()
+    else:
+        bases = (basis_g(GroupSpec(family, n)),)
+    for b in bases:
+        gram = _integer_gram(b, b)
+        assert all(isinstance(w, Fraction) and w * int(gram[i, i]) == 1 for i, w in enumerate(b.weights))
+        assert not (gram - np.diag(np.diag(gram))).any()
 
 
-@pytest.mark.parametrize("family", [SO, SP, U_IN_SPN, U_IN_SO2N])
+@pytest.mark.parametrize("family", [SO, SU, SP, U_IN_SPN, U_IN_SO2N])
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_lattice_basis_matches_float_basis(family, n):
-    spec = GroupSpec(family, n)
-    lat = basis_lattice(spec)
-    assert np.max(np.abs(lattice_values(lat) - basis_g(spec).stack())) < 1e-15
-    assert all(w in (Fraction(1, 2), Fraction(1, 4)) for w in lat.weights())
-
-
-def test_su_has_no_lattice_basis():
-    # i H_t carries 1/sqrt(t(t+1)), outside Q(sqrt2) for t >= 2
-    for n in (2, 3):
-        with pytest.raises(UsageError):
-            basis_lattice(GroupSpec(SU, n))
+    # every entry of the float64 stack is the exact c N to within its roundings
+    # (sqrt(num), sqrt(den), their quotient c, and the product N c): compared
+    # as squares, (N c)^2 = N^2 c^2, in Fractions
+    b = basis_g(GroupSpec(family, n))
+    u = Fraction(float(np.finfo(np.float64).eps) / 2)
+    for part, pattern in ((b.stack().real, b.re), (b.stack().imag, b.im)):
+        assert np.array_equal(part == 0, pattern == 0)
+        for value, entry, w in zip(part, pattern, b.weights):
+            for v, e in zip(value[entry != 0], entry[entry != 0]):
+                exact = int(e) ** 2 * w
+                assert abs(Fraction(float(v)) ** 2 - exact) <= 10 * u * exact
+    if family != SU:
+        assert set(b.weights) <= {Fraction(1, 2), Fraction(1, 4)}
 
 
 def test_so_basis_skew_symmetric():
-    for z in basis_g(GroupSpec(SO, 5)):
-        m = z.to_complex()
+    for m in basis_g(GroupSpec(SO, 5)).stack():
         assert np.max(np.abs(m + m.T)) < 1e-15
         assert np.max(np.abs(np.imag(m))) == 0
 
 
 def test_su_basis_skew_hermitian_traceless():
-    for z in basis_g(GroupSpec(SU, 4)):
-        m = z.to_complex()
+    for m in basis_g(GroupSpec(SU, 4)).stack():
         assert np.max(np.abs(m + np.conj(m.T))) < 1e-15
         assert abs(np.trace(m)) < 1e-15
 
@@ -176,8 +187,7 @@ def test_sp_basis_conditions():
     b = basis_g(GroupSpec(SP, 2))
     assert len(b) == 10
     j = standard_symplectic(2).to_complex()
-    for z in b:
-        m = z.to_complex()
+    for m in b.stack():
         assert np.max(np.abs(m.T @ j + j @ m)) < 1e-12
         assert np.max(np.abs(np.conj(m.T) + m)) < 1e-12
 
@@ -191,6 +201,7 @@ def test_sp_basis_conditions():
 def test_cartan_dimensions(family, n, dims):
     k, m = cartan_decomposition(SymmetricSpaceSpec(family, n))
     assert (len(k), len(m)) == dims
+    assert k is basis_g(SymmetricSpaceSpec(family, n).subgroup_spec())
     g = basis_g(SymmetricSpaceSpec(family, n).group_spec())
     assert len(k) + len(m) == len(g)
 
@@ -373,6 +384,62 @@ def test_expm_clongdouble():
     x = expm(a)
     assert x.dtype == np.clongdouble
     assert _unitarity_defect(x) <= 1e-17
+
+
+def _gamma(k, dtype):
+    """gamma_k = k u / (1 - k u) for the unit roundoff u = eps/2 of `dtype`
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, section 3.1)."""
+    u = float(np.finfo(dtype).eps) / 2
+    return k * u / (1 - k * u)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_clongdouble_bases_are_orthonormal(n):
+    # An entry of stack(clongdouble) is N c (1 + d) with |d| <= gamma_4: c is
+    # sqrt(num) / sqrt(den), three roundings, and N c one more.  A Gram entry
+    # Re sum_ij x_p,ij conj(x_q,ij) over s = size^2 terms then errs from the
+    # exact delta_pq by at most (gamma_8 + sqrt2 gamma_2 + gamma_(s-1)) times
+    # sum |e_p||e_q| <= |e_p| |e_q| = 1 (Cauchy-Schwarz; lemma 3.5 and section
+    # 3.1 of Higham for the complex products and the sum), below gamma_(s+12).
+    # A basis rounded to float64 first would miss it by a factor of about 2^11.
+    spaces = [SymmetricSpaceSpec(family, n) for family in SPACE_FAMILIES]
+    bases = [basis_g(GroupSpec(family, n)) for family in GROUP_FAMILIES]
+    bases += [b for space in spaces for b in cartan_decomposition(space)]
+    for b in bases:
+        stack = b.stack(np.clongdouble)
+        assert stack.dtype == np.clongdouble and not stack.flags.writeable
+        assert b.stack(np.clongdouble) is stack
+        bound = _gamma(stack.shape[-1] ** 2 + 12, np.clongdouble)
+        assert np.max(np.abs(_gram(stack) - np.eye(len(b)))) <= bound, b.name
+
+
+@pytest.mark.parametrize("family", GROUP_FAMILIES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_clongdouble_expm_is_unitary(family, n):
+    # A = sum_q c_q Z_q is exactly skew-Hermitian (the einsum forms A_ij and
+    # A_ji from negated terms in one order), so U = exp(A) is unitary, and
+    # symplectic on sp(n) and the embedded u(n).  As in test_expm_matches_horner,
+    # the computed X has entries within 4 eps 2^s |U|_1 <= 8 u 2^s sqrt(size)
+    # of U's, so |E|_2 <= 8 u 2^s size^(3/2) for E = X - U; an entry of
+    # X X^H - I = U E^H + E U^H + E E^H is then at most 2 |E|_2 (1 + O(u)),
+    # plus the gamma_(size+4) of forming the product (see _defect_floor).
+    # X J X^t - J has the same bound: J is a signed permutation.
+    spec = GroupSpec(family, n)
+    stack = basis_g(spec).stack(np.clongdouble)
+    coeffs = np.random.default_rng(41).normal(0.0, 0.5, size=(20, len(stack))).astype(np.longdouble)
+    a = np.einsum("...q,qij->...ij", coeffs, stack)
+    x = expm(a)
+    assert x.dtype == np.clongdouble
+    size = a.shape[-1]
+    u = float(np.finfo(np.clongdouble).eps) / 2
+    bound = _gamma(size + 4, np.clongdouble) + 16 * u * 2.0 ** _horner_expm(a)[1] * size**1.5
+    eye = np.eye(size)
+    defect = np.abs(x @ np.conj(np.swapaxes(x, -1, -2)) - eye).max(axis=(-2, -1))
+    assert np.all(defect <= bound)
+    if family in (SP, U_IN_SPN, U_IN_SO2N):
+        j = standard_symplectic(n).to_complex()
+        defect = np.abs(x @ j @ np.swapaxes(x, -1, -2) - j).max(axis=(-2, -1))
+        assert np.all(defect <= bound)
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.complex128, 1e-14), (np.clongdouble, 1e-17)])
