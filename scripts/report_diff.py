@@ -7,7 +7,8 @@ Keys every record of the old report A and the new report B on
 Prints the records only one report has, every verdict flip, whether the two
 fingerprints match, and per suite the number of records both reports have,
 how many of their residuals are bitwise equal, the range of the new/old
-ratio of the others, and the worst residual of B.  Exits 1 if a verdict
+ratio of the others, the worst residual of B, and the summed record time
+(`ms`) of those records in A and in B.  Exits 1 if a verdict
 flipped or the record sets differ, 0 otherwise.
 """
 
@@ -72,7 +73,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     same = report_fingerprint(reports[0]) == report_fingerprint(reports[1])
     print(f"fingerprints {'match' if same else 'differ'}")
 
-    print(f"{'suite':12} {'records':>7} {'bitwise':>7} {'new/old ratio':>19} {'worst new':>10}")
+    print(f"{'suite':12} {'records':>7} {'bitwise':>7} {'new/old ratio':>19} {'worst new':>10} {'ms old -> new':>21}")
     for suite in sorted({key[0].split("/", 1)[0] for key in common}):
         keys = [key for key in common if key[0].split("/", 1)[0] == suite]
         pairs = [(old[key]["residual"], new[key]["residual"]) for key in keys]
@@ -80,7 +81,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         span = f"x{min(ratios):.2f} - x{max(ratios):.2f}" if ratios else "-"
         equal = sum(a == b for a, b in pairs)
         worst = max(b for _, b in pairs)
-        print(f"{suite:12} {len(keys):7} {equal:7} {span:>19} {worst:10.3e}")
+        ms = [sum(report[key]["ms"] for key in keys) for report in (old, new)]
+        print(f"{suite:12} {len(keys):7} {equal:7} {span:>19} {worst:10.3e} {ms[0]:10.1f} -> {ms[1]:7.1f}")
     print(f"{len(flips)} verdict flips, {len(missing)} missing and {len(added)} added records")
     return 1 if flips or missing or added else 0
 

@@ -189,8 +189,6 @@ class EigenVerification:
     max_tau_residual: float = 0.0
     max_kappa_residual: float = 0.0
     max_kinv_residual: float = 0.0
-    min_abs_phi: float = float("inf")
-    max_abs_phi: float = 0.0
     passed: bool = True
     vacuous: bool = False
     witness_coefficients: Optional[list] = None
@@ -278,8 +276,6 @@ def verify_eigen(
         out.max_tau_residual = float(points.tau[counted].max())
         out.max_kappa_residual = float(points.kappa[counted].max())
         out.max_kinv_residual = float(points.kinv[counted].max())
-        out.min_abs_phi = float(size[counted].min())
-        out.max_abs_phi = float(size[counted].max())
     if not ok.all():
         out.witness_coefficients = [float(c) for c in coeffs[np.argmin(ok)]]
     out.passed = bool(ok.all()) and bool((size > 1e-6).any())

@@ -7,8 +7,21 @@ the chain rule closes the span of phi^a (log phi)^b under tau:
                    + [lambda b + mu b(2a-1)] phi^a L^{b-1}
                    + mu b(b-1) phi^a L^{b-2},        L = log phi.
 
-Everything here is exact rational-complex arithmetic, so "tau^p(S) is the
-empty sum" is a genuine nullity certificate, not a small residual.
+Everything here is exact, so "tau^p(S) is the empty sum" is a genuine
+nullity certificate, not a small residual.
+
+`tau_formal` applies this map on integers.  With a = p/q and den the lcm of
+the denominators of lambda and mu, D = den q^2 makes D tau on the phi^a
+block three Gaussian integers, built once per (a, lambda, mu):
+
+    D tau(phi^a L^b) = keep phi^a L^b + b down1 phi^a L^{b-1}
+                       + b(b-1) down2 phi^a L^{b-2},
+    keep  = den lambda qp + den mu p(p-q),
+    down1 = den lambda q^2 + den mu q(2p-q),
+    down2 = den mu q^2.
+
+The coefficients of a sum are brought to one denominator d0; the map acts on
+their (re, im) numerators, and each result is read back over d0 D.
 """
 
 from __future__ import annotations
@@ -16,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, Tuple, Union
 
 import numpy as np
@@ -24,6 +38,7 @@ from .exact import RC_ZERO, RationalComplex
 from .jets import JetScalar, jet_log, jet_pow
 
 TermKey = Tuple[Fraction, int]  # (exponent of phi, exponent of log phi)
+GaussInt = Tuple[int, int]  # (re, im)
 
 
 def _as_rc(x) -> RationalComplex:
@@ -110,26 +125,67 @@ class FormalSum:
         return f"FormalSum({self.serialize()})"
 
 
+def _numerators(x: RationalComplex, d: int) -> GaussInt:
+    """The Gaussian integer d x, for a common denominator d of both parts."""
+    return x.re.numerator * (d // x.re.denominator), x.im.numerator * (d // x.im.denominator)
+
+
+@lru_cache(maxsize=256)
+def _scaled_eigenvalues(lam: RationalComplex, mu: RationalComplex) -> Tuple[int, GaussInt, GaussInt]:
+    """(den, den lam, den mu) with den the lcm of the denominators of lam and mu."""
+    den = lcm(lam.re.denominator, lam.im.denominator, mu.re.denominator, mu.im.denominator)
+    return den, _numerators(lam, den), _numerators(mu, den)
+
+
 @lru_cache(maxsize=4096)
-def _tau_coefficients(a: Fraction, b: int, lam: RationalComplex, mu: RationalComplex) -> Tuple[RationalComplex, ...]:
-    """The coefficients of phi^a L^b, phi^a L^(b-1) and phi^a L^(b-2) in tau(phi^a L^b)."""
-    a_rc = RationalComplex(a)
-    keep = lam * a_rc + mu * a_rc * (a_rc - 1)
-    down1 = lam * b + mu * b * (2 * a_rc - 1)
-    return keep, down1, mu * (b * (b - 1))
+def _tau_map(p: int, q: int, eig: Tuple[int, GaussInt, GaussInt]) -> Tuple[int, GaussInt, GaussInt, GaussInt]:
+    """(D, keep, down1, down2) of the integer map D tau on the block of a = p/q
+    (module docstring), for eig = _scaled_eigenvalues(lam, mu)."""
+    den, (lr, li), (mr, mi) = eig
+    lin = lambda x, y: (x * lr + y * mr, x * li + y * mi)  # den (x lam + y mu)
+    return den * q * q, lin(q * p, p * (p - q)), lin(q * q, q * (2 * p - q)), lin(0, q * q)
 
 
 def tau_formal(s: FormalSum, lam: RationalComplex, mu: RationalComplex) -> FormalSum:
-    """The action of tau on the formal algebra, extended linearly."""
-    lam, mu = _as_rc(lam), _as_rc(mu)
-    out = FormalSum()
+    """The action of tau on the formal algebra, extended linearly.
+
+    Runs on Gaussian-integer numerators: the coefficients of s over one
+    denominator d0, times the cached integer map D tau of each phi^a block.
+    Keys are inserted and pruned in the order FormalSum._accumulate would
+    give them, so a sum evaluates term by term as it always has.
+    """
+    eig = _scaled_eigenvalues(_as_rc(lam), _as_rc(mu))
+    d0 = lcm(*(part.denominator for c in s.terms.values() for part in (c.re, c.im)))
+    # (p, q, b) -> [a, b, denominator, re, im]: int keys hash far faster than Fractions
+    acc: Dict[Tuple[int, int, int], list] = {}
+
+    def add(a: Fraction, b: int, den: int, re: int, im: int):
+        if not (re or im):
+            return
+        key = (a.numerator, a.denominator, b)
+        old = acc.get(key)
+        if old is None:
+            acc[key] = [a, b, den, re, im]
+        elif old[3] + re or old[4] + im:
+            old[3] += re
+            old[4] += im
+        else:
+            del acc[key]
+
     for (a, b), c in s.terms.items():
-        keep, down1, down2 = _tau_coefficients(a, b, lam, mu)
-        out._accumulate(a, b, c * keep)
+        scale, (kr, ki), (d1r, d1i), (d2r, d2i) = _tau_map(a.numerator, a.denominator, eig)
+        cr, ci = _numerators(c, d0)
+        den = d0 * scale
+        add(a, b, den, cr * kr - ci * ki, cr * ki + ci * kr)
         if b >= 1:
-            out._accumulate(a, b - 1, c * down1)
+            add(a, b - 1, den, b * (cr * d1r - ci * d1i), b * (cr * d1i + ci * d1r))
         if b >= 2:
-            out._accumulate(a, b - 2, c * down2)
+            m = b * (b - 1)
+            add(a, b - 2, den, m * (cr * d2r - ci * d2i), m * (cr * d2i + ci * d2r))
+    out = FormalSum()
+    out.terms = {
+        (a, b): RationalComplex(Fraction(re, den), Fraction(im, den)) for a, b, den, re, im in acc.values()
+    }
     return out
 
 

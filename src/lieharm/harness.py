@@ -341,27 +341,19 @@ crosscheck_suite = functools.partial(_phi2_suite, suite="crosscheck")
 
 
 def pharmonic_suite(cfg: RunConfig) -> List[CheckRecord]:
-    records = []
+    pairs = []  # (record name, lam, mu, params)
     for family, n in cfg.spaces:
-        space = SymmetricSpaceSpec(family, n)
-        lam, mu = expected_eigenvalues(space)
+        lam, mu = expected_eigenvalues(SymmetricSpaceSpec(family, n))
+        pairs.append((f"pharmonic/{family}", lam, mu, {"n": n}))
+    pairs.append(("pharmonic/synthetic-mu-zero", rc(1), rc(0), {}))
+    pairs.append(("pharmonic/synthetic-lambda-equals-mu", rc(1), rc(1), {}))
+    records = []
+    for name, lam, mu, params in pairs:
         for p in range(1, cfg.p_max + 1):
-            def task(lam=lam, mu=mu, p=p, n=n):
+            def task(lam=lam, mu=mu, p=p, params=params):
                 cert = verify_p_harmonic(build_phi_p(p, lam, mu), lam, mu, p)
                 ok = cert.proper and cert.numeric_witness > 1e-10
-                return 0.0 if ok else 1.0, ok, {"n": n, "p": p, "exact": True}
-
-            records.append(_timed(task, f"pharmonic/{family}"))
-    synthetic = (
-        ("pharmonic/synthetic-mu-zero", rc(1), rc(0)),
-        ("pharmonic/synthetic-lambda-equals-mu", rc(1), rc(1)),
-    )
-    for name, lam, mu in synthetic:
-        for p in range(1, cfg.p_max + 1):
-            def task(lam=lam, mu=mu, p=p):
-                cert = verify_p_harmonic(build_phi_p(p, lam, mu), lam, mu, p)
-                ok = cert.proper and cert.numeric_witness > 1e-10
-                return 0.0 if ok else 1.0, ok, {"p": p, "exact": True}
+                return 0.0 if ok else 1.0, ok, dict(params, p=p, exact=True)
 
             records.append(_timed(task, name))
     return records

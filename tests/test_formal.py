@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lieharm.diffops import GroupFunction, tau
 from lieharm.eigenfamilies import build_eigenfunction, expected_eigenvalues, random_parameters
-from lieharm.exact import rc
+from lieharm.exact import RationalComplex, rc
 from lieharm.formal import (
     FormalSum,
     build_phi_p,
@@ -20,7 +20,7 @@ from lieharm.formal import (
     verify_p_harmonic,
 )
 from lieharm.jets import JetScalar
-from lieharm.lie import SPACE_FAMILIES, SUN_SON, SymmetricSpaceSpec, basis_g, sample
+from lieharm.lie import SPACE_FAMILIES, SU2N_SPN, SUN_SON, SymmetricSpaceSpec, basis_g, sample
 
 LAM = rc(Fraction(-20, 3))
 MU = rc(Fraction(-8, 3))
@@ -67,6 +67,113 @@ def test_tau_formal_linear(lam, mu, b, a):
     lhs = tau_formal(s.scale(alpha) + t.scale(beta), lam_rc, mu_rc)
     rhs = tau_formal(s, lam_rc, mu_rc).scale(alpha) + tau_formal(t, lam_rc, mu_rc).scale(beta)
     assert lhs == rhs
+
+
+def tau_oracle(s, lam, mu):
+    """The three-term chain rule in RationalComplex arithmetic, term by term:
+    tau(phi^a L^b) = [lam a + mu a(a-1)] phi^a L^b + [lam b + mu b(2a-1)] phi^a L^(b-1)
+                     + mu b(b-1) phi^a L^(b-2)."""
+    out = FormalSum()
+    for (a, b), c in s.terms.items():
+        a_rc = RationalComplex(a)
+        out._accumulate(a, b, c * (lam * a_rc + mu * a_rc * (a_rc - 1)))
+        if b >= 1:
+            out._accumulate(a, b - 1, c * (lam * b + mu * b * (2 * a_rc - 1)))
+        if b >= 2:
+            out._accumulate(a, b - 2, c * mu * (b * (b - 1)))
+    return out
+
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=15)
+complex_rationals = st.builds(rc, rationals, st.one_of(st.just(0), rationals))
+exponents = st.fractions(min_value=-7, max_value=7, max_denominator=6)
+formal_sums = st.dictionaries(
+    st.tuples(exponents, st.integers(min_value=0, max_value=6)), complex_rationals, max_size=8
+).map(FormalSum)
+
+
+@st.composite
+def eigenvalue_pairs(draw):
+    lam = draw(complex_rationals)
+    kind = draw(st.sampled_from(("generic", "mu-zero", "lambda-equals-mu")))
+    mu = {"generic": draw(complex_rationals), "mu-zero": rc(0), "lambda-equals-mu": lam}[kind]
+    return lam, mu
+
+
+def _same_terms(got, want):
+    # equal as dicts, with the keys in the same order
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+
+
+@given(formal_sums, eigenvalue_pairs())
+@settings(max_examples=120, deadline=None)
+def test_tau_formal_matches_the_rational_oracle(s, pair):
+    lam, mu = pair
+    for _ in range(3):
+        got = tau_formal(s, lam, mu)
+        _same_terms(got, tau_oracle(s, lam, mu))
+        s = got
+
+
+def test_tau_formal_prunes_and_reinserts_keys_as_the_oracle():
+    # tau(phi L^b) feeds phi L^0 from b = 0, 1 and 2: the first two cancel,
+    # so phi L^0 is pruned and comes back last, after phi L^1 and phi L^2
+    c0, c1 = -(LAM + MU), LAM  # c0 lam + c1 (lam + mu) = 0
+    s = FormalSum({(1, 0): c0, (1, 1): c1, (1, 2): rc(1)})
+    got = tau_formal(s, LAM, MU)
+    _same_terms(got, tau_oracle(s, LAM, MU))
+    assert list(got.terms) == [(1, 1), (1, 2), (1, 0)]
+    assert got.terms[(1, 0)] == MU * 2
+
+
+def test_tau_formal_matches_the_oracle_on_phi_p():
+    pairs = [expected_eigenvalues(SymmetricSpaceSpec(f, n)) for f in SPACE_FAMILIES for n in range(2, 7)]
+    pairs += [(rc(1), rc(0)), (rc(1), rc(1)), (rc(Fraction(2, 3), Fraction(-1, 5)), rc(Fraction(7, 4), 3))]
+    for lam, mu in pairs[:-1]:
+        for p in range(1, 9):
+            s = build_phi_p(p, lam, mu)
+            for _ in range(p):
+                got = tau_formal(s, lam, mu)
+                _same_terms(got, tau_oracle(s, lam, mu))
+                s = got
+            assert s.is_zero(), (lam, mu, p)
+    # complex eigenvalues: exponent_for rejects the ratio, so build the sum by hand
+    lam, mu = pairs[-1]
+    s = FormalSum.term(rc(1, 2), Fraction(-5, 3), 4) + FormalSum.term(rc(Fraction(1, 7)), 0, 3)
+    for _ in range(5):
+        got = tau_formal(s, lam, mu)
+        _same_terms(got, tau_oracle(s, lam, mu))
+        s = got
+
+
+def test_phi_p_certificate_makes_no_rational_complex_arithmetic(monkeypatch):
+    # tau_formal runs on Gaussian-integer numerators: the p = 8 certificate
+    # of SU(12)/Sp(6) makes no RationalComplex product or sum
+    lam, mu = expected_eigenvalues(SymmetricSpaceSpec(SU2N_SPN, 6))
+    s = build_phi_p(8, lam, mu)
+    calls = {"mul": 0, "add": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for dunder, name in (("__mul__", "mul"), ("__rmul__", "mul"), ("__add__", "add"), ("__radd__", "add")):
+        monkeypatch.setattr(RationalComplex, dunder, counted(name, getattr(RationalComplex, dunder)))
+    iterates = [s]
+    for _ in range(8):
+        iterates.append(tau_formal(iterates[-1], lam, mu))
+    monkeypatch.undo()
+    assert calls == {"mul": 0, "add": 0}
+    assert iterates[8].is_zero() and not iterates[7].is_zero()
+    # the counter sees the oracle's arithmetic
+    monkeypatch.setattr(RationalComplex, "__mul__", counted("mul", RationalComplex.__mul__))
+    tau_oracle(s, lam, mu)
+    monkeypatch.undo()
+    assert calls["mul"] > 0
 
 
 # --- construction ----------------------------------------------------------------

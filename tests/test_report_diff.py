@@ -42,16 +42,25 @@ def test_identical_reports_diff_clean(report_diff, report, tmp_path, capsys):
     assert "0 verdict flips, 0 missing and 0 added records" in out
     # 2 eigen draws, 1 + 2 pharmonic records (sun_son and the two synthetic pairs)
     assert "eigen              2       2" in out and "pharmonic          3       3" in out
+    assert "ms old -> new" in out
 
 
 def test_changed_residual_flip_and_missing_record(report_diff, report, tmp_path, capsys):
-    new = copy.deepcopy(report)
+    old, new = copy.deepcopy(report), copy.deepcopy(report)
+    for rec in old["records"]:
+        rec["ms"] = 1.25
+    for rec in new["records"]:
+        rec["ms"] = 2.5
     eigen = [r for r in new["records"] if r["name"] == "eigen/sun_son"]
     eigen[0]["residual"] *= 2
     eigen[1]["pass"] = False
     new["records"].remove(next(r for r in new["records"] if r["name"].startswith("pharmonic/")))
-    assert report_diff.main([_write(tmp_path, "a.json", report), _write(tmp_path, "b.json", new)]) == 1
+    assert report_diff.main([_write(tmp_path, "a.json", old), _write(tmp_path, "b.json", new)]) == 1
     out = capsys.readouterr().out
+    lines = {line.split()[0]: line for line in out.splitlines() if line.startswith(("eigen ", "pharmonic "))}
+    # summed record ms over the records both reports have: 2 eigen, 2 of the 3 pharmonic
+    assert lines["eigen"].endswith("       2.5 ->     5.0")
+    assert lines["pharmonic"].endswith("       2.5 ->     5.0")
     assert "fingerprints differ" in out
     assert "verdict flip: eigen/sun_son n=2 draw=1 pass True -> False" in out
     assert "missing in new: pharmonic/sun_son n=2 p=1" in out
