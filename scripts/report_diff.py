@@ -5,11 +5,13 @@
 Keys every record of the old report A and the new report B on
 (name, n, draw, p); a key that occurs twice in one report is an error.
 Prints the records only one report has, every verdict flip, whether the two
-fingerprints match, and per suite the number of records both reports have,
-how many of their residuals are bitwise equal, the range of the new/old
-ratio of the others, the worst residual of B, and the summed record time
-(`ms`) of those records in A and in B.  Exits 1 if a verdict
-flipped or the record sets differ, 0 otherwise.
+fingerprints match (and, if not, the config keys that enter the fingerprint
+and differ, so a changed config can be told from changed records), and per
+suite the number of records both reports have, how many of their residuals
+are bitwise equal, the range of the new/old ratio of the others, the worst
+residual of B, and the summed record time (`ms`) of those records in A and
+in B.  Exits 1 if a verdict flipped or the record sets differ, 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lieharm.harness import report_fingerprint  # noqa: E402
+from lieharm.harness import report_fingerprint, result_config  # noqa: E402
 
 KEY_PARAMS = ("n", "draw", "p")
 
@@ -72,6 +74,10 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"residual {old[key]['residual']:.3e} -> {new[key]['residual']:.3e}")
     same = report_fingerprint(reports[0]) == report_fingerprint(reports[1])
     print(f"fingerprints {'match' if same else 'differ'}")
+    if not same:
+        a, b = (result_config(report) for report in reports)
+        keys = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        print(f"config keys that differ: {', '.join(keys) if keys else 'none'}")
 
     print(f"{'suite':12} {'records':>7} {'bitwise':>7} {'new/old ratio':>19} {'worst new':>10} {'ms old -> new':>21}")
     for suite in sorted({key[0].split("/", 1)[0] for key in common}):

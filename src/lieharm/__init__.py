@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 
 from .exact import QSqrt2, RationalComplex, rc
 from .jets import JetDomainError, JetScalar, jet_log, jet_pow
-from .matrices import CMatrix, ShapeError, standard_symplectic
-from .lie import GroupSpec, SymmetricSpaceSpec, basis_g, cartan_decomposition
+from .matrices import ShapeError
+from .lie import GroupSpec, SymmetricSpaceSpec, basis_g, cartan_decomposition, standard_symplectic
 from .diffops import GroupFunction, directional_jet, kappa, tau, tau_iterated
 from .eigenfamilies import (
     EigenfunctionSpec,
@@ -27,7 +27,6 @@ __all__ = [
     "JetScalar",
     "jet_log",
     "jet_pow",
-    "CMatrix",
     "ShapeError",
     "standard_symplectic",
     "GroupSpec",

@@ -12,17 +12,20 @@ symmetric pair) the m-projection [Z, Z]_m/2 vanishes equally, so no
 correction term appears in either sum.  The dual Laplacian is the same sum
 over the directions i Z, Z in m.
 
-One sweep serves every point.  `_sweep` gives the jet of x (a plain point
-has none) one fresh nilpotent variable, whose degree axis goes in front of
-the degree axes of x; the direction axis of a stack of directions goes
-right after the degree axes, in front of any batch axes x already carries.
-The coefficients of t and t^2 vary along it, and that of t^0 is x
-repeated.  One evaluation of f then yields the derivatives along all the
-directions, and the projection onto degree d of the new variable is the
-coefficient array's index d.  tau and kappa sum over the direction axis,
-so their value is a number at a plain point, an array of one value per
-point at a batch of plain points (a CMatrix with batch axes), and a jet at
-a jet-valued point; the dtype follows the point, so a clongdouble point
+A point is a plain complex array, one matrix (n, n) or a batch
+(..., n, n), or a JetScalar whose value axes end in (n, n); the function
+of a `GroupFunction` sees it wrapped in a CMatrix, and nothing else here
+does.  One sweep serves every point.  `_sweep` gives the jet of x (a
+plain point has none) one fresh nilpotent variable, whose degree axis
+goes in front of the degree axes of x; the direction axis of a stack of
+directions goes right after the degree axes, in front of any batch axes x
+already carries.  The coefficients of t and t^2 vary along it, and that
+of t^0 is x repeated.  One evaluation of f then yields the derivatives
+along all the directions, and the projection onto degree d of the new
+variable is the coefficient array's index d.  tau and kappa sum over the
+direction axis, so their value is a number at a plain point, an array of
+one value per point at a batch of plain points, and a jet at a
+jet-valued point; the dtype follows the point, so a clongdouble point
 gives clongdouble values.  tau applied p times is tau of the function
 y -> tau(f, y): the outer sweep hands the inner one a point that is
 already a jet, batched over the outer directions (Li et al. 2023, "Forward
@@ -44,9 +47,11 @@ import numpy as np
 
 from .jets import JetDomainError, JetScalar
 from .lie import Basis, GroupSpec
-from .matrices import CMatrix, jet_width
+from .matrices import CMatrix
 
 Scalar = Union[complex, np.ndarray, JetScalar]
+# a plain point (an (..., n, n) complex array: one matrix or a batch) or a jet-valued one
+Point = Union[np.ndarray, JetScalar]
 
 # largest number of entries in one coefficient of a swept jet argument
 _CHUNK_ENTRIES = 2**16
@@ -61,14 +66,18 @@ class GroupFunction:
     """A scalar-polymorphic function on a matrix group.
 
     fn must be built from CMatrix operations only, so that plugging in a
-    jet-valued group element yields the jet of the composition.
+    jet-valued group element yields the jet of the composition.  A call
+    wraps its point, a complex array or a jet, in the CMatrix that fn
+    receives; this is the only place a point becomes a CMatrix.
     """
 
     fn: Callable[[CMatrix], Scalar]
     domain: Optional[GroupSpec] = None
     name: str = ""
 
-    def __call__(self, x: CMatrix) -> Scalar:
+    def __call__(self, x: Union[Point, CMatrix]) -> Scalar:
+        if not isinstance(x, CMatrix):
+            x = CMatrix.from_jet(x) if isinstance(x, JetScalar) else CMatrix(x)
         return self.fn(x)
 
 
@@ -82,18 +91,12 @@ def coordinate_function(j: int, alpha: int, domain: Optional[GroupSpec] = None) 
 
 
 def _dirs_array(dirs) -> np.ndarray:
-    if isinstance(dirs, Basis):
-        return dirs.stack()
-    if isinstance(dirs, np.ndarray):
-        return dirs
-    return np.stack([d.to_complex() if isinstance(d, CMatrix) else np.asarray(d, dtype=complex) for d in dirs])
+    return dirs.stack() if isinstance(dirs, Basis) else np.asarray(dirs)
 
 
-def _numeric_point(x: CMatrix) -> CMatrix:
-    """Exact group elements differentiate as plain complex points."""
-    if x.is_object() and jet_width(x) == 0:
-        return CMatrix(x.to_complex())
-    return x
+def jet_width(x: Point) -> int:
+    """Number of jet variables of a point; 0 for a plain one."""
+    return x.k if isinstance(x, JetScalar) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +104,7 @@ def _numeric_point(x: CMatrix) -> CMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _sweep(f: GroupFunction, x: CMatrix, dirs: np.ndarray) -> Iterator[Tuple[JetScalar, JetScalar]]:
+def _sweep(f: GroupFunction, x: Point, dirs: np.ndarray) -> Iterator[Tuple[JetScalar, JetScalar]]:
     """The first and second derivative jets of f along x (I + tZ + t^2 Z^2/2),
     one pair per chunk of the directions Z.
 
@@ -109,7 +112,7 @@ def _sweep(f: GroupFunction, x: CMatrix, dirs: np.ndarray) -> Iterator[Tuple[Jet
     direction axis in front of the batch axes of x.
     """
     k = jet_width(x)
-    base = x.jet.c if k else x.to_complex()
+    base = x.c if k else np.asarray(x)
     dirs = dirs.astype(np.result_type(dirs, base), copy=False)
     dirs2 = np.matmul(dirs, dirs) / 2
     # the direction axis goes right after the degree axes of x
@@ -121,7 +124,7 @@ def _sweep(f: GroupFunction, x: CMatrix, dirs: np.ndarray) -> Iterator[Tuple[Jet
         # the new variable's degree axis goes in front of those of x
         coeffs = np.stack(np.broadcast_arrays(y, y @ z, y @ z2))
         try:
-            w = f(CMatrix.from_jet(JetScalar(k + 1, coeffs)))
+            w = f(JetScalar(k + 1, coeffs))
         except JetDomainError as exc:
             raise JetDomainError(f"{f.name or 'f'} along directions {start}..{start + len(z) - 1}: {exc}") from exc
         if not isinstance(w, JetScalar):
@@ -152,21 +155,20 @@ def _reduce(parts: Iterable[JetScalar], k: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def directional_jet(f: GroupFunction, x: CMatrix, z) -> tuple:
+def directional_jet(f: GroupFunction, x: Point, z) -> tuple:
     """(f, Z(f), Z^2(f)) at x along the one-parameter subgroup of Z."""
-    z = z.to_complex() if isinstance(z, CMatrix) else np.asarray(z, dtype=complex)
-    x = _numeric_point(x)
+    z = np.asarray(z, dtype=complex)
     value = f(x)
     first, second = next(_sweep(f, x, z[None]))
     return value, _reduce([first], first.k), _reduce([second], second.k)
 
 
-def tau(f: GroupFunction, x: CMatrix, basis) -> Scalar:
+def tau(f: GroupFunction, x: Point, basis) -> Scalar:
     """Laplace-Beltrami operator: sum of Z^2(f)(x) over the given directions."""
     return _reduce((second for _, second in _sweep(f, x, _dirs_array(basis))), jet_width(x))
 
 
-def kappa(f: GroupFunction, g: GroupFunction, x: CMatrix, basis) -> Scalar:
+def kappa(f: GroupFunction, g: GroupFunction, x: Point, basis) -> Scalar:
     """Conformality operator: sum of Z(f) Z(g) over the given directions;
     complex bilinear, no conjugation."""
     dirs = _dirs_array(basis)
@@ -175,14 +177,14 @@ def kappa(f: GroupFunction, g: GroupFunction, x: CMatrix, basis) -> Scalar:
     return _reduce((a * b for a, b in zip(df, dg)), jet_width(x))
 
 
-def tau_and_kappa(f: GroupFunction, x: CMatrix, basis) -> tuple:
+def tau_and_kappa(f: GroupFunction, x: Point, basis) -> tuple:
     """(tau f, kappa(f, f)) from one sweep."""
     chunks = list(_sweep(f, x, _dirs_array(basis)))
     k = jet_width(x)
     return _reduce((s for _, s in chunks), k), _reduce((d * d for d, _ in chunks), k)
 
 
-def tau_iterated(f: GroupFunction, x: CMatrix, basis, p: int, budget: int = 10**6) -> Scalar:
+def tau_iterated(f: GroupFunction, x: Point, basis, p: int, budget: int = 10**6) -> Scalar:
     """tau applied p times via nested jets; cost grows like (dim basis)^p."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -194,7 +196,8 @@ def tau_iterated(f: GroupFunction, x: CMatrix, basis, p: int, budget: int = 10**
             f"(budget {budget})"
         )
     for _ in range(p - 1):
-        f = GroupFunction(lambda y, inner=f: tau(inner, y, dirs), domain=f.domain, name=f"tau({f.name})")
+        # the outer sweep's point is a jet; the inner tau sweeps that jet
+        f = GroupFunction(lambda y, inner=f: tau(inner, y.jet, dirs), domain=f.domain, name=f"tau({f.name})")
     return tau(f, x, dirs)
 
 
@@ -203,7 +206,7 @@ def tau_iterated(f: GroupFunction, x: CMatrix, basis, p: int, budget: int = 10**
 # ---------------------------------------------------------------------------
 
 
-def coordinate_sweep(x: CMatrix, basis) -> tuple:
+def coordinate_sweep(x: np.ndarray, basis) -> tuple:
     """Base, first and second derivative arrays of every matrix coefficient.
 
     Returns (x0, first, second) with shapes (n,n), (B,n,n), (B,n,n): the
@@ -211,7 +214,7 @@ def coordinate_sweep(x: CMatrix, basis) -> tuple:
     so whole families of coordinate identities can be checked at once.
     """
     dirs = _dirs_array(basis)
-    x0 = x.to_complex()
+    x0 = np.asarray(x)
     first = np.einsum("ij,bjk->bik", x0, dirs)
     second = 2.0 * np.einsum("ij,bjk->bik", x0, np.matmul(dirs, dirs) / 2.0)
     return x0, first, second

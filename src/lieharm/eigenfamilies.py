@@ -12,10 +12,10 @@ Families and their data:
   SU(2n)/Sp(n):  phi(z) = trace(z^t A z J),  same A, isotropy NOT required
 
 phi is evaluated as the Frobenius pairing <g, A g J> = sum_ij g_ij (A g J)_ij
-(`CMatrix.pair`, with J = I for the first two families), which is the same
-trace but never forms the product g^t (A g J): at a jet point that product
-would be a Cauchy product of matmuls between two jets, while the pairing
-contracts each pair of coefficients in O(n^2).
+(`pair` of `matrices.py`, with J = I for the first two families), which is
+the same trace but never forms the product g^t (A g J): at a jet point
+that product would be a Cauchy product of matmuls between two jets, while
+the pairing contracts each pair of coefficients in O(n^2).
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ from .lie import (
     sample,
     sample_dual_with_coefficients,
     sample_with_coefficients,
+    standard_symplectic,
 )
-from .matrices import CMatrix, standard_symplectic
+from .matrices import CMatrix
 
 
 class ValidationError(ValueError):
@@ -92,24 +93,18 @@ class EigenfunctionSpec:
             raise ValidationError(f"{self.space}: indices are not part of this family")
 
 
-def build_matrix_A(spec: EigenfunctionSpec) -> CMatrix:
+def build_matrix_A(spec: EigenfunctionSpec) -> np.ndarray:
     """Symmetric A = a a^t for the trace(g^t A g) families; skew-symmetric
     A = a1 Y_rs + a2 Y_rq + a3 Y_sq for the trace(g^t A g J) families."""
     fam, n = spec.space.family, spec.space.n
     if fam in (SUN_SON, SPN_UN):
         # mirror the upper triangle so A = a a^t is bitwise symmetric
         m = np.outer(spec.a, spec.a)
-        out = np.triu(m) + np.triu(m, 1).T
-        return CMatrix(out)
+        return np.triu(m) + np.triu(m, 1).T
     r, s, q = spec.indices
     size = 2 * n
     a1, a2, a3 = spec.a
-    m = (
-        a1 * generator("Y", size, r, s).to_complex()
-        + a2 * generator("Y", size, r, q).to_complex()
-        + a3 * generator("Y", size, s, q).to_complex()
-    )
-    return CMatrix(m)
+    return a1 * generator("Y", size, r, s) + a2 * generator("Y", size, r, q) + a3 * generator("Y", size, s, q)
 
 
 def uses_complex_structure(space: SymmetricSpaceSpec) -> bool:
@@ -119,9 +114,9 @@ def uses_complex_structure(space: SymmetricSpaceSpec) -> bool:
 def build_eigenfunction(spec: EigenfunctionSpec) -> GroupFunction:
     """phi as a scalar-polymorphic group function: <g, A g J> = trace(g^t A g J)."""
     space = spec.space
-    a_cm = build_matrix_A(spec)
+    a_cm = CMatrix(build_matrix_A(spec))
     size = space.matrix_size
-    j_cm = standard_symplectic(space.n) if uses_complex_structure(space) else None
+    j_cm = CMatrix(standard_symplectic(space.n)) if uses_complex_structure(space) else None
 
     def fn(g: CMatrix):
         if g.shape != (size, size):
@@ -232,7 +227,7 @@ def eigen_points(spec: EigenfunctionSpec, coeffs) -> EigenPoints:
     phi = f(x)
     t, kap = tau_and_kappa(f, x, b)
     # x_i k_ij for every point i and each of its rotations j
-    phi_k = f(CMatrix(x.to_complex()[:, None]) @ k)
+    phi_k = f(x[:, None] @ k)
     residuals = np.zeros((3, samples))
     for i in range(samples):
         # Python complex arithmetic: numpy's complex multiply and abs round differently
@@ -299,7 +294,7 @@ class Phi2Point(NamedTuple):
 
 def phi2_point(
     spec: EigenfunctionSpec, dual: bool
-) -> Tuple[FormalSum, Callable[[CMatrix, int], Optional[Phi2Point]]]:
+) -> Tuple[FormalSum, Callable[[np.ndarray, int], Optional[Phi2Point]]]:
     """The exact formal tau^2 of the Phi_2 that `verify_phi2` checks, and its
     per-point code (which replay runs too): a function of (point, budget),
     None where phi is outside the log domain.  `dual` selects the directions
@@ -319,7 +314,7 @@ def phi2_point(
     h = GroupFunction(lambda g: evaluate_formal(phi2, f(g)), domain=f.domain, name="Phi2.phi")
     lam, mu = complex(lam), complex(mu)
 
-    def check(x: CMatrix, budget: int) -> Optional[Phi2Point]:
+    def check(x: np.ndarray, budget: int) -> Optional[Phi2Point]:
         phi = complex(f(x))
         if not log_domain_ok(phi):
             return None

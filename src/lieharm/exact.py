@@ -1,12 +1,14 @@
 """Exact scalar arithmetic: rationals extended by sqrt(2), and rational complex numbers.
 
 RationalComplex has plain rational real and imaginary parts; it backs the
-eigenvalue constants, the formal phi^a (log phi)^b algebra and every
-identity check that must have residual *identically* zero rather than
-merely small.  No other module of the package uses QSqrt2: a basis
-element c N carries its exact weight c^2 as a Fraction (`lie.Basis`).  It
-stays only while the benchmark tracer counts its arithmetic, and goes with
-the exact object paths of `CMatrix`.
+eigenvalue constants and the formal phi^a (log phi)^b algebra, whose
+results must be *identically* zero rather than merely small.  The one
+exact matrix product left is the trace(A J) = 0 check of
+`identities.check_symplectic_facts`, a matrix of RationalComplex entries
+times the exact J; the generator sums run on integer patterns instead.
+No other module of the package uses QSqrt2: a basis element c N carries
+its exact weight c^2 as a Fraction (`lie.Basis`).  QSqrt2 and that exact
+product stay only while the benchmark tracer counts their arithmetic.
 """
 
 from __future__ import annotations

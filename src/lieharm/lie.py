@@ -18,10 +18,12 @@ A unitary z = x + iy embeds into the 2n x 2n real matrices as
 [[x, y], [-y, x]]; that single embedding realises U(n) inside both
 SO(2n) and Sp(n).
 
-Sample points are exp(sum_q c_q Z_q) with Gaussian c.  One call draws and
-exponentiates a whole batch: the coefficients carry leading batch axes,
-and `expm` (Taylor scaling and squaring in numpy, the polynomial by
-Paterson-Stockmeyer) exponentiates the (..., n, n) stack at once.
+Generators, J (`standard_symplectic`) and sample points are plain complex
+arrays.  Sample points are exp(sum_q c_q Z_q) with Gaussian c.  One call
+draws and exponentiates a whole batch: the coefficients carry leading
+batch axes, and `expm` (Taylor scaling and squaring in numpy, the
+polynomial by Paterson-Stockmeyer) exponentiates the (..., n, n) stack at
+once.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .matrices import CMatrix, ShapeError, standard_symplectic
+from .matrices import ShapeError
 
 SO = "SO"
 SU = "SU"
@@ -176,15 +178,6 @@ def _basis(name: str, families) -> Basis:
     return Basis(name, re, im, tuple(w for w, fam in families for _ in fam))
 
 
-def elementary(n: int, r: int, s: int) -> CMatrix:
-    """E_rs with a single 1 at (r, s); indices are 1-based."""
-    if not (1 <= r <= n and 1 <= s <= n):
-        raise UsageError(f"elementary: indices ({r},{s}) out of range for n={n}")
-    m = np.zeros((n, n), dtype=complex)
-    m[r - 1, s - 1] = 1.0
-    return CMatrix(m)
-
-
 def _pattern(kind: str, n: int, r: int, s: Optional[int] = None) -> np.ndarray:
     """The int64 pattern N of a generator: X_rs = N/sqrt2, Y_rs = N/sqrt2, D_r = N."""
     m = np.zeros((n, n), dtype=np.int64)
@@ -211,10 +204,18 @@ def _patterns(kind: str, n: int) -> List[np.ndarray]:
     return [_pattern(kind, n, r, s) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
 
 
-def generator(kind: str, n: int, r: int, s: Optional[int] = None) -> CMatrix:
-    """X_rs, Y_rs (1 <= r < s <= n) or D_r (1 <= r <= n)."""
+def generator(kind: str, n: int, r: int, s: Optional[int] = None) -> np.ndarray:
+    """X_rs, Y_rs (1 <= r < s <= n) or D_r (1 <= r <= n), as a complex128 array."""
     pattern = _pattern(kind, n, r, s)
-    return CMatrix((pattern * _root(_WEIGHT[kind], np.dtype(np.float64))).astype(complex))
+    return (pattern * _root(_WEIGHT[kind], np.dtype(np.float64))).astype(complex)
+
+
+def standard_symplectic(n: int) -> np.ndarray:
+    """J = [[0, I], [-I, 0]], 2n x 2n, as a complex128 array."""
+    m = np.zeros((2 * n, 2 * n), dtype=complex)
+    m[:n, n:] = np.eye(n)
+    m[n:, :n] = -np.eye(n)
+    return m
 
 
 @lru_cache(maxsize=None)
@@ -435,30 +436,30 @@ def sample_with_coefficients(
     sigma: float = 0.5,
     shape: Tuple[int, ...] = (),
     coeffs: Optional[np.ndarray] = None,
-) -> Tuple[CMatrix, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """exp(sum_i c_i Z_i) over the basis of g, with c_i ~ N(0, sigma^2); returns
     the points and their c.
 
     c has shape `shape` + (dim g,) and comes from one `rng.normal` call, so
     a batch draws the same numbers as that many one-point calls in a row.
     Coefficients drawn elsewhere can be passed as `coeffs` instead.  The
-    points form one CMatrix with batch axes `shape` (a single point for ()).
+    points form one complex array `shape` + (size, size).
     """
     if sigma <= 0:
         raise UsageError(f"sigma must be positive, got {sigma}")
     stack = basis_g(spec).stack()
     if coeffs is None:
         coeffs = rng.normal(0.0, sigma, size=(*shape, len(stack)))
-    return CMatrix(expm(_combination(stack, coeffs))), coeffs
+    return expm(_combination(stack, coeffs)), coeffs
 
 
 def sample(
     spec: GroupSpec, rng: np.random.Generator, sigma: float = 0.5, shape: Tuple[int, ...] = ()
-) -> CMatrix:
+) -> np.ndarray:
     return sample_with_coefficients(spec, rng, sigma, shape)[0]
 
 
-def rebuild_sample(spec: GroupSpec, coeffs) -> CMatrix:
+def rebuild_sample(spec: GroupSpec, coeffs) -> np.ndarray:
     """Replay helper: the points of stored coefficients, bit for bit the
     points `sample_with_coefficients` drew with them."""
     return sample_with_coefficients(spec, None, coeffs=coeffs)[0]
@@ -466,7 +467,7 @@ def rebuild_sample(spec: GroupSpec, coeffs) -> CMatrix:
 
 def sample_dual_with_coefficients(
     space: SymmetricSpaceSpec, rng: np.random.Generator, sigma: float = 0.2
-) -> Tuple[CMatrix, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A point exp(sum a_i K_i) exp(sum b_j iM_j) of the non-compact dual group."""
     if sigma <= 0:
         raise UsageError(f"sigma must be positive, got {sigma}")
@@ -476,16 +477,16 @@ def sample_dual_with_coefficients(
     return rebuild_dual_sample(space, a, b), a, b
 
 
-def sample_dual(space: SymmetricSpaceSpec, rng: np.random.Generator, sigma: float = 0.2) -> CMatrix:
+def sample_dual(space: SymmetricSpaceSpec, rng: np.random.Generator, sigma: float = 0.2) -> np.ndarray:
     return sample_dual_with_coefficients(space, rng, sigma)[0]
 
 
-def rebuild_dual_sample(space: SymmetricSpaceSpec, a, b) -> CMatrix:
+def rebuild_dual_sample(space: SymmetricSpaceSpec, a, b) -> np.ndarray:
     """exp(sum a_i K_i) exp(sum b_j iM_j) from one `expm` call on the stack of
     both exponents; each factor keeps the bits of its own one-matrix call."""
     k_basis, m_basis = cartan_decomposition(space)
     k, m = expm(np.stack([_combination(k_basis.stack(), a), 1j * _combination(m_basis.stack(), b)]))
-    return CMatrix(k @ m)
+    return k @ m
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +515,8 @@ class MembershipReport:
         return self.max_residual <= tol
 
 
-def membership_check(spec: GroupSpec, x: CMatrix) -> MembershipReport:
-    m = x.to_complex()
+def membership_check(spec: GroupSpec, x: np.ndarray) -> MembershipReport:
+    m = np.asarray(x)
     size = spec.matrix_size
     if m.shape != (size, size):
         raise ShapeError(f"membership_check: expected {(size, size)}, got {m.shape}")
@@ -526,7 +527,7 @@ def membership_check(spec: GroupSpec, x: CMatrix) -> MembershipReport:
     if spec.family == SO:
         report.realness = float(np.max(np.abs(np.imag(m))))
     if spec.family in (SP, U_IN_SPN, U_IN_SO2N):
-        j = standard_symplectic(spec.n).to_complex()
+        j = standard_symplectic(spec.n)
         report.symplectic = float(np.max(np.abs(m @ j @ m.T - j)))
     if spec.family in (U_IN_SPN, U_IN_SO2N):
         n = spec.n

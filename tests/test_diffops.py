@@ -41,8 +41,8 @@ RNG = np.random.default_rng(77)
 
 
 def test_directional_trace_derivative():
-    f = GroupFunction(lambda g: (g @ CMatrix.identity(g.rows)).trace(), name="trace")
-    x = CMatrix.identity(3)
+    f = GroupFunction(lambda g: (g @ CMatrix(np.eye(g.shape[0], dtype=complex))).trace(), name="trace")
+    x = np.eye(3, dtype=complex)
     for z in basis_g(GroupSpec(SU, 3)).stack():
         value, first, _ = directional_jet(f, x, z)
         assert abs(value - 3.0) < 1e-14
@@ -53,7 +53,7 @@ def test_directional_trace_derivative():
 def test_directional_coordinate_on_so2():
     # x_11 along Y_12 at the identity: value 1, first 0, second -1/2
     f = coordinate_function(1, 1)
-    value, first, second = directional_jet(f, CMatrix.identity(2), generator("Y", 2, 1, 2))
+    value, first, second = directional_jet(f, np.eye(2, dtype=complex), generator("Y", 2, 1, 2))
     assert abs(value - 1.0) < 1e-15
     assert abs(first) < 1e-15
     assert abs(second + 0.5) < 1e-15
@@ -61,7 +61,7 @@ def test_directional_coordinate_on_so2():
 
 def test_directional_constant():
     f = GroupFunction(lambda g: 4.2 + 0j)
-    _, first, second = directional_jet(f, CMatrix.identity(2), generator("Y", 2, 1, 2))
+    _, first, second = directional_jet(f, np.eye(2, dtype=complex), generator("Y", 2, 1, 2))
     assert first == 0 and second == 0
 
 
@@ -85,7 +85,7 @@ def test_kappa_coordinate_so():
     spec = GroupSpec(SO, 3)
     b = basis_g(spec)
     x = sample(spec, RNG, 0.5)
-    xc = x.to_complex()
+    xc = x
     for (j, a, k, c) in [(1, 1, 1, 1), (1, 2, 3, 1), (2, 3, 2, 3)]:
         val = kappa(coordinate_function(j, a), coordinate_function(k, c), x, b)
         expect = -0.5 * (xc[j - 1, c - 1] * xc[k - 1, a - 1] - (j == k) * (a == c))
@@ -94,7 +94,7 @@ def test_kappa_coordinate_so():
 
 def test_kappa_constant_is_zero():
     f = GroupFunction(lambda g: 1.0 + 0j)
-    assert kappa(f, f, CMatrix.identity(3), basis_g(GroupSpec(SO, 3))) == 0
+    assert kappa(f, f, np.eye(3, dtype=complex), basis_g(GroupSpec(SO, 3))) == 0
 
 
 def test_basis_independence():
@@ -128,7 +128,7 @@ def test_second_derivative_matches_finite_differences():
     def at(t):
         from scipy.linalg import expm
 
-        return complex(f(CMatrix(x.to_complex() @ expm(t * z))))
+        return complex(f(x @ expm(t * z)))
 
     fd = (at(h) - 2 * at(0.0) + at(-h)) / (h * h)
     assert abs(second - fd) <= 1e-5 * max(1.0, abs(fd))
@@ -193,7 +193,7 @@ def test_budget_guard():
     space = SymmetricSpaceSpec(SUN_SON, 3)
     f = build_eigenfunction(random_parameters(space, np.random.default_rng(11)))
     b = basis_g(space.group_spec())
-    x = CMatrix.identity(3)
+    x = np.eye(3, dtype=complex)
     with pytest.raises(BudgetExceeded):
         tau_iterated(f, x, b, 3, budget=10)
 
@@ -228,7 +228,7 @@ def test_tau_subspace_constant_is_zero():
     space = SymmetricSpaceSpec(SUN_SON, 2)
     _, m_basis = cartan_decomposition(space)
     f = GroupFunction(lambda g: 2.5 + 0j)
-    assert tau(f, CMatrix.identity(2), 1j * m_basis.stack()) == 0
+    assert tau(f, np.eye(2, dtype=complex), 1j * m_basis.stack()) == 0
 
 
 def test_batched_and_sequential_sweeps_agree():
@@ -242,14 +242,6 @@ def test_batched_and_sequential_sweeps_agree():
     for z in b.stack():
         total += directional_jet(f, x, z)[2]
     assert abs(tau(f, x, b) - total) < 1e-12
-
-
-def test_tau_accepts_exact_points():
-    from lieharm.matrices import CMatrix as CM
-
-    f = coordinate_function(1, 1)
-    t = tau(f, CM.identity(3, exact=True), basis_g(GroupSpec(SO, 3)))
-    assert abs(t - (-(3 - 1) / 2)) < 1e-14
 
 
 def test_tau_and_kappa_single_sweep_consistency():
@@ -268,12 +260,12 @@ def _tau2_reference(f, x, dirs):
     x exp(s Z_a) exp(t Z_b): the sum over pairs of 4 times the s^2 t^2 coefficient."""
     from lieharm.jets import JetScalar
 
-    x0 = x.to_complex()
+    x0 = x
     powers = [np.broadcast_to(np.eye(x0.shape[0]), dirs.shape), dirs, np.matmul(dirs, dirs) / 2.0]
     coeffs = np.stack(
         [np.stack([np.einsum("ij,ajk,bkl->abil", x0, powers[i], powers[j]) for j in range(3)]) for i in range(3)]
     )
-    w = f(CMatrix.from_jet(JetScalar(2, coeffs)))
+    w = f(JetScalar(2, coeffs))
     return complex(4.0 * np.sum(w.coeff((2, 2))))
 
 
@@ -325,8 +317,8 @@ def test_chunked_sweep_matches_single_chunk(monkeypatch):
     batch_single = values_at(xs)
     monkeypatch.setattr(diffops, "_CHUNK_ENTRIES", 189)
     batch_chunked = values_at(xs)
-    for i, point in enumerate(xs.to_complex()):
-        for chunked, whole, alone in zip(batch_chunked, batch_single, values_at(CMatrix(point))):
+    for i, point in enumerate(xs):
+        for chunked, whole, alone in zip(batch_chunked, batch_single, values_at(point)):
             assert np.shape(chunked) == np.shape(whole) == (7,)
             assert abs(chunked[i] - whole[i]) <= 1e-12 * max(1.0, abs(whole[i]))
             assert abs(alone - whole[i]) <= 1e-12 * max(1.0, abs(whole[i]))
@@ -341,8 +333,8 @@ def test_batched_sweep_gives_each_point_its_own_bits():
     b = basis_g(space.group_spec())
     xs = sample(space.group_spec(), rng, 0.5, (6,))
     t, k = tau_and_kappa(f, xs, b)
-    for i, point in enumerate(xs.to_complex()):
-        assert tau_and_kappa(f, CMatrix(point), b) == (t[i], k[i])
+    for i, point in enumerate(xs):
+        assert tau_and_kappa(f, point, b) == (t[i], k[i])
 
 
 def test_tau_and_kappa_keep_clongdouble():
@@ -351,9 +343,41 @@ def test_tau_and_kappa_keep_clongdouble():
     f = build_eigenfunction(random_parameters(space, rng))
     b = basis_g(space.group_spec())
     coeffs = rng.normal(0.0, 0.5, len(b))
-    x_ld = CMatrix(expm(np.einsum("q,qij->ij", coeffs.astype(np.longdouble), b.stack().astype(np.clongdouble))))
-    x = CMatrix(expm(np.einsum("q,qij->ij", coeffs, b.stack())))
-    assert x_ld.data.dtype == np.clongdouble
+    x_ld = expm(np.einsum("q,qij->ij", coeffs.astype(np.longdouble), b.stack().astype(np.clongdouble)))
+    x = expm(np.einsum("q,qij->ij", coeffs, b.stack()))
+    assert x_ld.dtype == np.clongdouble
     for got, want in zip(tau_and_kappa(f, x_ld, b), tau_and_kappa(f, x, b)):
         assert np.asarray(got).dtype == np.clongdouble
         assert abs(complex(got) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("kind", ["matrix", "batch", "jet", "cmatrix"])
+def test_group_function_wraps_every_kind_of_point(kind):
+    # GroupFunction.__call__ is where a point becomes the CMatrix fn sees: a
+    # plain matrix, a batch, a jet and an already wrapped point give fn the
+    # same CMatrix and so bitwise the same values
+    from lieharm.jets import JetScalar
+
+    space = SymmetricSpaceSpec(SU2N_SPN, 2)
+    rng = np.random.default_rng(19)
+    phi = build_eigenfunction(random_parameters(space, rng))
+    seen = []
+    f = GroupFunction(lambda g: seen.append(g) or phi(g), name="phi")
+    xs = sample(space.group_spec(), rng, 0.5, (3,))
+    assert type(xs) is np.ndarray
+    z = basis_g(space.group_spec()).stack()[2]
+    jet = JetScalar(1, np.stack([xs, xs @ z, xs @ z @ z / 2]))
+    point = {"matrix": xs[1], "batch": xs, "jet": jet, "cmatrix": CMatrix(xs)}[kind]
+    got = f(point)
+    assert isinstance(seen[-1], CMatrix)
+    if kind == "cmatrix":
+        assert seen[-1] is point
+    if kind != "cmatrix":
+        point = CMatrix.from_jet(point) if kind == "jet" else CMatrix(point)
+    want = phi(point)
+    if kind == "jet":
+        assert isinstance(got, JetScalar) and np.array_equal(got.c, want.c)
+        assert np.array_equal(got.c[0], phi(xs))
+    else:
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.ravel(got), np.ravel(phi(xs))[[1] if kind == "matrix" else slice(None)])

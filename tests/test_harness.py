@@ -27,7 +27,9 @@ from lieharm.harness import (
 )
 from lieharm.diffops import GroupFunction, tau_and_kappa
 from lieharm.eigenfamilies import build_eigenfunction, expected_eigenvalues, random_parameters
+from lieharm.identities import SPACE_FREE_IDENTITY_NAMES
 from lieharm.lie import (
+    SO2N_UN,
     SPN_UN,
     SU2N_SPN,
     SUN_SON,
@@ -145,6 +147,32 @@ def test_identity_batches_report_their_wall_time_once_per_record():
         assert r.params["batch_records"] == sharing[r.ms]
 
 
+def test_identities_follow_the_n_of_the_spaces():
+    # the generator sums and the decomposition run once per distinct n of the
+    # spaces, the numeric decomposition at the smallest; the rest once per run
+    cfg = RunConfig(suites=("identities",), spaces=((SPN_UN, 5), (SUN_SON, 3), (SO2N_UN, 5)),
+                    suite_overrides={"identities": {"samples": 2}})
+    records = identities_suite(cfg)
+    assert all(r.passed for r in records)
+    by_name = Counter(r.name for r in records)
+    n_of = lambda name: sorted(r.params["n"] for r in records if r.name == f"identities/{name}")
+    for kind in "XYD":
+        assert n_of(f"generator_sum_{kind}") == [3, 5]
+    assert n_of("kappa_basis_decomposition_exact") == [3, 5]
+    assert n_of("kappa_basis_decomposition_numeric") == [3]
+    # 3 generator sums and 1 exact decomposition per n, 1 numeric decomposition,
+    # 12 coordinate, 2 skew-lemma and 2 symplectic records
+    assert len(records) == 2 * (3 + 1) + 1 + 12 + 2 + 2 and "identities/coverage" not in by_name
+
+
+def test_identities_without_spaces_check_only_the_space_free_identities():
+    report = run(RunConfig(suites=("identities",), spaces=(), suite_overrides={"identities": {"samples": 2}}))
+    names = {r.name for r in report.records}
+    assert report.passed and "identities/coverage" not in names
+    assert names == {f"identities/{name}" for name in SPACE_FREE_IDENTITY_NAMES}
+    assert not any(name.startswith("identities/generator_sum") for name in names)
+
+
 def test_jobs_do_not_change_results():
     base = run(RunConfig(suites=("pharmonic", "identities"), spaces=((SPN_UN, 2),), p_max=2))
     parallel = run(
@@ -207,15 +235,15 @@ def test_batched_eigen_witness_replays_its_point():
     coeffs = rng.normal(0.0, cfg.sigma, size=(50, bg + 5 * len(basis_g(k_spec))))
     x, _ = sample_with_coefficients(g_spec, rng, cfg.sigma, coeffs=coeffs[:, :bg])
     assert rec.params["witness_coefficients"] == [float(c) for c in coeffs[0]]
-    point = rebuild_sample(g_spec, rec.params["witness_coefficients"][:bg]).to_complex()
-    assert np.array_equal(point, x.to_complex()[0])
+    point = rebuild_sample(g_spec, rec.params["witness_coefficients"][:bg])
+    assert np.array_equal(point, x[0])
 
     f = build_eigenfunction(spec)
     lam, mu = (complex(v) for v in expected_eigenvalues(spec))
     phi = f(x)
     t, kap = tau_and_kappa(f, x, b)
     k = rebuild_sample(k_spec, coeffs[0, bg:].reshape(5, -1))
-    kinv = max(abs(v - phi[0]) for v in f(CMatrix(point) @ k))
+    kinv = max(abs(v - phi[0]) for v in f(point @ k))
     residual = max(abs(t[0] - lam * phi[0]), abs(kap[0] - mu * phi[0] * phi[0]), kinv)
     replayed = replay_record(rec, cfg)
     assert abs(replayed - residual) <= 1e-14

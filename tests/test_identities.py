@@ -1,13 +1,10 @@
 """Identity suite: generator sums, coordinate formulas, the four-case
 decomposition, the skew-index lemma and the small symplectic facts."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from lieharm.diffops import coordinate_function, kappa
-from lieharm.exact import rc
 from lieharm import identities
 from lieharm.identities import (
     IDENTITY_NAMES,
@@ -28,22 +25,27 @@ from lieharm.lie import (
     SP,
     SU,
     basis_g,
-    elementary,
     generator_lattice,
     sample,
+    standard_symplectic,
 )
-from lieharm.matrices import CMatrix, standard_symplectic
 
 RNG = np.random.default_rng(99)
 
 
-def exact(m: CMatrix, scale=1) -> CMatrix:
-    """An exact copy of a floating matrix with dyadic entries, times `scale`."""
-    rows = m.to_complex()
-    return CMatrix.from_rows(
-        [[rc(Fraction(v.real) * scale, Fraction(v.imag) * scale) for v in row] for row in rows],
-        exact=True,
-    )
+def unit(n: int, r: int, s: int) -> np.ndarray:
+    """The integer E_rs with a single 1 at 1-based (r, s)."""
+    m = np.zeros((n, n), dtype=np.int64)
+    m[r - 1, s - 1] = 1
+    return m
+
+
+def assert_sum_equals(sums, alpha: int, beta: int, expected, denom: int = 1):
+    """The lattice sum at 1-based (alpha, beta) is exactly the real matrix
+    expected / denom, compared in integers."""
+    at = (alpha - 1, beta - 1)
+    assert np.array_equal(sums.re[at] * denom, np.asarray(expected) * sums.denom)
+    assert not sums.im[at].any()
 
 
 def perturbed(basis: Basis) -> Basis:
@@ -59,13 +61,13 @@ def perturbed(basis: Basis) -> Basis:
 def test_y_sum_single_term_hand_expansion():
     # n=2, alpha=beta=1: Y_12 E_11 Y_12^t = E_22 / 2
     sums = conjugation_sums(generator_lattice("Y", 2))
-    assert sums.exact(1, 1).exact_equals(exact(elementary(2, 2, 2), Fraction(1, 2)))
+    assert_sum_equals(sums, 1, 1, unit(2, 2, 2), 2)
 
 
 def test_d_sum_diagonal_case():
     sums = conjugation_sums(generator_lattice("D", 3))
-    assert sums.exact(2, 2).exact_equals(exact(elementary(3, 2, 2)))
-    assert sums.exact(1, 2).exact_equals(CMatrix.zeros(3, 3, exact=True))
+    assert_sum_equals(sums, 2, 2, unit(3, 2, 2))
+    assert_sum_equals(sums, 1, 2, np.zeros((3, 3), dtype=np.int64))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -103,7 +105,7 @@ def test_sp2_kappa_mixed_block_correction():
     # kappa(q_11, q_33) picks up (J)_13 (J)_13 / 2 = 1/2
     spec = GroupSpec(SP, 2)
     b = basis_g(spec)
-    j = standard_symplectic(2).to_complex()
+    j = standard_symplectic(2)
     assert j[0, 2] == 1.0
     x = sample(spec, RNG, 0.5)
     val = kappa(coordinate_function(1, 1), coordinate_function(3, 3), x, b)
@@ -129,10 +131,10 @@ def test_coordinate_kappa_matches_tuple_loop(family, n):
     _, kap = check_coordinate_identities(spec, 4, 0.0, np.random.default_rng(19))
     rng = np.random.default_rng(19)
     tuples = identities._index_tuples(size, n <= 3, 50, rng)
-    j_mat = standard_symplectic(n).to_complex()
+    j_mat = standard_symplectic(n)
     worst = 0.0
-    for x in sample(spec, rng, 0.5, (4,)).to_complex():
-        _, first, _ = identities.coordinate_sweep(CMatrix(x), basis_g(spec))
+    for x in sample(spec, rng, 0.5, (4,)):
+        _, first, _ = identities.coordinate_sweep(x, basis_g(spec))
         kap_all = np.einsum("bja,bkc->jakc", first, first)
         residuals = {}
         for (j, a, k, c) in tuples:
@@ -173,17 +175,15 @@ def test_decomposition_case1_value():
     # case (1): sum = -E_ba/2
     n = 2
     sums = conjugation_sums(basis_g(GroupSpec(SP, n)))
-    expect = exact(elementary(2 * n, 2, 1), Fraction(-1, 2))
-    assert sums.exact(1, 2).exact_equals(expect)
+    assert_sum_equals(sums, 1, 2, -unit(2 * n, 2, 1), 2)
 
 
 def test_decomposition_case2_with_j_correction():
     # case (2) with alpha = beta - n: sum = -E_ba/2 + J/2
     n = 2
     sums = conjugation_sums(basis_g(GroupSpec(SP, n)))
-    expect = exact(elementary(2 * n, 1 + n, 1), Fraction(-1, 2))
-    expect = expect + standard_symplectic(n, exact=True).scale(rc(Fraction(1, 2)))
-    assert sums.exact(1, 1 + n).exact_equals(expect)
+    j = standard_symplectic(n).real.astype(np.int64)
+    assert_sum_equals(sums, 1, 1 + n, j - unit(2 * n, 1 + n, 1), 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -202,7 +202,7 @@ def test_decomposition_numeric_agreement():
 
 
 def test_sparse_matches_dense_reference():
-    # the integer einsum against dense RationalComplex matrix products
+    # the integer einsum against one integer matrix product per basis element
     sp2 = basis_g(GroupSpec(SP, 2))
     assert dense_exact_crosscheck(sp2, 1, 3)
     assert dense_exact_crosscheck(sp2, 2, 2)
@@ -211,6 +211,25 @@ def test_sparse_matches_dense_reference():
     assert dense_exact_crosscheck(basis_g(GroupSpec(SU, 3)), 1, 1)
     # both routes see a perturbed lattice alike
     assert dense_exact_crosscheck(perturbed(sp2), 1, 1)
+
+
+@pytest.mark.parametrize("space", [GroupSpec(SP, 2), GroupSpec(SU, 3)], ids=str)
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_dense_crosscheck_catches_a_changed_einsum_entry(monkeypatch, space, part):
+    # the second route must fail when the einsum is off by one integer in one entry
+    basis, alpha, beta = basis_g(space), 1, 2
+    assert dense_exact_crosscheck(basis, alpha, beta)
+
+    def faulty(b):
+        out = conjugation_sums(b)
+        changed = getattr(out, part).copy()
+        changed[alpha - 1, beta - 1, 0, 1] += 1
+        return out._replace(**{part: changed})
+
+    monkeypatch.setattr(identities, "conjugation_sums", faulty)
+    assert not dense_exact_crosscheck(basis, alpha, beta)
+    # an entry of another (a, b) is not looked at
+    assert dense_exact_crosscheck(basis, beta, alpha)
 
 
 def test_perturbed_lattice_fails_generator_sums(monkeypatch):

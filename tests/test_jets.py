@@ -226,7 +226,7 @@ def test_jet_matrix_arithmetic_matches_central_differences():
         s = 0.5 * (g + g.T) + g
         return np.trace(s @ g) - 2 * (g[0, 1] - g[1, 0]) * g[1, 2]
 
-    value, d1_jet, d2_jet = directional_jet(GroupFunction(fn), CMatrix(x), z)
+    value, d1_jet, d2_jet = directional_jet(GroupFunction(fn), x, z)
     h = 1e-4
     d1 = (curve(h) - curve(-h)) / (2 * h)
     d2 = (curve(h) - 2 * curve(0) + curve(-h)) / (h * h)

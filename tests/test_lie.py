@@ -36,8 +36,8 @@ from lieharm.lie import (
     sample,
     sample_dual,
     sample_with_coefficients,
+    standard_symplectic,
 )
-from lieharm.matrices import CMatrix, standard_symplectic
 
 RNG = np.random.default_rng(2024)
 
@@ -66,7 +66,8 @@ def test_space_spec_groups():
 
 
 def test_y_generator_value():
-    y = generator("Y", 2, 1, 2).to_complex()
+    y = generator("Y", 2, 1, 2)
+    assert type(y) is np.ndarray and y.dtype == np.complex128
     c = 1 / np.sqrt(2)
     assert np.allclose(y, np.array([[0, c], [-c, 0]]))
 
@@ -89,10 +90,10 @@ def test_x_y_orthogonal():
 def test_exact_generators_match_float():
     for kind in ("X", "Y"):
         e = generator_lattice(kind, 3).stack()[0]
-        f = generator(kind, 3, 1, 2).to_complex()
+        f = generator(kind, 3, 1, 2)
         assert np.max(np.abs(e - f)) < 1e-15
     d2 = generator_lattice("D", 3).stack()[1]
-    assert np.array_equal(d2, generator("D", 3, 2).to_complex())
+    assert np.array_equal(d2, generator("D", 3, 2))
 
 
 # --- bases -------------------------------------------------------------------
@@ -186,7 +187,7 @@ def test_sp_basis_conditions():
     # dim sp(2) = 10; every element satisfies Z^t J + J Z = 0 and Z* = -Z
     b = basis_g(GroupSpec(SP, 2))
     assert len(b) == 10
-    j = standard_symplectic(2).to_complex()
+    j = standard_symplectic(2)
     for m in b.stack():
         assert np.max(np.abs(m.T @ j + j @ m)) < 1e-12
         assert np.max(np.abs(np.conj(m.T) + m)) < 1e-12
@@ -251,9 +252,9 @@ def test_unitary_embedding_lands_in_so_and_sp():
 def test_embed_unitary_block_structure():
     rng = np.random.default_rng(9)
     # build an honest unitary via the SU(2) sampler and a phase
-    u = sample(GroupSpec(SU, 2), rng).to_complex() * np.exp(0.3j)
+    u = sample(GroupSpec(SU, 2), rng) * np.exp(0.3j)
     m = embed_unitary(u)
-    rep = membership_check(GroupSpec(U_IN_SO2N, 2), CMatrix(m))
+    rep = membership_check(GroupSpec(U_IN_SO2N, 2), m)
     assert rep.max_residual < 1e-10
     assert np.allclose(m[:2, :2], np.real(u))
     assert np.allclose(m[:2, 2:], np.imag(u))
@@ -264,7 +265,7 @@ def test_embed_unitary_block_structure():
 
 def test_sample_sigma_zero_limit_is_identity():
     x = sample(GroupSpec(SU, 3), np.random.default_rng(0), sigma=1e-12)
-    assert np.max(np.abs(x.to_complex() - np.eye(3))) < 1e-10
+    assert np.max(np.abs(x - np.eye(3))) < 1e-10
 
 
 def test_sample_su3_membership():
@@ -274,8 +275,8 @@ def test_sample_su3_membership():
 
 
 def test_sample_sp2_preserves_j():
-    q = sample(GroupSpec(SP, 2), np.random.default_rng(2), sigma=0.5).to_complex()
-    j = standard_symplectic(2).to_complex()
+    q = sample(GroupSpec(SP, 2), np.random.default_rng(2), sigma=0.5)
+    j = standard_symplectic(2)
     assert np.max(np.abs(q @ j @ q.T - j)) <= 1e-10
 
 
@@ -289,15 +290,16 @@ def test_rebuild_sample_is_bitwise():
     # point, rebuilt alone or in a batch from its stored coefficients, keeps its bits
     spec = GroupSpec(SP, 2)
     x, coeffs = sample_with_coefficients(spec, np.random.default_rng(4), 0.5, (7,))
-    assert x.shape == (4, 4) and x.to_complex().shape == (7, 4, 4) and coeffs.shape == (7, 10)
+    assert type(x) is np.ndarray and x.dtype == np.complex128
+    assert x.shape == (7, 4, 4) and coeffs.shape == (7, 10)
     rng = np.random.default_rng(4)
     for i in range(7):
         xi, ci = sample_with_coefficients(spec, rng, 0.5)
         assert np.array_equal(ci, coeffs[i])
-        assert np.array_equal(xi.to_complex(), x.to_complex()[i])
+        assert np.array_equal(xi, x[i])
         y = rebuild_sample(spec, [float(c) for c in coeffs[i]])
-        assert np.array_equal(x.to_complex()[i], y.to_complex())
-    assert np.array_equal(x.to_complex(), rebuild_sample(spec, coeffs).to_complex())
+        assert np.array_equal(x[i], y)
+    assert np.array_equal(x, rebuild_sample(spec, coeffs))
 
 
 def test_sigma_must_be_positive():
@@ -329,7 +331,7 @@ def _unitarity_defect(x):
 
 
 def _symplectic_defect(x, n):
-    j = standard_symplectic(n).to_complex()
+    j = standard_symplectic(n)
     return float(np.max(np.abs(x @ j @ np.swapaxes(x, -1, -2) - j)))
 
 
@@ -437,7 +439,7 @@ def test_clongdouble_expm_is_unitary(family, n):
     defect = np.abs(x @ np.conj(np.swapaxes(x, -1, -2)) - eye).max(axis=(-2, -1))
     assert np.all(defect <= bound)
     if family in (SP, U_IN_SPN, U_IN_SO2N):
-        j = standard_symplectic(n).to_complex()
+        j = standard_symplectic(n)
         defect = np.abs(x @ j @ np.swapaxes(x, -1, -2) - j).max(axis=(-2, -1))
         assert np.all(defect <= bound)
 
@@ -538,7 +540,8 @@ def test_dual_sample_is_bitwise_two_expm_calls(family):
     for sigma in (0.2, 2.0):
         a, b = rng.normal(0.0, sigma, len(k)), rng.normal(0.0, sigma, len(m))
         two = expm(lie._combination(k.stack(), a)) @ expm(1j * lie._combination(m.stack(), b))
-        assert np.array_equal(rebuild_dual_sample(space, a, b).to_complex(), two)
+        x = rebuild_dual_sample(space, a, b)
+        assert type(x) is np.ndarray and np.array_equal(x, two)
 
 
 def test_dual_sample_special_linear_not_unitary():
@@ -546,7 +549,8 @@ def test_dual_sample_special_linear_not_unitary():
     rng = np.random.default_rng(11)
     hits = 0
     for _ in range(5):
-        x = sample_dual(space, rng, sigma=0.5).to_complex()
+        x = sample_dual(space, rng, sigma=0.5)
+        assert type(x) is np.ndarray
         assert abs(np.linalg.det(x) - 1) <= 1e-10
         if np.max(np.abs(x @ np.conj(x.T) - np.eye(2))) > 1e-3:
             hits += 1
@@ -555,7 +559,7 @@ def test_dual_sample_special_linear_not_unitary():
 
 def test_dual_sample_zero_coefficients_is_identity():
     space = SymmetricSpaceSpec(SUN_SON, 2)
-    x = sample_dual(space, np.random.default_rng(12), sigma=1e-14).to_complex()
+    x = sample_dual(space, np.random.default_rng(12), sigma=1e-14)
     assert np.max(np.abs(x - np.eye(2))) < 1e-12
 
 
@@ -564,7 +568,7 @@ def test_dual_pure_m_part_is_positive_definite():
     space = SymmetricSpaceSpec(SUN_SON, 2)
     k, m = cartan_decomposition(space)
     coeffs = np.array([0.4, -0.7])
-    x = rebuild_dual_sample(space, np.zeros(len(k)), coeffs).to_complex()
+    x = rebuild_dual_sample(space, np.zeros(len(k)), coeffs)
     assert np.max(np.abs(np.imag(x))) < 1e-12
     xr = np.real(x)
     assert np.max(np.abs(xr - xr.T)) < 1e-12
@@ -575,12 +579,12 @@ def test_dual_pure_m_part_is_positive_definite():
 
 
 def test_membership_identity_clean():
-    rep = membership_check(GroupSpec(SU, 2), CMatrix.identity(2))
+    rep = membership_check(GroupSpec(SU, 2), np.eye(2, dtype=complex))
     assert rep.max_residual == 0.0
 
 
 def test_membership_detects_scaling():
-    x = CMatrix(np.diag([2.0, 0.5]).astype(complex))
+    x = np.diag([2.0, 0.5]).astype(complex)
     rep = membership_check(GroupSpec(SU, 2), x)
     assert rep.unitarity == pytest.approx(3.0)
     assert rep.determinant == pytest.approx(0.0, abs=1e-15)

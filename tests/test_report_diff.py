@@ -38,7 +38,7 @@ def test_identical_reports_diff_clean(report_diff, report, tmp_path, capsys):
     a = _write(tmp_path, "a.json", report)
     assert report_diff.main([a, a]) == 0
     out = capsys.readouterr().out
-    assert "fingerprints match" in out
+    assert "fingerprints match" in out and "config keys" not in out
     assert "0 verdict flips, 0 missing and 0 added records" in out
     # 2 eigen draws, 1 + 2 pharmonic records (sun_son and the two synthetic pairs)
     assert "eigen              2       2" in out and "pharmonic          3       3" in out
@@ -51,6 +51,7 @@ def test_changed_residual_flip_and_missing_record(report_diff, report, tmp_path,
         rec["ms"] = 1.25
     for rec in new["records"]:
         rec["ms"] = 2.5
+    new["config"]["out"] = "elsewhere.json"  # a run-only key: not in the fingerprint
     eigen = [r for r in new["records"] if r["name"] == "eigen/sun_son"]
     eigen[0]["residual"] *= 2
     eigen[1]["pass"] = False
@@ -62,6 +63,7 @@ def test_changed_residual_flip_and_missing_record(report_diff, report, tmp_path,
     assert lines["eigen"].endswith("       2.5 ->     5.0")
     assert lines["pharmonic"].endswith("       2.5 ->     5.0")
     assert "fingerprints differ" in out
+    assert "config keys that differ: none" in out
     assert "verdict flip: eigen/sun_son n=2 draw=1 pass True -> False" in out
     assert "missing in new: pharmonic/sun_son n=2 p=1" in out
     assert "eigen              2       1       x2.00 - x2.00" in out
@@ -73,3 +75,13 @@ def test_duplicate_key_is_an_error(report_diff, report, tmp_path):
     dup["records"].append(dup["records"][0])
     with pytest.raises(ValueError, match="duplicate record key"):
         report_diff.main([_write(tmp_path, "a.json", report), _write(tmp_path, "d.json", dup)])
+
+
+def test_changed_config_names_its_keys(report_diff, report, tmp_path, capsys):
+    new = copy.deepcopy(report)
+    new["config"].update(seed=7, p_max=2, jobs=3)
+    new["config"]["explicit"] = ["jobs"]  # run-only, so the same as ()
+    assert report_diff.main([_write(tmp_path, "a.json", report), _write(tmp_path, "b.json", new)]) == 0
+    out = capsys.readouterr().out
+    assert "fingerprints differ" in out
+    assert "config keys that differ: p_max, seed" in out
