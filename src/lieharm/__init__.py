@@ -8,7 +8,7 @@ from .exact import QSqrt2, RationalComplex, rc
 from .jets import JetDomainError, JetScalar, jet_log, jet_pow
 from .matrices import ShapeError
 from .lie import GroupSpec, SymmetricSpaceSpec, basis_g, cartan_decomposition, standard_symplectic
-from .diffops import GroupFunction, directional_jet, kappa, tau, tau_iterated
+from .diffops import GroupFunction, kappa, tau, tau_iterated
 from .eigenfamilies import (
     EigenfunctionSpec,
     build_eigenfunction,
@@ -34,7 +34,6 @@ __all__ = [
     "basis_g",
     "cartan_decomposition",
     "GroupFunction",
-    "directional_jet",
     "kappa",
     "tau",
     "tau_iterated",

@@ -3,8 +3,10 @@
     lieharm eigen|dual|pharmonic|identities|crosscheck|all [flags]
 
 Flags mirror the RunConfig keys; precedence is CLI flag > LIEHARM_* env
-var > config-file value > built-in default.  Exit codes: 0 pass, 1
-verification failure, 2 usage error, 3 I/O error.
+var > config-file value > built-in default.  A flag or variable sets the
+key for every suite; a [run] value only replaces the global default, so a
+suite section or a built-in per-suite default beats it.  Exit codes: 0
+pass, 1 verification failure, 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ _SCALAR_KEYS = {
     "seed": int,
     "p_max": int,
     "budget": int,
-    "jobs": int,
     "out": str,
 }
 
@@ -87,8 +88,11 @@ def _convert(key: str, raw: str, suite: Optional[str] = None):
     defaults = SUITE_DEFAULTS.get(suite, {})
     caster = type(defaults[key]) if key in defaults else _SCALAR_KEYS.get(key, str)
     try:
-        if caster is int:
-            return int(float(raw)) if "e" in raw.lower() else int(raw)
+        if caster is int and "e" in raw.lower():
+            value = float(raw)
+            if not value.is_integer():
+                raise ValueError("not an integer")
+            return int(value)
         return caster(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value {raw!r} for {key}") from exc
@@ -108,10 +112,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         else:
             raise ConfigError(f"unknown config key {key!r} in [run]")
 
+    explicit = set()
     for key in _SCALAR_KEYS:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
             values[key] = _convert(key, env)
+            explicit.add(key)
 
     if args.suite != "all":
         values["suites"] = (args.suite,)
@@ -124,13 +130,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         families = {f for f, _ in values.get("spaces", DEFAULT_SPACES)}
         values["spaces"] = tuple((f, int(n)) for f in sorted(families) for n in args.n)
 
-    explicit = []
     for key in _SCALAR_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-            explicit.append(key)
-    values["explicit"] = tuple(explicit)
+            explicit.add(key)
+    values["explicit"] = tuple(key for key in _SCALAR_KEYS if key in explicit)
 
     overrides = {
         suite: {k: _convert(k, v, suite) for k, v in section.items()}
@@ -168,7 +173,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=None, help="jet-evaluation budget for tau^p")
     parser.add_argument("--config", default=None, help="config file (see README for schema)")
     parser.add_argument("--out", default=None, help="path for the JSON report")
-    parser.add_argument("--jobs", type=int, default=None, help="worker threads across suites")
     return parser
 
 

@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
 from .jets import JetDomainError, JetScalar
-from .lie import Basis, GroupSpec
+from .lie import Basis
 from .matrices import CMatrix
 
 Scalar = Union[complex, np.ndarray, JetScalar]
@@ -72,7 +72,6 @@ class GroupFunction:
     """
 
     fn: Callable[[CMatrix], Scalar]
-    domain: Optional[GroupSpec] = None
     name: str = ""
 
     def __call__(self, x: Union[Point, CMatrix]) -> Scalar:
@@ -81,17 +80,13 @@ class GroupFunction:
         return self.fn(x)
 
 
-def coordinate_function(j: int, alpha: int, domain: Optional[GroupSpec] = None) -> GroupFunction:
-    """The matrix-coefficient function g -> g_{j,alpha} (1-based indices)."""
-
-    def fn(g: CMatrix):
-        return g[j - 1, alpha - 1]
-
-    return GroupFunction(fn, domain=domain, name=f"coord[{j},{alpha}]")
-
-
-def _dirs_array(dirs) -> np.ndarray:
-    return dirs.stack() if isinstance(dirs, Basis) else np.asarray(dirs)
+def _dirs_array(dirs, x: Point) -> np.ndarray:
+    """The directions as an array: a Basis is read in the complex dtype of
+    the point x, so that a clongdouble point gets clongdouble directions."""
+    if not isinstance(dirs, Basis):
+        return np.asarray(dirs)
+    base = x.c if isinstance(x, JetScalar) else np.asarray(x)
+    return dirs.stack(np.result_type(base, np.complex128))
 
 
 def jet_width(x: Point) -> int:
@@ -151,27 +146,19 @@ def _reduce(parts: Iterable[JetScalar], k: int) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# directional derivatives and the operators
+# the operators
 # ---------------------------------------------------------------------------
-
-
-def directional_jet(f: GroupFunction, x: Point, z) -> tuple:
-    """(f, Z(f), Z^2(f)) at x along the one-parameter subgroup of Z."""
-    z = np.asarray(z, dtype=complex)
-    value = f(x)
-    first, second = next(_sweep(f, x, z[None]))
-    return value, _reduce([first], first.k), _reduce([second], second.k)
 
 
 def tau(f: GroupFunction, x: Point, basis) -> Scalar:
     """Laplace-Beltrami operator: sum of Z^2(f)(x) over the given directions."""
-    return _reduce((second for _, second in _sweep(f, x, _dirs_array(basis))), jet_width(x))
+    return _reduce((second for _, second in _sweep(f, x, _dirs_array(basis, x))), jet_width(x))
 
 
 def kappa(f: GroupFunction, g: GroupFunction, x: Point, basis) -> Scalar:
     """Conformality operator: sum of Z(f) Z(g) over the given directions;
     complex bilinear, no conjugation."""
-    dirs = _dirs_array(basis)
+    dirs = _dirs_array(basis, x)
     df = [first for first, _ in _sweep(f, x, dirs)]
     dg = df if g is f else [first for first, _ in _sweep(g, x, dirs)]
     return _reduce((a * b for a, b in zip(df, dg)), jet_width(x))
@@ -179,7 +166,7 @@ def kappa(f: GroupFunction, g: GroupFunction, x: Point, basis) -> Scalar:
 
 def tau_and_kappa(f: GroupFunction, x: Point, basis) -> tuple:
     """(tau f, kappa(f, f)) from one sweep."""
-    chunks = list(_sweep(f, x, _dirs_array(basis)))
+    chunks = list(_sweep(f, x, _dirs_array(basis, x)))
     k = jet_width(x)
     return _reduce((s for _, s in chunks), k), _reduce((d * d for d, _ in chunks), k)
 
@@ -188,7 +175,7 @@ def tau_iterated(f: GroupFunction, x: Point, basis, p: int, budget: int = 10**6)
     """tau applied p times via nested jets; cost grows like (dim basis)^p."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    dirs = _dirs_array(basis)
+    dirs = _dirs_array(basis, x)
     cost = len(dirs) ** p
     if cost > budget:
         raise BudgetExceeded(
@@ -197,7 +184,7 @@ def tau_iterated(f: GroupFunction, x: Point, basis, p: int, budget: int = 10**6)
         )
     for _ in range(p - 1):
         # the outer sweep's point is a jet; the inner tau sweeps that jet
-        f = GroupFunction(lambda y, inner=f: tau(inner, y.jet, dirs), domain=f.domain, name=f"tau({f.name})")
+        f = GroupFunction(lambda y, inner=f: tau(inner, y.jet, dirs), name=f"tau({f.name})")
     return tau(f, x, dirs)
 
 
@@ -213,7 +200,7 @@ def coordinate_sweep(x: np.ndarray, basis) -> tuple:
     jets of all coordinate functions from a single batched construction,
     so whole families of coordinate identities can be checked at once.
     """
-    dirs = _dirs_array(basis)
+    dirs = _dirs_array(basis, x)
     x0 = np.asarray(x)
     first = np.einsum("ij,bjk->bik", x0, dirs)
     second = 2.0 * np.einsum("ij,bjk->bik", x0, np.matmul(dirs, dirs) / 2.0)

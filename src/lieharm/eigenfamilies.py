@@ -126,7 +126,7 @@ def build_eigenfunction(spec: EigenfunctionSpec) -> GroupFunction:
             m = m @ j_cm
         return g.pair(m)
 
-    return GroupFunction(fn, domain=space.group_spec(), name=f"phi[{space}]")
+    return GroupFunction(fn, name=f"phi[{space}]")
 
 
 def expected_eigenvalues(spec_or_space) -> Tuple[RationalComplex, RationalComplex]:
@@ -208,8 +208,8 @@ class EigenPoints(NamedTuple):
 
 def eigen_points(spec: EigenfunctionSpec, coeffs) -> EigenPoints:
     """The eigen-equation and K-invariance residuals of phi at the points of a
-    (samples, dim g + k_samples * dim k) coefficient array, which replay also
-    runs: each row holds a point x of G, then its k_samples points k_j of K.
+    (samples, dim g + r dim k) coefficient array, which replay also runs:
+    each row holds a point x of G, then its r points k_j of K.
 
     One sweep, one phi evaluation and one evaluation of phi at every x k_j
     serve the whole batch.
@@ -246,15 +246,14 @@ def verify_eigen(
     tol: float,
     rng: np.random.Generator,
     sigma: float = 0.5,
-    k_samples: int = 5,
 ) -> EigenVerification:
     """Check tau(phi) = lambda phi, kappa(phi,phi) = mu phi^2 and K-invariance
     at sampled group points; residuals are compared to tol * max(1, |phi|).
 
     The points are one batch for `eigen_points`: all coefficients come from
-    one rng.normal call, in the order of a point-by-point draw (a point of G,
-    then its k_samples points of K).  The witness is the whole row of the
-    first failing point.
+    one rng.normal call, in the order of a point-by-point draw (a point x of
+    G, then the 5 points k of K at which phi(x k) = phi(x) is checked).  The
+    witness is the whole row of the first failing point.
     """
     out = EigenVerification(spec, samples, tol)
     if samples <= 0:
@@ -262,7 +261,7 @@ def verify_eigen(
         return out
     bg = len(basis_g(spec.space.group_spec()))
     bk = len(basis_g(spec.space.subgroup_spec()))
-    coeffs = rng.normal(0.0, sigma, size=(samples, bg + k_samples * bk))
+    coeffs = rng.normal(0.0, sigma, size=(samples, bg + 5 * bk))
     points = eigen_points(spec, coeffs)
     size = np.abs(points.phi)
     ok = points.residual <= tol * np.maximum(1.0, size)
@@ -311,7 +310,7 @@ def phi2_point(
     phi2 = build_phi_p(2, lam, mu)
     tau1 = tau_formal(phi2, lam, mu)
     tau2 = tau_formal(tau1, lam, mu)
-    h = GroupFunction(lambda g: evaluate_formal(phi2, f(g)), domain=f.domain, name="Phi2.phi")
+    h = GroupFunction(lambda g: evaluate_formal(phi2, f(g)), name="Phi2.phi")
     lam, mu = complex(lam), complex(mu)
 
     def check(x: np.ndarray, budget: int) -> Optional[Phi2Point]:

@@ -3,10 +3,10 @@ seeded runs with structured reports.
 
 Reproducibility contract: the master seed is split into independent
 substreams keyed by (seed, suite, space, index) through SHA-256 into a
-numpy SeedSequence, so results do not depend on execution order or worker
-count; records are sorted by (name, params) before report assembly.  Two
-runs with the same config and seed produce reports that are identical
-after stripping the timestamp and the per-record wall times.
+numpy SeedSequence, so results do not depend on execution order; records
+are sorted by (name, params) before report assembly.  Two runs with the
+same config and seed produce reports that are identical after stripping
+the timestamp and the per-record wall times.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import functools
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,9 +88,10 @@ class RunConfig:
     seed: int = 42
     budget: int = 10**6
     out: Optional[str] = None
+    # suites run one after another; 1 is the only valid value
     jobs: int = 1
     suite_overrides: Dict[str, Dict] = field(default_factory=dict)
-    # keys set explicitly on the command line; they beat per-suite defaults
+    # keys set by a CLI flag or a LIEHARM_* variable; they beat per-suite defaults
     explicit: Tuple[str, ...] = ()
 
     def validate(self):
@@ -118,8 +118,8 @@ class RunConfig:
                     raise ConfigError(f"{key} in [{section}] must be {bound}, got {value!r}")
         if self.budget < 1:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        if self.jobs != 1:
+            raise ConfigError(f"jobs must be 1, got {self.jobs}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         return self
@@ -127,8 +127,9 @@ class RunConfig:
     def suite_param(self, suite: str, key: str, default=None):
         """Effective value of a key for a suite.
 
-        Precedence: explicit CLI flag > config-file suite section >
-        built-in suite default > global field > `default`.
+        Precedence: CLI flag or environment variable (`explicit`) >
+        config-file suite section > built-in suite default > global field
+        (a [run] value or the RunConfig default) > `default`.
         """
         if key in self.explicit and hasattr(self, key):
             return getattr(self, key)
@@ -242,10 +243,6 @@ def report_fingerprint(report_dict: Dict) -> str:
         out["config"] = result_config(out)
     canonical = json.dumps(out, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def reports_equivalent(a: Dict, b: Dict) -> bool:
-    return strip_timing(a) == strip_timing(b)
 
 
 def report_write(report: VerificationReport, path: str):
@@ -432,14 +429,8 @@ def run(config: RunConfig) -> VerificationReport:
     if not config.suites:
         warnings.append("empty suite list: nothing was verified")
     records: List[CheckRecord] = []
-    runners = [SUITE_RUNNERS[s] for s in config.suites]
-    if config.jobs > 1 and len(runners) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            for batch in pool.map(lambda fn: fn(config), runners):
-                records.extend(batch)
-    else:
-        for fn in runners:
-            records.extend(fn(config))
+    for suite in config.suites:
+        records.extend(SUITE_RUNNERS[suite](config))
     for rec in records:
         if isinstance(rec.params, dict) and rec.params.get("skipped") == "budget":
             warnings.append(f"{rec.name}: skipped (budget)")

@@ -13,18 +13,20 @@ series-truncation error anywhere on this path).
 
 The product is the truncated Cauchy product: one broadcast multiply per
 pair of degrees whose sum survives truncation (6 pairs for k = 1, 36 for
-k = 2).  With `np.matmul` in place of the multiply the same routine is the
-product of jets whose values are matrices, and with a contraction of the
-matrix axes it is a bilinear pairing of two jet matrices (the Frobenius
-pairing of `matrices.py`); a jet times a plain array, on either side, is
-one operation over the stacked coefficients.  Value axes
-broadcast as numpy arrays do, aligned on the right, which is how whole
-batches of derivative directions are carried through a single evaluation.
+k = 2).  With a contraction of the matrix axes in place of the multiply
+the same routine is a bilinear pairing of two jet matrices (the Frobenius
+pairing of `matrices.py`).  A jet's value may end in matrix axes: `@` with
+a plain array, on either side, is one matmul over the stacked
+coefficients.  The operations are those the evaluation of phi and of the
+formal phi^a log^b sums needs: `+`, `*`, `@` with a plain array, `**`, log
+and rational powers.  Value axes broadcast as numpy arrays do, aligned on
+the right, which is how whole batches of derivative directions are carried
+through a single evaluation.
 
 Nothing here fixes a dtype: the coefficients keep the precision they come
 in (complex128, or clongdouble for extended-precision checks), and the
-series coefficients of log, pow and the reciprocal are formed in the real
-dtype of the base value.
+series coefficients of log and pow are formed in the real dtype of the
+base value.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ def _degree_pairs(k: int) -> Tuple[tuple, ...]:
 
 def _cauchy(a: np.ndarray, b: np.ndarray, k: int, op: Callable) -> np.ndarray:
     """The coefficients of the truncated product of two jets in k variables,
-    with op (np.multiply, np.matmul, or a contraction such as a Frobenius
-    pairing) combining two coefficients."""
+    with op (np.multiply, or a contraction such as a Frobenius pairing)
+    combining two coefficients."""
     out = None
     for da, db, d in _degree_pairs(k):
         term = op(a[da], b[db])
@@ -100,21 +102,9 @@ class JetScalar:
         c[(0,) * k] = value
         return JetScalar(k, c)
 
-    @staticmethod
-    def variable(index: int, k: int, base=0.0) -> "JetScalar":
-        """base + t_index (index is 0-based)."""
-        c = JetScalar.constant(base, k).c
-        c[tuple(1 if i == index else 0 for i in range(k))] = 1
-        return JetScalar(k, c)
-
-    # -- structure ---------------------------------------------------------
-
     @property
     def value(self):
         return self.c[(0,) * self.k]
-
-    def coeff(self, key):
-        return self.c[tuple(key)]
 
     # -- ring operations ----------------------------------------------------
 
@@ -136,15 +126,6 @@ class JetScalar:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __neg__(self):
-        return JetScalar(self.k, -self.c)
-
     def __mul__(self, other):
         if isinstance(other, (np.ndarray, *_NUMERIC)):
             return JetScalar(self.k, _lift(self.c, self.k, np.ndim(other)) * other)
@@ -156,14 +137,11 @@ class JetScalar:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        """Product of jets whose values end in matrix axes; a plain array is a
-        constant, multiplied into every coefficient at once."""
+        """A jet whose values end in matrix axes times a plain array, which is
+        a constant, multiplied into every coefficient at once."""
         if isinstance(other, np.ndarray):
             return JetScalar(self.k, np.matmul(_lift(self.c, self.k, other.ndim), other))
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return JetScalar(self.k, _cauchy(self.c, o.c, self.k, np.matmul))
+        return NotImplemented
 
     def __rmatmul__(self, other):
         if isinstance(other, np.ndarray):
@@ -175,26 +153,6 @@ class JetScalar:
         if np.any(base == 0):
             raise JetDomainError(f"{op} of a jet with zero base value (base={base!r})")
         return base
-
-    def reciprocal(self) -> "JetScalar":
-        # 1/(c(1+u)) = (1/c) sum_j (-u)^j
-        one = _unit(self)
-        base, series = _nilpotent_series(self, "reciprocal", [(-one) ** j for j in range(1, 2 * self.k + 1)])
-        return (series + 1) * (1 / base)
-
-    def __truediv__(self, other):
-        if isinstance(other, _NUMERIC):
-            return self * (1 / other)
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.reciprocal()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.reciprocal()
 
     def __pow__(self, a):
         if isinstance(a, (int, np.integer)) and a >= 0:
@@ -258,10 +216,3 @@ def jet_pow(x: JetScalar, a) -> JetScalar:
         coefs.append(coef)
     base, series = _nilpotent_series(x, "pow", coefs)
     return (series + 1) * np.exp(af * _principal_log(base))
-
-
-def jet_allclose(x: JetScalar, y: JetScalar, atol: float = 1e-12) -> bool:
-    """Coefficient-wise closeness; value axes broadcast."""
-    if x.k != y.k:
-        return False
-    return bool(np.max(np.abs((x - y).c)) <= atol)

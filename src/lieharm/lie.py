@@ -1,6 +1,5 @@
 """Catalog of the classical groups in play: orthonormal Lie-algebra bases,
-Cartan decompositions of the four symmetric pairs, embeddings, random
-sampling and membership diagnostics.
+Cartan decompositions of the four symmetric pairs, and random sampling.
 
 Conventions.  The inner product is g(Z, W) = Re trace(Z W*); every basis
 below is orthonormal for it.  Elementary matrices E_rs, the symmetric /
@@ -35,8 +34,6 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
-
-from .matrices import ShapeError
 
 SO = "SO"
 SU = "SU"
@@ -295,17 +292,6 @@ def basis_g(spec: GroupSpec) -> Basis:
     return _basis(f"u({n})-embedded", [fams[i] for i in _U_FAMILIES])
 
 
-def algebra_dimension(spec: GroupSpec) -> int:
-    n = spec.n
-    if spec.family == SO:
-        return n * (n - 1) // 2
-    if spec.family == SU:
-        return n * n - 1
-    if spec.family == SP:
-        return n * (2 * n + 1)
-    return n * n  # embedded u(n)
-
-
 # ---------------------------------------------------------------------------
 # Cartan decompositions g = k + m
 # ---------------------------------------------------------------------------
@@ -338,21 +324,8 @@ def cartan_decomposition(space: SymmetricSpaceSpec) -> Tuple[Basis, Basis]:
 
 
 # ---------------------------------------------------------------------------
-# embeddings and sampling
+# sampling
 # ---------------------------------------------------------------------------
-
-
-def embed_unitary(z: np.ndarray) -> np.ndarray:
-    """x + iy -> [[x, y], [-y, x]], the embedding of U(n) into SO(2n) and Sp(n)."""
-    z = np.asarray(z, dtype=complex)
-    n = z.shape[0]
-    x, y = np.real(z), np.imag(z)
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = x
-    out[:n, n:] = y
-    out[n:, :n] = -y
-    out[n:, n:] = x
-    return out
 
 
 # degree of the Taylor polynomial in `expm`
@@ -477,64 +450,9 @@ def sample_dual_with_coefficients(
     return rebuild_dual_sample(space, a, b), a, b
 
 
-def sample_dual(space: SymmetricSpaceSpec, rng: np.random.Generator, sigma: float = 0.2) -> np.ndarray:
-    return sample_dual_with_coefficients(space, rng, sigma)[0]
-
-
 def rebuild_dual_sample(space: SymmetricSpaceSpec, a, b) -> np.ndarray:
     """exp(sum a_i K_i) exp(sum b_j iM_j) from one `expm` call on the stack of
     both exponents; each factor keeps the bits of its own one-matrix call."""
     k_basis, m_basis = cartan_decomposition(space)
     k, m = expm(np.stack([_combination(k_basis.stack(), a), 1j * _combination(m_basis.stack(), b)]))
     return k @ m
-
-
-# ---------------------------------------------------------------------------
-# membership diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MembershipReport:
-    spec: GroupSpec
-    unitarity: float
-    determinant: float
-    symplectic: Optional[float] = None
-    realness: Optional[float] = None
-    embedding: Optional[float] = None
-
-    @property
-    def max_residual(self) -> float:
-        vals = [self.unitarity, self.determinant]
-        for v in (self.symplectic, self.realness, self.embedding):
-            if v is not None:
-                vals.append(v)
-        return max(vals)
-
-    def ok(self, tol: float = 1e-10) -> bool:
-        return self.max_residual <= tol
-
-
-def membership_check(spec: GroupSpec, x: np.ndarray) -> MembershipReport:
-    m = np.asarray(x)
-    size = spec.matrix_size
-    if m.shape != (size, size):
-        raise ShapeError(f"membership_check: expected {(size, size)}, got {m.shape}")
-    eye = np.eye(size)
-    unitarity = float(np.max(np.abs(m @ np.conj(m.T) - eye)))
-    determinant = float(abs(np.linalg.det(m) - 1.0))
-    report = MembershipReport(spec, unitarity, determinant)
-    if spec.family == SO:
-        report.realness = float(np.max(np.abs(np.imag(m))))
-    if spec.family in (SP, U_IN_SPN, U_IN_SO2N):
-        j = standard_symplectic(spec.n)
-        report.symplectic = float(np.max(np.abs(m @ j @ m.T - j)))
-    if spec.family in (U_IN_SPN, U_IN_SO2N):
-        n = spec.n
-        block = max(
-            float(np.max(np.abs(m[:n, :n] - m[n:, n:]))),
-            float(np.max(np.abs(m[:n, n:] + m[n:, :n]))),
-            float(np.max(np.abs(np.imag(m)))),
-        )
-        report.embedding = block
-    return report

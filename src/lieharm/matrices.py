@@ -7,19 +7,17 @@ every kind of point.  A CMatrix is one of three kinds:
 * numeric: `data` is a complex array (complex128 in the fast mode; any
   complex dtype works), either one matrix or a stack (..., rows, cols)
   with leading batch axes, handled as one: `@` broadcasts over them,
-  `transpose` swaps the matrix axes, `trace` sums each matrix's diagonal,
-  `pair` contracts each pair of matrices, indexing with a pair picks one
-  entry of every matrix, and `shape` is the shape of one matrix;
+  `pair` contracts each pair of matrices, and `shape` is the shape of one
+  matrix;
 * exact: `data` is a 2-D object array of RationalComplex entries; `@`
-  and `pair` of two exact matrices stay exact;
+  and `pair` of two exact matrices stay exact, and `trace` sums the
+  diagonal exactly;
 * jet-valued, built by `CMatrix.from_jet`: `data` is None and the `jet`
   slot holds one JetScalar whose value axes end in (rows, cols), in front
-  of them any batch axes shared by every entry.  `+`, `-`, `scale`,
-  indexing, `transpose` and `trace` act on its coefficient array, and `@`
-  is the jet product of `jets.py`: a truncated Cauchy product of matmuls
-  between two jets, one matmul over the stacked coefficients between a
-  jet and a numeric matrix.  `pair` is the same with the Frobenius
-  contraction in place of the matmul.
+  of them any batch axes shared by every entry.  `@` with a numeric
+  matrix, on either side, is one matmul over the stacked coefficients
+  (`jets.py`), and `pair` is the truncated Cauchy product of `jets.py`
+  with the Frobenius contraction as the product of two coefficients.
 
 `x.pair(y)` is the complex-bilinear Frobenius pairing sum_ij x_ij y_ij =
 trace(x^t y), with no conjugation: it costs O(rows cols) per matrix where
@@ -88,38 +86,11 @@ class CMatrix:
     def _of(values) -> "CMatrix":
         return CMatrix.from_jet(values) if isinstance(values, JetScalar) else CMatrix(values)
 
-    def __getitem__(self, idx):
-        """A pair (i, j) picks entry (i, j) of every matrix of a stack, or of
-        every coefficient of a jet."""
-        pair = isinstance(idx, tuple) and len(idx) == 2
-        if self.jet is not None:
-            if not pair:
-                raise TypeError("a jet-valued matrix is indexed by an entry pair (i, j)")
-            return JetScalar(self.jet.k, self.jet.c[(Ellipsis, *idx)])
-        if pair and self.data.ndim > 2:
-            return self.data[(Ellipsis, *idx)]
-        return self.data[idx]
-
     # -- arithmetic ----------------------------------------------------------
 
     def _binary_check(self, other: "CMatrix", op: str):
         if not isinstance(other, CMatrix):
             raise TypeError(f"{op}: expected CMatrix, got {type(other).__name__}")
-
-    def __add__(self, other):
-        self._binary_check(other, "add")
-        if self.shape != other.shape:
-            raise ShapeError(f"add: shapes {self.shape} and {other.shape} differ")
-        return CMatrix._of(self._values() + other._values())
-
-    def __sub__(self, other):
-        self._binary_check(other, "sub")
-        if self.shape != other.shape:
-            raise ShapeError(f"sub: shapes {self.shape} and {other.shape} differ")
-        return CMatrix._of(self._values() - other._values())
-
-    def __neg__(self):
-        return CMatrix._of(-self._values())
 
     def __matmul__(self, other):
         self._binary_check(other, "matmul")
@@ -143,31 +114,15 @@ class CMatrix:
             return JetScalar(y.k, _frobenius(x, _lift(y.c, y.k, x.ndim)))
         return _frobenius(x, y)
 
-    def scale(self, scalar) -> "CMatrix":
-        return CMatrix._of(self._values() * scalar)
-
-    def __mul__(self, scalar):
-        return self.scale(scalar)
-
-    __rmul__ = __mul__
-
-    def transpose(self) -> "CMatrix":
-        if self.jet is not None:
-            return CMatrix.from_jet(JetScalar(self.jet.k, np.swapaxes(self.jet.c, -1, -2)))
-        return CMatrix(np.swapaxes(self.data, -1, -2))
-
-    @property
-    def T(self) -> "CMatrix":
-        return self.transpose()
-
     def trace(self):
-        if self.shape[0] != self.shape[1]:
-            raise ShapeError(f"trace: matrix is {self.shape}, not square")
-        if self.jet is not None:
-            return JetScalar(self.jet.k, np.trace(self.jet.c, axis1=-2, axis2=-1))
-        total = self[0, 0]
-        for i in range(1, self.shape[0]):
-            total = total + self[i, i]
+        """The sum of the diagonal of one numeric or exact matrix, exact for
+        an exact one."""
+        shape = self.data.shape if self.jet is None else self.jet.c.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ShapeError(f"trace: expected one square matrix, got shape {shape}")
+        total = self.data[0, 0]
+        for i in range(1, shape[0]):
+            total = total + self.data[i, i]
         return total
 
     def __repr__(self):

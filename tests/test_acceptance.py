@@ -22,7 +22,7 @@ from lieharm.eigenfamilies import (
 )
 from lieharm.exact import RationalComplex
 from lieharm.formal import build_phi_p, evaluate_formal, tau_formal, verify_p_harmonic
-from lieharm.harness import RunConfig, reports_equivalent, run, substream
+from lieharm.harness import RunConfig, run, strip_timing, substream
 from lieharm.identities import (
     check_coordinate_identities,
     check_generator_sums,
@@ -64,9 +64,7 @@ def eigen_results():
             for draw in range(3):
                 rng = substream(SEED, "acceptance-eigen", family, n, draw)
                 spec = random_parameters(space, rng)
-                results[(family, n, draw)] = verify_eigen(
-                    spec, samples=50, tol=1e-8, rng=rng, sigma=0.5, k_samples=5
-                )
+                results[(family, n, draw)] = verify_eigen(spec, samples=50, tol=1e-8, rng=rng, sigma=0.5)
     elapsed = time.perf_counter() - t0
     return results, elapsed
 
@@ -192,7 +190,7 @@ def test_criterion_06_exact_generator_sums_and_decomposition():
 
 def test_criterion_07_skew_lemma():
     rng = substream(SEED, "acceptance-skew")
-    main, control = check_skew_lemma(1000, 6, rng, tol=1e-12)
+    main, control = check_skew_lemma(1000, 6, rng)
     ok = main.passed and main.max_residual <= 1e-12 and control.params["hit_rate"] >= 0.9
     _report(
         7,
@@ -257,7 +255,7 @@ def test_criterion_10_determinism():
     )
     r1 = run(RunConfig(**cfg)).to_dict()
     r2 = run(RunConfig(**cfg)).to_dict()
-    same = reports_equivalent(r1, r2)
+    same = strip_timing(r1) == strip_timing(r2)
     timestamps_present = "timestamp" in r1 and "timestamp" in r2
     _report(
         10,

@@ -1,4 +1,4 @@
-"""Differential operators: directional jets, tau, kappa, iteration, duals."""
+"""Differential operators: directional derivatives, tau, kappa, iteration, duals."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from lieharm.diffops import (
     BudgetExceeded,
     GroupFunction,
-    coordinate_function,
-    directional_jet,
+    _sweep,
     kappa,
     tau,
     tau_and_kappa,
@@ -33,18 +32,35 @@ from lieharm.lie import (
     expm,
     generator,
     sample,
-    sample_dual,
+    sample_dual_with_coefficients,
 )
 from lieharm.matrices import CMatrix
 
 RNG = np.random.default_rng(77)
 
 
+def coordinate(j, alpha):
+    """The matrix coefficient g -> g_{j,alpha} (1-based) as the pairing <g, E_{j,alpha}>."""
+
+    def fn(g):
+        e = np.zeros(g.shape, dtype=complex)
+        e[j - 1, alpha - 1] = 1
+        return g.pair(CMatrix(e))
+
+    return GroupFunction(fn, name=f"coord[{j},{alpha}]")
+
+
+def directional(f, x, z):
+    """(f, Z f, Z^2 f) at a plain point x along the one-parameter subgroup of z."""
+    first, second = next(_sweep(f, x, np.asarray(z)[None]))
+    return f(x), first.c[0], second.c[0]
+
+
 def test_directional_trace_derivative():
-    f = GroupFunction(lambda g: (g @ CMatrix(np.eye(g.shape[0], dtype=complex))).trace(), name="trace")
+    f = GroupFunction(lambda g: g.pair(CMatrix(np.eye(g.shape[0], dtype=complex))), name="trace")
     x = np.eye(3, dtype=complex)
     for z in basis_g(GroupSpec(SU, 3)).stack():
-        value, first, _ = directional_jet(f, x, z)
+        value, first, _ = directional(f, x, z)
         assert abs(value - 3.0) < 1e-14
         assert abs(first - np.trace(z)) < 1e-14
         assert abs(first) < 1e-14  # su(n) is traceless
@@ -52,8 +68,8 @@ def test_directional_trace_derivative():
 
 def test_directional_coordinate_on_so2():
     # x_11 along Y_12 at the identity: value 1, first 0, second -1/2
-    f = coordinate_function(1, 1)
-    value, first, second = directional_jet(f, np.eye(2, dtype=complex), generator("Y", 2, 1, 2))
+    f = coordinate(1, 1)
+    value, first, second = directional(f, np.eye(2, dtype=complex), generator("Y", 2, 1, 2))
     assert abs(value - 1.0) < 1e-15
     assert abs(first) < 1e-15
     assert abs(second + 0.5) < 1e-15
@@ -61,7 +77,7 @@ def test_directional_coordinate_on_so2():
 
 def test_directional_constant():
     f = GroupFunction(lambda g: 4.2 + 0j)
-    _, first, second = directional_jet(f, np.eye(2, dtype=complex), generator("Y", 2, 1, 2))
+    _, first, second = directional(f, np.eye(2, dtype=complex), generator("Y", 2, 1, 2))
     assert first == 0 and second == 0
 
 
@@ -76,7 +92,7 @@ def test_tau_coordinate_eigenvalues(family, n, lam):
     for _ in range(3):
         x = sample(spec, RNG, 0.5)
         j, alpha = int(RNG.integers(1, spec.matrix_size + 1)), int(RNG.integers(1, spec.matrix_size + 1))
-        f = coordinate_function(j, alpha)
+        f = coordinate(j, alpha)
         t = tau(f, x, b)
         assert abs(t - lam * x[j - 1, alpha - 1]) < 1e-12
 
@@ -87,7 +103,7 @@ def test_kappa_coordinate_so():
     x = sample(spec, RNG, 0.5)
     xc = x
     for (j, a, k, c) in [(1, 1, 1, 1), (1, 2, 3, 1), (2, 3, 2, 3)]:
-        val = kappa(coordinate_function(j, a), coordinate_function(k, c), x, b)
+        val = kappa(coordinate(j, a), coordinate(k, c), x, b)
         expect = -0.5 * (xc[j - 1, c - 1] * xc[k - 1, a - 1] - (j == k) * (a == c))
         assert abs(val - expect) < 1e-12
 
@@ -122,7 +138,7 @@ def test_second_derivative_matches_finite_differences():
     x = sample(spec, rng, 0.5)
     z = basis_g(spec).stack()[4]
     f = build_eigenfunction(random_parameters(SymmetricSpaceSpec(SUN_SON, 3), rng))
-    _, _, second = directional_jet(f, x, z)
+    _, _, second = directional(f, x, z)
     h = 1e-4
 
     def at(t):
@@ -145,7 +161,7 @@ def test_k_invariance_descent(family):
     for _ in range(3):
         x = sample(g_spec, rng, 0.5)
         for z in k_basis.stack():
-            _, first, second = directional_jet(f, x, z)
+            _, first, second = directional(f, x, z)
             assert abs(first) < 1e-10 and abs(second) < 1e-10
         t_full = tau(f, x, basis_g(g_spec))
         t_m = tau(f, x, m_basis)
@@ -155,8 +171,8 @@ def test_k_invariance_descent(family):
 def test_product_rule():
     spec = GroupSpec(SU, 3)
     rng = np.random.default_rng(8)
-    f = coordinate_function(1, 2)
-    g = coordinate_function(2, 3)
+    f = coordinate(1, 2)
+    g = coordinate(2, 3)
     fg = GroupFunction(lambda m: f(m) * g(m))
     b = basis_g(spec)
     for _ in range(5):
@@ -218,7 +234,7 @@ def test_tau_subspace_dual_sign_flip():
     f = build_eigenfunction(spec)
     _, m_basis = cartan_decomposition(space)
     for _ in range(3):
-        x = sample_dual(space, rng, sigma=0.2)
+        x = sample_dual_with_coefficients(space, rng, sigma=0.2)[0]
         phi = complex(f(x))
         t = tau(f, x, 1j * m_basis.stack())
         assert abs(t - 4.0 * phi) <= 1e-9 * max(1.0, abs(phi))
@@ -240,7 +256,7 @@ def test_batched_and_sequential_sweeps_agree():
     x = sample(spec, rng, 0.5)
     total = 0.0 + 0.0j
     for z in b.stack():
-        total += directional_jet(f, x, z)[2]
+        total += directional(f, x, z)[2]
     assert abs(tau(f, x, b) - total) < 1e-12
 
 
@@ -266,7 +282,7 @@ def _tau2_reference(f, x, dirs):
         [np.stack([np.einsum("ij,ajk,bkl->abil", x0, powers[i], powers[j]) for j in range(3)]) for i in range(3)]
     )
     w = f(JetScalar(2, coeffs))
-    return complex(4.0 * np.sum(w.coeff((2, 2))))
+    return complex(4.0 * np.sum(w.c[2, 2]))
 
 
 @pytest.mark.parametrize("family", [SUN_SON, SPN_UN])
@@ -349,6 +365,23 @@ def test_tau_and_kappa_keep_clongdouble():
     for got, want in zip(tau_and_kappa(f, x_ld, b), tau_and_kappa(f, x, b)):
         assert np.asarray(got).dtype == np.clongdouble
         assert abs(complex(got) - want) <= 1e-12 * abs(want)
+
+
+def test_a_basis_is_read_in_the_dtype_of_the_point():
+    # a clongdouble point gets the clongdouble stack of a Basis, with c formed
+    # in longdouble, not the complex128 stack cast up; a complex128 point keeps
+    # the complex128 stack
+    space = SymmetricSpaceSpec(SU2N_SPN, 3)
+    rng = np.random.default_rng(24)
+    f = build_eigenfunction(random_parameters(space, rng))
+    b = basis_g(space.group_spec())
+    coeffs = rng.normal(0.0, 0.5, len(b))
+    x = expm(np.einsum("q,qij->ij", coeffs, b.stack()))
+    x_ld = expm(np.einsum("q,qij->ij", coeffs.astype(np.longdouble), b.stack(np.clongdouble)))
+    for point, dtype in ((x_ld, np.clongdouble), (x, np.complex128)):
+        got, want = tau_and_kappa(f, point, b), tau_and_kappa(f, point, b.stack(dtype))
+        assert all(np.asarray(v).dtype == dtype for v in got)
+        assert got == want
 
 
 @pytest.mark.parametrize("kind", ["matrix", "batch", "jet", "cmatrix"])

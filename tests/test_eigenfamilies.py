@@ -20,7 +20,7 @@ from lieharm.eigenfamilies import (
     verify_phi2,
 )
 from lieharm.exact import RationalComplex
-from lieharm.jets import JetScalar
+from lieharm.jets import JetScalar, _cauchy
 from lieharm.lie import (
     GroupSpec,
     SO2N_UN,
@@ -155,15 +155,18 @@ def test_scaling_in_a():
 
 def _phi_trace_form(spec):
     """phi as trace(g^t A g [J]) with the jet matrix product g^t (A g [J])
-    formed in full: the reference for the pairing <g, A g J>."""
-    a = CMatrix(build_matrix_A(spec))
-    j = CMatrix(standard_symplectic(spec.space.n)) if uses_complex_structure(spec.space) else None
+    formed in full, a truncated Cauchy product of matmuls: the reference for
+    the pairing <g, A g J>.  A plain point is a jet in no variables."""
+    a = build_matrix_A(spec)
+    j = standard_symplectic(spec.space.n) if uses_complex_structure(spec.space) else None
 
     def fn(g):
-        m = g.T @ (a @ g)
+        k, c = (g.jet.k, g.jet.c) if g.jet is not None else (0, g.data)
+        m = _cauchy(np.swapaxes(c, -1, -2), a @ c, k, np.matmul)
         if j is not None:
             m = m @ j
-        return m.trace()
+        t = np.trace(m, axis1=-2, axis2=-1)
+        return JetScalar(k, t) if k else t
 
     return GroupFunction(fn)
 
@@ -375,7 +378,10 @@ def test_intermediate_kappa_identity_su3():
     def phi_fn(j, alpha):
         from lieharm.diffops import GroupFunction
 
-        return GroupFunction(lambda g: (g @ g.T)[j - 1, alpha - 1])
+        # Phi_ja = sum_l g_jl g_al = <g, E_aj g>
+        e = np.zeros((n, n), dtype=complex)
+        e[alpha - 1, j - 1] = 1
+        return GroupFunction(lambda g: g.pair(CMatrix(e) @ g))
 
     for _ in range(10):
         x = sample(spec, rng, 0.5)

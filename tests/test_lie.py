@@ -2,7 +2,9 @@
 algebra membership, Cartan bracket relations, embeddings, sampling."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -23,23 +25,91 @@ from lieharm.lie import (
     U_IN_SO2N,
     U_IN_SPN,
     UsageError,
-    algebra_dimension,
     basis_g,
     cartan_decomposition,
-    embed_unitary,
     expm,
     generator,
     generator_lattice,
-    membership_check,
     rebuild_dual_sample,
     rebuild_sample,
     sample,
-    sample_dual,
+    sample_dual_with_coefficients,
     sample_with_coefficients,
     standard_symplectic,
 )
+from lieharm.matrices import ShapeError
 
 RNG = np.random.default_rng(2024)
+
+
+# --- oracles: dimensions, the unitary embedding, group membership -----------------
+
+
+def algebra_dimension(spec: GroupSpec) -> int:
+    n = spec.n
+    if spec.family == SO:
+        return n * (n - 1) // 2
+    if spec.family == SU:
+        return n * n - 1
+    if spec.family == SP:
+        return n * (2 * n + 1)
+    return n * n  # embedded u(n)
+
+
+def embed_unitary(z: np.ndarray) -> np.ndarray:
+    """x + iy -> [[x, y], [-y, x]], the embedding of U(n) into SO(2n) and Sp(n)."""
+    z = np.asarray(z, dtype=complex)
+    n = z.shape[0]
+    x, y = np.real(z), np.imag(z)
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    out[:n, :n] = x
+    out[:n, n:] = y
+    out[n:, :n] = -y
+    out[n:, n:] = x
+    return out
+
+
+@dataclass
+class MembershipReport:
+    spec: GroupSpec
+    unitarity: float
+    determinant: float
+    symplectic: Optional[float] = None
+    realness: Optional[float] = None
+    embedding: Optional[float] = None
+
+    @property
+    def max_residual(self) -> float:
+        vals = [self.unitarity, self.determinant]
+        for v in (self.symplectic, self.realness, self.embedding):
+            if v is not None:
+                vals.append(v)
+        return max(vals)
+
+
+def membership_check(spec: GroupSpec, x: np.ndarray) -> MembershipReport:
+    m = np.asarray(x)
+    size = spec.matrix_size
+    if m.shape != (size, size):
+        raise ShapeError(f"membership_check: expected {(size, size)}, got {m.shape}")
+    eye = np.eye(size)
+    unitarity = float(np.max(np.abs(m @ np.conj(m.T) - eye)))
+    determinant = float(abs(np.linalg.det(m) - 1.0))
+    report = MembershipReport(spec, unitarity, determinant)
+    if spec.family == SO:
+        report.realness = float(np.max(np.abs(np.imag(m))))
+    if spec.family in (SP, U_IN_SPN, U_IN_SO2N):
+        j = standard_symplectic(spec.n)
+        report.symplectic = float(np.max(np.abs(m @ j @ m.T - j)))
+    if spec.family in (U_IN_SPN, U_IN_SO2N):
+        n = spec.n
+        block = max(
+            float(np.max(np.abs(m[:n, :n] - m[n:, n:]))),
+            float(np.max(np.abs(m[:n, n:] + m[n:, :n]))),
+            float(np.max(np.abs(np.imag(m)))),
+        )
+        report.embedding = block
+    return report
 
 
 # --- specs ------------------------------------------------------------------
@@ -549,7 +619,7 @@ def test_dual_sample_special_linear_not_unitary():
     rng = np.random.default_rng(11)
     hits = 0
     for _ in range(5):
-        x = sample_dual(space, rng, sigma=0.5)
+        x = sample_dual_with_coefficients(space, rng, sigma=0.5)[0]
         assert type(x) is np.ndarray
         assert abs(np.linalg.det(x) - 1) <= 1e-10
         if np.max(np.abs(x @ np.conj(x.T) - np.eye(2))) > 1e-3:
@@ -559,7 +629,7 @@ def test_dual_sample_special_linear_not_unitary():
 
 def test_dual_sample_zero_coefficients_is_identity():
     space = SymmetricSpaceSpec(SUN_SON, 2)
-    x = sample_dual(space, np.random.default_rng(12), sigma=1e-14)
+    x = sample_dual_with_coefficients(space, np.random.default_rng(12), sigma=1e-14)[0]
     assert np.max(np.abs(x - np.eye(2))) < 1e-12
 
 
