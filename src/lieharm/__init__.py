@@ -14,7 +14,7 @@ from .eigenfamilies import (
     build_eigenfunction,
     expected_eigenvalues,
     verify_eigen,
-    verify_phi2,
+    verify_sampled,
 )
 from .formal import FormalSum, build_phi_p, evaluate_formal, tau_formal, verify_p_harmonic
 from .harness import RunConfig, run
@@ -41,7 +41,7 @@ __all__ = [
     "build_eigenfunction",
     "expected_eigenvalues",
     "verify_eigen",
-    "verify_phi2",
+    "verify_sampled",
     "FormalSum",
     "build_phi_p",
     "evaluate_formal",

@@ -1,7 +1,10 @@
 """The four eigenfunction families: construction, parameter validation,
-exact expected eigenvalues, verification of the eigen-equations on the
-compact spaces, and one nested-tau^2 check of Phi_2 o phi that runs on the
-compact spaces or (sign-flipped) on their non-compact duals.
+exact expected eigenvalues, and one routine, `verify_sampled`, that checks
+them at sampled points: the eigen-equations and K-invariance at order
+p = 1, and the nested tau^2 of Phi_2 o phi at p = 2, on the compact spaces
+or (sign-flipped) on their non-compact duals.  Each order has one
+evaluator of a batch of coefficient rows; `verify_sampled` draws, checks
+and refills through it, and replay runs it on a witness row.
 
 Families and their data:
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -34,15 +37,15 @@ from .lie import (
     SPN_UN,
     SU2N_SPN,
     SUN_SON,
+    Basis,
     SymmetricSpaceSpec,
     UsageError,
     basis_g,
     cartan_decomposition,
     generator,
+    rebuild_dual_sample,
     rebuild_sample,
     sample,
-    sample_dual_with_coefficients,
-    sample_with_coefficients,
     standard_symplectic,
 )
 from .matrices import CMatrix
@@ -172,148 +175,84 @@ def random_parameters(space: SymmetricSpaceSpec, rng: np.random.Generator) -> Ei
 
 
 # ---------------------------------------------------------------------------
-# verification
+# verification at sampled points
 # ---------------------------------------------------------------------------
 
+# the points k of K in an eigen row, at which phi(x k) = phi(x) is checked
+K_POINTS = 5
 
-@dataclass
-class EigenVerification:
-    spec: EigenfunctionSpec
-    samples: int
-    tol: float
-    max_tau_residual: float = 0.0
-    max_kappa_residual: float = 0.0
-    max_kinv_residual: float = 0.0
-    passed: bool = True
-    vacuous: bool = False
-    witness_coefficients: Optional[list] = None
+# the per-point components of the nested check, in the order `check` returns them
+_NESTED = ("phi", "tau", "kappa", "tau1_rel", "tau2_abs", "tau2_scaled", "residual")
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.max_tau_residual, self.max_kappa_residual, self.max_kinv_residual)
+# rows -> (which rows are admissible, the components of the admissible rows)
+Evaluate = Callable[[np.ndarray], Tuple[np.ndarray, Dict[str, np.ndarray]]]
 
 
-class EigenPoints(NamedTuple):
-    """phi and the three residuals of `verify_eigen` at every point of a batch."""
-
-    phi: np.ndarray
-    tau: np.ndarray  # |tau phi - lambda phi|
-    kappa: np.ndarray  # |kappa(phi, phi) - mu phi^2|
-    kinv: np.ndarray  # max_j |phi(x k_j) - phi(x)|
-
-    @property
-    def residual(self) -> np.ndarray:
-        return np.maximum(np.maximum(self.tau, self.kappa), self.kinv)
-
-
-def eigen_points(spec: EigenfunctionSpec, coeffs) -> EigenPoints:
-    """The eigen-equation and K-invariance residuals of phi at the points of a
-    (samples, dim g + r dim k) coefficient array, which replay also runs:
-    each row holds a point x of G, then its r points k_j of K.
-
-    One sweep, one phi evaluation and one evaluation of phi at every x k_j
-    serve the whole batch.
-    """
+def _eigen_evaluator(spec: EigenfunctionSpec) -> Tuple[int, FormalSum, Evaluate]:
+    """p = 1: the row width, a zero formal residual and the evaluator.  A
+    row holds a point x of G over the basis of g, then its K_POINTS points
+    k_j of K over that of k; every row is admissible.  One sweep, one phi
+    evaluation and one evaluation of phi at every x k_j serve the batch."""
     space = spec.space
     g_spec, k_spec = space.group_spec(), space.subgroup_spec()
     b = basis_g(g_spec)
     bg, bk = len(b), len(basis_g(k_spec))
-    coeffs = np.asarray(coeffs, dtype=float)
-    samples = len(coeffs)
     f = build_eigenfunction(spec)
     lam, mu = (complex(v) for v in expected_eigenvalues(spec))
-    x = rebuild_sample(g_spec, coeffs[:, :bg])
-    k = rebuild_sample(k_spec, coeffs[:, bg:].reshape(samples, -1, bk))
-    phi = f(x)
-    t, kap = tau_and_kappa(f, x, b)
-    # x_i k_ij for every point i and each of its rotations j
-    phi_k = f(x[:, None] @ k)
-    residuals = np.zeros((3, samples))
-    for i in range(samples):
-        # Python complex arithmetic: numpy's complex multiply and abs round differently
-        p = complex(phi[i])
-        residuals[:, i] = (
-            abs(complex(t[i]) - lam * p),
-            abs(complex(kap[i]) - mu * p * p),
-            max([0.0] + [abs(complex(v) - p) for v in phi_k[i]]),
-        )
-    return EigenPoints(phi, *residuals)
+
+    def evaluate(rows: np.ndarray):
+        samples = len(rows)
+        x = rebuild_sample(g_spec, rows[:, :bg])
+        k = rebuild_sample(k_spec, rows[:, bg:].reshape(samples, -1, bk))
+        phi = f(x)
+        t, kap = tau_and_kappa(f, x, b)
+        # x_i k_ij for every point i and each of its rotations j
+        phi_k = f(x[:, None] @ k)
+        residuals = np.zeros((3, samples))
+        for i in range(samples):
+            # Python complex arithmetic: numpy's complex multiply and abs round differently
+            p = complex(phi[i])
+            residuals[:, i] = (
+                abs(complex(t[i]) - lam * p),
+                abs(complex(kap[i]) - mu * p * p),
+                max([0.0] + [abs(complex(v) - p) for v in phi_k[i]]),
+            )
+        components = dict(phi=phi, tau=residuals[0], kappa=residuals[1], kinv=residuals[2])
+        components["residual"] = residuals.max(axis=0)
+        return np.ones(samples, dtype=bool), components
+
+    return bg + K_POINTS * bk, FormalSum(), evaluate
 
 
-def verify_eigen(
-    spec: EigenfunctionSpec,
-    samples: int,
-    tol: float,
-    rng: np.random.Generator,
-    sigma: float = 0.5,
-) -> EigenVerification:
-    """Check tau(phi) = lambda phi, kappa(phi,phi) = mu phi^2 and K-invariance
-    at sampled group points; residuals are compared to tol * max(1, |phi|).
-
-    The points are one batch for `eigen_points`: all coefficients come from
-    one rng.normal call, in the order of a point-by-point draw (a point x of
-    G, then the 5 points k of K at which phi(x k) = phi(x) is checked).  The
-    witness is the whole row of the first failing point.
-    """
-    out = EigenVerification(spec, samples, tol)
-    if samples <= 0:
-        out.vacuous = True
-        return out
-    bg = len(basis_g(spec.space.group_spec()))
-    bk = len(basis_g(spec.space.subgroup_spec()))
-    coeffs = rng.normal(0.0, sigma, size=(samples, bg + 5 * bk))
-    points = eigen_points(spec, coeffs)
-    size = np.abs(points.phi)
-    ok = points.residual <= tol * np.maximum(1.0, size)
-    counted = size >= 1e-10
-    if counted.any():
-        out.max_tau_residual = float(points.tau[counted].max())
-        out.max_kappa_residual = float(points.kappa[counted].max())
-        out.max_kinv_residual = float(points.kinv[counted].max())
-    if not ok.all():
-        out.witness_coefficients = [float(c) for c in coeffs[np.argmin(ok)]]
-    out.passed = bool(ok.all()) and bool((size > 1e-6).any())
-    return out
-
-
-class Phi2Point(NamedTuple):
-    """The four checks of `verify_phi2` at one admissible point."""
-
-    phi: complex
-    tau: float  # |tau phi - lambda' phi|
-    kappa: float  # |kappa(phi, phi) - mu' phi^2|
-    tau1_rel: float  # |tau(Phi_2 o phi) - formal tau Phi_2| / max(1, |formal|)
-    tau2_abs: float  # |tau^2(Phi_2 o phi)|
-    tau2_scaled: float  # the same over max(1, |Phi_2 o phi|)
-
-    @property
-    def residual(self) -> float:
-        return max(self.tau, self.kappa, self.tau1_rel, self.tau2_scaled)
-
-
-def phi2_point(
-    spec: EigenfunctionSpec, dual: bool
-) -> Tuple[FormalSum, Callable[[np.ndarray, int], Optional[Phi2Point]]]:
-    """The exact formal tau^2 of the Phi_2 that `verify_phi2` checks, and its
-    per-point code (which replay runs too): a function of (point, budget),
-    None where phi is outside the log domain.  `dual` selects the directions
-    (g, or 1j * m) and the signs ((lambda, mu), or (-lambda, -mu)) that
-    Phi_2 is built from.  The tau^1 comparison holds for any Phi_2 by the
-    chain rule; only tau^2 tells a wrong Phi_2 from the right one."""
+def _nested_evaluator(spec: EigenfunctionSpec, dual: bool, budget: int) -> Tuple[int, FormalSum, Evaluate]:
+    """p = 2: the row width, the exact formal tau^2 of the Phi_2 in use, and
+    the evaluator, which runs the per-point check below at each point.  A
+    row is rejected where phi is outside the log domain.  `dual` selects
+    the rows and points (over g, or exp(k-part) exp(1j m-part) from rows
+    over k, then m), the directions (g, or the Basis 1j * m) and the signs
+    ((lambda, mu), or (-lambda, -mu)) that Phi_2 is built from.  The tau^1
+    comparison holds for any Phi_2 by the chain rule; only tau^2 tells a
+    wrong Phi_2 from the right one."""
+    space = spec.space
     f = build_eigenfunction(spec)
     lam, mu = expected_eigenvalues(spec)
     if dual:
         lam, mu = -lam, -mu
-        dirs = 1j * cartan_decomposition(spec.space)[1].stack()
+        k, m = cartan_decomposition(space)
+        dirs = Basis(f"1j {m.name}", -m.im, m.re, m.weights)
+        width = len(k) + len(m)
+        rebuild = lambda rows: rebuild_dual_sample(space, rows[:, : len(k)], rows[:, len(k) :])
     else:
-        dirs = basis_g(spec.space.group_spec()).stack()
+        dirs = basis_g(space.group_spec())
+        width = len(dirs)
+        rebuild = lambda rows: rebuild_sample(space.group_spec(), rows)
     phi2 = build_phi_p(2, lam, mu)
     tau1 = tau_formal(phi2, lam, mu)
     tau2 = tau_formal(tau1, lam, mu)
     h = GroupFunction(lambda g: evaluate_formal(phi2, f(g)), name="Phi2.phi")
     lam, mu = complex(lam), complex(mu)
 
-    def check(x: np.ndarray, budget: int) -> Optional[Phi2Point]:
+    def check(x: np.ndarray):
         phi = complex(f(x))
         if not log_domain_ok(phi):
             return None
@@ -324,60 +263,107 @@ def phi2_point(
         # phi^{1-lambda/mu} can be huge at small |phi|; judge the nullity of
         # tau^2 relative to the size of the function it acts on
         t2_scaled = t2 / max(1.0, abs(complex(h(x))))
-        return Phi2Point(phi, abs(t - lam * phi), abs(kap - mu * phi * phi), t1_rel, t2, t2_scaled)
+        r_tau, r_kappa = abs(t - lam * phi), abs(kap - mu * phi * phi)
+        return phi, r_tau, r_kappa, t1_rel, t2, t2_scaled, max(r_tau, r_kappa, t1_rel, t2_scaled)
 
-    return tau2, check
+    def evaluate(rows: np.ndarray):
+        points = [check(x) for x in rebuild(rows)]
+        kept = [p for p in points if p is not None]
+        components = {key: np.array([p[i] for p in kept]) for i, key in enumerate(_NESTED)}
+        return np.array([p is not None for p in points], dtype=bool), components
+
+    return width, tau2, evaluate
+
+
+def sampled_evaluator(spec: EigenfunctionSpec, p: int, dual: bool = False, budget: int = 10**6):
+    """(row width, exact formal residual, evaluator) of the order-p check
+    that `verify_sampled` runs and `replay_record` runs on a witness row.
+    The formal residual is tau^2 of Phi_2 at p = 2, and zero at p = 1."""
+    if p == 1 and not dual:
+        return _eigen_evaluator(spec)
+    if p == 2:
+        return _nested_evaluator(spec, dual, budget)
+    raise UsageError(f"no sampled check of order p={p}{' on the dual' if dual else ''}")
 
 
 @dataclass
-class Phi2Verification:
-    points: List[Phi2Point] = field(default_factory=list)
-    rejected_points: int = 0
-    witness_coefficients: Optional[list] = None  # of the first failing point
-    tau2_formal: FormalSum = field(default_factory=FormalSum)  # zero for a biharmonic Phi_2
+class SampledCheck:
+    """The outcome of `verify_sampled`.  `components` holds, per component,
+    one value per accepted point in draw order: `phi`, the residuals of
+    the order (tau, kappa and kinv at p = 1; tau, kappa, tau1_rel,
+    tau2_abs and tau2_scaled at p = 2) and `residual`, the largest of those
+    that are judged.  `witness_coefficients` is the first failing row."""
 
-    @property
-    def passed(self) -> bool:
-        return self.witness_coefficients is None and self.tau2_formal.is_zero()
+    components: Dict[str, np.ndarray]
+    rejected: int
+    witness_coefficients: Optional[list]
+    formal: FormalSum
+    passed: bool
 
     def worst(self, component: str) -> float:
-        """The largest value of a `Phi2Point` field or of its `residual`."""
-        return max((getattr(p, component) for p in self.points), default=0.0)
+        """The largest value of a component over the points with
+        |phi| >= 1e-10 (at p = 2 every accepted point); 0 if none."""
+        if not self.components:
+            return 0.0
+        counted = np.abs(self.components["phi"]) >= 1e-10
+        return float(self.components[component][counted].max(initial=0.0))
 
 
-def verify_phi2(
-    spec: EigenfunctionSpec, samples: int, tol: float, rng: np.random.Generator,
-    *, dual: bool, sigma: float, tau2_tol: float, budget: int = 10**6,
-) -> Phi2Verification:
-    """The nested-tau^2 check of Phi_2 o phi on the compact space or its dual.
+def verify_sampled(
+    spec: EigenfunctionSpec, p: int, samples: int, tol: float, rng: np.random.Generator,
+    *, dual: bool = False, sigma: float = 0.5, tau2_tol: Optional[float] = None, budget: int = 10**6,
+) -> SampledCheck:
+    """The order-p check of phi at `samples` sampled points, on the compact
+    space or (p = 2, `dual`) on its non-compact dual.
 
-    The formal tau^2 of Phi_2 must be zero.  At `samples` points with phi in
-    the log domain: tau phi and kappa(phi, phi) match lambda' phi and
-    mu' phi^2 within tol * max(1, |phi|), tau(Phi_2 o phi) the formal tau Phi_2
-    within tol relative, and |tau^2(Phi_2 o phi)| / max(1, |Phi_2 o phi|) is
-    at most tau2_tol.  Other draws are redrawn and counted; past 50 * samples
-    draws RuntimeError.  `BudgetExceeded` if tau^2 would exceed the budget.
+    p = 1: tau phi = lambda phi, kappa(phi, phi) = mu phi^2 and
+    phi(x k_j) = phi(x), each within tol * max(1, |phi|).  p = 2: the exact
+    formal tau^2 of Phi_2 is zero; tau phi and kappa(phi, phi) match
+    lambda' phi and mu' phi^2 within tol * max(1, |phi|), tau(Phi_2 o phi)
+    the formal tau Phi_2 within tol relative, and
+    |tau^2(Phi_2 o phi)| / max(1, |Phi_2 o phi|) is at most tau2_tol.
+    Some point must have |phi| > 1e-6, unless samples <= 0.
+
+    Each round draws the rows it still needs in one rng.normal call, in the
+    order of a draw row by row, builds their points at once and evaluates
+    them; the admissible rows are accepted, the others counted in
+    `rejected` and redrawn.  Past 50 * samples rows, RuntimeError.
+    `BudgetExceeded` if tau^2 would exceed the budget.
     """
-    out = Phi2Verification()
-    out.tau2_formal, check = phi2_point(spec, dual)
-    while len(out.points) < samples:
-        if len(out.points) + out.rejected_points >= 50 * samples:
+    if sigma <= 0:
+        raise UsageError(f"sigma must be positive, got {sigma}")
+    width, formal, evaluate = sampled_evaluator(spec, p, dual, budget)
+    if samples <= 0:  # vacuous: nothing is drawn
+        return SampledCheck({}, 0, None, formal, formal.is_zero())
+    rows, parts, drawn, accepted = [], [], 0, 0
+    while accepted < samples:
+        if drawn >= 50 * samples:
             raise RuntimeError(f"{spec.space}: could not find enough admissible points")
-        if dual:
-            x, a, b = sample_dual_with_coefficients(spec.space, rng, sigma)
-            coeffs = np.concatenate([a, b])  # over k, then over m
-        else:
-            x, coeffs = sample_with_coefficients(spec.space.group_spec(), rng, sigma)
-        point = check(x, budget)
-        if point is None:
-            out.rejected_points += 1
-            continue
-        out.points.append(point)
-        ok = max(point.tau, point.kappa) <= tol * max(1.0, abs(point.phi))
-        ok = ok and point.tau1_rel <= tol and point.tau2_scaled <= tau2_tol
-        if out.witness_coefficients is None and not ok:
-            out.witness_coefficients = [float(c) for c in coeffs]
-    return out
+        batch = rng.normal(0.0, sigma, size=(min(samples - accepted, 50 * samples - drawn), width))
+        drawn += len(batch)
+        admissible, part = evaluate(batch)
+        rows.append(batch[admissible])
+        parts.append(part)
+        accepted += int(admissible.sum())
+    components = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+    size = np.abs(components["phi"])
+    scale = tol * np.maximum(1.0, size)
+    limits = {"tau": scale, "kappa": scale, "kinv": scale, "tau1_rel": tol, "tau2_scaled": tau2_tol}
+    ok = np.ones(accepted, dtype=bool)
+    for key, limit in limits.items():
+        if key in components:
+            ok &= components[key] <= limit
+    witness = None if ok.all() else [float(c) for c in np.concatenate(rows)[np.argmin(ok)]]
+    passed = formal.is_zero() and witness is None and bool((size > 1e-6).any())
+    return SampledCheck(components, drawn - accepted, witness, formal, passed)
+
+
+def verify_eigen(
+    spec: EigenfunctionSpec, samples: int, tol: float, rng: np.random.Generator, sigma: float = 0.5
+) -> SampledCheck:
+    """The eigen check, `verify_sampled` at p = 1: all rows come from one
+    rng.normal call, in the order of a point-by-point draw."""
+    return verify_sampled(spec, 1, samples, tol, rng, sigma=sigma)
 
 
 def kappa_defect_nonisotropic(

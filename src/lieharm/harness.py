@@ -7,6 +7,10 @@ numpy SeedSequence, so results do not depend on execution order; records
 are sorted by (name, params) before report assembly.  Two runs with the
 same config and seed produce reports that are identical after stripping
 the timestamp and the per-record wall times.
+
+The sampled suites (eigen, dual, crosscheck) run `verify_sampled` at the
+order p and on the space of `SAMPLED_ORDERS`; `replay_record` hands a
+failed record's witness row to the evaluator of that same order.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -24,12 +29,11 @@ from . import __version__
 from .diffops import BudgetExceeded
 from .eigenfamilies import (
     EigenfunctionSpec,
-    eigen_points,
     expected_eigenvalues,
-    phi2_point,
     random_parameters,
+    sampled_evaluator,
     verify_eigen,
-    verify_phi2,
+    verify_sampled,
 )
 from .exact import rc
 from .formal import build_phi_p, verify_p_harmonic
@@ -44,19 +48,12 @@ from .identities import (
     check_skew_lemma,
     check_symplectic_facts,
 )
-from .lie import (
-    SO,
-    SP,
-    SPACE_FAMILIES,
-    SU,
-    GroupSpec,
-    SymmetricSpaceSpec,
-    cartan_decomposition,
-    rebuild_dual_sample,
-    rebuild_sample,
-)
+from .lie import SO, SP, SPACE_FAMILIES, SU, GroupSpec, SymmetricSpaceSpec
 
 SUITES = ("eigen", "dual", "pharmonic", "identities", "crosscheck")
+
+# the sampled suites: their order p and whether they sample the dual
+SAMPLED_ORDERS = {"eigen": (1, False), "crosscheck": (2, False), "dual": (2, True)}
 
 SCHEMA_VERSION = 1
 
@@ -111,10 +108,10 @@ class RunConfig:
             for key, value in values.items():
                 if key not in known:
                     raise ConfigError(f"unknown config key {key!r} in [{section}]")
-                # samples >= 0 and draws >= 1; tol, sigma and tau2_tol positive
+                # samples >= 0 and draws >= 1; tol, sigma and tau2_tol positive and finite
                 least = {"samples": 0, "draws": 1}.get(key)
-                if (value < least) if least is not None else (value <= 0):
-                    bound = "positive" if least is None else f">= {least}"
+                if (value < least) if least is not None else not 0 < value < math.inf:
+                    bound = "positive and finite" if least is None else f">= {least}"
                     raise ConfigError(f"{key} in [{section}] must be {bound}, got {value!r}")
         if self.budget < 1:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")
@@ -293,7 +290,7 @@ def eigen_suite(cfg: RunConfig) -> List[CheckRecord]:
                 v = verify_eigen(spec, samples, tol, rng, sigma=sigma)
                 params = {"n": space.n, "draw": draw}
                 params.update(_sample_params(spec, samples, v.witness_coefficients))
-                return v.max_residual, v.passed, params
+                return v.worst("residual"), v.passed, params
 
             records.append(_timed(task, f"eigen/{family}"))
     return records
@@ -316,9 +313,11 @@ def _sample_params(spec: EigenfunctionSpec, samples: int, witness: Optional[list
 
 
 def _phi2_suite(cfg: RunConfig, suite: str) -> List[CheckRecord]:
-    """`verify_phi2` per space: on the dual for "dual", the compact space for "crosscheck"."""
+    """`verify_sampled` at p = 2 per space: on the dual for "dual", the
+    compact space for "crosscheck"."""
     records = []
     samples, tol, sigma, tau2_tol = (cfg.suite_param(suite, k) for k in ("samples", "tol", "sigma", "tau2_tol"))
+    p, dual = SAMPLED_ORDERS[suite]
     for family, n in cfg.spaces:
         space = SymmetricSpaceSpec(family, n)
 
@@ -326,14 +325,14 @@ def _phi2_suite(cfg: RunConfig, suite: str) -> List[CheckRecord]:
             rng = substream(cfg.seed, suite, space.family, space.n)
             spec = random_parameters(space, rng)
             try:
-                v = verify_phi2(spec, samples, tol, rng, dual=suite == "dual", sigma=sigma,
-                                tau2_tol=tau2_tol, budget=cfg.budget)
+                v = verify_sampled(spec, p, samples, tol, rng, dual=dual, sigma=sigma,
+                                   tau2_tol=tau2_tol, budget=cfg.budget)
             except BudgetExceeded:
                 return 0.0, True, {"n": space.n, "skipped": "budget"}
-            params = {"n": space.n, "rejected": v.rejected_points}
+            params = {"n": space.n, "rejected": v.rejected}
             params.update((key, v.worst(key)) for key in ("tau2_abs", "tau2_scaled", "tau1_rel"))
-            if not v.tau2_formal.is_zero():
-                params["tau2_formal"] = v.tau2_formal.serialize()
+            if not v.formal.is_zero():
+                params["tau2_formal"] = v.formal.serialize()
             params.update(_sample_params(spec, samples, v.witness_coefficients))
             return v.worst("residual"), v.passed, params
 
@@ -451,13 +450,12 @@ def run(config: RunConfig) -> VerificationReport:
 def replay_record(record: CheckRecord, config: RunConfig) -> float:
     """Recompute the residual of a failed sampled record at its stored witness.
 
-    The point is rebuilt from its recorded algebra coefficients, bit for bit
-    the point the suite drew.  An eigen record replays its row through
-    `eigen_points`, the point with its K rotations, so the tau, kappa and
-    K-invariance residuals all come back; a dual or crosscheck record
-    replays the point's residual through `phi2_point`, the per-point code of
-    `verify_phi2`.  The witness is the first failing point, so this is at
-    most the record's (worst) residual.
+    The witness is the record's first failing row of algebra coefficients.
+    Replay hands it, as a batch of one row, to the evaluator that the
+    suite's `verify_sampled` ran (`sampled_evaluator` at the record's order
+    p, compact or dual), which rebuilds the point bit for bit (with an eigen
+    row's K-points) and returns its residual.  The witness is the first
+    failing point, so this is at most the record's (worst) residual.
     """
     params = record.params
     if "witness_coefficients" not in params:
@@ -467,12 +465,6 @@ def replay_record(record: CheckRecord, config: RunConfig) -> float:
     a = np.array([complex(re, im) for re, im in params["witness_a"]])
     indices = tuple(params["witness_indices"]) if "witness_indices" in params else None
     spec = EigenfunctionSpec(space, a, indices, _skip_validation=True)
-    coefficients = params["witness_coefficients"]
-    if suite == "dual":
-        k = len(cartan_decomposition(space)[0])
-        x = rebuild_dual_sample(space, coefficients[:k], coefficients[k:])
-        return phi2_point(spec, dual=True)[1](x, config.budget).residual
-    if suite == "crosscheck":
-        x = rebuild_sample(space.group_spec(), coefficients)
-        return phi2_point(spec, dual=False)[1](x, config.budget).residual
-    return float(eigen_points(spec, [coefficients]).residual[0])
+    p, dual = SAMPLED_ORDERS[suite]
+    evaluate = sampled_evaluator(spec, p, dual, config.budget)[2]
+    return float(evaluate(np.array([params["witness_coefficients"]], dtype=float))[1]["residual"][0])

@@ -18,11 +18,13 @@ A unitary z = x + iy embeds into the 2n x 2n real matrices as
 SO(2n) and Sp(n).
 
 Generators, J (`standard_symplectic`) and sample points are plain complex
-arrays.  Sample points are exp(sum_q c_q Z_q) with Gaussian c.  One call
-draws and exponentiates a whole batch: the coefficients carry leading
-batch axes, and `expm` (Taylor scaling and squaring in numpy, the
-polynomial by Paterson-Stockmeyer) exponentiates the (..., n, n) stack at
-once.
+arrays.  Sample points are exp(sum_q c_q Z_q) with Gaussian c, and dual
+points exp(sum a_i K_i) exp(sum b_j iM_j); both are rebuilt from
+coefficient arrays drawn elsewhere (`rebuild_sample`,
+`rebuild_dual_sample`).  One call exponentiates a whole batch: the
+coefficients carry leading batch axes, and `expm` (Taylor scaling and
+squaring in numpy, the polynomial by Paterson-Stockmeyer) exponentiates
+the (..., n, n) stack at once, giving each point the bits it has alone.
 """
 
 from __future__ import annotations
@@ -438,21 +440,11 @@ def rebuild_sample(spec: GroupSpec, coeffs) -> np.ndarray:
     return sample_with_coefficients(spec, None, coeffs=coeffs)[0]
 
 
-def sample_dual_with_coefficients(
-    space: SymmetricSpaceSpec, rng: np.random.Generator, sigma: float = 0.2
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A point exp(sum a_i K_i) exp(sum b_j iM_j) of the non-compact dual group."""
-    if sigma <= 0:
-        raise UsageError(f"sigma must be positive, got {sigma}")
-    k_basis, m_basis = cartan_decomposition(space)
-    a = rng.normal(0.0, sigma, size=len(k_basis))
-    b = rng.normal(0.0, sigma, size=len(m_basis))
-    return rebuild_dual_sample(space, a, b), a, b
-
-
 def rebuild_dual_sample(space: SymmetricSpaceSpec, a, b) -> np.ndarray:
-    """exp(sum a_i K_i) exp(sum b_j iM_j) from one `expm` call on the stack of
-    both exponents; each factor keeps the bits of its own one-matrix call."""
+    """The points exp(sum a_i K_i) exp(sum b_j iM_j) of the non-compact dual
+    group, for coefficients a over k and b over m with the same leading
+    batch axes, from one `expm` call on the stack of both exponents; each
+    factor keeps the bits of its own one-matrix call."""
     k_basis, m_basis = cartan_decomposition(space)
     k, m = expm(np.stack([_combination(k_basis.stack(), a), 1j * _combination(m_basis.stack(), b)]))
     return k @ m

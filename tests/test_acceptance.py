@@ -18,7 +18,7 @@ from lieharm.eigenfamilies import (
     kappa_defect_nonisotropic,
     random_parameters,
     verify_eigen,
-    verify_phi2,
+    verify_sampled,
 )
 from lieharm.exact import RationalComplex
 from lieharm.formal import build_phi_p, evaluate_formal, tau_formal, verify_p_harmonic
@@ -80,8 +80,8 @@ def test_criterion_01_eigen_equations(eigen_results):
     for (family, n), (lam, mu) in named.items():
         got = expected_eigenvalues(SymmetricSpaceSpec(family, n))
         assert got == (RationalComplex(lam), RationalComplex(mu))
-    worst_tau = max(v.max_tau_residual for v in results.values())
-    worst_kappa = max(v.max_kappa_residual for v in results.values())
+    worst_tau = max(v.worst("tau") for v in results.values())
+    worst_kappa = max(v.worst("kappa") for v in results.values())
     ok = (
         all(v.passed for v in results.values())
         and worst_tau <= 1e-8
@@ -98,7 +98,7 @@ def test_criterion_01_eigen_equations(eigen_results):
 
 def test_criterion_02_k_invariance(eigen_results):
     results, _ = eigen_results
-    worst = max(v.max_kinv_residual for v in results.values())
+    worst = max(v.worst("kinv") for v in results.values())
     _report(2, worst <= 1e-10, f"|phi(xk) - phi(x)| max {worst:.2e} (tol 1e-10)")
 
 
@@ -227,7 +227,7 @@ def test_criterion_09_duality():
         space = SymmetricSpaceSpec(SUN_SON, n)
         rng = substream(SEED, "acceptance-dual", n)
         spec = random_parameters(space, rng)
-        v = verify_phi2(spec, samples=20, tol=1e-7, rng=rng, dual=True, sigma=0.2, tau2_tol=1e-5)
+        v = verify_sampled(spec, 2, samples=20, tol=1e-7, rng=rng, dual=True, sigma=0.2, tau2_tol=1e-5)
         assert v.passed, (n, v)
         worst_tau = max(worst_tau, v.worst("tau"))
         worst_kappa = max(worst_kappa, v.worst("kappa"))

@@ -15,9 +15,10 @@ from lieharm.eigenfamilies import (
     expected_eigenvalues,
     kappa_defect_nonisotropic,
     random_parameters,
+    sampled_evaluator,
     uses_complex_structure,
     verify_eigen,
-    verify_phi2,
+    verify_sampled,
 )
 from lieharm.exact import RationalComplex
 from lieharm.jets import JetScalar, _cauchy
@@ -32,7 +33,9 @@ from lieharm.lie import (
     SymmetricSpaceSpec,
     UsageError,
     basis_g,
+    cartan_decomposition,
     generator,
+    rebuild_dual_sample,
     sample,
     sample_with_coefficients,
     standard_symplectic,
@@ -279,9 +282,9 @@ def test_verify_eigen_passes(family, n):
     spec = random_parameters(SymmetricSpaceSpec(family, n), rng)
     v = verify_eigen(spec, samples=8, tol=1e-8, rng=rng)
     assert v.passed
-    assert v.max_tau_residual < 1e-10
-    assert v.max_kappa_residual < 1e-10
-    assert v.max_kinv_residual < 1e-10
+    assert v.worst("tau") < 1e-10
+    assert v.worst("kappa") < 1e-10
+    assert v.worst("kinv") < 1e-10
 
 
 def _verify_eigen_point_by_point(spec, samples, tol, rng, sigma=0.5, k_samples=5):
@@ -334,16 +337,18 @@ def test_batched_verify_eigen_matches_point_by_point(family, n, tol):
     assert v.passed == ref["passed"]
     assert v.passed == (tol == 1e-8) or tol == 1e-14
     assert v.witness_coefficients == ref["witness"]
-    assert v.max_tau_residual == pytest.approx(ref["tau"], rel=1e-12, abs=0)
-    assert v.max_kappa_residual == pytest.approx(ref["kappa"], rel=1e-12, abs=0)
-    assert v.max_kinv_residual == pytest.approx(ref["kinv"], rel=1e-12, abs=0)
+    assert v.worst("tau") == pytest.approx(ref["tau"], rel=1e-12, abs=0)
+    assert v.worst("kappa") == pytest.approx(ref["kappa"], rel=1e-12, abs=0)
+    assert v.worst("kinv") == pytest.approx(ref["kinv"], rel=1e-12, abs=0)
 
 
 def test_verify_eigen_zero_samples_vacuous():
     rng = np.random.default_rng(3)
     spec = random_parameters(SymmetricSpaceSpec(SUN_SON, 2), rng)
+    state = rng.bit_generator.state
     v = verify_eigen(spec, samples=0, tol=1e-8, rng=rng)
-    assert v.passed and v.vacuous
+    assert v.passed and not v.components and v.worst("residual") == 0.0
+    assert rng.bit_generator.state == state  # nothing was drawn
 
 
 def test_nonisotropic_defect():
@@ -399,9 +404,9 @@ def test_intermediate_kappa_identity_su3():
 def test_verify_dual_sun_son():
     rng = np.random.default_rng(7)
     spec = random_parameters(SymmetricSpaceSpec(SUN_SON, 2), rng)
-    v = verify_phi2(spec, samples=5, tol=1e-7, rng=rng, dual=True, sigma=0.2, tau2_tol=1e-5)
+    v = verify_sampled(spec, 2, samples=5, tol=1e-7, rng=rng, dual=True, sigma=0.2, tau2_tol=1e-5)
     assert v.passed
-    assert len(v.points) == 5
+    assert len(v.components["phi"]) == 5
     assert v.worst("tau") < 1e-9
     assert v.worst("kappa") < 1e-9
     assert v.worst("tau2_abs") < 1e-9
@@ -411,7 +416,7 @@ def test_verify_dual_other_families():
     rng = np.random.default_rng(8)
     for family in (SPN_UN, SU2N_SPN):
         spec = random_parameters(SymmetricSpaceSpec(family, 2), rng)
-        v = verify_phi2(spec, samples=3, tol=1e-7, rng=rng, dual=True, sigma=0.2, tau2_tol=1e-5)
+        v = verify_sampled(spec, 2, samples=3, tol=1e-7, rng=rng, dual=True, sigma=0.2, tau2_tol=1e-5)
         assert v.passed, (family, v)
 
 
@@ -435,15 +440,122 @@ def test_phi2_check_catches_a_perturbed_lambda(monkeypatch, family, suite):
     def run_check():
         rng = substream(cfg.seed, suite, family, 2)
         spec = random_parameters(SymmetricSpaceSpec(family, 2), rng)
-        return verify_phi2(spec, 2, tol, rng, dual=suite == "dual", sigma=sigma, tau2_tol=tau2_tol)
+        return verify_sampled(spec, 2, 2, tol, rng, dual=suite == "dual", sigma=sigma, tau2_tol=tau2_tol)
 
     assert run_check().passed
     # 1e-6 hides under the float64 noise of tau^2 on some spaces, and tau^1
     # matches the formal layer for any Phi_2; the exact formal tau^2 sees it
     _phi2_at_fault(monkeypatch, Fraction(1, 10**6))
     v = run_check()
-    assert not v.passed and not v.tau2_formal.is_zero()
+    assert not v.passed and not v.formal.is_zero()
     # 1e-4 is far enough above the noise that the numeric tau^2 alone fails
     _phi2_at_fault(monkeypatch, Fraction(1, 10**4))
     v = run_check()
     assert v.worst("tau2_scaled") > tau2_tol and v.witness_coefficients is not None
+
+
+def _nested_point_by_point(spec, samples, rng, *, dual, sigma):
+    """The per-point reference of the nested draw: one row drawn, rebuilt and
+    tested for the log domain at a time, as the nested check did before it
+    batched its draws.  Returns the accepted rows, their points and the
+    number of rejected rows."""
+    from lieharm import eigenfamilies
+
+    space = spec.space
+    k, m = cartan_decomposition(space)
+    f = build_eigenfunction(spec)
+    rows, points, rejected = [], [], 0
+    while len(points) < samples:
+        assert len(points) + rejected < 50 * samples
+        if dual:
+            a, b = rng.normal(0.0, sigma, len(k)), rng.normal(0.0, sigma, len(m))
+            x, row = rebuild_dual_sample(space, a, b), np.concatenate([a, b])
+        else:
+            x, row = sample_with_coefficients(space.group_spec(), rng, sigma)
+        if not eigenfamilies.log_domain_ok(complex(f(x))):
+            rejected += 1
+            continue
+        rows.append(row)
+        points.append(x)
+    return rows, points, rejected
+
+
+@pytest.mark.parametrize("family", [SUN_SON, SU2N_SPN])
+@pytest.mark.parametrize("dual", [False, True])
+def test_batched_nested_draw_matches_point_by_point(monkeypatch, family, dual):
+    # every other row is rejected, so the check refills in rounds of fewer
+    # rows; it must draw, accept and witness exactly as the per-point loop
+    from lieharm import eigenfamilies
+
+    real = eigenfamilies.log_domain_ok
+    calls = []
+
+    def reject_every_other(phi):
+        calls.append(phi)
+        return len(calls) % 2 == 0
+
+    space = SymmetricSpaceSpec(family, 2)
+    spec = random_parameters(space, np.random.default_rng(30))
+    samples, sigma, tol = 4, 0.2 if dual else 0.5, 1e-7
+    monkeypatch.setattr(eigenfamilies, "log_domain_ok", reject_every_other)
+    rng_ref = np.random.default_rng(35)
+    rows, points, rejected = _nested_point_by_point(spec, samples, rng_ref, dual=dual, sigma=sigma)
+    assert rejected == samples
+
+    # a tau2_tol that the first accepted point meets and a later one misses
+    monkeypatch.setattr(eigenfamilies, "log_domain_ok", real)
+    evaluate = sampled_evaluator(spec, 2, dual)[2]
+    scaled = [evaluate(row[None])[1]["tau2_scaled"][0] for row in rows]
+    tau2_tol = scaled[0]
+    witness = next(list(row) for row, v in zip(rows, scaled) if v > tau2_tol)
+
+    swept = []
+    sweep = eigenfamilies.tau_and_kappa
+
+    def capture(f, x, dirs):
+        swept.append(x)
+        return sweep(f, x, dirs)
+
+    calls.clear()
+    monkeypatch.setattr(eigenfamilies, "log_domain_ok", reject_every_other)
+    monkeypatch.setattr(eigenfamilies, "tau_and_kappa", capture)
+    rng = np.random.default_rng(35)
+    v = verify_sampled(spec, 2, samples, tol, rng, dual=dual, sigma=sigma, tau2_tol=tau2_tol)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert len(calls) == 2 * samples and v.rejected == rejected
+    assert len(swept) == samples and all(np.array_equal(a, b) for a, b in zip(swept, points))
+    assert v.witness_coefficients == witness and not v.passed
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_nested_check_reads_its_directions_in_the_dtype_of_the_point(monkeypatch, dual):
+    # the nested check hands a Basis to the sweeps, so a clongdouble point is
+    # swept along stack(np.clongdouble), not along directions rounded to float64
+    from lieharm import eigenfamilies
+
+    # SU(3)/SO(3): c = 1/sqrt(6) and more, which float64 rounds, in both g and m
+    space = SymmetricSpaceSpec(SUN_SON, 3)
+    spec = random_parameters(space, np.random.default_rng(40))
+    k, m = cartan_decomposition(space)
+    rebuild, rebuild_dual = eigenfamilies.rebuild_sample, eigenfamilies.rebuild_dual_sample
+    monkeypatch.setattr(eigenfamilies, "rebuild_sample", lambda *a: rebuild(*a).astype(np.clongdouble))
+    monkeypatch.setattr(eigenfamilies, "rebuild_dual_sample", lambda *a: rebuild_dual(*a).astype(np.clongdouble))
+    # a row over g or over [k | m]: both have dim g entries
+    row = np.random.default_rng(41).normal(0.0, 0.2, len(k) + len(m))
+    x = (eigenfamilies.rebuild_dual_sample(space, row[: len(k)], row[len(k) :]) if dual
+         else eigenfamilies.rebuild_sample(space.group_spec(), row))
+    assert x.dtype == np.clongdouble
+    got = sampled_evaluator(spec, 2, dual)[2](row[None])[1]["tau"][0]
+
+    f = build_eigenfunction(spec)
+    lam = complex(expected_eigenvalues(spec)[0]) * (-1 if dual else 1)
+    phi = complex(f(x))
+    basis = m if dual else basis_g(space.group_spec())
+    unit = 1j if dual else 1
+
+    def tau_residual(dirs):
+        return abs(tau_and_kappa(f, x, unit * dirs)[0] - lam * phi)
+
+    assert got == tau_residual(basis.stack(np.clongdouble))
+    # the test can tell: directions rounded to complex128 give other bits
+    assert got != tau_residual(basis.stack())

@@ -72,6 +72,13 @@ def test_config_defaults_valid():
     {"samples": -1},
     {"tol": 0.0},
     {"sigma": -0.5},
+    # NaN and infinity pass `value <= 0`: a NaN tol fails every point, an infinite one none
+    {"tol": float("nan")},
+    {"tol": float("inf")},
+    {"sigma": float("nan")},
+    {"sigma": float("inf")},
+    {"suite_overrides": {"dual": {"tau2_tol": float("nan")}}},
+    {"suite_overrides": {"crosscheck": {"tol": float("inf")}}},
     {"budget": 0},
     {"jobs": 0},
     {"jobs": 2},
@@ -410,6 +417,8 @@ def test_cli_exit_codes(tmp_path):
     # floating arithmetic cannot reach 1e-20: verification failure
     assert main(["eigen", "--space", "sun_son:2", "--samples", "2", "--tol", "1e-20"]) == 1
     assert main(["eigen", "--space", "not_a_space"]) == 2
+    # a non-finite tolerance is a usage error, not a verification failure
+    assert main(["eigen", "--space", "sun_son:2", "--samples", "3", "--tol", "nan"]) == 2
     bad_path = str(tmp_path / "missing_dir" / "report.json")
     assert main(["pharmonic", "--space", "sun_son:2", "--p-max", "1", "--out", bad_path]) == 3
 

@@ -33,7 +33,6 @@ from lieharm.lie import (
     rebuild_dual_sample,
     rebuild_sample,
     sample,
-    sample_dual_with_coefficients,
     sample_with_coefficients,
     standard_symplectic,
 )
@@ -612,14 +611,20 @@ def test_dual_sample_is_bitwise_two_expm_calls(family):
         two = expm(lie._combination(k.stack(), a)) @ expm(1j * lie._combination(m.stack(), b))
         x = rebuild_dual_sample(space, a, b)
         assert type(x) is np.ndarray and np.array_equal(x, two)
+    # a batch of [k | m] rows gives each point the bits of its one-row call
+    rows = rng.normal(0.0, 0.5, (4, len(k) + len(m)))
+    batch = rebuild_dual_sample(space, rows[:, : len(k)], rows[:, len(k) :])
+    assert batch.shape == (4, *two.shape)
+    for row, x in zip(rows, batch):
+        assert np.array_equal(x, rebuild_dual_sample(space, row[: len(k)], row[len(k) :]))
 
 
 def test_dual_sample_special_linear_not_unitary():
     space = SymmetricSpaceSpec(SUN_SON, 2)
-    rng = np.random.default_rng(11)
+    k, m = cartan_decomposition(space)
+    rows = np.random.default_rng(11).normal(0.0, 0.5, (5, len(k) + len(m)))
     hits = 0
-    for _ in range(5):
-        x = sample_dual_with_coefficients(space, rng, sigma=0.5)[0]
+    for x in rebuild_dual_sample(space, rows[:, : len(k)], rows[:, len(k) :]):
         assert type(x) is np.ndarray
         assert abs(np.linalg.det(x) - 1) <= 1e-10
         if np.max(np.abs(x @ np.conj(x.T) - np.eye(2))) > 1e-3:
@@ -629,7 +634,9 @@ def test_dual_sample_special_linear_not_unitary():
 
 def test_dual_sample_zero_coefficients_is_identity():
     space = SymmetricSpaceSpec(SUN_SON, 2)
-    x = sample_dual_with_coefficients(space, np.random.default_rng(12), sigma=1e-14)[0]
+    k, m = cartan_decomposition(space)
+    row = np.random.default_rng(12).normal(0.0, 1e-14, len(k) + len(m))
+    x = rebuild_dual_sample(space, row[: len(k)], row[len(k) :])
     assert np.max(np.abs(x - np.eye(2))) < 1e-12
 
 
