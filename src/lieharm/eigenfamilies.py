@@ -228,8 +228,8 @@ def _nested_evaluator(spec: EigenfunctionSpec, dual: bool, budget: int) -> Tuple
     """p = 2: the row width, the exact formal tau^2 of the Phi_2 in use, and
     the evaluator, which runs the per-point check below at each point.  A
     row is rejected where phi is outside the log domain.  `dual` selects
-    the rows and points (over g, or exp(k-part) exp(1j m-part) from rows
-    over k, then m), the directions (g, or the Basis 1j * m) and the signs
+    the rows and points (over g, or `rebuild_dual_sample` of rows over k,
+    then m), the directions (g, or the Basis 1j * m) and the signs
     ((lambda, mu), or (-lambda, -mu)) that Phi_2 is built from.  The tau^1
     comparison holds for any Phi_2 by the chain rule; only tau^2 tells a
     wrong Phi_2 from the right one."""
@@ -321,7 +321,8 @@ def verify_sampled(
     formal tau^2 of Phi_2 is zero; tau phi and kappa(phi, phi) match
     lambda' phi and mu' phi^2 within tol * max(1, |phi|), tau(Phi_2 o phi)
     the formal tau Phi_2 within tol relative, and
-    |tau^2(Phi_2 o phi)| / max(1, |Phi_2 o phi|) is at most tau2_tol.
+    |tau^2(Phi_2 o phi)| / max(1, |Phi_2 o phi|) is at most tau2_tol, which
+    p = 2 requires (UsageError, before any draw, without it).
     Some point must have |phi| > 1e-6, unless samples <= 0.
 
     Each round draws the rows it still needs in one rng.normal call, in the
@@ -332,6 +333,8 @@ def verify_sampled(
     """
     if sigma <= 0:
         raise UsageError(f"sigma must be positive, got {sigma}")
+    if p == 2 and tau2_tol is None:
+        raise UsageError("the order-2 check needs tau2_tol")
     width, formal, evaluate = sampled_evaluator(spec, p, dual, budget)
     if samples <= 0:  # vacuous: nothing is drawn
         return SampledCheck({}, 0, None, formal, formal.is_zero())

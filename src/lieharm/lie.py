@@ -18,18 +18,22 @@ A unitary z = x + iy embeds into the 2n x 2n real matrices as
 SO(2n) and Sp(n).
 
 Generators, J (`standard_symplectic`) and sample points are plain complex
-arrays.  Sample points are exp(sum_q c_q Z_q) with Gaussian c, and dual
-points exp(sum a_i K_i) exp(sum b_j iM_j); both are rebuilt from
-coefficient arrays drawn elsewhere (`rebuild_sample`,
-`rebuild_dual_sample`).  One call exponentiates a whole batch: the
-coefficients carry leading batch axes, and `expm` (Taylor scaling and
-squaring in numpy, the polynomial by Paterson-Stockmeyer) exponentiates
-the (..., n, n) stack at once, giving each point the bits it has alone.
+arrays.  Sample points are r(sum_q c_q Z_q) with Gaussian c, and dual
+points r(sum a_i K_i) r(sum b_j iM_j), for r the (2,2) Pade approximant
+of exp (`pade_exp`); both are rebuilt from coefficient arrays drawn
+elsewhere (`rebuild_sample`, `rebuild_dual_sample`).  r(A) r(-A) = I, so
+r maps so(n), sp(n) and the embedded u(n) into their groups and su(n)
+into U(n); r sends i m to positive definite factors, so a dual point lies
+in K exp(i m) at any sigma.  On the SU families a point is a phase (a
+positive scalar on the duals) times a point of the group, which no check
+sees: each checked identity is homogeneous of the same degree on both
+sides.  One call builds a whole batch: the coefficients carry leading
+batch axes, and `pade_exp` maps the (..., n, n) stack at once, giving
+each point the bits it has alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -330,70 +334,28 @@ def cartan_decomposition(space: SymmetricSpaceSpec) -> Tuple[Basis, Basis]:
 # ---------------------------------------------------------------------------
 
 
-# degree of the Taylor polynomial in `expm`
-_TAYLOR_DEGREE = 30
+def pade_exp(a) -> np.ndarray:
+    """r(A) = q(-A)^-1 q(A) with q(A) = I + A/2 + A^2/12, the (2,2) Pade
+    approximant of exp, for every matrix of a complex (..., n, n) stack,
+    complex128 and clongdouble among them.
 
+    r(A) r(-A) = I, so r maps so(n), sp(n) and the embedded u(n) into their
+    groups, and su(n) into U(n): |det| = 1, but det != 1 in general.  The
+    roots of q are -3 +- i sqrt3, so q(-A) is invertible for A
+    skew-Hermitian or Hermitian, and for A Hermitian r(A) is positive
+    definite with eigenvalues in [(2 - sqrt3)^2, (2 + sqrt3)^2].
 
-@lru_cache(maxsize=None)
-def _inverse_factorials(real: np.dtype) -> tuple:
-    """1/j! for j <= _TAYLOR_DEGREE, computed in the real dtype `real`."""
-    factorials = np.array([math.factorial(j) for j in range(_TAYLOR_DEGREE + 1)], dtype=real)
-    return tuple(np.ones((), dtype=real) / factorials)
-
-
-def expm(a) -> np.ndarray:
-    """The exponential of every matrix of an (..., n, n) stack of any inexact
-    dtype, complex128 and clongdouble among them.
-
-    Taylor scaling and squaring (Bader, Blanes & Casas 2019, "Computing the
-    matrix exponential with an optimized Taylor polynomial approximation"):
-    each matrix is halved s times until its 1-norm is at most theta, where
-    theta^(m+1)/(m+1)! is the unit roundoff u of its dtype for the degree
-    m = 30, so the Taylor remainder stays within about u; the polynomial
-    sum_{j<=m} A^j / j! is evaluated by the Paterson-Stockmeyer scheme
-    (Higham, *Functions of Matrices*, 2008, section 4.2) and squared s times.
-
-    With q = ceil(sqrt(m)) = 6 and R = ceil(m / q) - 1 = 4, the powers
-    A^2..A^q cost q - 1 = 5 products, and
-
-        p = B_0 + A^q (B_1 + A^q (B_2 + ... + A^q B_R)),
-        B_r = sum_j A^j / (qr + j)!  over j < q (over j <= m - qR for r = R),
-
-    costs R = 4 more: 9 matrix products in all (Horner's rule takes m = 30),
-    plus one per squaring.  The block sums are elementwise, with the
-    coefficients 1/j! formed in the real dtype of the input.  Only matmuls
-    and elementwise arithmetic are used, so each matrix of a stack gets the
-    same bits as on its own.
+    numpy's linalg has no clongdouble, so the solve runs in complex128, and
+    one step of refinement, with the residual q(A) - q(-A) X formed in the
+    dtype of A, brings X to that dtype's accuracy.  Each matrix of a stack
+    is solved on its own, so it gets the bits it has alone.
     """
     a = np.asarray(a)
-    m = _TAYLOR_DEGREE
-    real = np.finfo(a.dtype).dtype
-    u = float(np.finfo(a.dtype).eps) / 2
-    theta = (u * math.factorial(m + 1)) ** (1.0 / (m + 1))
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    frac, exp2 = np.frexp(norm / theta)
-    s = np.maximum(exp2 - (frac == 0.5), 0)  # the least s >= 0 with norm / 2^s <= theta
-    a = a * np.ldexp(np.ones_like(norm), -s)[..., None, None]
-    q = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
-    top = (m - 1) // q  # R, the index of the last block
-    powers = [np.eye(a.shape[-1], dtype=a.dtype), a]
-    for _ in range(q - 1):
-        powers.append(np.matmul(powers[-1], a))
-    coef = _inverse_factorials(real)
-
-    def block(r: int) -> np.ndarray:
-        last = q - 1 if r < top else m - q * top
-        b = powers[0] * coef[q * r]
-        for j in range(1, last + 1):
-            b = b + powers[j] * coef[q * r + j]
-        return b
-
-    p = block(top)
-    for r in range(top - 1, -1, -1):
-        p = block(r) + np.matmul(powers[q], p)
-    for j in range(int(s.max(initial=0))):
-        p = np.where((s > j)[..., None, None], np.matmul(p, p), p)
-    return p
+    odd, even = a / 2, np.eye(a.shape[-1], dtype=a.dtype) + np.matmul(a, a) / 12
+    num, den = even + odd, even - odd
+    den128 = den.astype(np.complex128)
+    x = np.linalg.solve(den128, num.astype(np.complex128)).astype(a.dtype)
+    return x + np.linalg.solve(den128, (num - np.matmul(den, x)).astype(np.complex128))
 
 
 def _combination(stack: np.ndarray, coeffs) -> np.ndarray:
@@ -412,8 +374,8 @@ def sample_with_coefficients(
     shape: Tuple[int, ...] = (),
     coeffs: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """exp(sum_i c_i Z_i) over the basis of g, with c_i ~ N(0, sigma^2); returns
-    the points and their c.
+    """r(sum_i c_i Z_i) over the basis of g, with c_i ~ N(0, sigma^2) and r
+    the Pade approximant `pade_exp`; returns the points and their c.
 
     c has shape `shape` + (dim g,) and comes from one `rng.normal` call, so
     a batch draws the same numbers as that many one-point calls in a row.
@@ -425,7 +387,7 @@ def sample_with_coefficients(
     stack = basis_g(spec).stack()
     if coeffs is None:
         coeffs = rng.normal(0.0, sigma, size=(*shape, len(stack)))
-    return expm(_combination(stack, coeffs)), coeffs
+    return pade_exp(_combination(stack, coeffs)), coeffs
 
 
 def sample(
@@ -441,10 +403,11 @@ def rebuild_sample(spec: GroupSpec, coeffs) -> np.ndarray:
 
 
 def rebuild_dual_sample(space: SymmetricSpaceSpec, a, b) -> np.ndarray:
-    """The points exp(sum a_i K_i) exp(sum b_j iM_j) of the non-compact dual
-    group, for coefficients a over k and b over m with the same leading
-    batch axes, from one `expm` call on the stack of both exponents; each
-    factor keeps the bits of its own one-matrix call."""
+    """The points r(sum a_i K_i) r(sum b_j iM_j) of the non-compact dual
+    group, for r the Pade approximant `pade_exp` and coefficients a over k
+    and b over m with the same leading batch axes, from one `pade_exp` call
+    on the stack of both exponents; each factor keeps the bits of its own
+    one-matrix call, and the m-factor is positive definite."""
     k_basis, m_basis = cartan_decomposition(space)
-    k, m = expm(np.stack([_combination(k_basis.stack(), a), 1j * _combination(m_basis.stack(), b)]))
+    k, m = pade_exp(np.stack([_combination(k_basis.stack(), a), 1j * _combination(m_basis.stack(), b)]))
     return k @ m

@@ -559,3 +559,51 @@ def test_nested_check_reads_its_directions_in_the_dtype_of_the_point(monkeypatch
     assert got == tau_residual(basis.stack(np.clongdouble))
     # the test can tell: directions rounded to complex128 give other bits
     assert got != tau_residual(basis.stack())
+
+
+def test_order_two_check_without_tau2_tol_raises_before_drawing():
+    spec = random_parameters(SymmetricSpaceSpec(SUN_SON, 2), np.random.default_rng(45))
+    rng = np.random.default_rng(46)
+    state = rng.bit_generator.state
+    with pytest.raises(UsageError, match="tau2_tol"):
+        verify_sampled(spec, 2, 2, 1e-7, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("family", [SUN_SON, SU2N_SPN])
+@pytest.mark.parametrize("p,dual", [(1, False), (2, False), (2, True)])
+def test_checks_do_not_see_the_phase_of_an_su_point(monkeypatch, family, p, dual):
+    # The sampler maps su(n) into U(n), so a point x of the SU families is
+    # y = x det(x)^(-1/n) in SU(n) times a phase (on the dual, a positive
+    # scalar).  phi(c y) = c^2 phi(y), c^2 phi is again a (lambda, mu)
+    # eigenfunction and Phi_2 o (c^2 phi) is biharmonic, so every residual
+    # the evaluators report at x is the one at y, to rounding.
+    from lieharm import eigenfamilies
+
+    space = SymmetricSpaceSpec(family, 3)
+    g = space.group_spec()
+    spec = random_parameters(space, np.random.default_rng(50))
+    width, _, evaluate = sampled_evaluator(spec, p, dual)
+    rows = np.random.default_rng(51).normal(0.0, 1.0 if dual else 1.5, (3, width))
+    kept, at_x = evaluate(rows)
+
+    scales = []
+
+    def unimodular(x):
+        c = np.linalg.det(x) ** (-1 / x.shape[-1])
+        scales.append(c)
+        return x * c[..., None, None]
+
+    rebuild, rebuild_dual = eigenfamilies.rebuild_sample, eigenfamilies.rebuild_dual_sample
+    monkeypatch.setattr(eigenfamilies, "rebuild_sample",
+                        lambda s, coeffs: unimodular(rebuild(s, coeffs)) if s == g else rebuild(s, coeffs))
+    monkeypatch.setattr(eigenfamilies, "rebuild_dual_sample", lambda *a: unimodular(rebuild_dual(*a)))
+    kept_y, at_y = evaluate(rows)
+    (c,) = scales
+    # the phase is far from 1, so x and y are different points
+    assert np.max(np.abs(c - 1)) > 1e-2
+    assert np.array_equal(kept, kept_y) and kept.all()
+    phi = at_x["phi"]
+    assert np.max(np.abs(at_y["phi"] - c**2 * phi) / np.abs(phi)) <= 1e-14
+    for key in set(at_x) - {"phi"}:
+        assert np.all(np.abs(at_y[key] - at_x[key]) <= 1e-10 * np.maximum(1.0, np.abs(phi))), key
