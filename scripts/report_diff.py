@@ -10,7 +10,8 @@ and differ, so a changed config can be told from changed records), and per
 suite the number of records both reports have, how many of their residuals
 are bitwise equal, the range of the new/old ratio of the others, the worst
 residual of B, and the summed record time (`ms`) of those records in A and
-in B.  Exits 1 if a verdict flipped or the record sets differ, 0
+in B; then each record both have with its `ms` in A and in B and their
+ratio.  Exits 1 if a verdict flipped or the record sets differ, 0
 otherwise.
 """
 
@@ -89,6 +90,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         worst = max(b for _, b in pairs)
         ms = [sum(report[key]["ms"] for key in keys) for report in (old, new)]
         print(f"{suite:12} {len(keys):7} {equal:7} {span:>19} {worst:10.3e} {ms[0]:10.1f} -> {ms[1]:7.1f}")
+    print(f"{'record':44} {'ms old -> new':>21} {'ratio':>8}")
+    for key in common:
+        a, b = old[key]["ms"], new[key]["ms"]
+        print(f"{format_key(key):44} {a:10.1f} -> {b:7.1f} {'x' + format(ratio(a, b), '.2f'):>8}")
     print(f"{len(flips)} verdict flips, {len(missing)} missing and {len(added)} added records")
     return 1 if flips or missing or added else 0
 

@@ -13,47 +13,55 @@ correction term appears in either sum.  The dual Laplacian is the same sum
 over the directions i Z, Z in m.
 
 A point is a plain complex array, one matrix (n, n) or a batch
-(..., n, n), or a JetScalar whose value axes end in (n, n); the function
-of a `GroupFunction` sees it wrapped in a CMatrix, and nothing else here
-does.  One sweep serves every point.  `_sweep` gives the jet of x (a
-plain point has none) one fresh nilpotent variable, whose degree axis
-goes in front of the degree axes of x; the direction axis of a stack of
-directions goes right after the degree axes, in front of any batch axes x
-already carries.  The coefficients of t and t^2 vary along it, and that
-of t^0 is x repeated.  One evaluation of f then yields the derivatives
-along all the directions, and the projection onto degree d of the new
-variable is the coefficient array's index d.  tau and kappa sum over the
-direction axis, so their value is a number at a plain point, an array of
-one value per point at a batch of plain points, and a jet at a
-jet-valued point; the dtype follows the point, so a clongdouble point
-gives clongdouble values.  tau applied p times is tau of the function
-y -> tau(f, y): the outer sweep hands the inner one a point that is
-already a jet, batched over the outer directions (Li et al. 2023, "Forward
-Laplacian", sum the direction axis the same way inside one forward pass).
+(..., n, n), or a JetScalar whose value axes end in (n, n).  A
+`GroupFunction` may carry a fixed left factor P, a (rows, n) array, and
+reads g only through P g: a call applies P to its point and wraps P g in
+the CMatrix its function sees, and nothing else here makes a CMatrix.
+One sweep serves every point.  Since P x exp(tZ) = (P x) exp(tZ), `_sweep`
+applies P once to its point and moves P x, not x, along the curve.  It
+gives the jet of P x (a plain point has none) one fresh nilpotent
+variable, whose degree axis goes in front of the degree axes of x; the
+direction axis of a stack of directions goes right after the degree axes,
+in front of any batch axes x already carries.  The coefficients of t and
+t^2 vary along it, and that of t^0 is P x repeated.  One evaluation of f
+then yields the derivatives along all the directions, and the projection
+onto degree d of the new variable is the coefficient array's index d.
+tau and kappa sum over the direction axis, so their value is a number at
+a plain point, an array of one value per point at a batch of plain
+points, and a jet at a jet-valued point; the dtype follows the point, so
+a clongdouble point gives clongdouble values.  tau applied p times is tau
+of the function y -> tau(f, y): the outer sweep hands the inner one a
+point that is already a jet of P x, batched over the outer directions, so
+the inner sweep runs f without P (Li et al. 2023, "Forward Laplacian",
+sum the direction axis the same way inside one forward pass).
 
-The directions are swept in chunks, so that no coefficient of the jet
-argument, a (..., rows, cols) array with the direction and batch axes,
-exceeds `_CHUNK_ENTRIES` entries; the whole coefficient array holds 3^(k+1)
-of them.  A batch of 50 points of any n = 3 space fits into one chunk.
+The directions are swept in chunks, so that the jet argument, whose
+3^(k+1) coefficients are (..., rows, cols) arrays of P x with the
+direction and batch axes, holds at most 3 * `_CHUNK_ENTRIES` entries: up
+to `_CHUNK_ENTRIES` per coefficient at a plain point (k = 0), and 3^k
+times fewer at a jet point, so that a nested sweep, whose function makes
+a few arrays of the argument's size, stays as small as one level.  A
+batch of 50 points of any n = 3 space fits into one chunk.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from .jets import JetDomainError, JetScalar
-from .lie import Basis
+from .lie import Basis, UsageError
 from .matrices import CMatrix
 
 Scalar = Union[complex, np.ndarray, JetScalar]
 # a plain point (an (..., n, n) complex array: one matrix or a batch) or a jet-valued one
 Point = Union[np.ndarray, JetScalar]
 
-# largest number of entries in one coefficient of a swept jet argument
+# largest number of entries in one coefficient of a jet argument swept from
+# a plain point; a third of the largest in the whole argument at any point
 _CHUNK_ENTRIES = 2**16
 
 
@@ -61,23 +69,36 @@ class BudgetExceeded(RuntimeError):
     """An iterated-tau request would exceed the jet-evaluation budget."""
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupFunction:
-    """A scalar-polymorphic function on a matrix group.
+    """A scalar-polymorphic function on a matrix group, g -> fn(P g).
 
+    `left`, the fixed left factor P, is a (rows, n) array or None (P = I).
     fn must be built from CMatrix operations only, so that plugging in a
     jet-valued group element yields the jet of the composition.  A call
-    wraps its point, a complex array or a jet, in the CMatrix that fn
+    checks that its point, a complex array or a jet, is made of n x n
+    matrices, applies P to it and wraps P g in the CMatrix that fn
     receives; this is the only place a point becomes a CMatrix.
     """
 
     fn: Callable[[CMatrix], Scalar]
     name: str = ""
+    left: Optional[np.ndarray] = None
 
-    def __call__(self, x: Union[Point, CMatrix]) -> Scalar:
-        if not isinstance(x, CMatrix):
-            x = CMatrix.from_jet(x) if isinstance(x, JetScalar) else CMatrix(x)
-        return self.fn(x)
+    def project(self, c: np.ndarray) -> np.ndarray:
+        """P c for the coefficients c (..., n, n) of a point: one matmul;
+        UsageError, before any product, if the matrices are not n x n."""
+        if self.left is None:
+            return c
+        size = self.left.shape[1]
+        if c.shape[-2:] != (size, size):
+            raise UsageError(f"{self.name or 'f'}: expected a {size}x{size} group element, got {c.shape[-2:]}")
+        return np.matmul(self.left, c)
+
+    def __call__(self, x: Point) -> Scalar:
+        if isinstance(x, JetScalar):
+            return self.fn(CMatrix.from_jet(JetScalar(x.k, self.project(x.c))))
+        return self.fn(CMatrix(self.project(np.asarray(x))))
 
 
 def _dirs_array(dirs, x: Point) -> np.ndarray:
@@ -101,19 +122,21 @@ def jet_width(x: Point) -> int:
 
 def _sweep(f: GroupFunction, x: Point, dirs: np.ndarray) -> Iterator[Tuple[JetScalar, JetScalar]]:
     """The first and second derivative jets of f along x (I + tZ + t^2 Z^2/2),
-    one pair per chunk of the directions Z.
+    one pair per chunk of the directions Z, from f's function at
+    (P x)(I + tZ + t^2 Z^2/2).
 
     The jets have the variables of x; their values have the chunk's
     direction axis in front of the batch axes of x.
     """
     k = jet_width(x)
-    base = x.c if k else np.asarray(x)
+    base = f.project(x.c if k else np.asarray(x))
+    f = replace(f, left=None)  # its points below are jets of P x already
     dirs = dirs.astype(np.result_type(dirs, base), copy=False)
     dirs2 = np.matmul(dirs, dirs) / 2
     # the direction axis goes right after the degree axes of x
     y = np.expand_dims(base, k)
     stack = (-1,) + (1,) * (base.ndim - k - 2) + dirs.shape[1:]
-    chunk = max(1, _CHUNK_ENTRIES // math.prod(base.shape[k:]))
+    chunk = max(1, _CHUNK_ENTRIES // (3**k * math.prod(base.shape[k:])))
     for start in range(0, len(dirs), chunk):
         z, z2 = (d[start : start + chunk].reshape(stack) for d in (dirs, dirs2))
         # the new variable's degree axis goes in front of those of x
@@ -183,8 +206,10 @@ def tau_iterated(f: GroupFunction, x: Point, basis, p: int, budget: int = 10**6)
             f"(budget {budget})"
         )
     for _ in range(p - 1):
-        # the outer sweep's point is a jet; the inner tau sweeps that jet
-        f = GroupFunction(lambda y, inner=f: tau(inner, y.jet, dirs), name=f"tau({f.name})")
+        # the outer sweep's point is a jet of P x; the inner tau sweeps that jet
+        # with f's function alone, since P (x e^{sZ}) e^{tW} = (P x e^{sZ}) e^{tW}
+        inner = replace(f, left=None)
+        f = GroupFunction(lambda y, inner=inner: tau(inner, y.jet, dirs), name=f"tau({f.name})", left=f.left)
     return tau(f, x, dirs)
 
 

@@ -14,11 +14,20 @@ Families and their data:
                  a in C^3 isotropic (a1^2 + a2^2 + a3^2 = 0), 1 <= r < s < q <= 2n
   SU(2n)/Sp(n):  phi(z) = trace(z^t A z J),  same A, isotropy NOT required
 
-phi is evaluated as the Frobenius pairing <g, A g J> = sum_ij g_ij (A g J)_ij
-(`pair` of `matrices.py`, with J = I for the first two families), which is
-the same trace but never forms the product g^t (A g J): at a jet point
-that product would be a Cauchy product of matmuls between two jets, while
-the pairing contracts each pair of coefficients in O(n^2).
+phi reads g only through a few rows P g, the fixed left factor of its
+`GroupFunction` (`diffops.py`), and is a Frobenius pairing
+<x, y> = sum_ij x_ij y_ij (`pair` of `matrices.py`) of them:
+
+  A = a a^t:      P = a^t (1 x N),        phi = <a^t g, a^t g>
+  J families:     P = rows R of I (3 x N), R = {r, s, q},
+                  phi = <g_R, A_RR g_R J>, A_RR the 3 x 3 block of A on R
+
+Both are trace(g^t A g [J]) = <g, A g [J]>, since A is a a^t or vanishes
+off R x R.  So a sweep moves the 1 or 3 rows P x along the curve, not the
+N x N point, and phi never forms the product g^t (A g J): at a jet point
+that would be a Cauchy product of matmuls between two jets, while the
+pairing contracts each pair of coefficients in O(rows N).  The right
+factor J is the exact signed column swap `matrices.swap_j`, no product.
 """
 
 from __future__ import annotations
@@ -46,7 +55,6 @@ from .lie import (
     rebuild_dual_sample,
     rebuild_sample,
     sample,
-    standard_symplectic,
 )
 from .matrices import CMatrix
 
@@ -115,21 +123,17 @@ def uses_complex_structure(space: SymmetricSpaceSpec) -> bool:
 
 
 def build_eigenfunction(spec: EigenfunctionSpec) -> GroupFunction:
-    """phi as a scalar-polymorphic group function: <g, A g J> = trace(g^t A g J)."""
+    """phi = trace(g^t A g J) as a scalar-polymorphic group function of the
+    rows P g that it reads: <a^t g, a^t g> for A = a a^t, and
+    <g_R, A_RR g_R J> for the J families."""
     space = spec.space
-    a_cm = CMatrix(build_matrix_A(spec))
-    size = space.matrix_size
-    j_cm = CMatrix(standard_symplectic(space.n)) if uses_complex_structure(space) else None
-
-    def fn(g: CMatrix):
-        if g.shape != (size, size):
-            raise UsageError(f"{space}: expected a {size}x{size} group element, got {g.shape}")
-        m = a_cm @ g
-        if j_cm is not None:
-            m = m @ j_cm
-        return g.pair(m)
-
-    return GroupFunction(fn, name=f"phi[{space}]")
+    name = f"phi[{space}]"
+    if not uses_complex_structure(space):
+        return GroupFunction(lambda v: v.pair(v), name=name, left=spec.a[None, :].copy())
+    rows = [i - 1 for i in spec.indices]
+    a_rr = CMatrix(build_matrix_A(spec)[np.ix_(rows, rows)])
+    left = np.eye(space.matrix_size, dtype=complex)[rows]
+    return GroupFunction(lambda v: v.pair((a_rr @ v).swap_j()), name=name, left=left)
 
 
 def expected_eigenvalues(spec_or_space) -> Tuple[RationalComplex, RationalComplex]:
@@ -249,7 +253,7 @@ def _nested_evaluator(spec: EigenfunctionSpec, dual: bool, budget: int) -> Tuple
     phi2 = build_phi_p(2, lam, mu)
     tau1 = tau_formal(phi2, lam, mu)
     tau2 = tau_formal(tau1, lam, mu)
-    h = GroupFunction(lambda g: evaluate_formal(phi2, f(g)), name="Phi2.phi")
+    h = GroupFunction(lambda v: evaluate_formal(phi2, f.fn(v)), name="Phi2.phi", left=f.left)
     lam, mu = complex(lam), complex(mu)
 
     def check(x: np.ndarray):

@@ -1,8 +1,9 @@
 """The matrix wrapper that the function of a `GroupFunction` is written in.
 
-`GroupFunction.__call__` (diffops) wraps the point it is given, a plain
-complex array or a jet, in a CMatrix, so that one function body serves
-every kind of point.  A CMatrix is one of three kinds:
+`GroupFunction.__call__` (diffops) wraps P g, its point g times the
+function's fixed left factor P, a plain complex array or a jet, in a
+CMatrix, so that one function body serves every kind of point.  A CMatrix
+is one of three kinds:
 
 * numeric: `data` is a complex array (complex128 in the fast mode; any
   complex dtype works), either one matrix or a stack (..., rows, cols)
@@ -18,6 +19,9 @@ every kind of point.  A CMatrix is one of three kinds:
   matrix, on either side, is one matmul over the stacked coefficients
   (`jets.py`), and `pair` is the truncated Cauchy product of `jets.py`
   with the Frobenius contraction as the product of two coefficients.
+
+`x.swap_j()` is x J for the standard symplectic J = [[0, I], [-I, 0]],
+the exact signed column swap of `swap_j`, with no product.
 
 `x.pair(y)` is the complex-bilinear Frobenius pairing sum_ij x_ij y_ij =
 trace(x^t y), with no conjugation: it costs O(rows cols) per matrix where
@@ -45,6 +49,16 @@ class ShapeError(ValueError):
 def _frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_ij a_ij b_ij over the two matrix axes, for each pair of a stack."""
     return (a * b).sum(axis=(-2, -1))
+
+
+def swap_j(m: np.ndarray) -> np.ndarray:
+    """m J for J = [[0, I], [-I, 0]]: [-m[..., n:], m[..., :n]] over the last
+    (column) axis of size 2n, so it applies to every coefficient of a jet."""
+    n = m.shape[-1] // 2
+    out = np.empty_like(m)
+    np.negative(m[..., n:], out=out[..., :n])
+    out[..., n:] = m[..., :n]
+    return out
 
 
 def _as_matrices(data) -> np.ndarray:
@@ -97,6 +111,12 @@ class CMatrix:
         if self.shape[1] != other.shape[0]:
             raise ShapeError(f"matmul: shapes {self.shape} and {other.shape} incompatible")
         return CMatrix._of(self._values() @ other._values())
+
+    def swap_j(self) -> "CMatrix":
+        """self J for the standard symplectic J, by `swap_j`."""
+        if self.jet is None:
+            return CMatrix(swap_j(self.data))
+        return CMatrix.from_jet(JetScalar(self.jet.k, swap_j(self.jet.c)))
 
     def pair(self, other: "CMatrix"):
         """The Frobenius pairing sum_ij x_ij y_ij = trace(x^t y) of each matrix

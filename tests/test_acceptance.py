@@ -138,7 +138,7 @@ def test_criterion_04_symbolic_numeric_crosscheck():
         tau1_formal = tau_formal(phi2, lam, mu)
         g_spec = space.group_spec()
         b = basis_g(g_spec)
-        h = GroupFunction(lambda g, f=f, phi2=phi2: evaluate_formal(phi2, f(g)))
+        h = GroupFunction(lambda v, f=f, phi2=phi2: evaluate_formal(phi2, f.fn(v)), left=f.left)
         done = 0
         while done < 10:
             x, _ = sample_with_coefficients(g_spec, rng, 0.5)

@@ -20,6 +20,7 @@ from lieharm.eigenfamilies import (
 from lieharm.lie import (
     GroupSpec,
     SO,
+    SO2N_UN,
     SP,
     SPN_UN,
     SPACE_FAMILIES,
@@ -173,7 +174,7 @@ def test_product_rule():
     rng = np.random.default_rng(8)
     f = coordinate(1, 2)
     g = coordinate(2, 3)
-    fg = GroupFunction(lambda m: f(m) * g(m))
+    fg = GroupFunction(lambda m: f.fn(m) * g.fn(m))
     b = basis_g(spec)
     for _ in range(5):
         x = sample(spec, rng, 0.5)
@@ -291,7 +292,7 @@ def test_tau_iterated_matches_bivariate_reference(family, subspace):
     space = SymmetricSpaceSpec(family, 2)
     rng = np.random.default_rng(16)
     phi = build_eigenfunction(random_parameters(space, rng))
-    f = GroupFunction(lambda g: phi(g) * phi(g) * phi(g), name="phi^3")
+    f = GroupFunction(lambda v: phi.fn(v) * phi.fn(v) * phi.fn(v), name="phi^3", left=phi.left)
     if subspace == "g":
         dirs = basis_g(space.group_spec()).stack()
     else:
@@ -317,21 +318,22 @@ def test_chunked_sweep_matches_single_chunk(monkeypatch):
         return [tau(f, x, b), kappa(f, g, x, b), kappa(f, f, x, b), complex(tau_iterated(f, x, b, 2))]
 
     single = values()
-    # 27 entries hold 3 directions of a 3x3 point: the 8 directions split 3 + 3 + 2
-    monkeypatch.setattr(diffops, "_CHUNK_ENTRIES", 27)
-    assert len(b) == 8
+    # phi sweeps the row a^t x: 9 entries hold 3 directions of it, so the 8
+    # directions split 3 + 3 + 2
+    monkeypatch.setattr(diffops, "_CHUNK_ENTRIES", 9)
+    assert len(b) == 8 and len(list(diffops._sweep(f, x, b))) == 3
     for chunked, whole in zip(values(), single):
         assert abs(chunked - whole) <= 1e-12 * max(1.0, abs(whole))
 
-    # a batch of 7 plain points gives one value per point; 189 entries hold
-    # 3 directions of the 7 points, so the 8 directions again split 3 + 3 + 2
+    # a batch of 7 plain points gives one value per point; 63 entries hold
+    # 3 directions of the 7 rows, so the 8 directions again split 3 + 3 + 2
     def values_at(y):
         return [tau(f, y, b), kappa(f, g, y, b), kappa(f, f, y, b), tau_iterated(f, y, b, 2)]
 
     xs = sample(space.group_spec(), rng, 0.5, (7,))
     monkeypatch.setattr(diffops, "_CHUNK_ENTRIES", one_chunk)
     batch_single = values_at(xs)
-    monkeypatch.setattr(diffops, "_CHUNK_ENTRIES", 189)
+    monkeypatch.setattr(diffops, "_CHUNK_ENTRIES", 63)
     batch_chunked = values_at(xs)
     for i, point in enumerate(xs):
         for chunked, whole, alone in zip(batch_chunked, batch_single, values_at(point)):
@@ -342,15 +344,18 @@ def test_chunked_sweep_matches_single_chunk(monkeypatch):
 
 def test_batched_sweep_gives_each_point_its_own_bits():
     # replay rebuilds one point of a batch and must reproduce its residual, so a
-    # point of a batch gets exactly the tau and kappa it gets alone
-    space = SymmetricSpaceSpec(SU2N_SPN, 3)
-    rng = np.random.default_rng(23)
-    f = build_eigenfunction(random_parameters(space, rng))
-    b = basis_g(space.group_spec())
-    xs = sample(space.group_spec(), rng, 0.5, (6,))
-    t, k = tau_and_kappa(f, xs, b)
-    for i, point in enumerate(xs):
-        assert tau_and_kappa(f, point, b) == (t[i], k[i])
+    # point of a batch gets exactly the tau and kappa it gets alone, on every
+    # family's phi, which sweeps its 1 or 3 rows P x
+    for family in SPACE_FAMILIES:
+        space = SymmetricSpaceSpec(family, 3)
+        rng = np.random.default_rng(23)
+        f = build_eigenfunction(random_parameters(space, rng))
+        assert f.left.shape == (3 if family in (SO2N_UN, SU2N_SPN) else 1, space.matrix_size)
+        b = basis_g(space.group_spec())
+        xs = sample(space.group_spec(), rng, 0.5, (6,))
+        t, k = tau_and_kappa(f, xs, b)
+        for i, point in enumerate(xs):
+            assert tau_and_kappa(f, point, b) == (t[i], k[i])
 
 
 def test_tau_and_kappa_keep_clongdouble():
@@ -384,33 +389,30 @@ def test_a_basis_is_read_in_the_dtype_of_the_point():
         assert got == want
 
 
-@pytest.mark.parametrize("kind", ["matrix", "batch", "jet", "cmatrix"])
+@pytest.mark.parametrize("kind", ["matrix", "batch", "jet"])
 def test_group_function_wraps_every_kind_of_point(kind):
     # GroupFunction.__call__ is where a point becomes the CMatrix fn sees: a
-    # plain matrix, a batch, a jet and an already wrapped point give fn the
-    # same CMatrix and so bitwise the same values
+    # plain matrix, a batch and a jet give fn the CMatrix of P g, g times the
+    # left factor, and so bitwise the same values
     from lieharm.jets import JetScalar
 
     space = SymmetricSpaceSpec(SU2N_SPN, 2)
     rng = np.random.default_rng(19)
     phi = build_eigenfunction(random_parameters(space, rng))
     seen = []
-    f = GroupFunction(lambda g: seen.append(g) or phi(g), name="phi")
+    f = GroupFunction(lambda v: seen.append(v) or phi.fn(v), name="phi", left=phi.left)
     xs = sample(space.group_spec(), rng, 0.5, (3,))
     assert type(xs) is np.ndarray
     z = basis_g(space.group_spec()).stack()[2]
     jet = JetScalar(1, np.stack([xs, xs @ z, xs @ z @ z / 2]))
-    point = {"matrix": xs[1], "batch": xs, "jet": jet, "cmatrix": CMatrix(xs)}[kind]
+    point = {"matrix": xs[1], "batch": xs, "jet": jet}[kind]
     got = f(point)
-    assert isinstance(seen[-1], CMatrix)
-    if kind == "cmatrix":
-        assert seen[-1] is point
-    if kind != "cmatrix":
-        point = CMatrix.from_jet(point) if kind == "jet" else CMatrix(point)
-    want = phi(point)
+    assert isinstance(seen[-1], CMatrix) and seen[-1].shape == phi.left.shape == (3, 4)
     if kind == "jet":
+        want = phi.fn(CMatrix.from_jet(JetScalar(1, phi.left @ jet.c)))
         assert isinstance(got, JetScalar) and np.array_equal(got.c, want.c)
         assert np.array_equal(got.c[0], phi(xs))
     else:
+        want = phi.fn(CMatrix(phi.left @ point))
         assert np.array_equal(got, want)
         assert np.array_equal(np.ravel(got), np.ravel(phi(xs))[[1] if kind == "matrix" else slice(None)])

@@ -225,9 +225,10 @@ def test_phi_pairing_matches_trace_form(family, n):
     "family, n", [(SUN_SON, 3), (SUN_SON, 6), (SPN_UN, 3), (SO2N_UN, 3), (SU2N_SPN, 3)]
 )
 def test_phi_at_a_jet_point_forms_no_jet_matrix_product(family, n, monkeypatch):
-    # phi = <g, A g J>: A g and (A g) J multiply the jet g by a plain matrix,
-    # and the pairing contracts g with A g J; g^t (A g J) would add a Cauchy
-    # product of matmuls between two jets (6 at one variable)
+    # phi = <P g, A_RR P g J>: P g, and on the J families A_RR (P g), multiply
+    # the jet g by a plain matrix; J is a signed column swap, no product; the
+    # pairing contracts the two, where g^t (A g J) would add a Cauchy product
+    # of matmuls between two jets (6 at one variable)
     space = SymmetricSpaceSpec(family, n)
     rng = np.random.default_rng(60 + n)
     f = build_eigenfunction(random_parameters(space, rng))
@@ -237,16 +238,17 @@ def test_phi_at_a_jet_point_forms_no_jet_matrix_product(family, n, monkeypatch):
     matmul = np.matmul
 
     def counted(a, b, *args, **kwargs):
-        calls.append((np.ndim(a), np.ndim(b)))
+        calls.append(np.shape(a))
+        assert np.ndim(a) == 2, "the plain factor is on the left"
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counted)
     phi = f(point)
     monkeypatch.undo()
     assert isinstance(phi, JetScalar) and phi.k == 1
-    assert len(calls) == (2 if uses_complex_structure(space) else 1)
-    # each product has the plain A or J on one side
-    assert all(2 in dims for dims in calls), calls
+    size = space.matrix_size
+    # P, then A_RR on the J families; never the size x size A or J
+    assert calls == ([(3, size), (3, 3)] if uses_complex_structure(space) else [(1, size)])
 
 
 # --- eigenvalue pairs -------------------------------------------------------------

@@ -291,14 +291,14 @@ def test_numeric_consistency_with_diffops():
         )
         t_s = tau_formal(s, lam_r, mu_r)
 
-        def composed(g):
+        def composed(v):
             from lieharm.jets import jet_pow
 
-            w = f(g)
+            w = f.fn(v)
             wr = jet_pow(w, r) if isinstance(w, JetScalar) else complex(w) ** float(r)
             return evaluate_formal(s, wr)
 
-        h = GroupFunction(composed)
+        h = GroupFunction(composed, left=f.left)
         done = 0
         while done < 10:
             x = sample(space.group_spec(), rng, 0.5)

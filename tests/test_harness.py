@@ -275,7 +275,8 @@ def test_eigen_replay_reproduces_a_k_invariance_failure(monkeypatch):
 
     def translated(spec):
         f = build(spec)
-        return GroupFunction(lambda g: f(g @ g0), name=f.name)
+        # P (g g0) = (P g) g0
+        return GroupFunction(lambda v: f.fn(v @ g0), name=f.name, left=f.left)
 
     monkeypatch.setattr(eigenfamilies, "build_eigenfunction", translated)
     cfg = RunConfig(suites=("eigen",), spaces=((SUN_SON, 3),),

@@ -10,7 +10,7 @@ import pytest
 from lieharm.exact import RationalComplex, rc
 from lieharm.jets import JetScalar
 from lieharm.lie import generator, standard_symplectic
-from lieharm.matrices import CMatrix, ShapeError
+from lieharm.matrices import CMatrix, ShapeError, swap_j
 
 
 def random_exact(rng, rows, cols):
@@ -98,6 +98,33 @@ def test_standard_symplectic_square():
     assert np.array_equal(j @ j, -np.eye(6))
     j_exact = exact_of(j.real)
     assert exact_equal(j_exact @ j_exact, exact_of(-np.eye(6)))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values with equal signs, zeros included (clongdouble pads its
+    bytes, so tobytes cannot compare it)."""
+    return a.dtype == b.dtype and np.array_equal(a, b) and all(
+        np.array_equal(np.signbit(p(a)), np.signbit(p(b))) for p in (np.real, np.imag)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+def test_swap_j_is_the_product_with_j(n, dtype):
+    # M J as a signed column swap: bitwise the matmul, on a plain matrix, a
+    # stack of rows and the coefficients of a jet, and through CMatrix
+    rng = np.random.default_rng(90 + n)
+    j = standard_symplectic(n).astype(dtype)
+
+    def draw(*shape):
+        return (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(dtype)
+
+    plain, rows, jet = draw(2 * n, 2 * n), draw(3, 2 * n), draw(3, 3, 5, 4, 3, 2 * n)
+    for m in (plain, rows, jet):
+        assert same_bits(swap_j(m), m @ j)
+    assert same_bits(CMatrix(rows).swap_j().data, rows @ j)
+    swapped = CMatrix.from_jet(JetScalar(2, jet)).swap_j().jet
+    assert swapped.k == 2 and same_bits(swapped.c, jet @ j)
 
 
 # --- jet matrix products against an entrywise loop of scalar jet products ----

@@ -70,6 +70,18 @@ def test_changed_residual_flip_and_missing_record(report_diff, report, tmp_path,
     assert "1 verdict flips, 1 missing and 0 added records" in out
 
 
+def test_each_record_prints_its_ms_ratio(report_diff, report, tmp_path, capsys):
+    old, new = copy.deepcopy(report), copy.deepcopy(report)
+    for i, (a, b) in enumerate(zip(old["records"], new["records"])):
+        a["ms"], b["ms"] = 2.0 * (i + 1), 3.0 * (i + 1) if i else 0.5
+    assert report_diff.main([_write(tmp_path, "a.json", old), _write(tmp_path, "b.json", new)]) == 0
+    out = capsys.readouterr().out
+    rows = out[out.index("ms old -> new    ratio"):].splitlines()[1:-1]
+    assert len(rows) == len(report["records"])
+    assert rows[0] == f"{'eigen/sun_son n=2 draw=0':44}        2.0 ->     0.5    x0.25"
+    assert rows[1] == f"{'eigen/sun_son n=2 draw=1':44}        4.0 ->     6.0    x1.50"
+
+
 def test_duplicate_key_is_an_error(report_diff, report, tmp_path):
     dup = copy.deepcopy(report)
     dup["records"].append(dup["records"][0])
