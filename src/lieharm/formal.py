@@ -21,7 +21,8 @@ block three Gaussian integers, built once per (a, lambda, mu):
     down2 = den mu q^2.
 
 The coefficients of a sum are brought to one denominator d0; the map acts on
-their (re, im) numerators, and each result is read back over d0 D.
+their Gaussian-integer numerators, read directly off each RationalComplex
+(nre, nim, den), and each result is a RationalComplex over d0 D.
 """
 
 from __future__ import annotations
@@ -126,14 +127,14 @@ class FormalSum:
 
 
 def _numerators(x: RationalComplex, d: int) -> GaussInt:
-    """The Gaussian integer d x, for a common denominator d of both parts."""
-    return x.re.numerator * (d // x.re.denominator), x.im.numerator * (d // x.im.denominator)
+    """The Gaussian integer d x, for a multiple d of x.den."""
+    return x.nre * (d // x.den), x.nim * (d // x.den)
 
 
 @lru_cache(maxsize=256)
 def _scaled_eigenvalues(lam: RationalComplex, mu: RationalComplex) -> Tuple[int, GaussInt, GaussInt]:
     """(den, den lam, den mu) with den the lcm of the denominators of lam and mu."""
-    den = lcm(lam.re.denominator, lam.im.denominator, mu.re.denominator, mu.im.denominator)
+    den = lcm(lam.den, mu.den)
     return den, _numerators(lam, den), _numerators(mu, den)
 
 
@@ -155,7 +156,7 @@ def tau_formal(s: FormalSum, lam: RationalComplex, mu: RationalComplex) -> Forma
     give them, so a sum evaluates term by term as it always has.
     """
     eig = _scaled_eigenvalues(_as_rc(lam), _as_rc(mu))
-    d0 = lcm(*(part.denominator for c in s.terms.values() for part in (c.re, c.im)))
+    d0 = lcm(*(c.den for c in s.terms.values()))
     # (p, q, b) -> [a, b, denominator, re, im]: int keys hash far faster than Fractions
     acc: Dict[Tuple[int, int, int], list] = {}
 
@@ -183,14 +184,13 @@ def tau_formal(s: FormalSum, lam: RationalComplex, mu: RationalComplex) -> Forma
             m = b * (b - 1)
             add(a, b - 2, den, m * (cr * d2r - ci * d2i), m * (cr * d2i + ci * d2r))
     out = FormalSum()
-    out.terms = {
-        (a, b): RationalComplex(Fraction(re, den), Fraction(im, den)) for a, b, den, re, im in acc.values()
-    }
+    out.terms = {(a, b): RationalComplex.from_gaussian(re, im, den) for a, b, den, re, im in acc.values()}
     return out
 
 
+@lru_cache(maxsize=256)
 def exponent_for(lam: RationalComplex, mu: RationalComplex) -> Fraction:
-    """The rational exponent 1 - lambda/mu; rejects irrational or complex ratios."""
+    """The rational exponent 1 - lambda/mu, cached; rejects irrational or complex ratios."""
     ratio = _as_rc(lam) / _as_rc(mu)
     try:
         return Fraction(1) - ratio.as_fraction()

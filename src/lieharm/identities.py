@@ -7,7 +7,7 @@ The generator-sum and decomposition checks run in exact arithmetic
 end-to-end; their residual is required to be identically zero, not small.
 Every basis element is c N with N a Gaussian-integer matrix and c^2
 rational (a `lie.Basis`), and (N E_ab N^t)_ij = N_ia N_jb, so the sums
-over a basis for all (a, b) at once are one integer einsum weighted by
+over a basis for all (a, b) at once are one integer contraction weighted by
 the c^2, compared in integers with the closed forms.  `dense_exact_crosscheck`
 recomputes one (a, b) as a second contraction: per-element integer matrix
 products W_q N_q E_ab N_q^t.
@@ -81,7 +81,7 @@ class IdentityCheckResult:
 # exact generator sums
 # ---------------------------------------------------------------------------
 
-# every partial sum of the integer einsum stays below this magnitude
+# every partial sum of the integer contraction stays below this magnitude
 _INT_BOUND = 2**62
 
 
@@ -109,9 +109,9 @@ def conjugation_sums(basis: Basis) -> LatticeSums:
 
     (N E_ab N^t)_ij = N_ia N_jb, so with the weights c_q^2 brought to
     integers W_q over their common denominator the sums are int64
-    einsums over the real and imaginary parts.  Every partial sum is bounded by
+    tensordots over the real and imaginary parts.  Every partial sum is bounded by
     max|N|^2 * sum|W| <= (max|Re N|^2 + max|Im N|^2) * sum|W|, which is
-    checked against 2^62 in Python integers before the einsum, so no int64
+    checked against 2^62 in Python integers before the contraction, so no int64
     can wrap.
     """
     denom, w = _integer_weights(basis)
@@ -120,7 +120,8 @@ def conjugation_sums(basis: Basis) -> LatticeSums:
         raise OverflowError(f"{basis.name}: entries too large for exact int64 sums")
     w = np.array(w, dtype=np.int64)
     re, im = basis.re, basis.im
-    pair = lambda a, b: np.einsum("q,qia,qjb->abij", w, a, b, optimize=True)
+    # sum_q (w_q a_q)_ia b_qjb, contracted over q and laid out [a, b, i, j]
+    pair = lambda a, b: np.tensordot(w[:, None, None] * a, b, axes=(0, 0)).transpose(1, 3, 0, 2)
     return LatticeSums(pair(re, re) - pair(im, im), pair(re, im) + pair(im, re), denom)
 
 
@@ -303,15 +304,32 @@ def check_kappa_basis_decomposition(
 # ---------------------------------------------------------------------------
 
 
-def _lemma_residual(phi: np.ndarray, j: int, a: int, k: int, b: int) -> float:
-    return abs(phi[j, b] * phi[k, a] + phi[j, k] * phi[a, b] - phi[j, a] * phi[k, b])
+_SKEW_CHUNK = 250  # samples drawn and checked together, which bounds the temporaries
+
+
+def _lemma_residuals(phi: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """|Phi_jb Phi_ka + Phi_jk Phi_ab - Phi_ja Phi_kb| for each stacked Phi
+    and its row (j, a, k, b) of idx."""
+    j, a, k, b = idx.T
+    at = lambda u, v: phi[np.arange(len(phi)), u, v]
+    return np.abs(at(j, b) * at(k, a) + at(j, k) * at(a, b) - at(j, a) * at(k, b))
+
+
+def _force_coincidence(idx: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Copy, in each row, the index in slot slots[:, 0] into slot slots[:, 1]."""
+    idx[np.arange(len(idx)), slots[:, 1]] = idx[np.arange(len(idx)), slots[:, 0]]
+    return idx
 
 
 def check_skew_lemma(samples: int, n: int, rng: np.random.Generator) -> List[IdentityCheckResult]:
     """For complex skew-symmetric Phi and indices with a forced coincidence:
     Phi_jb Phi_ka + Phi_jk Phi_ab = Phi_ja Phi_kb within 1e-12.  A companion
     negative control shows the coincidence hypothesis is necessary: with all
-    four indices distinct the residual exceeds 0.1 in at least 90% of draws."""
+    four indices distinct the residual exceeds 0.1 in at least 90% of draws.
+    Each chunk of at most _SKEW_CHUNK samples makes one generator call per
+    random quantity: the normals, the index rows, the coincident slot pairs
+    (a shuffled 0..3) and the control's distinct indices (a shuffled 0..n-1),
+    and evaluates all its residuals as arrays."""
     if n < 3:
         raise UsageError(f"n must be >= 3 to have room for index tuples, got {n}")
     main = IdentityCheckResult("skew_index_lemma", {"n": n, "samples": samples})
@@ -320,21 +338,19 @@ def check_skew_lemma(samples: int, n: int, rng: np.random.Generator) -> List[Ide
     )
     control_hits = 0
     can_distinct = n >= 4
-    for _ in range(samples):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        phi = g - g.T
-        idx = rng.integers(0, n, size=4)
-        # force a coincidence between two of the four slots
-        slots = rng.permutation(4)[:2]
-        idx[slots[1]] = idx[slots[0]]
-        j, a, k, b = (int(v) for v in idx)
-        r = _lemma_residual(phi, j, a, k, b)
-        main.merge(r, r <= 1e-12)
+    for start in range(0, samples, _SKEW_CHUNK):
+        m = min(_SKEW_CHUNK, samples - start)
+        # the last axis holds the real and imaginary parts of each entry
+        g = rng.standard_normal((m, n, n, 2))
+        phi = (g - g.transpose(0, 2, 1, 3)).view(np.complex128)[..., 0]
+        idx = rng.integers(0, n, size=(m, 4))
+        slots = rng.permuted(np.tile(np.arange(4), (m, 1)), axis=1)
+        r = _lemma_residuals(phi, _force_coincidence(idx, slots))
+        worst = float(r.max())
+        main.merge(worst, worst <= 1e-12)
         if can_distinct:
-            picks = rng.permutation(n)[:4]
-            j, a, k, b = (int(v) for v in picks)
-            if _lemma_residual(phi, j, a, k, b) > 0.1:
-                control_hits += 1
+            picks = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)[:, :4]
+            control_hits += int(np.count_nonzero(_lemma_residuals(phi, picks) > 0.1))
     if can_distinct:
         rate = control_hits / samples
         control.params["hit_rate"] = round(rate, 4)
@@ -385,7 +401,7 @@ def check_symplectic_facts(
 def dense_exact_crosscheck(basis: Basis, alpha: int, beta: int) -> bool:
     """Second exact route: sum_q W_q N_q E_ab N_q^t by one integer matrix
     product per basis element agrees, in integers over the same common
-    denominator, with the einsum of `conjugation_sums`."""
+    denominator, with the contraction of `conjugation_sums`."""
     size = basis.re.shape[1]
     e = np.zeros((size, size), dtype=np.int64)
     e[alpha - 1, beta - 1] = 1

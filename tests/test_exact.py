@@ -97,3 +97,71 @@ def test_as_fraction_rejects_irrational_and_imaginary():
     with pytest.raises(ValueError):
         RC_I.as_fraction()
     assert rc(Fraction(7, 3)).as_fraction() == Fraction(7, 3)
+
+
+# --- RationalComplex against a pair-of-Fractions oracle ------------------------------
+
+wide = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**25)
+
+
+def oracle(z):
+    return z.re, z.im
+
+
+def canonical(z):
+    """den > 0, gcd(nre, nim, den) = 1, and zero is (0, 0, 1)."""
+    from math import gcd
+
+    ok = z.den > 0 and gcd(z.nre, z.nim, z.den) == 1
+    return ok and (bool(z.nre or z.nim) or (z.nre, z.nim, z.den) == (0, 0, 1))
+
+
+@given(rationals, rationals, rationals, rationals)
+def test_rc_arithmetic_matches_fraction_pairs(a, b, c, d):
+    x, y = rc(a, b), rc(c, d)
+    results = {
+        "+": (x + y, (a + c, b + d)),
+        "-": (x - y, (a - c, b - d)),
+        "*": (x * y, (a * c - b * d, a * d + b * c)),
+        "neg": (-x, (-a, -b)),
+        "conj": (x.conjugate(), (a, -b)),
+    }
+    norm = c * c + d * d
+    if norm:
+        results["/"] = (x / y, ((a * c + b * d) / norm, (b * c - a * d) / norm))
+    for op, (z, expected) in results.items():
+        assert oracle(z) == expected, op
+        assert canonical(z), op
+        assert z == rc(*expected) and hash(z) == hash(rc(*expected)), op
+    assert (x == y) == ((a, b) == (c, d))
+
+
+@given(rcs(), rcs(), rcs())
+def test_equal_values_by_different_routes_hash_alike(x, y, z):
+    left, right = (x + y) * z, x * z + y * z
+    assert left == right and hash(left) == hash(right)
+    assert (left.nre, left.nim, left.den) == (right.nre, right.nim, right.den)
+    if not z.is_zero():
+        back = (x * z) / z
+        assert back == x and hash(back) == hash(x)
+
+
+@given(rationals, rationals)
+def test_rc_triple_is_canonical(a, b):
+    z = rc(a, b)
+    assert canonical(z)
+    assert (z.re, z.im) == (a, b)
+    assert canonical(RationalComplex.from_gaussian(z.nre * -6, z.nim * -6, z.den * -6))
+
+
+def test_zero_is_one_triple():
+    zeros = [rc(0), rc(1) - rc(1), RationalComplex.from_gaussian(0, 0, -7), rc(Fraction(2, 3)) * 0]
+    assert all((z.nre, z.nim, z.den) == (0, 0, 1) for z in zeros)
+    assert len({hash(z) for z in zeros}) == 1
+
+
+@given(wide, wide)
+def test_complex_is_bitwise_the_float_of_each_part(a, b):
+    z = rc(a, b)
+    got, want = complex(z), complex(float(z.re), float(z.im))
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())

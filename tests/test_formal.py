@@ -52,6 +52,17 @@ def test_exponent_rejects_complex_ratio():
         exponent_for(rc(0, 1), rc(2))
 
 
+def test_exponent_is_divided_once_per_eigenvalue_pair():
+    lam, mu = rc(Fraction(-7, 3)), rc(Fraction(-5, 6))
+    misses = exponent_for.cache_info().misses
+    sums = [build_phi_p(p, lam, mu) for p in range(1, 9)]
+    assert exponent_for.cache_info().misses == misses + 1
+    assert {a for s in sums for a in s.a_support()} == {Fraction(0), Fraction(-9, 5)}
+    # equal values built another way share the cached exponent
+    assert exponent_for(rc(Fraction(-14, 6)), rc(Fraction(-10, 12))) == Fraction(-9, 5)
+    assert exponent_for.cache_info().misses == misses + 1
+
+
 @given(
     st.fractions(min_value=-9, max_value=9, max_denominator=12),
     st.fractions(min_value=-9, max_value=9, max_denominator=12),

@@ -252,6 +252,19 @@ def test_perturbed_lattice_fails_decomposition(monkeypatch):
     assert not result.passed and result.max_residual > 0
 
 
+def test_conjugation_sums_equal_the_einsum_contraction():
+    lattices = [generator_lattice(kind, n) for kind in "XYD" for n in range(2, 7)]
+    lattices += [basis_g(GroupSpec(SP, n)) for n in range(2, 7)]
+    for basis in lattices:
+        denom, w = identities._integer_weights(basis)
+        w = np.array(w, dtype=np.int64)
+        pair = lambda a, b: np.einsum("q,qia,qjb->abij", w, a, b)
+        sums = conjugation_sums(basis)
+        assert sums.re.dtype == sums.im.dtype == np.int64 and sums.denom == denom
+        assert np.array_equal(sums.re, pair(basis.re, basis.re) - pair(basis.im, basis.im))
+        assert np.array_equal(sums.im, pair(basis.re, basis.im) + pair(basis.im, basis.re))
+
+
 def test_magnitude_bound_guards_int64_sums():
     # X(2) is one element with weight 1/2: the sums scale with the square of
     # the entries, and max|N|^2 * sum|W| must stay below 2^62
@@ -290,6 +303,51 @@ def test_skew_lemma_explicit_counterexample():
     j, a, k, b = 0, 1, 2, 3
     resid = abs(phi[j, b] * phi[k, a] + phi[j, k] * phi[a, b] - phi[j, a] * phi[k, b])
     assert resid > 0.1
+
+
+def _skew_draw(m: int, n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    return g - g.transpose(0, 2, 1), rng
+
+
+def test_batched_skew_residuals_match_each_row_recomputed_alone():
+    # numpy's array complex multiply may round differently from its scalar one
+    # (fused multiply-adds), so the two agree to about one ulp of the largest
+    # of the three products, not bitwise
+    phi, rng = _skew_draw(300, 6, 26)
+    idx = rng.integers(0, 6, size=(300, 4))
+    slots = rng.permuted(np.tile(np.arange(4), (300, 1)), axis=1)
+    for chosen in (identities._force_coincidence(idx.copy(), slots), idx):
+        batched = identities._lemma_residuals(phi, chosen)
+        for row, (j, a, k, b), r in zip(phi, chosen, batched):
+            terms = (row[j, b] * row[k, a], row[j, k] * row[a, b], row[j, a] * row[k, b])
+            alone = abs(terms[0] + terms[1] - terms[2])
+            assert abs(r - alone) <= 1e-15 * max(abs(t) for t in terms)
+
+
+def test_skew_lemma_without_forced_coincidence_fails(monkeypatch):
+    # about 28% of random rows of 4 indices in 0..5 are all distinct
+    monkeypatch.setattr(identities, "_force_coincidence", lambda idx, slots: idx)
+    main, control = check_skew_lemma(1000, 6, np.random.default_rng(22))
+    assert not main.passed and main.max_residual > 0.1
+    assert control.passed
+
+
+def test_skew_lemma_chunks_cover_every_sample(monkeypatch):
+    seen = []
+    residuals = identities._lemma_residuals
+
+    def counted(phi, idx):
+        seen.append(len(idx))
+        return residuals(phi, idx)
+
+    monkeypatch.setattr(identities, "_lemma_residuals", counted)
+    chunk = identities._SKEW_CHUNK
+    main, control = check_skew_lemma(2 * chunk + 7, 6, np.random.default_rng(28))
+    # the main check and the control of each chunk
+    assert seen == [chunk, chunk, chunk, chunk, 7, 7]
+    assert main.passed and control.passed
 
 
 # --- symplectic facts ------------------------------------------------------------------
