@@ -1,9 +1,10 @@
 """Seed scan of the nested-tau^2 suites.
 
-    python3 scripts/seed_scan.py --seeds A B
+    python3 scripts/seed_scan.py --seeds A B [--n N ...]
 
 Runs the dual suite at 2 samples and the crosscheck suite at 1 sample on
-the default spaces, in this process, for every seed from A to B inclusive.
+the spaces of every family at each given n (default: the n of the default
+spaces, 2 and 3), in this process, for every seed from A to B inclusive.
 Prints each failing record with the `lieharm` command that reruns it and
 the residual of its witness point replayed by `replay_record` (or the
 nonzero formal tau^2 of a record that has no witness), then the worst
@@ -32,14 +33,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", nargs=2, type=int, required=True, metavar=("A", "B"),
                         help="first and last seed, inclusive")
+    default_n = sorted({n for _, n in DEFAULT_SPACES})
+    parser.add_argument("--n", nargs="+", type=int, default=default_n, metavar="N",
+                        help=f"the n of the spaces of every family (default: {' '.join(map(str, default_n))})")
     args = parser.parse_args(argv)
+    if min(args.n) < 2:
+        parser.error(f"--n takes n >= 2, got {min(args.n)}")
+    families = tuple(dict.fromkeys(family for family, _ in DEFAULT_SPACES))
+    spaces = tuple((family, n) for family in families for n in args.n)
 
     start = time.perf_counter()
     worst: Dict[str, Dict[str, float]] = {suite: dict.fromkeys(COMPONENTS, 0.0) for suite in SAMPLES}
     rejected = dict.fromkeys(SAMPLES, 0)
     records = failures = 0
     for seed in range(args.seeds[0], args.seeds[1] + 1):
-        cfg = RunConfig(suites=tuple(SAMPLES), spaces=DEFAULT_SPACES, seed=seed,
+        cfg = RunConfig(suites=tuple(SAMPLES), spaces=spaces, seed=seed,
                         suite_overrides={suite: {"samples": k} for suite, k in SAMPLES.items()})
         for rec in run(cfg).records:
             records += 1

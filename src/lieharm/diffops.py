@@ -221,12 +221,24 @@ def tau_iterated(f: GroupFunction, x: Point, basis, p: int, budget: int = 10**6)
 def coordinate_sweep(x: np.ndarray, basis) -> tuple:
     """Base, first and second derivative arrays of every matrix coefficient.
 
-    Returns (x0, first, second) with shapes (n,n), (B,n,n), (B,n,n): the
-    jets of all coordinate functions from a single batched construction,
-    so whole families of coordinate identities can be checked at once.
+    x is one point (n, n) or a batch (..., n, n).  Returns (x0, first,
+    second) with first and second (..., B, n, n), x0 Z_b and x0 Z_b^2 for
+    each direction Z_b: the jets of all coordinate functions from two
+    batched matmuls, so whole families of coordinate identities can be
+    checked at once.
     """
     dirs = _dirs_array(basis, x)
     x0 = np.asarray(x)
-    first = np.einsum("ij,bjk->bik", x0, dirs)
-    second = 2.0 * np.einsum("ij,bjk->bik", x0, np.matmul(dirs, dirs) / 2.0)
-    return x0, first, second
+    y = x0[..., None, :, :]
+    return x0, np.matmul(y, dirs), np.matmul(y, np.matmul(dirs, dirs))
+
+
+def coordinate_kappa(first: np.ndarray) -> np.ndarray:
+    """kappa [:, j, a, k, c] = sum_b first[:, b, j, a] first[:, b, k, c] of all
+    coordinate functions at a batch, from `coordinate_sweep`'s first (S, B, n, n),
+    as one product (S, n^2, B) @ (S, B, n^2).  The left factor is made
+    contiguous: a transposed view runs another BLAS kernel, whose code pages
+    add about 128 KB to the peak memory of a run."""
+    flat = first.reshape(first.shape[:2] + (-1,))
+    left = np.ascontiguousarray(flat.transpose(0, 2, 1))
+    return np.matmul(left, flat).reshape((len(first),) + first.shape[2:] * 2)

@@ -8,7 +8,9 @@ the chain rule closes the span of phi^a (log phi)^b under tau:
                    + mu b(b-1) phi^a L^{b-2},        L = log phi.
 
 Everything here is exact, so "tau^p(S) is the empty sum" is a genuine
-nullity certificate, not a small residual.
+nullity certificate, not a small residual.  A term phi^(p/q) L^b is keyed
+by the integer triple (p, q, b), q > 0 and gcd(p, q) = 1, so no Fraction
+is built or hashed while a certificate is made.
 
 `tau_formal` applies this map on integers.  With a = p/q and den the lcm of
 the denominators of lambda and mu, D = den q^2 makes D tau on the phi^a
@@ -30,15 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .exact import RC_ZERO, RationalComplex
+from .exact import RationalComplex
 from .jets import JetScalar, jet_log, jet_pow
 
-TermKey = Tuple[Fraction, int]  # (exponent of phi, exponent of log phi)
+TermKey = Tuple[int, int, int]  # (p, q, b): phi^(p/q) (log phi)^b, q > 0, gcd(p, q) = 1
 GaussInt = Tuple[int, int]  # (re, im)
 
 
@@ -49,7 +51,8 @@ def _as_rc(x) -> RationalComplex:
 
 
 class FormalSum:
-    """Canonical linear combination of phi^a (log phi)^b terms.
+    """Canonical linear combination of phi^(p/q) (log phi)^b terms, keyed by
+    the integer triples (p, q, b) with q > 0 and gcd(p, q) = 1.
 
     Zero coefficients are pruned immediately, so equality of sums is exact
     key-wise comparison and `is_zero` is a sound nullity test.
@@ -59,41 +62,33 @@ class FormalSum:
 
     def __init__(self, terms: Dict[TermKey, RationalComplex] = None):
         self.terms: Dict[TermKey, RationalComplex] = {}
-        if terms:
-            for (a, b), c in terms.items():
-                self._accumulate(Fraction(a), int(b), _as_rc(c))
-
-    def _accumulate(self, a: Fraction, b: int, coeff: RationalComplex):
-        if b < 0:
-            raise ValueError(f"log exponent must be >= 0, got {b}")
-        key = (a, b)
-        new = self.terms.get(key, RC_ZERO) + coeff
-        if new.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+        for (p, q, b), c in (terms or {}).items():
+            if q <= 0 or gcd(p, q) != 1 or b < 0:
+                raise ValueError(f"term key needs q > 0, gcd(p, q) = 1 and b >= 0, got {(p, q, b)}")
+            c = _as_rc(c)
+            if not c.is_zero():
+                self.terms[int(p), int(q), int(b)] = c
 
     @staticmethod
     def term(coeff, a=0, b: int = 0) -> "FormalSum":
-        return FormalSum({(Fraction(a), b): _as_rc(coeff)})
+        a = Fraction(a)
+        return FormalSum({(a.numerator, a.denominator, b): coeff})
 
     @staticmethod
     def zero() -> "FormalSum":
         return FormalSum()
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        out = FormalSum(self.terms)
-        for (a, b), c in other.terms.items():
-            out._accumulate(a, b, c)
-        return out
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out[key] + c if key in out else c
+        return FormalSum(out)  # which prunes the sums that cancelled
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self + other.scale(RationalComplex(-1))
 
     def scale(self, c) -> "FormalSum":
         c = _as_rc(c)
-        if c.is_zero():
-            return FormalSum()
         return FormalSum({key: coeff * c for key, coeff in self.terms.items()})
 
     def __eq__(self, other):
@@ -105,21 +100,22 @@ class FormalSum:
         return not self.terms
 
     def a_support(self):
-        return {a for (a, _) in self.terms}
+        """The phi exponents p/q in use, as (p, q) pairs."""
+        return {(p, q) for p, q, _ in self.terms}
 
     def max_b(self) -> int:
-        return max((b for (_, b) in self.terms), default=0)
+        return max((b for _, _, b in self.terms), default=0)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]), reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: (Fraction(kv[0][0], kv[0][1]), kv[0][2]), reverse=True)
 
     def serialize(self) -> str:
         """Stable text form: "c * phi^(a) * log^b" joined by " + "."""
         if self.is_zero():
             return "0"
         parts = []
-        for (a, b), c in self.sorted_terms():
-            parts.append(f"{c!r} * phi^({a}) * log^{b}")
+        for (p, q, b), c in self.sorted_terms():
+            parts.append(f"{c!r} * phi^({Fraction(p, q)}) * log^{b}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -151,40 +147,39 @@ def tau_formal(s: FormalSum, lam: RationalComplex, mu: RationalComplex) -> Forma
     """The action of tau on the formal algebra, extended linearly.
 
     Runs on Gaussian-integer numerators: the coefficients of s over one
-    denominator d0, times the cached integer map D tau of each phi^a block.
-    Keys are inserted and pruned in the order FormalSum._accumulate would
-    give them, so a sum evaluates term by term as it always has.
+    denominator d0, times the cached integer map D tau of each phi^(p/q)
+    block.  Keys are inserted and pruned in the order a term-by-term
+    accumulation of the three chain-rule terms would give them, so a sum
+    evaluates term by term as it always has.
     """
     eig = _scaled_eigenvalues(_as_rc(lam), _as_rc(mu))
     d0 = lcm(*(c.den for c in s.terms.values()))
-    # (p, q, b) -> [a, b, denominator, re, im]: int keys hash far faster than Fractions
-    acc: Dict[Tuple[int, int, int], list] = {}
+    acc: Dict[TermKey, list] = {}  # (p, q, b) -> [denominator, re, im]
 
-    def add(a: Fraction, b: int, den: int, re: int, im: int):
+    def add(key: TermKey, den: int, re: int, im: int):
         if not (re or im):
             return
-        key = (a.numerator, a.denominator, b)
         old = acc.get(key)
         if old is None:
-            acc[key] = [a, b, den, re, im]
-        elif old[3] + re or old[4] + im:
-            old[3] += re
-            old[4] += im
+            acc[key] = [den, re, im]
+        elif old[1] + re or old[2] + im:
+            old[1] += re
+            old[2] += im
         else:
             del acc[key]
 
-    for (a, b), c in s.terms.items():
-        scale, (kr, ki), (d1r, d1i), (d2r, d2i) = _tau_map(a.numerator, a.denominator, eig)
+    for (p, q, b), c in s.terms.items():
+        scale, (kr, ki), (d1r, d1i), (d2r, d2i) = _tau_map(p, q, eig)
         cr, ci = _numerators(c, d0)
         den = d0 * scale
-        add(a, b, den, cr * kr - ci * ki, cr * ki + ci * kr)
+        add((p, q, b), den, cr * kr - ci * ki, cr * ki + ci * kr)
         if b >= 1:
-            add(a, b - 1, den, b * (cr * d1r - ci * d1i), b * (cr * d1i + ci * d1r))
+            add((p, q, b - 1), den, b * (cr * d1r - ci * d1i), b * (cr * d1i + ci * d1r))
         if b >= 2:
             m = b * (b - 1)
-            add(a, b - 2, den, m * (cr * d2r - ci * d2i), m * (cr * d2i + ci * d2r))
+            add((p, q, b - 2), den, m * (cr * d2r - ci * d2i), m * (cr * d2i + ci * d2r))
     out = FormalSum()
-    out.terms = {(a, b): RationalComplex.from_gaussian(re, im, den) for a, b, den, re, im in acc.values()}
+    out.terms = {key: RationalComplex.from_gaussian(re, im, den) for key, (den, re, im) in acc.items()}
     return out
 
 
@@ -218,11 +213,11 @@ def build_phi_p(
     if lam.is_zero() and mu.is_zero():
         raise ValueError("(lambda, mu) = (0, 0) does not define an eigenfunction")
     if mu.is_zero():
-        return FormalSum.term(c1, 0, p - 1)
+        return FormalSum({(0, 1, p - 1): c1})
     if lam == mu:
-        return FormalSum.term(c1, 0, 2 * p - 1) + FormalSum.term(c2, 0, 2 * p - 2)
+        return FormalSum({(0, 1, 2 * p - 1): c1, (0, 1, 2 * p - 2): c2})
     e = exponent_for(lam, mu)
-    return FormalSum.term(c1, e, p - 1) + FormalSum.term(c2, 0, p - 1)
+    return FormalSum({(e.numerator, e.denominator, p - 1): c1, (0, 1, p - 1): c2})
 
 
 @dataclass
@@ -278,10 +273,11 @@ def log_domain_ok(phi: complex) -> bool:
     return not (phi.real <= 0 and abs(phi.imag) <= 1e-12 * max(1.0, abs(phi.real)))
 
 
-def _principal_pow(w: complex, a: Fraction) -> complex:
-    if a == 0:
+def _principal_pow(w: complex, p: int, q: int) -> complex:
+    """w^(p/q) on the principal branch; p / q rounds as float(Fraction(p, q))."""
+    if p == 0:
         return 1.0 + 0.0j
-    return complex(np.exp(float(a) * np.log(complex(w))))
+    return complex(np.exp(p / q * np.log(complex(w))))
 
 
 def _coefficient(c: RationalComplex, dtype: np.dtype) -> np.complexfloating:
@@ -306,14 +302,14 @@ def evaluate_formal(s: FormalSum, w: Union[complex, JetScalar]):
     if isinstance(w, JetScalar):
         log_w = jet_log(w)
         total = JetScalar(w.k, np.zeros_like(w.c))
-        for (a, b), c in s.terms.items():
-            term = jet_pow(w, a) if a != 0 else w**0
+        for (p, q, b), c in s.terms.items():
+            term = jet_pow(w, Fraction(p, q)) if p != 0 else w**0
             for _ in range(b):
                 term = term * log_w
             total = total + term * _coefficient(c, w.c.dtype)
         return total
     log_w = complex(np.log(w))
     total = 0.0 + 0.0j
-    for (a, b), c in s.terms.items():
-        total += complex(c) * _principal_pow(w, a) * log_w**b
+    for (p, q, b), c in s.terms.items():
+        total += complex(c) * _principal_pow(w, p, q) * log_w**b
     return total

@@ -7,24 +7,24 @@ The generator-sum and decomposition checks run in exact arithmetic
 end-to-end; their residual is required to be identically zero, not small.
 Every basis element is c N with N a Gaussian-integer matrix and c^2
 rational (a `lie.Basis`), and (N E_ab N^t)_ij = N_ia N_jb, so the sums
-over a basis for all (a, b) at once are one integer contraction weighted by
-the c^2, compared in integers with the closed forms.  `dense_exact_crosscheck`
-recomputes one (a, b) as a second contraction: per-element integer matrix
-products W_q N_q E_ab N_q^t.
+over a basis for all (a, b) at once are one int64 scatter-add of the
+products of each element's pairs of nonzero entries weighted by the c^2,
+compared in integers with the closed forms.  `dense_exact_crosscheck`
+recomputes one (a, b) by a second route: per-element integer matrix
+products W_q N_q E_ab N_q^t.  Coordinate checks sweep batches of points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .diffops import coordinate_sweep
-from .exact import rc
+from .diffops import coordinate_kappa, coordinate_sweep
+from .exact import RationalComplex, rc
 from .lie import (
     SO,
     SP,
@@ -107,31 +107,31 @@ def _integer_weights(basis: Basis) -> Tuple[int, List[int]]:
 def conjugation_sums(basis: Basis) -> LatticeSums:
     """sum_q c_q^2 N_q E_ab N_q^t for all (a, b) at once, exactly.
 
-    (N E_ab N^t)_ij = N_ia N_jb, so with the weights c_q^2 brought to
-    integers W_q over their common denominator the sums are int64
-    tensordots over the real and imaginary parts.  Every partial sum is bounded by
-    max|N|^2 * sum|W| <= (max|Re N|^2 + max|Im N|^2) * sum|W|, which is
-    checked against 2^62 in Python integers before the contraction, so no int64
-    can wrap.
+    (N E_ab N^t)_ij = N_ia N_jb: with the weights brought to integers W_q
+    over their common denominator, each pair of nonzero entries (i, a),
+    (j, b) of one element adds W_q N_ia N_jb at [a, b, i, j], in one int64
+    scatter-add.  Every partial sum is bounded by (max|Re N|^2 +
+    max|Im N|^2) * sum|W|, checked against 2^62 in Python integers first,
+    so no int64 can wrap.
     """
     denom, w = _integer_weights(basis)
     peak = sum(max(-int(a.min()), int(a.max())) ** 2 for a in (basis.re, basis.im))
     if peak * sum(abs(x) for x in w) >= _INT_BOUND:
         raise OverflowError(f"{basis.name}: entries too large for exact int64 sums")
-    w = np.array(w, dtype=np.int64)
-    re, im = basis.re, basis.im
-    # sum_q (w_q a_q)_ia b_qjb, contracted over q and laid out [a, b, i, j]
-    pair = lambda a, b: np.tensordot(w[:, None, None] * a, b, axes=(0, 0)).transpose(1, 3, 0, 2)
-    return LatticeSums(pair(re, re) - pair(im, im), pair(re, im) + pair(im, re), denom)
+    q, i, a = np.nonzero(basis.re | basis.im)
+    re, im = basis.re[q, i, a], basis.im[q, i, a]
+    u, v = np.nonzero(q[:, None] == q)  # every ordered pair of nonzeros of one element
+    wq, at = np.array(w, dtype=np.int64)[q[u]], (a[u], a[v], i[u], i[v])
+    out = np.zeros((2,) + (basis.re.shape[1],) * 4, dtype=np.int64)
+    np.add.at(out[0], at, wq * (re[u] * re[v] - im[u] * im[v]))
+    np.add.at(out[1], at, wq * (re[u] * im[v] + im[u] * re[v]))
+    return LatticeSums(out[0], out[1], denom)
 
 
-def _lattice_residual(sums: LatticeSums, expected: np.ndarray, denom: int, pairs=None):
+def _lattice_residual(sums: LatticeSums, expected: np.ndarray, denom: int):
     """(exact, residual): does every sum equal the real closed form
     expected / denom, and the largest deviation as a float (0.0 if exact)."""
     re, im = sums.re, sums.im
-    if pairs is not None:
-        idx = tuple(np.array(pairs).T - 1)
-        re, im, expected = re[idx], im[idx], expected[idx]
     scaled, rem = np.divmod(expected * sums.denom, denom)
     if not rem.any() and np.array_equal(re, scaled) and not im.any():
         return True, 0.0
@@ -183,6 +183,15 @@ def _tau_factor(family: str, size: int) -> float:
     return -(size + 1) / 2.0  # Sp(n) realised on 2n x 2n: -(2n+1)/2 with size = 2n
 
 
+_KAPPA_ENTRIES = 2**12  # kappa values S s^4 of a chunk of S points: bounds the temporaries
+
+
+def _chunks(points: np.ndarray):
+    """The stacked (S, s, s) points in consecutive chunks of _KAPPA_ENTRIES // s^4 (at least 1)."""
+    step = max(1, _KAPPA_ENTRIES // points.shape[-1] ** 4)
+    return (points[start : start + step] for start in range(0, len(points), step))
+
+
 def _index_tuples(size: int, exhaustive: bool, rng: np.random.Generator):
     if exhaustive:
         return list(product(range(size), repeat=4))
@@ -219,25 +228,27 @@ def check_coordinate_identities(
         f"coordinate_kappa_{spec.family}", {"n": spec.n, "tuples": len(tuples)}
     )
     j, a, k, c = np.array(tuples).T
-    for x in sample(spec, rng, sigma, (samples,)):
-        x0, first, second = coordinate_sweep(x, b)
-        t_all = second.sum(axis=0)
-        r_tau = float(np.max(np.abs(t_all - lam * x0)))
-        tau_res.merge(r_tau, r_tau <= tol)
-        kap_all = np.einsum("bja,bkc->jakc", first, first)
-        # the closed form at every index tuple at once
+    worst = []  # (largest kappa residual, its tuple) per chunk
+    for x0 in _chunks(sample(spec, rng, sigma, (samples,))):
+        _, first, second = coordinate_sweep(x0, b)
+        r_tau = np.abs(second.sum(axis=-3) - lam * x0)
+        tau_res.merge(float(r_tau.max()), bool((r_tau <= tol).all()))
+        kap_all = coordinate_kappa(first)[:, j, a, k, c]
+        # the closed form at every point and index tuple at once
+        xjc, xka = x0[:, j, c], x0[:, k, a]
         if spec.family == SO:
-            expect = -0.5 * (x0[j, c] * x0[k, a] - (j == k) * (a == c))
+            expect = -0.5 * (xjc * xka - (j == k) * (a == c))
         elif spec.family == SU:
-            expect = -x0[j, c] * x0[k, a] + x0[j, a] * x0[k, c] / size
+            expect = -xjc * xka + x0[:, j, a] * x0[:, k, c] / size
         else:
-            expect = -0.5 * x0[j, c] * x0[k, a] + 0.5 * j_mat[j, k] * j_mat[a, c]
-        r = np.abs(kap_all[j, a, k, c] - expect)
-        worst = float(r.max())
-        if worst > tol:
-            i = int(np.argmax(r))
-            kap_res.params["worst_tuple"] = [int(v[i]) + 1 for v in (j, a, k, c)]
-        kap_res.merge(worst, worst <= tol)
+            expect = -0.5 * xjc * xka + 0.5 * j_mat[j, k] * j_mat[a, c]
+        r = np.abs(kap_all - expect)
+        top = float(r.max())
+        kap_res.merge(top, bool((r <= tol).all()))
+        i = int(np.argmax(r)) % len(tuples)
+        worst.append((top, [int(v[i]) + 1 for v in (j, a, k, c)]))
+    if worst and max(worst)[0] > tol:
+        kap_res.params["worst_tuple"] = max(worst)[1]
     return [tau_res, kap_res]
 
 
@@ -276,7 +287,7 @@ def check_kappa_basis_decomposition(
     j = standard_symplectic(n).real.astype(np.int64)
     expected = np.einsum("ab,ij->abij", j, j) - _delta_and_swap(size)[1]
     pairs = [(a, b) for a in range(1, size + 1) for b in range(1, size + 1)]
-    ok, r = _lattice_residual(sums, expected, 2, pairs)
+    ok, r = _lattice_residual(sums, expected, 2)
     exact_res = IdentityCheckResult(
         "kappa_basis_decomposition_exact", {"n": n, "cases": "1-4"}, r, ok, exact=True
     )
@@ -289,13 +300,13 @@ def check_kappa_basis_decomposition(
     b = basis_g(spec)
     numeric_res = IdentityCheckResult("kappa_basis_decomposition_numeric", {"n": n})
     rep_pairs = [(1, 1), (1, n + 1), (n + 1, 1), (n + 1, n + 1)]
-    for qc in sample(spec, rng, sigma, (samples,)):
+    for qc in _chunks(sample(spec, rng, sigma, (samples,))):
         _, first, _ = coordinate_sweep(qc, b)
-        kap_all = np.einsum("bja,bkc->jakc", first, first)
+        kap_all = coordinate_kappa(first)
         for alpha, beta in rep_pairs:
-            conj = qc @ sums.at(alpha, beta) @ qc.T
-            r = float(np.max(np.abs(kap_all[:, alpha - 1, :, beta - 1] - conj)))
-            numeric_res.merge(r, r <= tol)
+            conj = qc @ sums.at(alpha, beta) @ qc.transpose(0, 2, 1)
+            r = np.abs(kap_all[:, :, alpha - 1, :, beta - 1] - conj)
+            numeric_res.merge(float(r.max()), bool((r <= tol).all()))
     return [exact_res, numeric_res]
 
 
@@ -381,21 +392,26 @@ def check_symplectic_facts(
     tr = IdentityCheckResult("symmetric_times_skew_traceless", {"n": n}, exact=True)
     size = 2 * n
     j_exact = CMatrix(np.vectorize(lambda v: rc(int(v)), otypes=[object])(j.real))
-    for _ in range(samples):
-        m = np.empty((size, size), dtype=object)
-        for i in range(size):
-            for jj in range(i, size):
-                v = rc(
-                    Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))),
-                    Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))),
-                )
-                m[i, jj] = v
-                m[jj, i] = v
-        a = CMatrix(m)
-        t = (a @ j_exact).trace()
+    num, den = _symmetric_rationals(rng, samples, size)
+    # num_re/den_re + i num_im/den_im over the denominator den_re den_im
+    parts = (x.ravel().tolist() for x in (num[:, 0], num[:, 1], den[:, 0], den[:, 1]))
+    entries = [RationalComplex.from_gaussian(a * d, b * c, c * d) for a, b, c, d in zip(*parts)]
+    for m in np.array(entries, dtype=object).reshape(samples, size, size):
+        t = (CMatrix(m) @ j_exact).trace()
         ok = t.is_zero()
         tr.merge(0.0 if ok else abs(complex(t)), ok)
     return [inv, tr]
+
+
+def _symmetric_rationals(rng: np.random.Generator, samples: int, size: int):
+    """(numerators in [-9, 9], denominators in [1, 9]) of the real and imaginary
+    parts of `samples` random symmetric size x size matrices, each a
+    (samples, 2, size, size) array from one generator call."""
+    rows, cols = np.triu_indices(size, 1)
+    draws = [rng.integers(low, high, size=(samples, 2, size, size)) for low, high in ((-9, 10), (1, 10))]
+    for m in draws:
+        m[..., cols, rows] = m[..., rows, cols]
+    return draws
 
 
 def dense_exact_crosscheck(basis: Basis, alpha: int, beta: int) -> bool:

@@ -12,6 +12,7 @@ from lieharm.eigenfamilies import build_eigenfunction, expected_eigenvalues, ran
 from lieharm.exact import RationalComplex, rc
 from lieharm.formal import (
     FormalSum,
+    _principal_pow,
     build_phi_p,
     evaluate_formal,
     exponent_for,
@@ -57,7 +58,7 @@ def test_exponent_is_divided_once_per_eigenvalue_pair():
     misses = exponent_for.cache_info().misses
     sums = [build_phi_p(p, lam, mu) for p in range(1, 9)]
     assert exponent_for.cache_info().misses == misses + 1
-    assert {a for s in sums for a in s.a_support()} == {Fraction(0), Fraction(-9, 5)}
+    assert {a for s in sums for a in s.a_support()} == {(0, 1), (-9, 5)}
     # equal values built another way share the cached exponent
     assert exponent_for(rc(Fraction(-14, 6)), rc(Fraction(-10, 12))) == Fraction(-9, 5)
     assert exponent_for.cache_info().misses == misses + 1
@@ -84,15 +85,23 @@ def tau_oracle(s, lam, mu):
     """The three-term chain rule in RationalComplex arithmetic, term by term:
     tau(phi^a L^b) = [lam a + mu a(a-1)] phi^a L^b + [lam b + mu b(2a-1)] phi^a L^(b-1)
                      + mu b(b-1) phi^a L^(b-2)."""
-    out = FormalSum()
-    for (a, b), c in s.terms.items():
-        a_rc = RationalComplex(a)
-        out._accumulate(a, b, c * (lam * a_rc + mu * a_rc * (a_rc - 1)))
+    out = {}
+
+    def accumulate(key, coeff):
+        new = out.get(key, RationalComplex(0)) + coeff
+        if new.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = new
+
+    for (p, q, b), c in s.terms.items():
+        a_rc = RationalComplex(Fraction(p, q))
+        accumulate((p, q, b), c * (lam * a_rc + mu * a_rc * (a_rc - 1)))
         if b >= 1:
-            out._accumulate(a, b - 1, c * (lam * b + mu * b * (2 * a_rc - 1)))
+            accumulate((p, q, b - 1), c * (lam * b + mu * b * (2 * a_rc - 1)))
         if b >= 2:
-            out._accumulate(a, b - 2, c * mu * (b * (b - 1)))
-    return out
+            accumulate((p, q, b - 2), c * mu * (b * (b - 1)))
+    return FormalSum(out)
 
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=15)
@@ -100,7 +109,7 @@ complex_rationals = st.builds(rc, rationals, st.one_of(st.just(0), rationals))
 exponents = st.fractions(min_value=-7, max_value=7, max_denominator=6)
 formal_sums = st.dictionaries(
     st.tuples(exponents, st.integers(min_value=0, max_value=6)), complex_rationals, max_size=8
-).map(FormalSum)
+).map(lambda terms: FormalSum({(a.numerator, a.denominator, b): c for (a, b), c in terms.items()}))
 
 
 @st.composite
@@ -131,11 +140,11 @@ def test_tau_formal_prunes_and_reinserts_keys_as_the_oracle():
     # tau(phi L^b) feeds phi L^0 from b = 0, 1 and 2: the first two cancel,
     # so phi L^0 is pruned and comes back last, after phi L^1 and phi L^2
     c0, c1 = -(LAM + MU), LAM  # c0 lam + c1 (lam + mu) = 0
-    s = FormalSum({(1, 0): c0, (1, 1): c1, (1, 2): rc(1)})
+    s = FormalSum({(1, 1, 0): c0, (1, 1, 1): c1, (1, 1, 2): rc(1)})
     got = tau_formal(s, LAM, MU)
     _same_terms(got, tau_oracle(s, LAM, MU))
-    assert list(got.terms) == [(1, 1), (1, 2), (1, 0)]
-    assert got.terms[(1, 0)] == MU * 2
+    assert list(got.terms) == [(1, 1, 1), (1, 1, 2), (1, 1, 0)]
+    assert got.terms[(1, 1, 0)] == MU * 2
 
 
 def test_tau_formal_matches_the_oracle_on_phi_p():
@@ -185,6 +194,41 @@ def test_phi_p_certificate_makes_no_rational_complex_arithmetic(monkeypatch):
     tau_oracle(s, lam, mu)
     monkeypatch.undo()
     assert calls["mul"] > 0
+
+
+def test_phi_p_certificate_hashes_no_fraction(monkeypatch):
+    # keys are integer triples (p, q, b): building Phi_8 of SU(12)/Sp(6) and
+    # certifying it hash no Fraction, neither as a key nor in a footprint set
+    lam, mu = expected_eigenvalues(SymmetricSpaceSpec(SU2N_SPN, 6))
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    cert = verify_p_harmonic(build_phi_p(8, lam, mu), lam, mu, 8)
+    assert cert.proper and cert.numeric_witness > 1e-10
+    assert calls == []
+    hash(Fraction(1, 3))  # the counter sees a hash
+    assert len(calls) == 1
+
+
+def test_formal_sum_keys_are_reduced_integer_triples():
+    s = FormalSum.term(rc(2), Fraction(6, -4), 3) + FormalSum.term(1, 2, 0)
+    assert list(s.terms) == [(-3, 2, 3), (2, 1, 0)]
+    assert FormalSum({(-3, 2, 3): 2, (0, 1, 1): 0}) == FormalSum.term(2, Fraction(-3, 2), 3)
+    for bad in ((1, 0, 0), (3, -2, 0), (2, 4, 0), (0, 2, 0), (1, 1, -1)):
+        with pytest.raises(ValueError, match="term key"):
+            FormalSum({bad: 1})
+
+
+def test_principal_power_is_bitwise_the_fraction_route():
+    for p, q in ((1, 2), (-3, 2), (-9, 5), (7, 3), (-1, 1)):
+        for w in (2.0 + 0j, 0.3 - 1.7j, -5.5 + 1e-3j):
+            want = complex(np.exp(float(Fraction(p, q)) * np.log(w)))
+            assert _principal_pow(w, p, q) == want
 
 
 # --- construction ----------------------------------------------------------------
@@ -342,5 +386,5 @@ def test_footprint_assertions_hold_under_iteration():
     s = build_phi_p(3, LAM, MU)
     cert = verify_p_harmonic(s, LAM, MU, 3)
     assert cert.proper
-    assert cert.witness.a_support() <= {Fraction(0), Fraction(-3, 2)}
+    assert cert.witness.a_support() <= {(0, 1), (-3, 2)}
     assert cert.witness.max_b() <= 2 * 3 - 1

@@ -19,12 +19,16 @@ from lieharm.identities import (
     dense_exact_crosscheck,
 )
 from lieharm.lie import (
+    GROUP_FAMILIES,
+    SPACE_FAMILIES,
     Basis,
     GroupSpec,
     SO,
     SP,
     SU,
+    SymmetricSpaceSpec,
     basis_g,
+    cartan_decomposition,
     generator_lattice,
     sample,
     standard_symplectic,
@@ -159,6 +163,109 @@ def test_coordinate_kappa_matches_tuple_loop(family, n):
     assert abs(residuals[tuple(kap.params["worst_tuple"])] - max(residuals.values())) <= 8 * eps
 
 
+def _einsum_sweep(x, basis):
+    """first, second and kappa [j, a, k, c] of the coordinate functions at one point, by einsum."""
+    dirs = basis.stack()
+    first = np.einsum("ij,bjk->bik", x, dirs)
+    second = np.einsum("ij,bjk->bik", x, dirs @ dirs)
+    return first, second, np.einsum("bja,bkc->jakc", first, first)
+
+
+@pytest.mark.parametrize("family,n", [(SO, 3), (SO, 4), (SU, 2), (SU, 3), (SP, 2), (SP, 3)])
+def test_batched_coordinate_sweep_matches_each_point_alone(family, n):
+    # the batched matmuls round like the einsum of one point up to the
+    # grouping of the sums
+    spec = GroupSpec(family, n)
+    basis = basis_g(spec)
+    points = sample(spec, np.random.default_rng(31), 0.5, (7,))
+    x0, first, second = identities.coordinate_sweep(points, basis)
+    kap = identities.coordinate_kappa(first)
+    assert x0 is points or np.array_equal(x0, points)
+    assert first.shape == second.shape == (len(points), len(basis)) + points.shape[1:]
+    for i, x in enumerate(points):
+        alone = identities.coordinate_sweep(x, basis)
+        assert alone[1].shape == (len(basis),) + x.shape
+        for got, want in zip((first[i], second[i], kap[i]), _einsum_sweep(x, basis)):
+            assert np.allclose(got, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("family,n", [(SO, 3), (SU, 3), (SP, 2), (SP, 3)])
+def test_batched_coordinate_check_matches_per_sample_recomputation(monkeypatch, family, n):
+    # the residuals of the check, over three chunks of points, against the
+    # worst residual of each point recomputed alone
+    spec = GroupSpec(family, n)
+    size, samples = spec.matrix_size, 5
+    monkeypatch.setattr(identities, "_KAPPA_ENTRIES", 2 * size**4)
+    tau_res, kap_res = check_coordinate_identities(spec, samples, 1e-9, np.random.default_rng(32))
+    rng = np.random.default_rng(32)
+    tuples = identities._index_tuples(size, n <= 3, rng)
+    j_mat = standard_symplectic(n)
+    lam = identities._tau_factor(family, size)
+    worst_tau = worst_kap = 0.0
+    for x in sample(spec, rng, 0.5, (samples,)):
+        _, second, kap = _einsum_sweep(x, basis_g(spec))
+        worst_tau = max(worst_tau, float(np.abs(second.sum(axis=0) - lam * x).max()))
+        for (j, a, k, c) in tuples:
+            if family == SO:
+                expect = -0.5 * (x[j, c] * x[k, a] - (j == k) * (a == c))
+            elif family == SU:
+                expect = -x[j, c] * x[k, a] + x[j, a] * x[k, c] / size
+            else:
+                expect = -0.5 * x[j, c] * x[k, a] + 0.5 * j_mat[j, k] * j_mat[a, c]
+            worst_kap = max(worst_kap, abs(kap[j, a, k, c] - expect))
+    eps = np.finfo(float).eps
+    assert tau_res.passed and kap_res.passed and "worst_tuple" not in kap_res.params
+    assert abs(tau_res.max_residual - worst_tau) <= 16 * eps
+    assert abs(kap_res.max_residual - worst_kap) <= 8 * eps
+
+
+def test_sample_chunks_bound_the_kappa_entries():
+    # a chunk of S points of size s holds S s^4 kappa values, at most
+    # _KAPPA_ENTRIES unless one point alone holds more
+    chunks = lambda count, s: [len(c) for c in identities._chunks(np.zeros((count, s, s)))]
+    entries = identities._KAPPA_ENTRIES
+    assert chunks(20, 3) == [20]
+    step = entries // 6**4
+    assert chunks(20, 6) == [step] * (20 // step) + [20 % step] and step * 6**4 <= entries < (step + 1) * 6**4
+    assert chunks(3, 12) == [1, 1, 1] and chunks(0, 6) == []
+
+
+def test_worst_tuple_comes_from_the_largest_failure(monkeypatch):
+    # kappa is quadratic in x: with row r of a point of SO(3) scaled by s the
+    # closed form misses by (s^2 - 1)/2 at exactly the tuples j = k = r, a = c.
+    # The larger failure (row 1 by 1.5) comes first, the smaller (row 3 by
+    # 1.1) later and in another chunk; the tuple must be the larger's
+    drawn = identities.sample
+
+    def scaled(spec, rng, sigma, shape):
+        points = drawn(spec, rng, sigma, shape).copy()
+        points[0, 0] *= 1.5
+        points[2, 2] *= 1.1
+        return points
+
+    monkeypatch.setattr(identities, "sample", scaled)
+    monkeypatch.setattr(identities, "_KAPPA_ENTRIES", 2 * 3**4)
+    _, kap = check_coordinate_identities(GroupSpec(SO, 3), 4, 1e-9, np.random.default_rng(33))
+    assert not kap.passed
+    assert abs(kap.max_residual - (1.5**2 - 1) / 2) <= 1e-12
+    j, a, k, c = kap.params["worst_tuple"]
+    assert j == k == 1 and a == c
+
+
+def test_decomposition_numeric_matches_per_sample_recomputation(monkeypatch):
+    n, samples = 2, 5
+    monkeypatch.setattr(identities, "_KAPPA_ENTRIES", 2 * 4**4)
+    (_, numeric) = check_kappa_basis_decomposition(n, samples, 1e-9, np.random.default_rng(34))
+    sums = conjugation_sums(basis_g(GroupSpec(SP, n)))
+    worst = 0.0
+    for q in sample(GroupSpec(SP, n), np.random.default_rng(34), 0.5, (samples,)):
+        _, _, kap = _einsum_sweep(q, basis_g(GroupSpec(SP, n)))
+        for alpha, beta in [(1, 1), (1, n + 1), (n + 1, 1), (n + 1, n + 1)]:
+            conj = q @ sums.at(alpha, beta) @ q.T
+            worst = max(worst, float(np.abs(kap[:, alpha - 1, :, beta - 1] - conj).max()))
+    assert numeric.passed and abs(numeric.max_residual - worst) <= 8 * np.finfo(float).eps
+
+
 def test_tuple_enumeration_policy():
     rng = np.random.default_rng(18)
     small = check_coordinate_identities(GroupSpec(SO, 3), 2, 1e-9, rng)
@@ -265,6 +372,27 @@ def test_conjugation_sums_equal_the_einsum_contraction():
         assert np.array_equal(sums.im, pair(basis.re, basis.im) + pair(basis.im, basis.re))
 
 
+def _every_basis(n):
+    """su(n), both embedded u(n) and the k and m of every space at n."""
+    bases = [basis_g(GroupSpec(family, n)) for family in GROUP_FAMILIES]
+    bases += [b for family in SPACE_FAMILIES for b in cartan_decomposition(SymmetricSpaceSpec(family, n))]
+    return bases
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_conjugation_sums_equal_the_einsum_oracle_on_every_basis(n):
+    # su(n)'s diagonal patterns i H_t hold up to n nonzeros, and the m of
+    # SU(2n)/Sp(n) carries complex patterns
+    for basis in _every_basis(n):
+        denom, w = identities._integer_weights(basis)
+        w = np.array(w, dtype=np.int64)
+        pair = lambda a, b: np.einsum("q,qia,qjb->abij", w, a, b)
+        sums = conjugation_sums(basis)
+        assert sums.re.dtype == sums.im.dtype == np.int64 and sums.denom == denom, basis.name
+        assert np.array_equal(sums.re, pair(basis.re, basis.re) - pair(basis.im, basis.im)), basis.name
+        assert np.array_equal(sums.im, pair(basis.re, basis.im) + pair(basis.im, basis.re)), basis.name
+
+
 def test_magnitude_bound_guards_int64_sums():
     # X(2) is one element with weight 1/2: the sums scale with the square of
     # the entries, and max|N|^2 * sum|W| must stay below 2^62
@@ -358,6 +486,44 @@ def test_symplectic_facts():
     inv, traceless = check_symplectic_facts(2, 5, 1e-10, rng)
     assert inv.passed and inv.max_residual <= 1e-10
     assert traceless.passed and traceless.exact and traceless.max_residual == 0.0
+
+
+def test_symplectic_draws_are_symmetric_small_rationals():
+    num, den = identities._symmetric_rationals(np.random.default_rng(35), 20, 4)
+    assert num.shape == den.shape == (20, 2, 4, 4)
+    for m in (num, den):
+        assert np.array_equal(m, m.swapaxes(-1, -2))
+    assert num.min() >= -9 and num.max() <= 9 and den.min() >= 1 and den.max() <= 9
+    # every value of the ranges turns up
+    assert set(np.unique(num)) == set(range(-9, 10)) and set(np.unique(den)) == set(range(1, 10))
+
+
+def test_symplectic_trace_check_fails_on_a_non_symmetric_matrix(monkeypatch):
+    draw = identities._symmetric_rationals
+
+    def skewed(rng, samples, size):
+        num, den = draw(rng, samples, size)
+        num[1, 0, size // 2, 0] = num[1, 0, 0, size // 2] + 1  # (A J)_00 and (A J)_nn differ
+        return num, den
+
+    monkeypatch.setattr(identities, "_symmetric_rationals", skewed)
+    _, traceless = check_symplectic_facts(2, 3, 1e-10, np.random.default_rng(36))
+    assert not traceless.passed and traceless.max_residual > 0
+
+
+def test_symplectic_check_makes_one_draw_per_random_quantity(monkeypatch):
+    calls = []
+    integers = np.random.Generator.integers
+
+    class Counted(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            calls.append(kwargs.get("size"))
+            return integers(self, *args, **kwargs)
+
+    rng = Counted(np.random.PCG64(37))
+    inv, traceless = check_symplectic_facts(2, 20, 1e-10, rng)
+    assert inv.passed and traceless.passed and traceless.max_residual == 0.0
+    assert len(calls) == 2
 
 
 # --- coverage ------------------------------------------------------------------------

@@ -38,3 +38,21 @@ def test_seed_scan_prints_replay_command_and_exits_1(seed_scan, capsys, monkeypa
     out = capsys.readouterr().out
     assert "lieharm dual --space sun_son:2 --samples 2 --seed 100" in out
     assert "4 of 8 records failed" in out
+
+
+def test_seed_scan_runs_the_spaces_at_each_given_n(seed_scan, capsys, monkeypatch):
+    # --n replaces the n of the default spaces, for every family of them
+    seen = []
+    run = seed_scan.run
+
+    def spy(cfg):
+        seen.append(cfg.spaces)
+        return run(cfg)
+
+    monkeypatch.setattr(seed_scan, "run", spy)
+    assert seed_scan.main(["--seeds", "100", "100", "--n", "4"]) == 0
+    assert seen == [tuple((f, 4) for f in SPACE_FAMILIES)]
+    assert "0 of 8 records failed" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        seed_scan.main(["--seeds", "100", "100", "--n", "1"])
+    assert exc.value.code == 2
