@@ -5,7 +5,7 @@ and SU(2n)/Sp(n)."""
 __version__ = "0.1.0"
 
 from .exact import QSqrt2, RationalComplex, rc
-from .jets import JetDomainError, JetScalar, jet_log, jet_pow
+from .jets import JetScalar
 from .matrices import ShapeError
 from .lie import GroupSpec, SymmetricSpaceSpec, basis_g, cartan_decomposition, standard_symplectic
 from .diffops import GroupFunction, kappa, tau, tau_iterated
@@ -23,10 +23,7 @@ __all__ = [
     "QSqrt2",
     "RationalComplex",
     "rc",
-    "JetDomainError",
     "JetScalar",
-    "jet_log",
-    "jet_pow",
     "ShapeError",
     "standard_symplectic",
     "GroupSpec",

@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from .jets import JetDomainError, JetScalar
+from .jets import JetScalar
 from .lie import Basis, UsageError
 from .matrices import CMatrix
 
@@ -141,10 +141,7 @@ def _sweep(f: GroupFunction, x: Point, dirs: np.ndarray) -> Iterator[Tuple[JetSc
         z, z2 = (d[start : start + chunk].reshape(stack) for d in (dirs, dirs2))
         # the new variable's degree axis goes in front of those of x
         coeffs = np.stack(np.broadcast_arrays(y, y @ z, y @ z2))
-        try:
-            w = f(JetScalar(k + 1, coeffs))
-        except JetDomainError as exc:
-            raise JetDomainError(f"{f.name or 'f'} along directions {start}..{start + len(z) - 1}: {exc}") from exc
+        w = f(JetScalar(k + 1, coeffs))
         if not isinstance(w, JetScalar):
             w = JetScalar.constant(np.broadcast_to(w, coeffs.shape[k + 1 : -2]), k + 1)
         # Z^d f is d! times the coefficient of t^d, and d! = d for d <= 2

@@ -38,7 +38,7 @@ from typing import Dict, Tuple, Union
 import numpy as np
 
 from .exact import RationalComplex
-from .jets import JetScalar, jet_log, jet_pow
+from .jets import JetScalar
 
 TermKey = Tuple[int, int, int]  # (p, q, b): phi^(p/q) (log phi)^b, q > 0, gcd(p, q) = 1
 GaussInt = Tuple[int, int]  # (re, im)
@@ -83,9 +83,6 @@ class FormalSum:
         for key, c in other.terms.items():
             out[key] = out[key] + c if key in out else c
         return FormalSum(out)  # which prunes the sums that cancelled
-
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + other.scale(RationalComplex(-1))
 
     def scale(self, c) -> "FormalSum":
         c = _as_rc(c)
@@ -288,8 +285,48 @@ def _coefficient(c: RationalComplex, dtype: np.dtype) -> np.complexfloating:
     return part(c.re) + 1j * part(c.im)
 
 
+def _series_mul(a: list, b: list) -> list:
+    """The truncated product of two u-series of the same length."""
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+
+def _taylor(s: FormalSum, c: np.ndarray, n: int) -> list:
+    """[f_0, ..., f_n], per point of c, with s(c (1 + u)) = sum_j f_j u^j up
+    to u^n: the term C phi^(p/q) L^b gives C c^(p/q) times the binomial
+    series of (1 + u)^(p/q) times (log c + sum_j (-1)^(j+1) u^j / j)^b.
+    Every series coefficient is formed in the real dtype of c."""
+    one = np.real(c).dtype.type(1)
+    log_c = np.log(c + 0j)
+    log_series = [log_c] + [(-one) ** (j + 1) / j for j in range(1, n + 1)]
+    log_powers = [[one] + [0 * one] * n]
+    for _ in range(s.max_b()):
+        log_powers.append(_series_mul(log_powers[-1], log_series))
+    total = [0] * (n + 1)
+    for (p, q, b), coeff in s.terms.items():
+        series = log_powers[b]
+        if p != 0:
+            a = one * p / q
+            binomial = [one]
+            for j in range(1, n + 1):
+                binomial.append(binomial[-1] * ((a - (j - 1)) / j))
+            c_a = np.exp(a * log_c)
+            series = [c_a * x for x in _series_mul(binomial, series)]
+        coeff = _coefficient(coeff, c.dtype)
+        total = [t + coeff * x for t, x in zip(total, series)]
+    return total
+
+
 def evaluate_formal(s: FormalSum, w: Union[complex, JetScalar]):
-    """Numeric value of the sum at phi = w (complex scalar or jet)."""
+    """Numeric value of the sum at phi = w (complex scalar or jet).
+
+    At a jet w = c (1 + u), c its base value, u has no constant term, so
+    every monomial of u^j has total degree at least j and u^(2k+1) == 0 for
+    a jet in k variables.  The sum is then the univariate Taylor series of
+    s at c, to degree 2k, applied to u in one Horner pass: 2k - 1 jet
+    products (Griewank & Walther, "Evaluating Derivatives", 2nd ed., ch. 13).
+    The series coefficients come from s alone, never from tau_formal or the
+    eigenvalues, so the jets still carry out the chain rule on their own.
+    """
     if isinstance(w, JetScalar):
         bad = np.any(np.asarray(w.value) == 0)
     else:
@@ -300,13 +337,13 @@ def evaluate_formal(s: FormalSum, w: Union[complex, JetScalar]):
     if s.is_zero():
         return JetScalar(w.k, np.zeros_like(w.c)) if isinstance(w, JetScalar) else 0.0 + 0.0j
     if isinstance(w, JetScalar):
-        log_w = jet_log(w)
-        total = JetScalar(w.k, np.zeros_like(w.c))
-        for (p, q, b), c in s.terms.items():
-            term = jet_pow(w, Fraction(p, q)) if p != 0 else w**0
-            for _ in range(b):
-                term = term * log_w
-            total = total + term * _coefficient(c, w.c.dtype)
+        c = w.value
+        u = w * (1 / c)
+        u.c[(0,) * w.k] = 0
+        f = _taylor(s, c, 2 * w.k)
+        total = u * f[-1] + f[-2]
+        for coeff in reversed(f[:-2]):
+            total = total * u + coeff
         return total
     log_w = complex(np.log(w))
     total = 0.0 + 0.0j

@@ -8,8 +8,8 @@ automatic differentiation for higher-order derivatives in JAX").  Plugging
 such jets through an evaluation gives the exact first and second
 directional derivatives of the composition: pushing one-parameter
 subgroups through matrix expressions needs nothing beyond ring operations,
-log and rational powers, all of which truncate exactly (there is no
-series-truncation error anywhere on this path).
+which truncate exactly (there is no series-truncation error anywhere on
+this path).
 
 The product is the truncated Cauchy product: one broadcast multiply per
 pair of degrees whose sum survives truncation (6 pairs for k = 1, 36 for
@@ -17,31 +17,24 @@ k = 2).  With a contraction of the matrix axes in place of the multiply
 the same routine is a bilinear pairing of two jet matrices (the Frobenius
 pairing of `matrices.py`).  A jet's value may end in matrix axes: `@` with
 a plain array, on either side, is one matmul over the stacked
-coefficients.  The operations are those the evaluation of phi and of the
-formal phi^a log^b sums needs: `+`, `*`, `@` with a plain array, `**`, log
-and rational powers.  Value axes broadcast as numpy arrays do, aligned on
-the right, which is how whole batches of derivative directions are carried
-through a single evaluation.
+coefficients.  The operations are those the evaluation of phi and the
+Horner pass of `formal.evaluate_formal` need: `+`, `*` and `@` with a
+plain array; a function of a jet, such as phi^a (log phi)^b, is composed
+there as a univariate Taylor series.  Value axes broadcast as numpy arrays
+do, aligned on the right, which is how whole batches of derivative
+directions are carried through a single evaluation.
 
 Nothing here fixes a dtype: the coefficients keep the precision they come
-in (complex128, or clongdouble for extended-precision checks), and the
-series coefficients of log and pow are formed in the real dtype of the
-base value.
+in (complex128, or clongdouble for extended-precision checks).
 """
-
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
 
 _NUMERIC = (int, float, complex, np.integer, np.floating, np.complexfloating)
-
-
-class JetDomainError(ValueError):
-    """log/pow/div of a jet whose base value is zero."""
 
 
 @lru_cache(maxsize=None)
@@ -148,71 +141,5 @@ class JetScalar:
             return JetScalar(self.k, np.matmul(other, _lift(self.c, self.k, other.ndim)))
         return NotImplemented
 
-    def _check_base(self, op: str):
-        base = self.value
-        if np.any(base == 0):
-            raise JetDomainError(f"{op} of a jet with zero base value (base={base!r})")
-        return base
-
-    def __pow__(self, a):
-        if isinstance(a, (int, np.integer)) and a >= 0:
-            out = JetScalar.constant(np.ones_like(self.value), self.k)
-            for _ in range(int(a)):
-                out = out * self
-            return out
-        return jet_pow(self, a)
-
     def __repr__(self):
         return f"JetScalar(k={self.k}, {self.c!r})"
-
-
-def _unit(x: JetScalar):
-    """1 in the real dtype of the base value, to form series coefficients in."""
-    return np.real(x.value).dtype.type(1)
-
-
-def _nilpotent_series(x: JetScalar, op: str, coefs) -> tuple:
-    """(c, sum_j coefs[j-1] u^j over j = 1..2k) for x = c (1 + u), c the base
-    value.  u has no constant term, so every monomial of u^j has total degree
-    at least j and u^(2k+1) == 0: 2k terms make the series exact."""
-    base = x._check_base(op)
-    u = x * (1 / base)
-    u.c[(0,) * x.k] = 0
-    term = u
-    out = u * coefs[0]
-    for coef in coefs[1:]:
-        term = term * u
-        out = out + term * coef
-    return base, out
-
-
-def _principal_log(base):
-    """Principal log of the base value, complex in the precision of base."""
-    return np.log(base + 0j)
-
-
-def jet_log(x: JetScalar) -> JetScalar:
-    """Principal-branch log of a jet; requires a nonzero base value.
-
-    log(c(1+u)) = log c + sum_{j>=1} (-1)^{j+1} u^j / j with u nilpotent,
-    so the series terminates exactly.
-    """
-    one = _unit(x)
-    base, series = _nilpotent_series(x, "log", [(-one) ** (j + 1) / j for j in range(1, 2 * x.k + 1)])
-    return series + _principal_log(base)
-
-
-def jet_pow(x: JetScalar, a) -> JetScalar:
-    """Principal-branch power x**a for rational or real a; nonzero base required.
-
-    x^a = c^a (1+u)^a with the binomial series in the nilpotent u; for
-    integer a this coincides with repeated multiplication.
-    """
-    a = Fraction(a)
-    af = _unit(x) * a.numerator / a.denominator
-    coefs, coef = [], 1
-    for j in range(1, 2 * x.k + 1):
-        coef = coef * ((af - (j - 1)) / j)  # binomial(a, j) built up incrementally
-        coefs.append(coef)
-    base, series = _nilpotent_series(x, "pow", coefs)
-    return (series + 1) * np.exp(af * _principal_log(base))

@@ -297,6 +297,51 @@ def test_evaluate_simple():
 def test_evaluate_rejects_zero():
     with pytest.raises(ValueError):
         evaluate_formal(FormalSum.term(1, 1, 0), 0j)
+    # a jet whose base value is 0 at one point of its batch
+    c = np.ones((3, 3, 2), dtype=complex)
+    c[0, 0, 1] = 0
+    for s in (FormalSum.term(1, 1, 0), FormalSum.term(1, 0, 1), FormalSum.term(1, Fraction(1, 2), 0)):
+        with pytest.raises(ValueError):
+            evaluate_formal(s, JetScalar(2, c))
+
+
+def _product_jet(c):
+    """w = c (1 + s)(1 + t): a jet in 2 variables with c at [0, 0], [1, 0],
+    [0, 1] and [1, 1], whose u = s + t + s t reaches total degree 4 in u^4."""
+    out = np.zeros((3, 3), dtype=np.result_type(c, np.complex128))
+    out[0, 0] = out[1, 0] = out[0, 1] = out[1, 1] = c
+    return JetScalar(2, out)
+
+
+def _binomial(a, j):
+    out = Fraction(1)
+    for i in range(j):
+        out *= (a - i) / Fraction(i + 1)
+    return out
+
+
+@pytest.mark.parametrize("c", [2.0 + 0j, 1.7 - 0.4j, -0.3 + 2.1j])
+def test_two_variable_log_and_pow_reach_degree_four(c):
+    # log w = log c + log(1 + s) + log(1 + t) and w^a = c^a (1 + s)^a (1 + t)^a
+    # exactly; the s^2 t^2 coefficient of either cancels only with the u^4
+    # term of the series, so a series cut at degree 2k - 1 = 3 fails here.
+    # A coefficient of u^m enters each coefficient of w's series at most 6
+    # times (u^4 -> s^2 t^2: 4! / (2! 2!)), which bounds the rounding.
+    eps = np.finfo(float).eps
+    w = _product_jet(c)
+    log_w = evaluate_formal(FormalSum.term(1, 0, 1), w)
+    want = np.zeros((3, 3), dtype=complex)
+    want[0, 0] = np.log(c)
+    want[1, 0] = want[0, 1] = 1
+    want[2, 0] = want[0, 2] = -0.5
+    scale = abs(np.log(c)) + 6 * sum(1 / m for m in range(1, 5))
+    assert np.max(np.abs(log_w.c - want)) <= 8 * eps * scale
+    for a in (Fraction(1, 3), Fraction(-3, 2), Fraction(2)):
+        got = evaluate_formal(FormalSum.term(1, a, 0), w)
+        c_a = np.exp(float(a) * np.log(c))
+        want = np.array([[c_a * float(_binomial(a, i) * _binomial(a, j)) for j in range(3)] for i in range(3)])
+        scale = 6 * abs(c_a) * sum(abs(_binomial(a, m)) for m in range(5))
+        assert np.max(np.abs(got.c - want)) <= 8 * eps * float(scale), a
 
 
 def test_log_domain_cut_is_relative_to_re_phi():
@@ -347,10 +392,8 @@ def test_numeric_consistency_with_diffops():
         t_s = tau_formal(s, lam_r, mu_r)
 
         def composed(v):
-            from lieharm.jets import jet_pow
-
             w = f.fn(v)
-            wr = jet_pow(w, r) if isinstance(w, JetScalar) else complex(w) ** float(r)
+            wr = evaluate_formal(FormalSum.term(1, r), w) if isinstance(w, JetScalar) else complex(w) ** float(r)
             return evaluate_formal(s, wr)
 
         h = GroupFunction(composed, left=f.left)

@@ -1,5 +1,7 @@
 """Jet scalars: truncated-Taylor examples with hand-computed oracles, ring
-properties, and agreement with finite differences through matrix expressions."""
+properties, and agreement with finite differences through matrix expressions.
+The log and power oracles go through `formal.evaluate_formal`, which composes
+a function of a jet as one univariate Taylor series."""
 
 from fractions import Fraction
 
@@ -7,8 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieharm.jets import JetDomainError, JetScalar, jet_log, jet_pow
+from lieharm.formal import FormalSum, evaluate_formal
+from lieharm.jets import JetScalar
 from lieharm.matrices import CMatrix
+
+
+def jet_log(x):
+    return evaluate_formal(FormalSum.term(1, 0, 1), x)
+
+
+def jet_pow(x, a):
+    return evaluate_formal(FormalSum.term(1, Fraction(a), 0), x)
 
 
 def jet1(c0, c1, c2):
@@ -39,7 +50,7 @@ def jets(base=unit_complex):
     return st.builds(jet1, base, small_complex, small_complex)
 
 
-# --- log ------------------------------------------------------------------
+# --- log, as evaluate_formal of log phi ------------------------------------
 
 
 def test_log_of_one_plus_t():
@@ -59,11 +70,11 @@ def test_log_of_quadratic_jet():
 
 
 def test_log_zero_base_raises():
-    with pytest.raises(JetDomainError):
+    with pytest.raises(ValueError):
         jet_log(jet1(0, 1, 0))
 
 
-# --- pow ------------------------------------------------------------------
+# --- pow, as evaluate_formal of phi^a --------------------------------------
 
 
 def test_pow_integer_square():
@@ -82,7 +93,7 @@ def test_pow_binomial_half():
 
 
 def test_pow_zero_base_raises():
-    with pytest.raises(JetDomainError):
+    with pytest.raises(ValueError):
         jet_pow(jet1(0, 1, 0), 0.5)
 
 
@@ -105,11 +116,6 @@ def test_log_of_pow_matches_scaled_log(x):
     assert abs(base_diff - round(base_diff.real)) < 1e-9
     for key in ((1,), (2,)):
         assert abs(lhs.c[key] - rhs.c[key]) < 1e-12
-
-
-def test_integer_pow_matches_repeated_multiplication():
-    x = jet1(1.3 - 0.4j, 0.7, -0.2)
-    assert jets_close(x**3, x * x * x)
 
 
 # --- ring structure --------------------------------------------------------
@@ -227,5 +233,6 @@ def test_log_and_pow_keep_clongdouble(k):
         assert jets_close(out, out64, atol=1e-13)
     # and their precision: a cube root cubed, and the log's base value, agree
     # far below float64 rounding
-    assert jets_close(jet_pow(x, Fraction(1, 3)) ** 3, x, atol=1e-16)
+    y = jet_pow(x, Fraction(1, 3))
+    assert jets_close(y * y * y, x, atol=1e-16)
     assert np.max(np.abs(jet_log(x).value - np.log(x.value))) <= 1e-17
