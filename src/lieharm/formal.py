@@ -334,8 +334,6 @@ def evaluate_formal(s: FormalSum, w: Union[complex, JetScalar]):
         bad = w == 0
     if bad:
         raise ValueError("evaluate_formal: phi = 0 is outside the domain")
-    if s.is_zero():
-        return JetScalar(w.k, np.zeros_like(w.c)) if isinstance(w, JetScalar) else 0.0 + 0.0j
     if isinstance(w, JetScalar):
         c = w.value
         u = w * (1 / c)

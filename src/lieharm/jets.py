@@ -27,6 +27,7 @@ directions are carried through a single evaluation.
 Nothing here fixes a dtype: the coefficients keep the precision they come
 in (complex128, or clongdouble for extended-precision checks).
 """
+
 from __future__ import annotations
 
 from functools import lru_cache
