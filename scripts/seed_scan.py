@@ -9,7 +9,8 @@ Prints each failing record with the `lieharm` command that reruns it and
 the residual of its witness point replayed by `replay_record` (or the
 nonzero formal tau^2 of a record that has no witness), then the worst
 value of each residual component and the number of rejected draws per
-suite.  Exits 1 if any record failed, 0 otherwise.
+suite, and the distribution of the records' scaled tau^2 per suite (max,
+99th percentile and median).  Exits 1 if any record failed, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -45,6 +48,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     start = time.perf_counter()
     worst: Dict[str, Dict[str, float]] = {suite: dict.fromkeys(COMPONENTS, 0.0) for suite in SAMPLES}
     rejected = dict.fromkeys(SAMPLES, 0)
+    scaled: Dict[str, List[float]] = {suite: [] for suite in SAMPLES}
     records = failures = 0
     for seed in range(args.seeds[0], args.seeds[1] + 1):
         cfg = RunConfig(suites=tuple(SAMPLES), spaces=spaces, seed=seed,
@@ -56,6 +60,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for key in COMPONENTS:
                 worst[suite][key] = max(worst[suite][key], values.get(key, 0.0))
             rejected[suite] += rec.params.get("rejected", 0)
+            scaled[suite].append(values.get("tau2_scaled", 0.0))
             if rec.passed:
                 continue
             failures += 1
@@ -69,6 +74,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     for suite, values in worst.items():
         print(f"worst {suite}: " + ", ".join(f"{k} {v:.3e}" for k, v in values.items())
               + f"; {rejected[suite]} rejected draws")
+    for suite, values in scaled.items():
+        q = np.percentile(values, [100, 99, 50]) if values else [0.0] * 3
+        print(f"tau2_scaled {suite}: max {q[0]:.3e}, 99th percentile {q[1]:.3e}, "
+              f"median {q[2]:.3e} over {len(values)} records")
     print(f"{failures} of {records} records failed in {time.perf_counter() - start:.1f} s")
     return 1 if failures else 0
 

@@ -19,40 +19,41 @@ reads g only through P g: a call applies P to its point and wraps P g in
 the CMatrix its function sees, and nothing else here makes a CMatrix.
 One sweep serves every point.  Since P x exp(tZ) = (P x) exp(tZ), `_sweep`
 applies P once to its point and moves P x, not x, along the curve.  It
-gives the jet of P x (a plain point has none) one fresh nilpotent
-variable, whose degree axis goes in front of the degree axes of x; the
-direction axis of a stack of directions goes right after the degree axes,
-in front of any batch axes x already carries.  The coefficients of t and
-t^2 vary along it, and that of t^0 is P x repeated.  One evaluation of f
-then yields the derivatives along all the directions, and the projection
-onto degree d of the new variable is the coefficient array's index d.
-tau and kappa sum over the direction axis, so their value is a number at
+gives the jet of P x (a plain point is a jet in no variables) one fresh
+nilpotent variable, which stands for a whole chunk of directions Z
+(`jets.py`) and goes in front of the variables of x: its blocks of degree
+0, 1 and 2 in the new variable are P x, (P x) Z along a direction axis, and
+(P x) C with C the sum of Z^2/2 over the chunk.  One evaluation of f then
+yields the first derivatives along every direction, in the degree-1
+blocks, and the sum of the second derivatives, in the degree-2 blocks: tau
+reads that sum as it is, and kappa multiplies first derivatives and sums
+them over the direction axis, taken as a contiguous last axis so that a
+point of a batch keeps the bits it has alone.  Their value is a number at
 a plain point, an array of one value per point at a batch of plain
 points, and a jet at a jet-valued point; the dtype follows the point, so
 a clongdouble point gives clongdouble values.  tau applied p times is tau
 of the function y -> tau(f, y): the outer sweep hands the inner one a
-point that is already a jet of P x, batched over the outer directions, so
-the inner sweep runs f without P (Li et al. 2023, "Forward Laplacian",
-sum the direction axis the same way inside one forward pass).
+point that is already a jet of P x, collapsed over the outer directions,
+so the inner sweep runs f without P (Li et al. 2023, "Forward Laplacian",
+collapse one level the same way; Dangel et al. 2025, "Collapsing Taylor
+mode automatic differentiation", nest it).
 
-The directions are swept in chunks, so that the jet argument, whose
-3^(k+1) coefficients are (..., rows, cols) arrays of P x with the
-direction and batch axes, holds at most 3 * `_CHUNK_ENTRIES` entries: up
-to `_CHUNK_ENTRIES` per coefficient at a plain point (k = 0), and 3^k
-times fewer at a jet point, so that a nested sweep, whose function makes
-a few arrays of the argument's size, stays as small as one level.  A
-batch of 50 points of any n = 3 space fits into one chunk.
+The directions are swept in chunks, so that the jet argument holds at most
+`_CHUNK_ENTRIES` entries: m directions at a point whose blocks hold E
+entries give an argument of (m + 2) E, the blocks of P x at degrees 0 and
+2 of the new variable and m times them at degree 1.  A batch of 50 points
+of any n = 3 space fits into one chunk, and so does the inner sweep of a
+nested tau^2 at one point of any n = 3 space.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from .jets import JetScalar
+from .jets import JetScalar, _direction_sum
 from .lie import Basis, UsageError
 from .matrices import CMatrix
 
@@ -60,8 +61,7 @@ Scalar = Union[complex, np.ndarray, JetScalar]
 # a plain point (an (..., n, n) complex array: one matrix or a batch) or a jet-valued one
 Point = Union[np.ndarray, JetScalar]
 
-# largest number of entries in one coefficient of a jet argument swept from
-# a plain point; a third of the largest in the whole argument at any point
+# largest number of entries in the blocks of one jet argument of a sweep
 _CHUNK_ENTRIES = 2**16
 
 
@@ -97,7 +97,7 @@ class GroupFunction:
 
     def __call__(self, x: Point) -> Scalar:
         if isinstance(x, JetScalar):
-            return self.fn(CMatrix.from_jet(JetScalar(x.k, self.project(x.c))))
+            return self.fn(CMatrix.from_jet(x.map(self.project)))
         return self.fn(CMatrix(self.project(np.asarray(x))))
 
 
@@ -106,7 +106,7 @@ def _dirs_array(dirs, x: Point) -> np.ndarray:
     the point x, so that a clongdouble point gets clongdouble directions."""
     if not isinstance(dirs, Basis):
         return np.asarray(dirs)
-    base = x.c if isinstance(x, JetScalar) else np.asarray(x)
+    base = x.value if isinstance(x, JetScalar) else np.asarray(x)
     return dirs.stack(np.result_type(base, np.complex128))
 
 
@@ -122,47 +122,54 @@ def jet_width(x: Point) -> int:
 
 def _sweep(f: GroupFunction, x: Point, dirs: np.ndarray) -> Iterator[Tuple[JetScalar, JetScalar]]:
     """The first and second derivative jets of f along x (I + tZ + t^2 Z^2/2),
-    one pair per chunk of the directions Z, from f's function at
-    (P x)(I + tZ + t^2 Z^2/2).
+    one pair per chunk of the directions Z, from f's function at the jet
+    with blocks P x, (P x) Z and (P x) C, C the sum of Z^2/2 over the chunk.
 
-    The jets have the variables of x; their values have the chunk's
-    direction axis in front of the batch axes of x.
+    The jets have the variables of x.  The first derivatives have the
+    chunk's direction axis in front of the value axes of x; the second
+    derivatives come summed over the chunk.
     """
     k = jet_width(x)
-    base = f.project(x.c if k else np.asarray(x))
+    # a plain point is a jet in no variables
+    base = x.map(f.project) if k else JetScalar(0, {(): f.project(np.asarray(x))})
     f = replace(f, left=None)  # its points below are jets of P x already
-    dirs = dirs.astype(np.result_type(dirs, base), copy=False)
-    dirs2 = np.matmul(dirs, dirs) / 2
-    # the direction axis goes right after the degree axes of x
-    y = np.expand_dims(base, k)
-    stack = (-1,) + (1,) * (base.ndim - k - 2) + dirs.shape[1:]
-    chunk = max(1, _CHUNK_ENTRIES // (3**k * math.prod(base.shape[k:])))
+    dirs = dirs.astype(np.result_type(dirs, base.value), copy=False)
+    size = dirs.shape[-1]
+    # the argument holds (chunk + 2) times the entries of the blocks of P x
+    chunk = max(1, _CHUNK_ENTRIES // sum(c.size for c in base.b.values()) - 2)
     for start in range(0, len(dirs), chunk):
-        z, z2 = (d[start : start + chunk].reshape(stack) for d in (dirs, dirs2))
-        # the new variable's degree axis goes in front of those of x
-        coeffs = np.stack(np.broadcast_arrays(y, y @ z, y @ z2))
-        w = f(JetScalar(k + 1, coeffs))
+        z = dirs[start : start + chunk]
+        # C = sum_Z Z Z / 2 as one product [Z_1 ... Z_m] [Z_1; ...; Z_m] / 2
+        half_square = np.matmul(z.transpose(1, 0, 2).reshape(size, -1), z.reshape(-1, size)) / 2
+        arg = {}
+        for d, y in base.b.items():
+            # the new variable's axis goes in front of those of x
+            y = y[None]
+            zs = z.reshape((len(z),) + (1,) * (y.ndim - 3) + z.shape[1:])
+            arg[(0,) + d], arg[(1,) + d], arg[(2,) + d] = y, y @ zs, y @ half_square
+        w = f(JetScalar(k + 1, arg))
         if not isinstance(w, JetScalar):
-            w = JetScalar.constant(np.broadcast_to(w, coeffs.shape[k + 1 : -2]), k + 1)
+            w = JetScalar.constant(np.broadcast_to(w, np.shape(base.value)[:-2]), k + 1)
         # Z^d f is d! times the coefficient of t^d, and d! = d for d <= 2
-        yield JetScalar(k, w.c[1]), JetScalar(k, 2 * w.c[2])
+        first = {d[1:]: np.moveaxis(c, 0, k) for d, c in w.b.items() if d[0] == 1}
+        second = {d[1:]: 2 * c[0] for d, c in w.b.items() if d[0] == 2}
+        yield JetScalar(k, first), JetScalar(k, second)
 
 
-def _direction_sum(v: np.ndarray, axis: int) -> np.ndarray:
-    """The sum over the direction axis, taken as a contiguous last axis:
-    numpy sums such an axis pairwise but a leading one term by term, so this
-    gives a point of a batch the same bits as the point alone."""
-    return np.ascontiguousarray(np.moveaxis(v, axis, -1)).sum(axis=-1)
+def _chunk_sum(part: JetScalar, k: int) -> JetScalar:
+    """A per-chunk jet summed over the chunk's direction axis, its first
+    value axis."""
+    return part.map(lambda c: _direction_sum(c, k).squeeze(k))
 
 
-def _reduce(parts: Iterable[JetScalar], k: int) -> Scalar:
-    """The sum of per-chunk jets over their direction axes: at a plain point
-    (k == 0) a number, or an array with one per point of a batch; a jet in
-    the k variables of a jet-valued point."""
-    total = sum(JetScalar(k, _direction_sum(part.c, k)) for part in parts)
+def _total(parts: Iterable[JetScalar], k: int) -> Scalar:
+    """The sum of per-chunk jets: at a plain point (k == 0) a number, or an
+    array with one per point of a batch; a jet in the k variables of a
+    jet-valued point."""
+    total = sum(parts)
     if k:
         return total
-    return total.c.item() if total.c.ndim == 0 else total.c
+    return total.value.item() if np.ndim(total.value) == 0 else total.value
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +179,23 @@ def _reduce(parts: Iterable[JetScalar], k: int) -> Scalar:
 
 def tau(f: GroupFunction, x: Point, basis) -> Scalar:
     """Laplace-Beltrami operator: sum of Z^2(f)(x) over the given directions."""
-    return _reduce((second for _, second in _sweep(f, x, _dirs_array(basis, x))), jet_width(x))
+    return _total((second for _, second in _sweep(f, x, _dirs_array(basis, x))), jet_width(x))
 
 
 def kappa(f: GroupFunction, g: GroupFunction, x: Point, basis) -> Scalar:
     """Conformality operator: sum of Z(f) Z(g) over the given directions;
     complex bilinear, no conjugation."""
-    dirs = _dirs_array(basis, x)
+    dirs, k = _dirs_array(basis, x), jet_width(x)
     df = [first for first, _ in _sweep(f, x, dirs)]
     dg = df if g is f else [first for first, _ in _sweep(g, x, dirs)]
-    return _reduce((a * b for a, b in zip(df, dg)), jet_width(x))
+    return _total((_chunk_sum(a * b, k) for a, b in zip(df, dg)), k)
 
 
 def tau_and_kappa(f: GroupFunction, x: Point, basis) -> tuple:
     """(tau f, kappa(f, f)) from one sweep."""
     chunks = list(_sweep(f, x, _dirs_array(basis, x)))
     k = jet_width(x)
-    return _reduce((s for _, s in chunks), k), _reduce((d * d for d, _ in chunks), k)
+    return _total((s for _, s in chunks), k), _total((_chunk_sum(d * d, k) for d, _ in chunks), k)
 
 
 def tau_iterated(f: GroupFunction, x: Point, basis, p: int, budget: int = 10**6) -> Scalar:

@@ -335,9 +335,9 @@ def evaluate_formal(s: FormalSum, w: Union[complex, JetScalar]):
     if bad:
         raise ValueError("evaluate_formal: phi = 0 is outside the domain")
     if isinstance(w, JetScalar):
-        c = w.value
+        c, base = w.value, (0,) * w.k
         u = w * (1 / c)
-        u.c[(0,) * w.k] = 0
+        u.b[base] = np.zeros_like(u.b[base])
         f = _taylor(s, c, 2 * w.k)
         total = u * f[-1] + f[-2]
         for coeff in reversed(f[:-2]):

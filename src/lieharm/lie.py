@@ -361,10 +361,17 @@ def pade_exp(a) -> np.ndarray:
 def _combination(stack: np.ndarray, coeffs) -> np.ndarray:
     """sum_q c_q Z_q for every row of a (..., B) coefficient array.
 
-    A plain einsum gives a row the same bits in a batch of any size; a BLAS
-    contraction such as tensordot does not, and replay needs those bits.
+    The real coefficients meet the real and the imaginary parts of the stack
+    in two real einsums, with the bits of one complex einsum of the
+    coefficients cast to complex at a quarter of its cost.  A plain einsum
+    gives a row the same bits in a batch of any size; a BLAS contraction
+    such as tensordot does not, and replay needs those bits.
     """
-    return np.einsum("...q,qij->...ij", np.asarray(coeffs, dtype=float), stack)
+    c = np.asarray(coeffs, dtype=float)
+    out = np.empty(c.shape[:-1] + stack.shape[1:], dtype=stack.dtype)
+    out.real = np.einsum("...q,qij->...ij", c, stack.real)
+    out.imag = np.einsum("...q,qij->...ij", c, stack.imag)
+    return out
 
 
 def sample_with_coefficients(

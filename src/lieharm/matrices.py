@@ -16,9 +16,11 @@ is one of three kinds:
 * jet-valued, built by `CMatrix.from_jet`: `data` is None and the `jet`
   slot holds one JetScalar whose value axes end in (rows, cols), in front
   of them any batch axes shared by every entry.  `@` with a numeric
-  matrix, on either side, is one matmul over the stacked coefficients
-  (`jets.py`), and `pair` is the truncated Cauchy product of `jets.py`
-  with the Frobenius contraction as the product of two coefficients.
+  matrix, on either side, is one matmul per degree block (`jets.py`), and
+  `pair` is the truncated Cauchy product of `jets.py` with the Frobenius
+  contraction as the product of two blocks; a term of two degree-1 blocks
+  in a variable is summed over that variable's directions there, so a
+  pairing of two swept jet matrices comes out collapsed.
 
 `x.swap_j()` is x J for the standard symplectic J = [[0, I], [-I, 0]],
 the exact signed column swap of `swap_j`, with no product.
@@ -31,8 +33,7 @@ A jet-valued matrix counts as an object matrix (`is_object`), since its
 entries are not plain numbers.  Exact and numeric matrices do not mix.
 
 All operations are pure; a CMatrix is never mutated after construction.
-That covers the coefficient arrays of a jet: nothing may update them in
-place.
+That covers the blocks of a jet: nothing may update them in place.
 """
 
 from __future__ import annotations
@@ -80,11 +81,12 @@ class CMatrix:
     @staticmethod
     def from_jet(jet: JetScalar) -> "CMatrix":
         """A jet-valued matrix from its jet, whose value axes end in (rows, cols)."""
-        if jet.c.ndim < jet.k + 2:
-            raise ShapeError(f"a jet matrix needs two matrix axes, got coefficient shape {jet.c.shape[jet.k:]}")
+        shape = np.shape(jet.value)
+        if len(shape) < 2:
+            raise ShapeError(f"a jet matrix needs two matrix axes, got value shape {shape}")
         m = CMatrix.__new__(CMatrix)
         m.data, m.jet = None, jet
-        m.shape = jet.c.shape[-2:]
+        m.shape = shape[-2:]
         return m
 
     # -- structure ---------------------------------------------------------
@@ -116,7 +118,7 @@ class CMatrix:
         """self J for the standard symplectic J, by `swap_j`."""
         if self.jet is None:
             return CMatrix(swap_j(self.data))
-        return CMatrix.from_jet(JetScalar(self.jet.k, swap_j(self.jet.c)))
+        return CMatrix.from_jet(self.jet.map(swap_j))
 
     def pair(self, other: "CMatrix"):
         """The Frobenius pairing sum_ij x_ij y_ij = trace(x^t y) of each matrix
@@ -127,17 +129,17 @@ class CMatrix:
             raise ShapeError(f"pair: shapes {self.shape} and {other.shape} differ")
         x, y = self._values(), other._values()
         if isinstance(x, JetScalar) and isinstance(y, JetScalar):
-            return JetScalar(x.k, _cauchy(x.c, x._coerce(y).c, x.k, _frobenius))
+            return _cauchy(x, x._coerce(y), _frobenius)
         if isinstance(x, JetScalar):
-            return JetScalar(x.k, _frobenius(_lift(x.c, x.k, y.ndim), y))
+            return x.map(lambda c: _frobenius(_lift(c, x.k, y.ndim), y))
         if isinstance(y, JetScalar):
-            return JetScalar(y.k, _frobenius(x, _lift(y.c, y.k, x.ndim)))
+            return y.map(lambda c: _frobenius(x, _lift(c, y.k, x.ndim)))
         return _frobenius(x, y)
 
     def trace(self):
         """The sum of the diagonal of one numeric or exact matrix, exact for
         an exact one."""
-        shape = self.data.shape if self.jet is None else self.jet.c.shape
+        shape = np.shape(self.data)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ShapeError(f"trace: expected one square matrix, got shape {shape}")
         total = self.data[0, 0]

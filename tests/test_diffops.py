@@ -37,6 +37,8 @@ from lieharm.lie import (
 )
 from lieharm.matrices import CMatrix
 
+from dense_jets import from_coefficients
+
 RNG = np.random.default_rng(77)
 
 
@@ -54,7 +56,7 @@ def coordinate(j, alpha):
 def directional(f, x, z):
     """(f, Z f, Z^2 f) at a plain point x along the one-parameter subgroup of z."""
     first, second = next(_sweep(f, x, np.asarray(z)[None]))
-    return f(x), first.c[0], second.c[0]
+    return f(x), first.value[0], second.value
 
 
 def test_directional_trace_derivative():
@@ -275,15 +277,13 @@ def test_tau_and_kappa_single_sweep_consistency():
 def _tau2_reference(f, x, dirs):
     """tau^2 f(x) from one bivariate jet per direction pair (a, b) along
     x exp(s Z_a) exp(t Z_b): the sum over pairs of 4 times the s^2 t^2 coefficient."""
-    from lieharm.jets import JetScalar
-
     x0 = x
     powers = [np.broadcast_to(np.eye(x0.shape[0]), dirs.shape), dirs, np.matmul(dirs, dirs) / 2.0]
     coeffs = np.stack(
         [np.stack([np.einsum("ij,ajk,bkl->abil", x0, powers[i], powers[j]) for j in range(3)]) for i in range(3)]
     )
-    w = f(JetScalar(2, coeffs))
-    return complex(4.0 * np.sum(w.c[2, 2]))
+    w = f(from_coefficients(2, coeffs))
+    return complex(4.0 * np.sum(w.b[2, 2]))
 
 
 @pytest.mark.parametrize("family", [SUN_SON, SPN_UN])
@@ -318,22 +318,23 @@ def test_chunked_sweep_matches_single_chunk(monkeypatch):
         return [tau(f, x, b), kappa(f, g, x, b), kappa(f, f, x, b), complex(tau_iterated(f, x, b, 2))]
 
     single = values()
-    # phi sweeps the row a^t x: 9 entries hold 3 directions of it, so the 8
-    # directions split 3 + 3 + 2
-    monkeypatch.setattr(diffops, "_CHUNK_ENTRIES", 9)
+    # phi sweeps the row a^t x of 3 entries: 15 entries hold its blocks P x,
+    # (P x) C and (P x) Z for 3 directions Z, so the 8 directions split 3 + 3 + 2
+    monkeypatch.setattr(diffops, "_CHUNK_ENTRIES", 15)
     assert len(b) == 8 and len(list(diffops._sweep(f, x, b))) == 3
     for chunked, whole in zip(values(), single):
         assert abs(chunked - whole) <= 1e-12 * max(1.0, abs(whole))
 
-    # a batch of 7 plain points gives one value per point; 63 entries hold
-    # 3 directions of the 7 rows, so the 8 directions again split 3 + 3 + 2
+    # a batch of 7 plain points gives one value per point; 105 entries hold
+    # the blocks of 3 directions of the 7 rows, so the 8 directions again
+    # split 3 + 3 + 2
     def values_at(y):
         return [tau(f, y, b), kappa(f, g, y, b), kappa(f, f, y, b), tau_iterated(f, y, b, 2)]
 
     xs = sample(space.group_spec(), rng, 0.5, (7,))
     monkeypatch.setattr(diffops, "_CHUNK_ENTRIES", one_chunk)
     batch_single = values_at(xs)
-    monkeypatch.setattr(diffops, "_CHUNK_ENTRIES", 63)
+    monkeypatch.setattr(diffops, "_CHUNK_ENTRIES", 105)
     batch_chunked = values_at(xs)
     for i, point in enumerate(xs):
         for chunked, whole, alone in zip(batch_chunked, batch_single, values_at(point)):
@@ -404,14 +405,14 @@ def test_group_function_wraps_every_kind_of_point(kind):
     xs = sample(space.group_spec(), rng, 0.5, (3,))
     assert type(xs) is np.ndarray
     z = basis_g(space.group_spec()).stack()[2]
-    jet = JetScalar(1, np.stack([xs, xs @ z, xs @ z @ z / 2]))
+    jet = from_coefficients(1, np.stack([xs, xs @ z, xs @ z @ z / 2]))
     point = {"matrix": xs[1], "batch": xs, "jet": jet}[kind]
     got = f(point)
     assert isinstance(seen[-1], CMatrix) and seen[-1].shape == phi.left.shape == (3, 4)
     if kind == "jet":
-        want = phi.fn(CMatrix.from_jet(JetScalar(1, phi.left @ jet.c)))
-        assert isinstance(got, JetScalar) and np.array_equal(got.c, want.c)
-        assert np.array_equal(got.c[0], phi(xs))
+        want = phi.fn(CMatrix.from_jet(jet.map(lambda c: phi.left @ c)))
+        assert isinstance(got, JetScalar) and all(np.array_equal(got.b[d], want.b[d]) for d in want.b)
+        assert np.array_equal(got.value, phi(xs))
     else:
         want = phi.fn(CMatrix(phi.left @ point))
         assert np.array_equal(got, want)

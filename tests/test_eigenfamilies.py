@@ -164,12 +164,12 @@ def _phi_trace_form(spec):
     j = standard_symplectic(spec.space.n) if uses_complex_structure(spec.space) else None
 
     def fn(g):
-        k, c = (g.jet.k, g.jet.c) if g.jet is not None else (0, g.data)
-        m = _cauchy(np.swapaxes(c, -1, -2), a @ c, k, np.matmul)
+        x = g.jet if g.jet is not None else JetScalar(0, {(): g.data})
+        m = _cauchy(x.map(lambda c: np.swapaxes(c, -1, -2)), a @ x, np.matmul)
         if j is not None:
             m = m @ j
-        t = np.trace(m, axis1=-2, axis2=-1)
-        return JetScalar(k, t) if k else t
+        t = m.map(lambda c: np.trace(c, axis1=-2, axis2=-1))
+        return t if g.jet is not None else t.value
 
     return GroupFunction(fn)
 
@@ -216,7 +216,7 @@ def test_phi_pairing_matches_trace_form(family, n):
         if isinstance(want, JetScalar):
             assert isinstance(got, JetScalar) and got.k == want.k
             for key in np.ndindex(*(3,) * want.k):
-                _assert_same_phi(got.c[key], want.c[key])
+                _assert_same_phi(got.b[key], want.b[key])
         else:
             _assert_same_phi(got, want)
 
@@ -247,8 +247,9 @@ def test_phi_at_a_jet_point_forms_no_jet_matrix_product(family, n, monkeypatch):
     monkeypatch.undo()
     assert isinstance(phi, JetScalar) and phi.k == 1
     size = space.matrix_size
-    # P, then A_RR on the J families; never the size x size A or J
-    assert calls == ([(3, size), (3, 3)] if uses_complex_structure(space) else [(1, size)])
+    # P, then A_RR on the J families, once per block of the jet (degrees 0, 1
+    # and 2 of its variable); never the size x size A or J
+    assert calls == ([(3, size)] * 3 + [(3, 3)] * 3 if uses_complex_structure(space) else [(1, size)] * 3)
 
 
 # --- eigenvalue pairs -------------------------------------------------------------

@@ -13,6 +13,8 @@ from lieharm.formal import FormalSum, evaluate_formal
 from lieharm.jets import JetScalar
 from lieharm.matrices import CMatrix
 
+from dense_jets import coefficients, from_coefficients
+
 
 def jet_log(x):
     return evaluate_formal(FormalSum.term(1, 0, 1), x)
@@ -23,19 +25,19 @@ def jet_pow(x, a):
 
 
 def jet1(c0, c1, c2):
-    return JetScalar(1, np.array([c0, c1, c2], dtype=complex))
+    return from_coefficients(1, np.array([c0, c1, c2], dtype=complex))
 
 
 def variable(index, k):
     """t_index (0-based) as a jet in k variables."""
     c = np.zeros((3,) * k, dtype=complex)
     c[tuple(1 if i == index else 0 for i in range(k))] = 1
-    return JetScalar(k, c)
+    return from_coefficients(k, c)
 
 
 def jets_close(x, y, atol=1e-12):
     """Coefficient-wise closeness of two jets in the same variables."""
-    return x.k == y.k and bool(np.max(np.abs(x.c - y.c)) <= atol)
+    return x.k == y.k and bool(np.max(np.abs(coefficients(x) - coefficients(y))) <= atol)
 
 
 small_complex = st.complex_numbers(
@@ -115,7 +117,7 @@ def test_log_of_pow_matches_scaled_log(x):
     base_diff = (lhs.value - rhs.value) / (2j * np.pi)
     assert abs(base_diff - round(base_diff.real)) < 1e-9
     for key in ((1,), (2,)):
-        assert abs(lhs.c[key] - rhs.c[key]) < 1e-12
+        assert abs(coefficients(lhs)[key] - coefficients(rhs)[key]) < 1e-12
 
 
 # --- ring structure --------------------------------------------------------
@@ -136,24 +138,25 @@ def test_mul_associative(x, y, z):
 def test_truncation_never_materializes_degree_three():
     x = jet1(0, 1, 0)
     out = x * x * x * x  # t^4 == 0
-    assert out.c.shape == (3,)
-    assert np.all(out.c == 0)
+    assert sorted(out.b) == [(0,), (1,), (2,)]
+    assert np.all(coefficients(out) == 0)
     xy = variable(0, 2) * variable(1, 2)  # s t
-    assert (xy * xy * xy).c.shape == (3, 3)
-    assert np.all((xy * xy * xy).c == 0)
+    assert sorted((xy * xy * xy).b) == list(np.ndindex(3, 3))
+    assert np.all(coefficients(xy * xy * xy) == 0)
 
 
 def _reference_product(x, y):
     """The truncated product as a naive loop over pairs of monomials, a-major
     then b, accumulating each product monomial in that order."""
     out = {}
+    cx, cy = coefficients(x), coefficients(y)
     keys = list(np.ndindex(*(3,) * x.k))
     for ka in keys:
         for kb in keys:
             key = tuple(a + b for a, b in zip(ka, kb))
             if any(d > 2 for d in key):
                 continue
-            prod = x.c[ka] * y.c[kb]
+            prod = cx[ka] * cy[kb]
             out[key] = out[key] + prod if key in out else prod
     return out
 
@@ -166,15 +169,74 @@ def test_mul_matches_reference_loop_bitwise(k):
         shape = (3,) * k + value_shape
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         c[rng.random((3,) * k) < 0.3] = 0  # random zero coefficients
-        return JetScalar(k, c)
+        return from_coefficients(k, c)
 
     for i in range(5):
         # the values broadcast against each other in every other case
         x, y = random_jet((2, 3)), random_jet((2, 3) if i % 2 else (3,))
-        got, want = (x * y).c, _reference_product(x, y)
+        got, want = coefficients(x * y), _reference_product(x, y)
         assert got.shape == (3,) * k + (2, 3) and len(want) == 3**k
         for key in want:
             assert np.array_equal(got[key], want[key]), key
+
+
+def _dense_family(rng, k, dirs, value):
+    """Random dense jets in k variables, one per tuple of directions: the
+    coefficients (3,)*k + dirs + value, where direction axis v (of size
+    dirs[v]) follows the degree axes; a coefficient of degree 0 in v is the
+    same along v's directions, as P x is along a sweep."""
+    shape = (3,) * k + tuple(dirs) + tuple(value)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for d in np.ndindex(*(3,) * k):
+        for v in range(k):
+            if d[v] == 0:
+                c[d] = np.take(c[d], [0], axis=v)
+    return c
+
+
+def _collapse(c, k):
+    """The collapsed jet of a dense family: degree 1 in v keeps v's
+    directions, degree 2 is summed over them, degree 0 is read at one."""
+    blocks = {}
+    for d in np.ndindex(*(3,) * k):
+        block = c[d]
+        for v in range(k):
+            if d[v] == 0:
+                block = block[(slice(None),) * v + (slice(0, 1),)]
+            elif d[v] == 2:
+                block = block.sum(axis=v, keepdims=True)
+        blocks[d] = block
+    return JetScalar(k, blocks)
+
+
+def _dense_product(a, b, k):
+    """The truncated Cauchy product of two dense families, direction by direction."""
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for da in np.ndindex(*(3,) * k):
+        for db in np.ndindex(*(3,) * k):
+            d = tuple(i + j for i, j in zip(da, db))
+            if max(d) <= 2:
+                out[d] += a[da] * b[db]
+    return out
+
+
+@given(
+    k=st.sampled_from([1, 2]),
+    dirs=st.lists(st.integers(2, 4), min_size=2, max_size=2),
+    value=st.lists(st.integers(1, 3), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_collapsed_product_is_the_direction_summed_dense_product(k, dirs, value, seed):
+    # the collapsed product of two collapsed jets is the collapse of the dense
+    # Cauchy product of the jets per direction: a degree-2 block summed over
+    # a variable's directions, a degree-1 block kept along them
+    rng = np.random.default_rng(seed)
+    a, b = (_dense_family(rng, k, dirs[:k], value) for _ in range(2))
+    got, want = _collapse(a, k) * _collapse(b, k), _collapse(_dense_product(a, b, k), k)
+    for d in want.b:
+        assert got.b[d].shape == want.b[d].shape, d
+        assert np.allclose(got.b[d], want.b[d], rtol=1e-12, atol=1e-12 * np.max(np.abs(want.b[d]))), d
 
 
 def test_mixed_variable_counts_rejected():
@@ -184,9 +246,9 @@ def test_mixed_variable_counts_rejected():
 
 def test_two_variable_truncation():
     s = variable(0, 2) + variable(1, 2)
-    out = (1 + s) * (1 + s)
-    assert abs(out.c[1, 1] - 2.0) < 1e-15
-    assert out.c[2, 2] == 0 or abs(out.c[2, 2]) < 1e-15
+    out = coefficients((1 + s) * (1 + s))
+    assert abs(out[1, 1] - 2.0) < 1e-15
+    assert out[2, 2] == 0 or abs(out[2, 2]) < 1e-15
 
 
 # --- composition through matrix expressions vs finite differences ----------
@@ -205,15 +267,15 @@ def test_jet_composition_matches_central_differences():
 
     # trace(g^t A g) as the Frobenius pairing <g, A g>, the form phi takes
     xz, xz2 = x @ z, x @ (z @ z) / 2
-    g = CMatrix.from_jet(JetScalar(1, np.stack([x, xz, xz2])))
-    w = g.pair(CMatrix(a) @ g)
+    g = CMatrix.from_jet(from_coefficients(1, np.stack([x, xz, xz2])))
+    w = coefficients(g.pair(CMatrix(a) @ g))
 
     h = 1e-4
     d1 = (f(h) - f(-h)) / (2 * h)
     d2 = (f(h) - 2 * f(0) + f(-h)) / (h * h)
-    assert abs(w.c[0] - f(0)) < 1e-12
-    assert abs(w.c[1] - d1) <= 1e-6 * max(1.0, abs(d1))
-    assert abs(2 * w.c[2] - d2) <= 1e-6 * max(1.0, abs(d2))
+    assert abs(w[0] - f(0)) < 1e-12
+    assert abs(w[1] - d1) <= 1e-6 * max(1.0, abs(d1))
+    assert abs(2 * w[2] - d2) <= 1e-6 * max(1.0, abs(d2))
 
 
 # --- dtype: jets keep the precision of their coefficients --------------------
@@ -224,12 +286,12 @@ def test_log_and_pow_keep_clongdouble(k):
     rng = np.random.default_rng(40 + k)
     c = rng.standard_normal((3,) * k + (4,)) + 1j * rng.standard_normal((3,) * k + (4,))
     c[(0,) * k] += 3.0
-    x = JetScalar(k, c.astype(np.clongdouble))
-    x64 = JetScalar(k, c)
+    x = from_coefficients(k, c.astype(np.clongdouble))
+    x64 = from_coefficients(k, c)
     for op in (jet_log, lambda v: jet_pow(v, Fraction(1, 3)), lambda v: jet_pow(v, -1.5)):
         out, out64 = op(x), op(x64)
-        assert out.c.dtype == np.clongdouble
-        assert out64.c.dtype == np.complex128
+        assert coefficients(out).dtype == np.clongdouble
+        assert coefficients(out64).dtype == np.complex128
         assert jets_close(out, out64, atol=1e-13)
     # and their precision: a cube root cubed, and the log's base value, agree
     # far below float64 rounding

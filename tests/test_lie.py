@@ -374,6 +374,34 @@ def test_rebuild_sample_is_bitwise():
     assert np.array_equal(x, rebuild_sample(spec, coeffs))
 
 
+def _same_bits(a, b):
+    """Equal dtypes, values and signs of zero in both parts."""
+    return a.dtype == b.dtype and np.array_equal(a, b) and all(
+        np.array_equal(np.signbit(p(a)), np.signbit(p(b))) for p in (np.real, np.imag)
+    )
+
+
+@pytest.mark.parametrize("family", SPACE_FAMILIES)
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+def test_combination_is_bitwise_one_complex_einsum(family, dtype):
+    # sum_q c_q Z_q as two real einsums over the parts of the stack has the
+    # bits of one complex einsum of the coefficients cast to complex, on the
+    # bases of g, k and m at every n, and a row of a batch keeps the bits it
+    # has alone
+    import lieharm.lie as lie
+
+    rng = np.random.default_rng(31)
+    for n in range(2, 6):
+        space = SymmetricSpaceSpec(family, n)
+        for basis in (basis_g(space.group_spec()), *cartan_decomposition(space)):
+            stack = basis.stack(dtype)
+            coeffs = rng.normal(0.0, 0.5, (6, len(basis)))
+            got = lie._combination(stack, coeffs)
+            assert _same_bits(got, np.einsum("...q,qij->...ij", coeffs.astype(complex), stack))
+            for row, point in zip(coeffs, got):
+                assert _same_bits(lie._combination(stack, row), point)
+
+
 def test_sigma_must_be_positive():
     with pytest.raises(UsageError):
         sample(GroupSpec(SO, 3), np.random.default_rng(0), sigma=0.0)

@@ -12,6 +12,8 @@ from lieharm.jets import JetScalar
 from lieharm.lie import generator, standard_symplectic
 from lieharm.matrices import CMatrix, ShapeError, swap_j
 
+from dense_jets import coefficients, from_coefficients
+
 
 def random_exact(rng, rows, cols):
     m = np.empty((rows, cols), dtype=object)
@@ -123,8 +125,8 @@ def test_swap_j_is_the_product_with_j(n, dtype):
     for m in (plain, rows, jet):
         assert same_bits(swap_j(m), m @ j)
     assert same_bits(CMatrix(rows).swap_j().data, rows @ j)
-    swapped = CMatrix.from_jet(JetScalar(2, jet)).swap_j().jet
-    assert swapped.k == 2 and same_bits(swapped.c, jet @ j)
+    swapped = CMatrix.from_jet(from_coefficients(2, jet)).swap_j().jet
+    assert swapped.k == 2 and same_bits(coefficients(swapped), jet @ j)
 
 
 # --- jet matrix products against an entrywise loop of scalar jet products ----
@@ -143,13 +145,13 @@ def random_jet_matrix(rng, rows, cols, k, batch=()):
     c[..., 0, -1] = 0
     c[(0,) * k][..., 0, -1] = complex(rng.standard_normal(), rng.standard_normal())
     c[..., -1, 0] = 0
-    return CMatrix.from_jet(JetScalar(k, c))
+    return CMatrix.from_jet(from_coefficients(k, c))
 
 
 def entries(m: CMatrix, k):
     """The entries of a jet or complex matrix as scalar jets."""
     if m.jet is not None:
-        return [[JetScalar(k, m.jet.c[..., i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
+        return [[m.jet.map(lambda c: c[..., i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
     return [[JetScalar.constant(v, k) for v in row] for row in m.data]
 
 
@@ -160,10 +162,11 @@ def entrywise_matmul(a, b):
 def assert_jet_matrices_close(got: CMatrix, ref, k, batch):
     """got against a grid of scalar jets, coefficient by coefficient."""
     want = np.stack(
-        [np.stack([np.broadcast_to(v.c, (3,) * k + batch) for v in row], axis=-1) for row in ref], axis=-2
+        [np.stack([np.broadcast_to(coefficients(v), (3,) * k + batch) for v in row], axis=-1) for row in ref],
+        axis=-2,
     )
     assert got.shape == want.shape[-2:]
-    have = np.broadcast_to(got.jet.c, want.shape)
+    have = np.broadcast_to(coefficients(got.jet), want.shape)
     for key in itertools.product(range(3), repeat=k):
         assert np.max(np.abs(have[key] - want[key])) <= 1e-13 * np.max(np.abs(want[key])), key
 
@@ -267,16 +270,16 @@ def test_pair_of_exact_matrices_is_exact():
 def test_pair_of_jet_matrices(dtype, k, batch, kinds):
     rng = np.random.default_rng(42 + k)
     make = {
-        "jet": lambda: CMatrix.from_jet(JetScalar(k, random_jet_matrix(rng, 3, 4, k, batch).jet.c.astype(dtype))),
+        "jet": lambda: CMatrix.from_jet(random_jet_matrix(rng, 3, 4, k, batch).jet.map(lambda c: c.astype(dtype))),
         "complex": lambda: CMatrix(complex_array(rng, (3, 4)).astype(dtype)),
     }
     x, y = (make[kind]() for kind in kinds.split(","))
     got = x.pair(y)
     assert isinstance(got, JetScalar) and got.k == k
-    coefficients = lambda m: m.jet.c if m.jet is not None else JetScalar.constant(m.data, k).c
-    want = jet_trace_form(coefficients(x), coefficients(y), k)
+    dense = lambda m: coefficients(m.jet if m.jet is not None else JetScalar.constant(m.data, k))
+    want, have = jet_trace_form(dense(x), dense(y), k), coefficients(got)
     for d in itertools.product(range(3), repeat=k):
-        assert_rel_close(got.c[d], np.broadcast_to(want[d], batch), dtype)
+        assert_rel_close(have[d], np.broadcast_to(want[d], batch), dtype)
 
 
 def test_pair_shape_errors():

@@ -29,6 +29,7 @@ def test_seed_scan_passes_two_seeds(seed_scan, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "worst dual: residual" in out and "worst crosscheck: residual" in out
+    assert "tau2_scaled dual: max" in out and "99th percentile" in out and "over 8 records" in out
     assert "0 of 16 records failed" in out
 
 
