@@ -8,11 +8,12 @@ Prints the records only one report has, every verdict flip, whether the two
 fingerprints match (and, if not, the config keys that enter the fingerprint
 and differ, so a changed config can be told from changed records), and per
 suite the number of records both reports have, how many of their residuals
-are bitwise equal, the range of the new/old ratio of the others, the worst
-residual of B, and the summed record time (`ms`) of those records in A and
-in B; then each record both have with its `ms` in A and in B and their
-ratio.  Exits 1 if a verdict flipped or the record sets differ, 0
-otherwise.
+are bitwise equal, the range of the new/old ratio of the others, how many
+of their `params` are equal (a record keeps its other residual components,
+such as `tau2_scaled`, and its witness there), the worst residual of B, and
+the summed record time (`ms`) of those records in A and in B; then each
+record both have with its `ms` in A and in B and their ratio.  Exits 1 if a
+verdict flipped or the record sets differ, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -80,16 +81,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         keys = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
         print(f"config keys that differ: {', '.join(keys) if keys else 'none'}")
 
-    print(f"{'suite':12} {'records':>7} {'bitwise':>7} {'new/old ratio':>19} {'worst new':>10} {'ms old -> new':>21}")
+    print(f"{'suite':12} {'records':>7} {'bitwise':>7} {'new/old ratio':>19} {'params':>7} {'worst new':>10} "
+          f"{'ms old -> new':>21}")
     for suite in sorted({key[0].split("/", 1)[0] for key in common}):
         keys = [key for key in common if key[0].split("/", 1)[0] == suite]
         pairs = [(old[key]["residual"], new[key]["residual"]) for key in keys]
         ratios = [ratio(a, b) for a, b in pairs if a != b]
         span = f"x{min(ratios):.2f} - x{max(ratios):.2f}" if ratios else "-"
         equal = sum(a == b for a, b in pairs)
+        same_params = sum(old[key]["params"] == new[key]["params"] for key in keys)
         worst = max(b for _, b in pairs)
         ms = [sum(report[key]["ms"] for key in keys) for report in (old, new)]
-        print(f"{suite:12} {len(keys):7} {equal:7} {span:>19} {worst:10.3e} {ms[0]:10.1f} -> {ms[1]:7.1f}")
+        print(f"{suite:12} {len(keys):7} {equal:7} {span:>19} {same_params:7} {worst:10.3e} "
+              f"{ms[0]:10.1f} -> {ms[1]:7.1f}")
     print(f"{'record':44} {'ms old -> new':>21} {'ratio':>8}")
     for key in common:
         a, b = old[key]["ms"], new[key]["ms"]

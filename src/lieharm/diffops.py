@@ -28,15 +28,15 @@ yields the first derivatives along every direction, in the degree-1
 blocks, and the sum of the second derivatives, in the degree-2 blocks: tau
 reads that sum as it is, and kappa multiplies first derivatives and sums
 them over the direction axis, taken as a contiguous last axis so that a
-point of a batch keeps the bits it has alone.  Their value is a number at
-a plain point, an array of one value per point at a batch of plain
-points, and a jet at a jet-valued point; the dtype follows the point, so
-a clongdouble point gives clongdouble values.  tau applied p times is tau
-of the function y -> tau(f, y): the outer sweep hands the inner one a
-point that is already a jet of P x, collapsed over the outer directions,
-so the inner sweep runs f without P (Li et al. 2023, "Forward Laplacian",
-collapse one level the same way; Dangel et al. 2025, "Collapsing Taylor
-mode automatic differentiation", nest it).
+point of a batch keeps the bits it has alone.  Their value is a numpy
+scalar at a plain point, an array of one value per point at a batch of
+plain points, and a jet at a jet-valued point; the dtype follows the
+point, so a clongdouble point gives clongdouble values.  tau applied p
+times is tau of the function y -> tau(f, y): the outer sweep hands the
+inner one a point that is already a jet of P x, collapsed over the outer
+directions, so the inner sweep runs f without P (Li et al. 2023,
+"Forward Laplacian", collapse one level the same way; Dangel et al. 2025,
+"Collapsing Taylor mode automatic differentiation", nest it).
 
 The directions are swept in chunks, so that the jet argument holds at most
 `_CHUNK_ENTRIES` entries: m directions at a point whose blocks hold E
@@ -57,7 +57,7 @@ from .jets import JetScalar, _direction_sum
 from .lie import Basis, UsageError
 from .matrices import CMatrix
 
-Scalar = Union[complex, np.ndarray, JetScalar]
+Scalar = Union[np.complexfloating, np.ndarray, JetScalar]
 # a plain point (an (..., n, n) complex array: one matrix or a batch) or a jet-valued one
 Point = Union[np.ndarray, JetScalar]
 
@@ -163,13 +163,11 @@ def _chunk_sum(part: JetScalar, k: int) -> JetScalar:
 
 
 def _total(parts: Iterable[JetScalar], k: int) -> Scalar:
-    """The sum of per-chunk jets: at a plain point (k == 0) a number, or an
-    array with one per point of a batch; a jet in the k variables of a
-    jet-valued point."""
+    """The sum of per-chunk jets: at a plain point (k == 0) its value, a numpy
+    scalar or an array with one per point of a batch, in the dtype of the
+    point; a jet in the k variables of a jet-valued point."""
     total = sum(parts)
-    if k:
-        return total
-    return total.value.item() if np.ndim(total.value) == 0 else total.value
+    return total if k else total.value
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ them at sampled points: the eigen-equations and K-invariance at order
 p = 1, and the nested tau^2 of Phi_2 o phi at p = 2, on the compact spaces
 or (sign-flipped) on their non-compact duals.  Each order has one
 evaluator of a batch of coefficient rows; `verify_sampled` draws, checks
-and refills through it, and replay runs it on a witness row.
+and refills through it, and replay runs it on a witness row.  Both
+evaluators compute in the dtype of the point: lambda and mu enter through
+`formal._coefficient`, and phi and the sweep values stay numpy values.
 
 Families and their data:
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from .diffops import GroupFunction, tau, tau_and_kappa, tau_iterated
 from .exact import RationalComplex
-from .formal import FormalSum, build_phi_p, evaluate_formal, log_domain_ok, tau_formal
+from .formal import FormalSum, _coefficient, build_phi_p, evaluate_formal, log_domain_ok, tau_formal
 from .lie import (
     SO2N_UN,
     SPN_UN,
@@ -196,33 +198,30 @@ def _eigen_evaluator(spec: EigenfunctionSpec) -> Tuple[int, FormalSum, Evaluate]
     """p = 1: the row width, a zero formal residual and the evaluator.  A
     row holds a point x of G over the basis of g, then its K_POINTS points
     k_j of K over that of k; every row is admissible.  One sweep, one phi
-    evaluation and one evaluation of phi at every x k_j serve the batch."""
+    evaluation and one evaluation of phi at every x k_j serve the batch,
+    and each residual is one array expression over it."""
     space = spec.space
     g_spec, k_spec = space.group_spec(), space.subgroup_spec()
     b = basis_g(g_spec)
     bg, bk = len(b), len(basis_g(k_spec))
     f = build_eigenfunction(spec)
-    lam, mu = (complex(v) for v in expected_eigenvalues(spec))
+    eigenvalues = expected_eigenvalues(spec)
 
     def evaluate(rows: np.ndarray):
         samples = len(rows)
         x = rebuild_sample(g_spec, rows[:, :bg])
         k = rebuild_sample(k_spec, rows[:, bg:].reshape(samples, -1, bk))
+        lam, mu = (_coefficient(v, x.dtype) for v in eigenvalues)
         phi = f(x)
         t, kap = tau_and_kappa(f, x, b)
         # x_i k_ij for every point i and each of its rotations j
         phi_k = f(x[:, None] @ k)
-        residuals = np.zeros((3, samples))
-        for i in range(samples):
-            # Python complex arithmetic: numpy's complex multiply and abs round differently
-            p = complex(phi[i])
-            residuals[:, i] = (
-                abs(complex(t[i]) - lam * p),
-                abs(complex(kap[i]) - mu * p * p),
-                max([0.0] + [abs(complex(v) - p) for v in phi_k[i]]),
-            )
-        components = dict(phi=phi, tau=residuals[0], kappa=residuals[1], kinv=residuals[2])
-        components["residual"] = residuals.max(axis=0)
+        # arrays, not numpy scalars, which round otherwise: a point then has
+        # the same residuals in any batch, a replayed batch of one included
+        r_tau, r_kappa = np.abs(t - lam * phi), np.abs(kap - mu * phi * phi)
+        r_kinv = np.abs(phi_k - phi[:, None]).max(axis=1)
+        components = dict(phi=phi, tau=r_tau, kappa=r_kappa, kinv=r_kinv)
+        components["residual"] = np.max([r_tau, r_kappa, r_kinv], axis=0)
         return np.ones(samples, dtype=bool), components
 
     return bg + K_POINTS * bk, FormalSum(), evaluate
@@ -236,7 +235,9 @@ def _nested_evaluator(spec: EigenfunctionSpec, dual: bool, budget: int) -> Tuple
     then m), the directions (g, or the Basis 1j * m) and the signs
     ((lambda, mu), or (-lambda, -mu)) that Phi_2 is built from.  The tau^1
     comparison holds for any Phi_2 by the chain rule; only tau^2 tells a
-    wrong Phi_2 from the right one."""
+    wrong Phi_2 from the right one.  The check sees one point, in a record
+    and in replay alike, so it works on numpy scalars; only the plain-point
+    path of `evaluate_formal` (tau^1 and |Phi_2 o phi|) is complex128."""
     space = spec.space
     f = build_eigenfunction(spec)
     lam, mu = expected_eigenvalues(spec)
@@ -254,24 +255,25 @@ def _nested_evaluator(spec: EigenfunctionSpec, dual: bool, budget: int) -> Tuple
     tau1 = tau_formal(phi2, lam, mu)
     tau2 = tau_formal(tau1, lam, mu)
     h = GroupFunction(lambda v: evaluate_formal(phi2, f.fn(v)), name="Phi2.phi", left=f.left)
-    lam, mu = complex(lam), complex(mu)
 
-    def check(x: np.ndarray):
-        phi = complex(f(x))
+    def check(x: np.ndarray, lam: np.complexfloating, mu: np.complexfloating):
+        phi = f(x)
         if not log_domain_ok(phi):
             return None
         t, kap = tau_and_kappa(f, x, dirs)
-        t1_sym = complex(evaluate_formal(tau1, phi))
-        t1_rel = abs(complex(tau(h, x, dirs)) - t1_sym) / max(1.0, abs(t1_sym))
-        t2 = abs(complex(tau_iterated(h, x, dirs, 2, budget=budget)))
+        t1_sym = evaluate_formal(tau1, phi)
+        t1_rel = abs(tau(h, x, dirs) - t1_sym) / max(1.0, abs(t1_sym))
+        t2 = abs(tau_iterated(h, x, dirs, 2, budget=budget))
         # phi^{1-lambda/mu} can be huge at small |phi|; judge the nullity of
         # tau^2 relative to the size of the function it acts on
-        t2_scaled = t2 / max(1.0, abs(complex(h(x))))
+        t2_scaled = t2 / max(1.0, abs(evaluate_formal(phi2, phi)))
         r_tau, r_kappa = abs(t - lam * phi), abs(kap - mu * phi * phi)
         return phi, r_tau, r_kappa, t1_rel, t2, t2_scaled, max(r_tau, r_kappa, t1_rel, t2_scaled)
 
     def evaluate(rows: np.ndarray):
-        points = [check(x) for x in rebuild(rows)]
+        x = rebuild(rows)
+        eigenvalues = [_coefficient(v, x.dtype) for v in (lam, mu)]
+        points = [check(point, *eigenvalues) for point in x]
         kept = [p for p in points if p is not None]
         components = {key: np.array([p[i] for p in kept]) for i, key in enumerate(_NESTED)}
         return np.array([p is not None for p in points], dtype=bool), components
@@ -394,14 +396,12 @@ def kappa_defect_nonisotropic(
     f = build_eigenfunction(spec)
     g_spec = space.group_spec()
     b = basis_g(g_spec)
-    mu = complex(expected_eigenvalues(spec)[1])
     x = sample(g_spec, rng, sigma, (samples,))
+    mu = _coefficient(expected_eigenvalues(spec)[1], x.dtype)
     phi = f(x)
     _, kap = tau_and_kappa(f, x, b)
-    values = [complex(k) - mu * complex(p) * complex(p) for k, p in zip(kap, phi)]
-    spread = max(abs(v - values[0]) for v in values)
+    values = kap - mu * phi * phi
+    spread = np.abs(values - values[0]).max()
     if spread > 1e-8 * max(1.0, abs(values[0])):
         raise RuntimeError(f"defect is not constant across points (spread {spread:.3e})")
-    a = np.asarray(a, dtype=complex)
-    predicted = 2.0 * complex(a[0] ** 2 + a[1] ** 2 + a[2] ** 2)
-    return values[0], predicted
+    return values[0], 2.0 * np.sum(spec.a**2)

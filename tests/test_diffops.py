@@ -373,6 +373,21 @@ def test_tau_and_kappa_keep_clongdouble():
         assert abs(complex(got) - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+def test_operators_at_a_plain_point_return_a_numpy_scalar_of_its_dtype(dtype):
+    # one return type at one plain point, whatever the precision: not a
+    # Python complex at complex128 and a numpy scalar at clongdouble
+    space = SymmetricSpaceSpec(SO2N_UN, 2)
+    rng = np.random.default_rng(19)
+    f = build_eigenfunction(random_parameters(space, rng))
+    b = basis_g(space.group_spec())
+    x = pade_exp(np.einsum("q,qij->ij", rng.normal(0.0, 0.5, len(b)), b.stack(dtype)))
+    assert x.dtype == dtype
+    values = (tau(f, x, b), kappa(f, f, x, b), *tau_and_kappa(f, x, b), tau_iterated(f, x, b, 2))
+    for v in values:
+        assert type(v) is dtype
+
+
 def test_a_basis_is_read_in_the_dtype_of_the_point():
     # a clongdouble point gets the clongdouble stack of a Basis, with c formed
     # in longdouble, not the complex128 stack cast up; a complex128 point keeps

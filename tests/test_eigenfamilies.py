@@ -292,29 +292,30 @@ def test_verify_eigen_passes(family, n):
 
 def _verify_eigen_point_by_point(spec, samples, tol, rng, sigma=0.5, k_samples=5):
     """The per-point reference: one draw, one sweep and k_samples K-points at a
-    time, as verify_eigen did before it batched its points; the witness is the
-    point's coefficients over g, then those of its K-points."""
+    time, as verify_eigen did before it batched its points, each point a
+    batch of one in array arithmetic; the witness is the point's
+    coefficients over g, then those of its K-points."""
     space = spec.space
     g_spec, k_spec = space.group_spec(), space.subgroup_spec()
     b = basis_g(g_spec)
     f = build_eigenfunction(spec)
-    lam, mu = (complex(v) for v in expected_eigenvalues(spec))
+    lam, mu = (np.complex128(complex(v)) for v in expected_eigenvalues(spec))
     out = {"tau": 0.0, "kappa": 0.0, "kinv": 0.0, "passed": True, "witness": None}
     proper = False
     for _ in range(samples):
         x, coeffs = sample_with_coefficients(g_spec, rng, sigma)
-        coeffs = list(coeffs)
-        phi = complex(f(x))
-        scale = max(1.0, abs(phi))
-        proper = proper or abs(phi) > 1e-6
+        x, coeffs = x[None], list(coeffs)
+        phi = f(x)
+        scale = max(1.0, abs(phi[0]))
+        proper = proper or abs(phi[0]) > 1e-6
         t, kap = tau_and_kappa(f, x, b)
-        r1, r2 = abs(t - lam * phi), abs(kap - mu * phi * phi)
+        r1, r2 = np.abs(t - lam * phi)[0], np.abs(kap - mu * phi * phi)[0]
         r3 = 0.0
         for _ in range(k_samples):
             k, k_coeffs = sample_with_coefficients(k_spec, rng, sigma)
             coeffs += list(k_coeffs)
-            r3 = max(r3, abs(complex(f(x @ k)) - phi))
-        if abs(phi) >= 1e-10:
+            r3 = max(r3, np.abs(f(x @ k) - phi)[0])
+        if abs(phi[0]) >= 1e-10:
             out["tau"], out["kappa"] = max(out["tau"], r1), max(out["kappa"], r2)
             out["kinv"] = max(out["kinv"], r3)
         ok = all(r <= tol * scale for r in (r1, r2, r3))
@@ -553,8 +554,11 @@ def test_nested_check_reads_its_directions_in_the_dtype_of_the_point(monkeypatch
     got = sampled_evaluator(spec, 2, dual)[2](row[None])[1]["tau"][0]
 
     f = build_eigenfunction(spec)
-    lam = complex(expected_eigenvalues(spec)[0]) * (-1 if dual else 1)
-    phi = complex(f(x))
+    # lambda and phi in long double too, as the check keeps them
+    lam = expected_eigenvalues(spec)[0].re * (-1 if dual else 1)
+    lam = np.clongdouble(np.longdouble(lam.numerator) / np.longdouble(lam.denominator))
+    phi = f(x)
+    assert phi.dtype == np.clongdouble
     basis = m if dual else basis_g(space.group_spec())
     unit = 1j if dual else 1
 

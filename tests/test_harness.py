@@ -231,37 +231,37 @@ def test_eigen_failure_records_witness_and_replays():
 def test_batched_eigen_witness_replays_its_point():
     # the 50 points of a record are one batch; the witness row (the point, then
     # its 5 K-points), rebuilt alone, is the batch's point bit for bit, and its
-    # replay gives that point's residual
-    space = SymmetricSpaceSpec(SU2N_SPN, 3)
-    cfg = RunConfig(suites=("eigen",), spaces=((SU2N_SPN, 3),), tol=1e-20,
-                    suite_overrides={"eigen": {"samples": 50, "draws": 1}})
-    report = run(cfg)
-    (rec,) = report.records
-    assert not rec.passed
+    # replay gives that point's residual exactly
+    for family in (SUN_SON, SPN_UN, SO2N_UN, SU2N_SPN):
+        space = SymmetricSpaceSpec(family, 3)
+        cfg = RunConfig(suites=("eigen",), spaces=((family, 3),), tol=1e-20,
+                        suite_overrides={"eigen": {"samples": 50, "draws": 1}})
+        (rec,) = run(cfg).records
+        assert not rec.passed
 
-    # the record's own batch, redrawn from its substream: every point fails
-    # at this tolerance, so the witness is the first one
-    rng = substream(cfg.seed, "eigen", SU2N_SPN, 3, 0)
-    spec = random_parameters(space, rng)
-    g_spec, k_spec = space.group_spec(), space.subgroup_spec()
-    b = basis_g(g_spec)
-    bg = len(b)
-    coeffs = rng.normal(0.0, cfg.sigma, size=(50, bg + 5 * len(basis_g(k_spec))))
-    x, _ = sample_with_coefficients(g_spec, rng, cfg.sigma, coeffs=coeffs[:, :bg])
-    assert rec.params["witness_coefficients"] == [float(c) for c in coeffs[0]]
-    point = rebuild_sample(g_spec, rec.params["witness_coefficients"][:bg])
-    assert np.array_equal(point, x[0])
+        # the record's own batch, redrawn from its substream: every point fails
+        # at this tolerance, so the witness is the first one
+        rng = substream(cfg.seed, "eigen", family, 3, 0)
+        spec = random_parameters(space, rng)
+        g_spec, k_spec = space.group_spec(), space.subgroup_spec()
+        b = basis_g(g_spec)
+        bg = len(b)
+        coeffs = rng.normal(0.0, cfg.sigma, size=(50, bg + 5 * len(basis_g(k_spec))))
+        x, _ = sample_with_coefficients(g_spec, rng, cfg.sigma, coeffs=coeffs[:, :bg])
+        assert rec.params["witness_coefficients"] == [float(c) for c in coeffs[0]]
+        point = rebuild_sample(g_spec, rec.params["witness_coefficients"][:bg])
+        assert np.array_equal(point, x[0])
 
-    f = build_eigenfunction(spec)
-    lam, mu = (complex(v) for v in expected_eigenvalues(spec))
-    phi = f(x)
-    t, kap = tau_and_kappa(f, x, b)
-    k = rebuild_sample(k_spec, coeffs[0, bg:].reshape(5, -1))
-    kinv = max(abs(v - phi[0]) for v in f(point @ k))
-    residual = max(abs(t[0] - lam * phi[0]), abs(kap[0] - mu * phi[0] * phi[0]), kinv)
-    replayed = replay_record(rec, cfg)
-    assert abs(replayed - residual) <= 1e-14
-    assert 0 < replayed <= rec.residual + 1e-14
+        # the batch's residuals in array arithmetic, as the evaluator forms them
+        f = build_eigenfunction(spec)
+        lam, mu = (np.complex128(complex(v)) for v in expected_eigenvalues(spec))
+        phi = f(x)
+        t, kap = tau_and_kappa(f, x, b)
+        k = rebuild_sample(k_spec, coeffs[0, bg:].reshape(5, -1))
+        kinv = np.abs(f(point @ k) - phi[0]).max()
+        residual = max(np.abs(t - lam * phi)[0], np.abs(kap - mu * phi * phi)[0], kinv)
+        assert residual > 0
+        assert replay_record(rec, cfg) == residual <= rec.residual
 
 
 def test_eigen_replay_reproduces_a_k_invariance_failure(monkeypatch):

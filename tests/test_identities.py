@@ -426,6 +426,12 @@ def test_skew_lemma_suite():
     assert control.passed and control.params["hit_rate"] >= 0.9
 
 
+def test_skew_lemma_control_records_why_it_is_skipped_below_n_4():
+    main, control = check_skew_lemma(50, 3, np.random.default_rng(27))
+    assert main.passed and "hit_rate" not in control.params
+    assert control.params["skipped"] == "n < 4: no all-distinct tuples exist"
+
+
 def test_skew_lemma_explicit_counterexample():
     rng = np.random.default_rng(23)
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))

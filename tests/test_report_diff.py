@@ -70,6 +70,20 @@ def test_changed_residual_flip_and_missing_record(report_diff, report, tmp_path,
     assert "1 verdict flips, 1 missing and 0 added records" in out
 
 
+def test_a_changed_param_is_counted_where_the_residuals_agree(report_diff, report, tmp_path, capsys):
+    # a record whose residual keeps its bits but one of whose params moved
+    new = copy.deepcopy(report)
+    eigen = next(r for r in new["records"] if r["name"] == "eigen/sun_son")
+    eigen["params"]["tau2_scaled"] = 1e-12
+    assert report_diff.main([_write(tmp_path, "a.json", report), _write(tmp_path, "b.json", new)]) == 0
+    out = capsys.readouterr().out
+    assert "fingerprints differ" in out and "config keys that differ: none" in out
+    assert "suite        records bitwise       new/old ratio  params" in out
+    lines = {line.split()[0]: line for line in out.splitlines() if line.startswith(("eigen ", "pharmonic "))}
+    assert lines["eigen"].startswith(f"{'eigen':12} {2:7} {2:7} {'-':>19} {1:7} ")
+    assert lines["pharmonic"].startswith(f"{'pharmonic':12} {3:7} {3:7} {'-':>19} {3:7} ")
+
+
 def test_each_record_prints_its_ms_ratio(report_diff, report, tmp_path, capsys):
     old, new = copy.deepcopy(report), copy.deepcopy(report)
     for i, (a, b) in enumerate(zip(old["records"], new["records"])):
