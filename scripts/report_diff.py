@@ -5,8 +5,9 @@
 Keys every record of the old report A and the new report B on
 (name, n, draw, p); a key that occurs twice in one report is an error.
 Prints the records only one report has, every verdict flip, whether the two
-fingerprints match (and, if not, the config keys that enter the fingerprint
-and differ, so a changed config can be told from changed records), and per
+fingerprints match (and, if not, the first 8 hex digits of each, old -> new,
+and the config keys that enter the fingerprint and differ, so a changed
+config can be told from changed records), and per
 suite the number of records both reports have, how many of their residuals
 are bitwise equal, the range of the new/old ratio of the others, how many
 of their `params` are equal (a record keeps its other residual components,
@@ -74,8 +75,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     for key in flips:
         print(f"verdict flip: {format_key(key)} pass {old[key]['pass']} -> {new[key]['pass']}, "
               f"residual {old[key]['residual']:.3e} -> {new[key]['residual']:.3e}")
-    same = report_fingerprint(reports[0]) == report_fingerprint(reports[1])
-    print(f"fingerprints {'match' if same else 'differ'}")
+    prints = [report_fingerprint(report) for report in reports]
+    same = prints[0] == prints[1]
+    print("fingerprints match" if same else f"fingerprints differ: {prints[0][:8]} -> {prints[1][:8]}")
     if not same:
         a, b = (result_config(report) for report in reports)
         keys = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))

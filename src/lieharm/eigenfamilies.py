@@ -34,7 +34,7 @@ factor J is the exact signed column swap `matrices.swap_j`, no product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
 
@@ -197,14 +197,15 @@ Evaluate = Callable[[np.ndarray], Tuple[np.ndarray, Dict[str, np.ndarray]]]
 def _eigen_evaluator(spec: EigenfunctionSpec) -> Tuple[int, FormalSum, Evaluate]:
     """p = 1: the row width, a zero formal residual and the evaluator.  A
     row holds a point x of G over the basis of g, then its K_POINTS points
-    k_j of K over that of k; every row is admissible.  One sweep, one phi
-    evaluation and one evaluation of phi at every x k_j serve the batch,
-    and each residual is one array expression over it."""
+    k_j of K over that of k; every row is admissible.  P x is formed once:
+    one sweep, one phi evaluation and one of phi's function at every
+    (P x) k_j = P (x k_j) serve the batch, each residual one array expression."""
     space = spec.space
     g_spec, k_spec = space.group_spec(), space.subgroup_spec()
     b = basis_g(g_spec)
     bg, bk = len(b), len(basis_g(k_spec))
     f = build_eigenfunction(spec)
+    f_px = replace(f, left=None)  # f's function alone: its points are P x already
     eigenvalues = expected_eigenvalues(spec)
 
     def evaluate(rows: np.ndarray):
@@ -212,10 +213,10 @@ def _eigen_evaluator(spec: EigenfunctionSpec) -> Tuple[int, FormalSum, Evaluate]
         x = rebuild_sample(g_spec, rows[:, :bg])
         k = rebuild_sample(k_spec, rows[:, bg:].reshape(samples, -1, bk))
         lam, mu = (_coefficient(v, x.dtype) for v in eigenvalues)
-        phi = f(x)
-        t, kap = tau_and_kappa(f, x, b)
-        # x_i k_ij for every point i and each of its rotations j
-        phi_k = f(x[:, None] @ k)
+        px = f.project(x)
+        phi = f_px(px)
+        t, kap = tau_and_kappa(f_px, px, b)
+        phi_k = f_px(px[:, None] @ k)  # (P x_i) k_ij, every point i and rotation j
         # arrays, not numpy scalars, which round otherwise: a point then has
         # the same residuals in any batch, a replayed batch of one included
         r_tau, r_kappa = np.abs(t - lam * phi), np.abs(kap - mu * phi * phi)

@@ -1,6 +1,7 @@
 """Eigenfunction families: construction, eigenvalue pairs, eigen-equation and
 K-invariance verification, duals and negative controls."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -293,8 +294,9 @@ def test_verify_eigen_passes(family, n):
 def _verify_eigen_point_by_point(spec, samples, tol, rng, sigma=0.5, k_samples=5):
     """The per-point reference: one draw, one sweep and k_samples K-points at a
     time, as verify_eigen did before it batched its points, each point a
-    batch of one in array arithmetic; the witness is the point's
-    coefficients over g, then those of its K-points."""
+    batch of one in array arithmetic, phi at x k read as phi's function at
+    (P x) k; the witness is the point's coefficients over g, then those of
+    its K-points."""
     space = spec.space
     g_spec, k_spec = space.group_spec(), space.subgroup_spec()
     b = basis_g(g_spec)
@@ -314,7 +316,7 @@ def _verify_eigen_point_by_point(spec, samples, tol, rng, sigma=0.5, k_samples=5
         for _ in range(k_samples):
             k, k_coeffs = sample_with_coefficients(k_spec, rng, sigma)
             coeffs += list(k_coeffs)
-            r3 = max(r3, np.abs(f(x @ k) - phi)[0])
+            r3 = max(r3, np.abs(replace(f, left=None)(f.project(x) @ k) - phi)[0])
         if abs(phi[0]) >= 1e-10:
             out["tau"], out["kappa"] = max(out["tau"], r1), max(out["kappa"], r2)
             out["kinv"] = max(out["kinv"], r3)
@@ -344,6 +346,21 @@ def test_batched_verify_eigen_matches_point_by_point(family, n, tol):
     assert v.worst("tau") == pytest.approx(ref["tau"], rel=1e-12, abs=0)
     assert v.worst("kappa") == pytest.approx(ref["kappa"], rel=1e-12, abs=0)
     assert v.worst("kinv") == pytest.approx(ref["kinv"], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("family", SPACE_FAMILIES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_phi_at_projected_k_points_is_phi_at_x_k(family, n):
+    # the eigen evaluator reads phi(x k_j) as phi's function at (P x) k_j; the
+    # products differ only in their order, so the values agree to rounding
+    space = SymmetricSpaceSpec(family, n)
+    rng = np.random.default_rng(500 + n)
+    f = build_eigenfunction(random_parameters(space, rng))
+    x = sample(space.group_spec(), rng, 0.5, (20,))
+    k = sample(space.subgroup_spec(), rng, 0.5, (20, 5))
+    direct = f(x[:, None] @ k)
+    projected = replace(f, left=None)(f.project(x)[:, None] @ k)
+    assert np.all(np.abs(projected - direct) <= 1e-13 * np.maximum(1.0, np.abs(direct)))
 
 
 def test_verify_eigen_zero_samples_vacuous():

@@ -472,9 +472,11 @@ def test_pade_exp_maps_each_algebra_into_its_group(family, n, dtype):
     # A_ji from negated terms in one order), so r(A)^H = r(-A) = r(A)^-1:
     # r(A) is unitary, symplectic on sp(n) and the embedded u(n), and real
     # on so(n) and the embedded u(n).  The computed X = r(A) + E, with E a
-    # few units u after the refinement step, so X X^H - I and X J X^t - J
-    # may show E U^H + U E^H on top of the floor of forming the product:
-    # twice `_defect_floor`.  The imaginary part of X is within the same bound.
+    # few units u (one backward-stable solve of the well-conditioned q(-A)
+    # at complex128, a refinement step on top at clongdouble), so X X^H - I
+    # and X J X^t - J may show E U^H + U E^H on top of the floor of forming
+    # the product: twice `_defect_floor`.  The imaginary part of X is within
+    # the same bound.
     spec = GroupSpec(family, n)
     a = _algebra_stack(spec, 0.5, 20, 41, dtype)
     x = pade_exp(a)
@@ -486,6 +488,20 @@ def test_pade_exp_maps_each_algebra_into_its_group(family, n, dtype):
         assert np.abs(x @ j @ np.swapaxes(x, -1, -2) - j).max() <= bound
     if family in (SO, U_IN_SPN, U_IN_SO2N):
         assert np.abs(x.imag).max() <= bound
+
+
+@_DTYPES
+def test_pade_exp_solves_once_at_complex128_and_refines_wider_dtypes(dtype, monkeypatch):
+    # one np.linalg.solve per stack at complex128, whose result is r(A) bit for
+    # bit; clongdouble adds the solve of its refinement step
+    a = _algebra_stack(GroupSpec(SU, 3), 0.5, 6, 7, dtype)
+    solve, calls = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
+    x = pade_exp(a)
+    assert len(calls) == (1 if dtype == np.complex128 else 2)
+    if dtype == np.complex128:
+        even = np.eye(a.shape[-1]) + a @ a / 12
+        assert np.array_equal(x, solve(even - a / 2, even + a / 2))
 
 
 def test_dual_m_factor_is_positive_definite_inside_the_pade_bound():

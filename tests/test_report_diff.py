@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lieharm.harness import RunConfig, run
+from lieharm.harness import RunConfig, report_fingerprint, run
 from lieharm.lie import SUN_SON
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_diff.py"
@@ -82,6 +82,15 @@ def test_a_changed_param_is_counted_where_the_residuals_agree(report_diff, repor
     lines = {line.split()[0]: line for line in out.splitlines() if line.startswith(("eigen ", "pharmonic "))}
     assert lines["eigen"].startswith(f"{'eigen':12} {2:7} {2:7} {'-':>19} {1:7} ")
     assert lines["pharmonic"].startswith(f"{'pharmonic':12} {3:7} {3:7} {'-':>19} {3:7} ")
+
+
+def test_differing_fingerprints_are_printed_old_to_new(report_diff, report, tmp_path, capsys):
+    new = copy.deepcopy(report)
+    new["records"][0]["residual"] *= 2
+    a, b = (report_fingerprint(r)[:8] for r in (report, new))
+    assert a != b
+    assert report_diff.main([_write(tmp_path, "a.json", report), _write(tmp_path, "b.json", new)]) == 0
+    assert f"fingerprints differ: {a} -> {b}\n" in capsys.readouterr().out
 
 
 def test_each_record_prints_its_ms_ratio(report_diff, report, tmp_path, capsys):
