@@ -170,7 +170,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
     parser.add_argument("--p-max", dest="p_max", type=int, default=None,
                         help="largest p for the p-harmonic certificates")
-    parser.add_argument("--budget", type=int, default=None, help="jet-evaluation budget for tau^p")
+    parser.add_argument("--budget", type=int, default=None, help="budget of direction tuples for tau^p")
     parser.add_argument("--config", default=None, help="config file (see README for schema)")
     parser.add_argument("--out", default=None, help="path for the JSON report")
     return parser

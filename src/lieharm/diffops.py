@@ -66,7 +66,7 @@ _CHUNK_ENTRIES = 2**16
 
 
 class BudgetExceeded(RuntimeError):
-    """An iterated-tau request would exceed the jet-evaluation budget."""
+    """An iterated-tau request would exceed the budget of direction tuples."""
 
 
 @dataclass(eq=False)
@@ -148,10 +148,11 @@ def _sweep(f: GroupFunction, x: Point, dirs: np.ndarray) -> Iterator[Tuple[JetSc
             zs = z.reshape((len(z),) + (1,) * (y.ndim - 3) + z.shape[1:])
             arg[(0,) + d], arg[(1,) + d], arg[(2,) + d] = y, y @ zs, y @ half_square
         w = f(JetScalar(k + 1, arg))
-        if not isinstance(w, JetScalar):
+        if not isinstance(w, JetScalar):  # its blocks have size 1 along the chunk
             w = JetScalar.constant(np.broadcast_to(w, np.shape(base.value)[:-2]), k + 1)
         # Z^d f is d! times the coefficient of t^d, and d! = d for d <= 2
-        first = {d[1:]: np.moveaxis(c, 0, k) for d, c in w.b.items() if d[0] == 1}
+        first = {d[1:]: np.moveaxis(np.broadcast_to(c, z.shape[:1] + c.shape[1:]), 0, k)
+                 for d, c in w.b.items() if d[0] == 1}
         second = {d[1:]: 2 * c[0] for d, c in w.b.items() if d[0] == 2}
         yield JetScalar(k, first), JetScalar(k, second)
 
@@ -190,10 +191,14 @@ def kappa(f: GroupFunction, g: GroupFunction, x: Point, basis) -> Scalar:
 
 
 def tau_and_kappa(f: GroupFunction, x: Point, basis) -> tuple:
-    """(tau f, kappa(f, f)) from one sweep."""
+    """(tau f, kappa(f, f), Z f) from one sweep: Z f holds the first
+    derivatives along the directions, in order, on an axis in front of the
+    point's value axes; an array at a plain point, a jet at a jet point."""
     chunks = list(_sweep(f, x, _dirs_array(basis, x)))
     k = jet_width(x)
-    return _total((s for _, s in chunks), k), _total((_chunk_sum(d * d, k) for d, _ in chunks), k)
+    first = JetScalar(k, {d: np.concatenate([c.b[d] for c, _ in chunks], axis=k) for d in chunks[0][0].b})
+    t, kap = _total((s for _, s in chunks), k), _total((_chunk_sum(d * d, k) for d, _ in chunks), k)
+    return t, kap, first if k else first.value
 
 
 def tau_iterated(f: GroupFunction, x: Point, basis, p: int, budget: int = 10**6) -> Scalar:
@@ -203,10 +208,7 @@ def tau_iterated(f: GroupFunction, x: Point, basis, p: int, budget: int = 10**6)
     dirs = _dirs_array(basis, x)
     cost = len(dirs) ** p
     if cost > budget:
-        raise BudgetExceeded(
-            f"tau^{p} over {len(dirs)} directions needs {cost} jet evaluations "
-            f"(budget {budget})"
-        )
+        raise BudgetExceeded(f"tau^{p}: {cost} direction tuples over {len(dirs)} directions (budget {budget})")
     for _ in range(p - 1):
         # the outer sweep's point is a jet of P x; the inner tau sweeps that jet
         # with f's function alone, since P (x e^{sZ}) e^{tW} = (P x e^{sZ}) e^{tW}

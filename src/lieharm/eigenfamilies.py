@@ -1,12 +1,12 @@
 """The four eigenfunction families: construction, parameter validation,
 exact expected eigenvalues, and one routine, `verify_sampled`, that checks
-them at sampled points: the eigen-equations and K-invariance at order
-p = 1, and the nested tau^2 of Phi_2 o phi at p = 2, on the compact spaces
-or (sign-flipped) on their non-compact duals.  Each order has one
-evaluator of a batch of coefficient rows; `verify_sampled` draws, checks
-and refills through it, and replay runs it on a witness row.  Both
-evaluators compute in the dtype of the point: lambda and mu enter through
-`formal._coefficient`, and phi and the sweep values stay numpy values.
+them at sampled points: the eigen-equations and K-invariance (W phi(x) = 0
+for W in k, read from the sweep) at p = 1, and the nested tau^2 of Phi_2 o
+phi at p = 2, on the compact spaces or (sign-flipped) on their duals.  Each
+order has one evaluator of a batch of coefficient rows; `verify_sampled`
+draws, checks and refills through it, and replay runs it on a witness row.
+Both evaluators compute in the dtype of the point: lambda and mu enter
+through `formal._coefficient`, and phi and the sweep values stay numpy values.
 
 Families and their data:
 
@@ -34,7 +34,7 @@ factor J is the exact signed column swap `matrices.swap_j`, no product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
 
@@ -184,9 +184,6 @@ def random_parameters(space: SymmetricSpaceSpec, rng: np.random.Generator) -> Ei
 # verification at sampled points
 # ---------------------------------------------------------------------------
 
-# the points k of K in an eigen row, at which phi(x k) = phi(x) is checked
-K_POINTS = 5
-
 # the per-point components of the nested check, in the order `check` returns them
 _NESTED = ("phi", "tau", "kappa", "tau1_rel", "tau2_abs", "tau2_scaled", "residual")
 
@@ -196,36 +193,30 @@ Evaluate = Callable[[np.ndarray], Tuple[np.ndarray, Dict[str, np.ndarray]]]
 
 def _eigen_evaluator(spec: EigenfunctionSpec) -> Tuple[int, FormalSum, Evaluate]:
     """p = 1: the row width, a zero formal residual and the evaluator.  A
-    row holds a point x of G over the basis of g, then its K_POINTS points
-    k_j of K over that of k; every row is admissible.  P x is formed once:
-    one sweep, one phi evaluation and one of phi's function at every
-    (P x) k_j = P (x k_j) serve the batch, each residual one array expression."""
-    space = spec.space
-    g_spec, k_spec = space.group_spec(), space.subgroup_spec()
-    b = basis_g(g_spec)
-    bg, bk = len(b), len(basis_g(k_spec))
+    row holds a point x of G over the basis of g; every row is admissible.
+    One sweep over g in the basis k + m serves the batch: tau and kappa do
+    not depend on the orthonormal basis, and K being connected, phi is
+    right-K-invariant exactly where W phi = 0 for W in k, read from the sweep."""
+    g_spec, (k, m) = spec.space.group_spec(), cartan_decomposition(spec.space)
+    dirs = Basis(f"{k.name} + {m.name}", np.concatenate([k.re, m.re]), np.concatenate([k.im, m.im]),
+                 k.weights + m.weights)
     f = build_eigenfunction(spec)
-    f_px = replace(f, left=None)  # f's function alone: its points are P x already
     eigenvalues = expected_eigenvalues(spec)
 
     def evaluate(rows: np.ndarray):
-        samples = len(rows)
-        x = rebuild_sample(g_spec, rows[:, :bg])
-        k = rebuild_sample(k_spec, rows[:, bg:].reshape(samples, -1, bk))
+        x = rebuild_sample(g_spec, rows)
         lam, mu = (_coefficient(v, x.dtype) for v in eigenvalues)
-        px = f.project(x)
-        phi = f_px(px)
-        t, kap = tau_and_kappa(f_px, px, b)
-        phi_k = f_px(px[:, None] @ k)  # (P x_i) k_ij, every point i and rotation j
+        phi = f(x)
+        t, kap, first = tau_and_kappa(f, x, dirs)
         # arrays, not numpy scalars, which round otherwise: a point then has
         # the same residuals in any batch, a replayed batch of one included
         r_tau, r_kappa = np.abs(t - lam * phi), np.abs(kap - mu * phi * phi)
-        r_kinv = np.abs(phi_k - phi[:, None]).max(axis=1)
+        r_kinv = np.abs(first[: len(k)]).max(axis=0)
         components = dict(phi=phi, tau=r_tau, kappa=r_kappa, kinv=r_kinv)
         components["residual"] = np.max([r_tau, r_kappa, r_kinv], axis=0)
-        return np.ones(samples, dtype=bool), components
+        return np.ones(len(rows), dtype=bool), components
 
-    return bg + K_POINTS * bk, FormalSum(), evaluate
+    return len(dirs), FormalSum(), evaluate
 
 
 def _nested_evaluator(spec: EigenfunctionSpec, dual: bool, budget: int) -> Tuple[int, FormalSum, Evaluate]:
@@ -261,7 +252,7 @@ def _nested_evaluator(spec: EigenfunctionSpec, dual: bool, budget: int) -> Tuple
         phi = f(x)
         if not log_domain_ok(phi):
             return None
-        t, kap = tau_and_kappa(f, x, dirs)
+        t, kap, _ = tau_and_kappa(f, x, dirs)
         t1_sym = evaluate_formal(tau1, phi)
         t1_rel = abs(tau(h, x, dirs) - t1_sym) / max(1.0, abs(t1_sym))
         t2 = abs(tau_iterated(h, x, dirs, 2, budget=budget))
@@ -297,9 +288,10 @@ def sampled_evaluator(spec: EigenfunctionSpec, p: int, dual: bool = False, budge
 class SampledCheck:
     """The outcome of `verify_sampled`.  `components` holds, per component,
     one value per accepted point in draw order: `phi`, the residuals of
-    the order (tau, kappa and kinv at p = 1; tau, kappa, tau1_rel,
-    tau2_abs and tau2_scaled at p = 2) and `residual`, the largest of those
-    that are judged.  `witness_coefficients` is the first failing row."""
+    the order (tau, kappa and kinv, the largest |W phi(x)| over W in k read
+    from the sweep, at p = 1; tau, kappa, tau1_rel, tau2_abs and tau2_scaled
+    at p = 2) and `residual`, the largest of those that are judged.
+    `witness_coefficients` is the first failing row."""
 
     components: Dict[str, np.ndarray]
     rejected: int
@@ -323,9 +315,9 @@ def verify_sampled(
     """The order-p check of phi at `samples` sampled points, on the compact
     space or (p = 2, `dual`) on its non-compact dual.
 
-    p = 1: tau phi = lambda phi, kappa(phi, phi) = mu phi^2 and
-    phi(x k_j) = phi(x), each within tol * max(1, |phi|).  p = 2: the exact
-    formal tau^2 of Phi_2 is zero; tau phi and kappa(phi, phi) match
+    p = 1: tau phi = lambda phi, kappa(phi, phi) = mu phi^2 and W phi(x) = 0
+    for W in k, read from the sweep, each within tol * max(1, |phi|).  p = 2:
+    the exact formal tau^2 of Phi_2 is zero; tau phi and kappa(phi, phi) match
     lambda' phi and mu' phi^2 within tol * max(1, |phi|), tau(Phi_2 o phi)
     the formal tau Phi_2 within tol relative, and
     |tau^2(Phi_2 o phi)| / max(1, |Phi_2 o phi|) is at most tau2_tol, which
@@ -400,7 +392,7 @@ def kappa_defect_nonisotropic(
     x = sample(g_spec, rng, sigma, (samples,))
     mu = _coefficient(expected_eigenvalues(spec)[1], x.dtype)
     phi = f(x)
-    _, kap = tau_and_kappa(f, x, b)
+    _, kap, _ = tau_and_kappa(f, x, b)
     values = kap - mu * phi * phi
     spread = np.abs(values - values[0]).max()
     if spread > 1e-8 * max(1.0, abs(values[0])):

@@ -453,9 +453,10 @@ def replay_record(record: CheckRecord, config: RunConfig) -> float:
     The witness is the record's first failing row of algebra coefficients.
     Replay hands it, as a batch of one row, to the evaluator that the
     suite's `verify_sampled` ran (`sampled_evaluator` at the record's order
-    p, compact or dual), which rebuilds the point bit for bit (with an eigen
-    row's K-points) and returns its residual.  The witness is the first
-    failing point, so this is at most the record's (worst) residual.
+    p, compact or dual), which rebuilds the point bit for bit and returns
+    its residual; a witness of another length than a row is a `ConfigError`.
+    The witness is the first failing point, so this is at most the record's
+    (worst) residual.
     """
     params = record.params
     if "witness_coefficients" not in params:
@@ -466,5 +467,8 @@ def replay_record(record: CheckRecord, config: RunConfig) -> float:
     indices = tuple(params["witness_indices"]) if "witness_indices" in params else None
     spec = EigenfunctionSpec(space, a, indices, _skip_validation=True)
     p, dual = SAMPLED_ORDERS[suite]
-    evaluate = sampled_evaluator(spec, p, dual, config.budget)[2]
-    return float(evaluate(np.array([params["witness_coefficients"]], dtype=float))[1]["residual"][0])
+    width, _, evaluate = sampled_evaluator(spec, p, dual, config.budget)
+    witness = params["witness_coefficients"]
+    if len(witness) != width:
+        raise ConfigError(f"witness has {len(witness)} coefficients, but the {suite} rows of {space} have {width}")
+    return float(evaluate(np.array([witness], dtype=float))[1]["residual"][0])

@@ -116,6 +116,18 @@ def test_kappa_constant_is_zero():
     assert kappa(f, f, np.eye(3, dtype=complex), basis_g(GroupSpec(SO, 3))) == 0
 
 
+def test_first_derivatives_of_a_constant_have_one_zero_per_direction(monkeypatch):
+    # 36 entries hold the blocks of 2 directions at a 3 x 3 point, so the 3
+    # directions of so(3) split 2 + 1; a constant's blocks have size 1 along
+    # its chunk, and each chunk still gives one derivative per direction
+    import lieharm.diffops as diffops
+
+    monkeypatch.setattr(diffops, "_CHUNK_ENTRIES", 36)
+    f = GroupFunction(lambda g: 1.0 + 0j)
+    t, kap, first = tau_and_kappa(f, np.eye(3, dtype=complex), basis_g(GroupSpec(SO, 3)))
+    assert t == kap == 0 and np.array_equal(first, np.zeros(3))
+
+
 def test_basis_independence():
     # tau and kappa are frame-independent: remix the basis orthogonally
     spec = GroupSpec(SU, 3)
@@ -269,9 +281,13 @@ def test_tau_and_kappa_single_sweep_consistency():
     f = build_eigenfunction(random_parameters(space, rng))
     b = basis_g(space.group_spec())
     x = sample(space.group_spec(), rng, 0.5)
-    t, kap = tau_and_kappa(f, x, b)
+    t, kap, first = tau_and_kappa(f, x, b)
     assert abs(t - tau(f, x, b)) < 1e-13
     assert abs(kap - kappa(f, f, x, b)) < 1e-13
+    # the third value is Z f along each direction, in basis order
+    assert first.shape == (len(b),)
+    for z, got in zip(b.stack(), first):
+        assert got == directional(f, x, z)[1]
 
 
 def _tau2_reference(f, x, dirs):
@@ -354,9 +370,12 @@ def test_batched_sweep_gives_each_point_its_own_bits():
         assert f.left.shape == (3 if family in (SO2N_UN, SU2N_SPN) else 1, space.matrix_size)
         b = basis_g(space.group_spec())
         xs = sample(space.group_spec(), rng, 0.5, (6,))
-        t, k = tau_and_kappa(f, xs, b)
+        t, k, first = tau_and_kappa(f, xs, b)
+        assert first.shape == (len(b), 6)
         for i, point in enumerate(xs):
-            assert tau_and_kappa(f, point, b) == (t[i], k[i])
+            t_i, k_i, first_i = tau_and_kappa(f, point, b)
+            assert (t_i, k_i) == (t[i], k[i])
+            assert np.array_equal(first_i, first[:, i])
 
 
 def test_tau_and_kappa_keep_clongdouble():
@@ -368,9 +387,14 @@ def test_tau_and_kappa_keep_clongdouble():
     x_ld = pade_exp(np.einsum("q,qij->ij", coeffs.astype(np.longdouble), b.stack().astype(np.clongdouble)))
     x = pade_exp(np.einsum("q,qij->ij", coeffs, b.stack()))
     assert x_ld.dtype == np.clongdouble
-    for got, want in zip(tau_and_kappa(f, x_ld, b), tau_and_kappa(f, x, b)):
+    (*got, got_first), (*want, want_first) = tau_and_kappa(f, x_ld, b), tau_and_kappa(f, x, b)
+    for got, want in zip(got, want):
         assert np.asarray(got).dtype == np.clongdouble
         assert abs(complex(got) - want) <= 1e-12 * abs(want)
+    # the first derivatives along so(3) vanish at any point, so they are
+    # compared on the scale of the largest
+    assert got_first.dtype == np.clongdouble
+    assert np.max(np.abs(got_first.astype(complex) - want_first)) <= 1e-12 * np.max(np.abs(want_first))
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
@@ -383,9 +407,11 @@ def test_operators_at_a_plain_point_return_a_numpy_scalar_of_its_dtype(dtype):
     b = basis_g(space.group_spec())
     x = pade_exp(np.einsum("q,qij->ij", rng.normal(0.0, 0.5, len(b)), b.stack(dtype)))
     assert x.dtype == dtype
-    values = (tau(f, x, b), kappa(f, f, x, b), *tau_and_kappa(f, x, b), tau_iterated(f, x, b, 2))
-    for v in values:
+    t, kap, first = tau_and_kappa(f, x, b)
+    for v in (tau(f, x, b), kappa(f, f, x, b), t, kap, tau_iterated(f, x, b, 2)):
         assert type(v) is dtype
+    # the first derivatives: one value per direction, an array of the dtype
+    assert type(first) is np.ndarray and first.dtype == dtype and first.shape == (len(b),)
 
 
 def test_a_basis_is_read_in_the_dtype_of_the_point():
@@ -402,7 +428,7 @@ def test_a_basis_is_read_in_the_dtype_of_the_point():
     for point, dtype in ((x_ld, np.clongdouble), (x, np.complex128)):
         got, want = tau_and_kappa(f, point, b), tau_and_kappa(f, point, b.stack(dtype))
         assert all(np.asarray(v).dtype == dtype for v in got)
-        assert got == want
+        assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
 
 
 @pytest.mark.parametrize("kind", ["matrix", "batch", "jet"])

@@ -291,32 +291,29 @@ def test_verify_eigen_passes(family, n):
     assert v.worst("kinv") < 1e-10
 
 
-def _verify_eigen_point_by_point(spec, samples, tol, rng, sigma=0.5, k_samples=5):
-    """The per-point reference: one draw, one sweep and k_samples K-points at a
-    time, as verify_eigen did before it batched its points, each point a
-    batch of one in array arithmetic, phi at x k read as phi's function at
-    (P x) k; the witness is the point's coefficients over g, then those of
-    its K-points."""
+def _verify_eigen_point_by_point(spec, samples, tol, rng, sigma=0.5):
+    """The per-point reference: one draw and one sweep at a time, as
+    verify_eigen did before it batched its points, each point a batch of
+    one in array arithmetic, swept along the stacks of k, then m; kinv is
+    the largest |W phi| over the directions W of k; the witness is the
+    point's coefficients over g."""
     space = spec.space
-    g_spec, k_spec = space.group_spec(), space.subgroup_spec()
-    b = basis_g(g_spec)
+    g_spec = space.group_spec()
+    k, m = cartan_decomposition(space)
+    dirs = np.concatenate([k.stack(), m.stack()])
     f = build_eigenfunction(spec)
     lam, mu = (np.complex128(complex(v)) for v in expected_eigenvalues(spec))
     out = {"tau": 0.0, "kappa": 0.0, "kinv": 0.0, "passed": True, "witness": None}
     proper = False
     for _ in range(samples):
         x, coeffs = sample_with_coefficients(g_spec, rng, sigma)
-        x, coeffs = x[None], list(coeffs)
+        x = x[None]
         phi = f(x)
         scale = max(1.0, abs(phi[0]))
         proper = proper or abs(phi[0]) > 1e-6
-        t, kap = tau_and_kappa(f, x, b)
+        t, kap, first = tau_and_kappa(f, x, dirs)
         r1, r2 = np.abs(t - lam * phi)[0], np.abs(kap - mu * phi * phi)[0]
-        r3 = 0.0
-        for _ in range(k_samples):
-            k, k_coeffs = sample_with_coefficients(k_spec, rng, sigma)
-            coeffs += list(k_coeffs)
-            r3 = max(r3, np.abs(replace(f, left=None)(f.project(x) @ k) - phi)[0])
+        r3 = np.abs(first[: len(k), 0]).max()
         if abs(phi[0]) >= 1e-10:
             out["tau"], out["kappa"] = max(out["tau"], r1), max(out["kappa"], r2)
             out["kinv"] = max(out["kinv"], r3)
@@ -351,16 +348,41 @@ def test_batched_verify_eigen_matches_point_by_point(family, n, tol):
 @pytest.mark.parametrize("family", SPACE_FAMILIES)
 @pytest.mark.parametrize("n", [2, 3])
 def test_phi_at_projected_k_points_is_phi_at_x_k(family, n):
-    # the eigen evaluator reads phi(x k_j) as phi's function at (P x) k_j; the
-    # products differ only in their order, so the values agree to rounding
+    # an oracle of K-invariance that does not use the sweep: phi((P x) k) is
+    # phi(P x) to rounding at sampled points x of G and k of K
     space = SymmetricSpaceSpec(family, n)
     rng = np.random.default_rng(500 + n)
     f = build_eigenfunction(random_parameters(space, rng))
     x = sample(space.group_spec(), rng, 0.5, (20,))
     k = sample(space.subgroup_spec(), rng, 0.5, (20, 5))
-    direct = f(x[:, None] @ k)
-    projected = replace(f, left=None)(f.project(x)[:, None] @ k)
-    assert np.all(np.abs(projected - direct) <= 1e-13 * np.maximum(1.0, np.abs(direct)))
+    px = f.project(x)
+    phi, phi_k = replace(f, left=None)(px), replace(f, left=None)(px[:, None] @ k)
+    assert np.all(np.abs(phi_k - phi[:, None]) <= 1e-13 * np.maximum(1.0, np.abs(phi[:, None])))
+
+
+@pytest.mark.parametrize("family", SPACE_FAMILIES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_k_invariance_fault_fails_through_kinv(monkeypatch, family, n):
+    # phi read through a right factor D = diag(1 .. 1.001) keeps the
+    # eigen-equations of three families (and tau on all four) but is no longer
+    # right-K-invariant: the first derivatives along k must see it
+    from lieharm import eigenfamilies
+
+    build = eigenfamilies.build_eigenfunction
+
+    def skewed(spec):
+        f = build(spec)
+        d = CMatrix(np.diag(np.linspace(1, 1.001, spec.space.matrix_size)).astype(complex))
+        return GroupFunction(lambda v: f.fn(v @ d), name=f.name, left=f.left)
+
+    monkeypatch.setattr(eigenfamilies, "build_eigenfunction", skewed)
+    rng = np.random.default_rng(60 + n)
+    spec = random_parameters(SymmetricSpaceSpec(family, n), rng)
+    v = verify_eigen(spec, 10, 1e-8, rng)
+    assert not v.passed and v.worst("kinv") > 1e-4
+    assert v.worst("tau") < 1e-12
+    if family != SO2N_UN:
+        assert v.worst("kappa") < 1e-12
 
 
 def test_verify_eigen_zero_samples_vacuous():

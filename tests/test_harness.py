@@ -35,6 +35,7 @@ from lieharm.lie import (
     SUN_SON,
     SymmetricSpaceSpec,
     basis_g,
+    cartan_decomposition,
     pade_exp,
     rebuild_sample,
     sample_with_coefficients,
@@ -229,9 +230,9 @@ def test_eigen_failure_records_witness_and_replays():
 
 
 def test_batched_eigen_witness_replays_its_point():
-    # the 50 points of a record are one batch; the witness row (the point, then
-    # its 5 K-points), rebuilt alone, is the batch's point bit for bit, and its
-    # replay gives that point's residual exactly
+    # the 50 points of a record are one batch; the witness row (the point over
+    # g), rebuilt alone, is the batch's point bit for bit, and its replay
+    # gives that point's residual exactly
     for family in (SUN_SON, SPN_UN, SO2N_UN, SU2N_SPN):
         space = SymmetricSpaceSpec(family, 3)
         cfg = RunConfig(suites=("eigen",), spaces=((family, 3),), tol=1e-20,
@@ -243,31 +244,46 @@ def test_batched_eigen_witness_replays_its_point():
         # at this tolerance, so the witness is the first one
         rng = substream(cfg.seed, "eigen", family, 3, 0)
         spec = random_parameters(space, rng)
-        g_spec, k_spec = space.group_spec(), space.subgroup_spec()
-        b = basis_g(g_spec)
-        bg = len(b)
-        coeffs = rng.normal(0.0, cfg.sigma, size=(50, bg + 5 * len(basis_g(k_spec))))
-        x, _ = sample_with_coefficients(g_spec, rng, cfg.sigma, coeffs=coeffs[:, :bg])
+        g_spec = space.group_spec()
+        coeffs = rng.normal(0.0, cfg.sigma, size=(50, len(basis_g(g_spec))))
+        x, _ = sample_with_coefficients(g_spec, rng, cfg.sigma, coeffs=coeffs)
         assert rec.params["witness_coefficients"] == [float(c) for c in coeffs[0]]
-        point = rebuild_sample(g_spec, rec.params["witness_coefficients"][:bg])
+        point = rebuild_sample(g_spec, rec.params["witness_coefficients"])
         assert np.array_equal(point, x[0])
 
-        # the batch's residuals in array arithmetic, as the evaluator forms them
+        # the batch's residuals in array arithmetic, as the evaluator forms them,
+        # from one sweep along k, then m; kinv is the largest |W phi| over k
         f = build_eigenfunction(spec)
         lam, mu = (np.complex128(complex(v)) for v in expected_eigenvalues(spec))
+        k, m = cartan_decomposition(space)
         phi = f(x)
-        t, kap = tau_and_kappa(f, x, b)
-        k = rebuild_sample(k_spec, coeffs[0, bg:].reshape(5, -1))
-        kinv = np.abs(f(point @ k) - phi[0]).max()
+        t, kap, first = tau_and_kappa(f, x, np.concatenate([k.stack(), m.stack()]))
+        kinv = np.abs(first[: len(k), 0]).max()
         residual = max(np.abs(t - lam * phi)[0], np.abs(kap - mu * phi * phi)[0], kinv)
         assert residual > 0
         assert replay_record(rec, cfg) == residual <= rec.residual
 
 
+@pytest.mark.parametrize("suite,extra", [("eigen", -3), ("eigen", 3), ("crosscheck", 5)])
+def test_replay_rejects_a_witness_of_the_wrong_width(suite, extra):
+    # a witness that is not one evaluator row is refused, naming both lengths,
+    # not replayed on a guessed point or left to a numpy broadcast error
+    overrides = {"eigen": {"tol": 1e-20, "samples": 1, "draws": 1}, "crosscheck": {"tau2_tol": 1e-30, "samples": 1}}
+    cfg = RunConfig(suites=(suite,), spaces=((SUN_SON, 3),), suite_overrides={suite: overrides[suite]})
+    (rec,) = run(cfg).records
+    witness = rec.params["witness_coefficients"]
+    width = len(basis_g(SymmetricSpaceSpec(SUN_SON, 3).group_spec()))
+    assert not rec.passed and len(witness) == width == 8
+    rec.params["witness_coefficients"] = (witness + [0.1] * extra) if extra > 0 else witness[:extra]
+    with pytest.raises(ConfigError, match=f"witness has {width + extra} coefficients.* have {width}$"):
+        replay_record(rec, cfg)
+
+
 def test_eigen_replay_reproduces_a_k_invariance_failure(monkeypatch):
     # phi o R_g0 keeps the eigen-equations (tau and kappa are bi-invariant) but
-    # is not right-K-invariant, so only a replay that rebuilds the witness's
-    # K-points sees the failure; with one sample the witness is the record
+    # is not right-K-invariant, so only the first derivatives along k see the
+    # failure, in the record and in its replay; with one sample the witness is
+    # the record
     from lieharm import eigenfamilies
 
     g0 = CMatrix(pade_exp(0.7 * basis_g(SymmetricSpaceSpec(SUN_SON, 3).group_spec()).stack()[-1]))
