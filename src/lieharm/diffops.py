@@ -218,31 +218,17 @@ def tau_iterated(f: GroupFunction, x: Point, basis, p: int, budget: int = 10**6)
 
 
 # ---------------------------------------------------------------------------
-# whole-matrix sweeps (used by the identity suite)
+# kappa of every coordinate function, from the identity suite's sweep of g -> g
 # ---------------------------------------------------------------------------
 
 
-def coordinate_sweep(x: np.ndarray, basis) -> tuple:
-    """Base, first and second derivative arrays of every matrix coefficient.
-
-    x is one point (n, n) or a batch (..., n, n).  Returns (x0, first,
-    second) with first and second (..., B, n, n), x0 Z_b and x0 Z_b^2 for
-    each direction Z_b: the jets of all coordinate functions from two
-    batched matmuls, so whole families of coordinate identities can be
-    checked at once.
-    """
-    dirs = _dirs_array(basis, x)
-    x0 = np.asarray(x)
-    y = x0[..., None, :, :]
-    return x0, np.matmul(y, dirs), np.matmul(y, np.matmul(dirs, dirs))
-
-
 def coordinate_kappa(first: np.ndarray) -> np.ndarray:
-    """kappa [:, j, a, k, c] = sum_b first[:, b, j, a] first[:, b, k, c] of all
-    coordinate functions at a batch, from `coordinate_sweep`'s first (S, B, n, n),
-    as one product (S, n^2, B) @ (S, B, n^2).  The left factor is made
-    contiguous: a transposed view runs another BLAS kernel, whose code pages
-    add about 128 KB to the peak memory of a run."""
+    """kappa [:, j, a, k, c] = sum_b first[b, :, j, a] first[b, :, k, c] of all
+    coordinate functions at a batch, from their first derivatives (B, S, n, n)
+    along each direction as `_sweep` lays them out, direction first, as one
+    product (S, n^2, B) @ (S, B, n^2).  The left factor is made contiguous: a
+    transposed view runs another BLAS kernel, whose code pages add about
+    128 KB to the peak memory of a run."""
     flat = first.reshape(first.shape[:2] + (-1,))
-    left = np.ascontiguousarray(flat.transpose(0, 2, 1))
-    return np.matmul(left, flat).reshape((len(first),) + first.shape[2:] * 2)
+    left = np.ascontiguousarray(flat.transpose(1, 2, 0))
+    return np.matmul(left, flat.swapaxes(0, 1)).reshape(first.shape[1:2] + first.shape[2:] * 2)

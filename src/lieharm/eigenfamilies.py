@@ -80,16 +80,16 @@ class EigenfunctionSpec:
         if self._skip_validation:
             return
         fam, n = self.space.family, self.space.n
-        if np.max(np.abs(self.a)) == 0:
-            raise ValidationError("parameter vector a must be nonzero")
         expected_len = {SUN_SON: n, SPN_UN: 2 * n, SO2N_UN: 3, SU2N_SPN: 3}[fam]
         if self.a.shape != (expected_len,):
             raise ValidationError(
                 f"{self.space}: a must have length {expected_len}, got shape {self.a.shape}"
             )
+        if np.max(np.abs(self.a)) == 0:
+            raise ValidationError("parameter vector a must be nonzero")
         if fam in (SO2N_UN, SU2N_SPN):
-            if self.indices is None:
-                raise ValidationError(f"{self.space}: indices (r, s, q) are required")
+            if self.indices is None or len(self.indices) != 3:
+                raise ValidationError(f"{self.space}: indices (r, s, q) are required, got {self.indices}")
             r, s, q = self.indices
             if not (1 <= r < s < q <= 2 * n):
                 raise ValidationError(

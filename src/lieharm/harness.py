@@ -29,6 +29,7 @@ from . import __version__
 from .diffops import BudgetExceeded
 from .eigenfamilies import (
     EigenfunctionSpec,
+    ValidationError,
     expected_eigenvalues,
     random_parameters,
     sampled_evaluator,
@@ -450,13 +451,13 @@ def run(config: RunConfig) -> VerificationReport:
 def replay_record(record: CheckRecord, config: RunConfig) -> float:
     """Recompute the residual of a failed sampled record at its stored witness.
 
-    The witness is the record's first failing row of algebra coefficients.
-    Replay hands it, as a batch of one row, to the evaluator that the
-    suite's `verify_sampled` ran (`sampled_evaluator` at the record's order
-    p, compact or dual), which rebuilds the point bit for bit and returns
-    its residual; a witness of another length than a row is a `ConfigError`.
-    The witness is the first failing point, so this is at most the record's
-    (worst) residual.
+    The witness is the record's first failing row of algebra coefficients,
+    so the result is at most the record's (worst) residual.  Replay hands
+    it, as a batch of one row, to the evaluator that the suite's
+    `verify_sampled` ran (`sampled_evaluator` at the record's order p,
+    compact or dual), which rebuilds the point bit for bit and returns its
+    residual.  A witness of another length than a row, or parameters that
+    `EigenfunctionSpec` rejects, is a `ConfigError`.
     """
     params = record.params
     if "witness_coefficients" not in params:
@@ -465,7 +466,10 @@ def replay_record(record: CheckRecord, config: RunConfig) -> float:
     space = SymmetricSpaceSpec(family, int(params["n"]))
     a = np.array([complex(re, im) for re, im in params["witness_a"]])
     indices = tuple(params["witness_indices"]) if "witness_indices" in params else None
-    spec = EigenfunctionSpec(space, a, indices, _skip_validation=True)
+    try:
+        spec = EigenfunctionSpec(space, a, indices)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
     p, dual = SAMPLED_ORDERS[suite]
     width, _, evaluate = sampled_evaluator(spec, p, dual, config.budget)
     witness = params["witness_coefficients"]

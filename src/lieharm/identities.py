@@ -11,7 +11,9 @@ over a basis for all (a, b) at once are one int64 scatter-add of the
 products of each element's pairs of nonzero entries weighted by the c^2,
 compared in integers with the closed forms.  `dense_exact_crosscheck`
 recomputes one (a, b) by a second route: per-element integer matrix
-products W_q N_q E_ab N_q^t.  Coordinate checks sweep batches of points.
+products W_q N_q E_ab N_q^t.  The coordinate checks read tau and the first
+derivatives of every coordinate function at once (g -> g) off the sweep of
+the sampled checks (`diffops._sweep`), over batches of points.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .diffops import coordinate_kappa, coordinate_sweep
+from .diffops import GroupFunction, _sweep, coordinate_kappa
 from .exact import RationalComplex, rc
 from .lie import (
     SO,
@@ -182,6 +184,17 @@ def _tau_factor(family: str, size: int) -> float:
     return -(size + 1) / 2.0  # Sp(n) realised on 2n x 2n: -(2n+1)/2 with size = 2n
 
 
+# every coordinate function g -> g_ja at once: the values of a plain or jet point
+_COORDINATES = GroupFunction(lambda g: g._values(), name="x")
+
+
+def _coordinate_derivatives(points: np.ndarray, basis: Basis):
+    """tau (S, s, s) and the first derivatives (B, S, s, s) of every coordinate
+    function at the points (S, s, s), from the chunks of one sweep."""
+    chunks = list(_sweep(_COORDINATES, points, basis.stack(points.dtype)))
+    return sum(s.value for _, s in chunks), np.concatenate([d.value for d, _ in chunks])
+
+
 _KAPPA_ENTRIES = 2**12  # kappa values S s^4 of a chunk of S points: bounds the temporaries
 
 
@@ -217,20 +230,16 @@ def check_coordinate_identities(
     b = basis_g(spec)
     lam = _tau_factor(spec.family, size)
     j_mat = standard_symplectic(spec.n) if spec.family == SP else None
-    exhaustive = spec.n <= 3
-    tuples = _index_tuples(size, exhaustive, rng)
-
-    tau_res = IdentityCheckResult(
-        f"coordinate_tau_{spec.family}", {"n": spec.n, "tuples": len(tuples)}
-    )
-    kap_res = IdentityCheckResult(
-        f"coordinate_kappa_{spec.family}", {"n": spec.n, "tuples": len(tuples)}
+    tuples = _index_tuples(size, spec.n <= 3, rng)
+    tau_res, kap_res = (
+        IdentityCheckResult(f"coordinate_{kind}_{spec.family}", {"n": spec.n, "tuples": len(tuples)})
+        for kind in ("tau", "kappa")
     )
     j, a, k, c = np.array(tuples).T
     worst = []  # (largest kappa residual, its tuple) per chunk
     for x0 in _chunks(sample(spec, rng, sigma, (samples,))):
-        _, first, second = coordinate_sweep(x0, b)
-        r_tau = np.abs(second.sum(axis=-3) - lam * x0)
+        tau, first = _coordinate_derivatives(x0, b)
+        r_tau = np.abs(tau - lam * x0)
         tau_res.merge(float(r_tau.max()), bool((r_tau <= tol).all()))
         kap_all = coordinate_kappa(first)[:, j, a, k, c]
         # the closed form at every point and index tuple at once
@@ -280,8 +289,9 @@ def check_kappa_basis_decomposition(
     sampled q reproduces kappa of the coordinate functions."""
     if n < 2:
         raise UsageError(f"n must be >= 2, got {n}")
-    size = 2 * n
-    sums = conjugation_sums(basis_g(GroupSpec(SP, n)))
+    size, spec = 2 * n, GroupSpec(SP, n)
+    b = basis_g(spec)
+    sums = conjugation_sums(b)
     # -E_ba/2 + (J)_ab J/2, over the denominator 2
     j = standard_symplectic(n).real.astype(np.int64)
     expected = np.einsum("ab,ij->abij", j, j) - _delta_and_swap(size)[1]
@@ -295,12 +305,10 @@ def check_kappa_basis_decomposition(
 
     if samples <= 0:
         return [exact_res]
-    spec = GroupSpec(SP, n)
-    b = basis_g(spec)
     numeric_res = IdentityCheckResult("kappa_basis_decomposition_numeric", {"n": n})
     rep_pairs = [(1, 1), (1, n + 1), (n + 1, 1), (n + 1, n + 1)]
     for qc in _chunks(sample(spec, rng, sigma, (samples,))):
-        _, first, _ = coordinate_sweep(qc, b)
+        _, first = _coordinate_derivatives(qc, b)
         kap_all = coordinate_kappa(first)
         for alpha, beta in rep_pairs:
             conj = qc @ sums.at(alpha, beta) @ qc.transpose(0, 2, 1)

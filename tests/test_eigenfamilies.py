@@ -63,6 +63,12 @@ def test_wrong_length_rejected():
         EigenfunctionSpec(SymmetricSpaceSpec(SPN_UN, 2), np.ones(2))
 
 
+def test_empty_a_rejected_by_its_length():
+    # the length is checked before the nonzero test, which has nothing to reduce
+    with pytest.raises(ValidationError, match="a must have length 3, got shape \\(0,\\)"):
+        EigenfunctionSpec(SymmetricSpaceSpec(SUN_SON, 3), [])
+
+
 def test_isotropy_enforced_only_for_so2n_un():
     a_iso = np.array([1.0, 1.0j, 0.0])
     a_bad = np.array([1.0, 1.0, 0.0])

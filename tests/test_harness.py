@@ -279,6 +279,34 @@ def test_replay_rejects_a_witness_of_the_wrong_width(suite, extra):
         replay_record(rec, cfg)
 
 
+def _failed_eigen_record(family):
+    """The one failing eigen record of (family, 3), with its config."""
+    cfg = RunConfig(suites=("eigen",), spaces=((family, 3),),
+                    suite_overrides={"eigen": {"tol": 1e-20, "samples": 1, "draws": 1}})
+    (rec,) = run(cfg).records
+    assert not rec.passed
+    return rec, cfg
+
+
+@pytest.mark.parametrize("family", [SO2N_UN, SUN_SON])
+def test_replay_rejects_a_parameter_vector_of_the_wrong_length(family):
+    # a witness_a one entry short is refused with the spec's own message, not
+    # left to fail inside phi (an unpack or a matrix shape error)
+    rec, cfg = _failed_eigen_record(family)
+    rec.params["witness_a"] = rec.params["witness_a"][:-1]
+    with pytest.raises(ConfigError, match="a must have length 3"):
+        replay_record(rec, cfg)
+
+
+@pytest.mark.parametrize("indices,message", [([3, 2, 1], "need 1 <= r < s < q <= 6"),
+                                             ([1, 2], r"indices \(r, s, q\) are required, got \(1, 2\)")])
+def test_replay_rejects_bad_witness_indices(indices, message):
+    rec, cfg = _failed_eigen_record(SU2N_SPN)
+    rec.params["witness_indices"] = indices
+    with pytest.raises(ConfigError, match=message):
+        replay_record(rec, cfg)
+
+
 def test_eigen_replay_reproduces_a_k_invariance_failure(monkeypatch):
     # phi o R_g0 keeps the eigen-equations (tau and kappa are bi-invariant) but
     # is not right-K-invariant, so only the first derivatives along k see the

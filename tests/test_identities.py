@@ -6,6 +6,8 @@ import pytest
 
 from lieharm.diffops import GroupFunction, kappa
 from lieharm import identities
+from lieharm.eigenfamilies import random_parameters, verify_eigen
+from lieharm.jets import JetScalar
 from lieharm.identities import (
     IDENTITY_NAMES,
     assert_full_coverage,
@@ -144,7 +146,8 @@ def test_coordinate_kappa_matches_tuple_loop(family, n):
     j_mat = standard_symplectic(n)
     per_point = []  # the reference residuals of every point, keyed by tuple
     for x in sample(spec, rng, 0.5, (4,)):
-        _, first, _ = identities.coordinate_sweep(x, basis_g(spec))
+        # the sweep of the coordinates at one point, its first derivatives (B, n, n)
+        _, first = identities._coordinate_derivatives(x, basis_g(spec))
         kap_all = np.einsum("bja,bkc->jakc", first, first)
         residuals = {}
         for (j, a, k, c) in tuples:
@@ -175,20 +178,47 @@ def _einsum_sweep(x, basis):
 
 @pytest.mark.parametrize("family,n", [(SO, 3), (SO, 4), (SU, 2), (SU, 3), (SP, 2), (SP, 3)])
 def test_batched_coordinate_sweep_matches_each_point_alone(family, n):
-    # the batched matmuls round like the einsum of one point up to the
-    # grouping of the sums
+    # the sweep of the coordinates over a batch, direction first, against the
+    # einsum of one point: the first derivatives and kappa round alike up to
+    # the grouping of the sums; tau sums C = sum Z^2/2 before the product, the
+    # einsum x Z^2 per direction after it, so they differ by rounding, within
+    # 16 ulps of 1 (every entry of a unitary point is at most 1 in modulus)
     spec = GroupSpec(family, n)
     basis = basis_g(spec)
     points = sample(spec, np.random.default_rng(31), 0.5, (7,))
-    x0, first, second = identities.coordinate_sweep(points, basis)
+    tau, first = identities._coordinate_derivatives(points, basis)
     kap = identities.coordinate_kappa(first)
-    assert x0 is points or np.array_equal(x0, points)
-    assert first.shape == second.shape == (len(points), len(basis)) + points.shape[1:]
+    assert tau.shape == points.shape and first.shape == (len(basis),) + points.shape
     for i, x in enumerate(points):
-        alone = identities.coordinate_sweep(x, basis)
-        assert alone[1].shape == (len(basis),) + x.shape
-        for got, want in zip((first[i], second[i], kap[i]), _einsum_sweep(x, basis)):
+        alone = identities._coordinate_derivatives(x, basis)
+        assert alone[0].shape == x.shape and alone[1].shape == (len(basis),) + x.shape
+        want_first, want_second, want_kap = _einsum_sweep(x, basis)
+        for got, want in zip((first[:, i], kap[i]), (want_first, want_kap)):
             assert np.allclose(got, want, rtol=0, atol=1e-14)
+        assert np.abs(tau[i] - want_second.sum(axis=0)).max() <= 16 * np.finfo(float).eps
+
+
+def test_a_fault_in_the_sweeps_c_fails_coordinate_tau_and_eigen(monkeypatch):
+    # the sweep hands a function the blocks P x, (P x) Z and (P x) C of its
+    # new variable; with C = sum Z^2/2 off by 1e-3 (its factor 1/2 gone wrong)
+    # tau of the coordinates fails on every group and the eigen check on every
+    # family, while kappa, read from the first derivatives alone, still passes
+    call = GroupFunction.__call__
+
+    def faulty(self, x):
+        if isinstance(x, JetScalar):
+            x = JetScalar(x.k, {d: c * (1 + 1e-3) if d[0] == 2 else c for d, c in x.b.items()})
+        return call(self, x)
+
+    monkeypatch.setattr(GroupFunction, "__call__", faulty)
+    for family, n in [(SO, 3), (SO, 4), (SU, 2), (SU, 3), (SP, 2), (SP, 3)]:
+        tau_res, kap_res = check_coordinate_identities(GroupSpec(family, n), 20, 1e-9, np.random.default_rng(17))
+        assert not tau_res.passed and tau_res.max_residual > 1e-4, (family, n)
+        assert kap_res.passed, (family, n)
+    for family in SPACE_FAMILIES:
+        rng = np.random.default_rng(103)
+        check = verify_eigen(random_parameters(SymmetricSpaceSpec(family, 3), rng), samples=8, tol=1e-8, rng=rng)
+        assert not check.passed and check.worst("tau") > 1e-4, family
 
 
 @pytest.mark.parametrize("family,n", [(SO, 3), (SU, 3), (SP, 2), (SP, 3)])
