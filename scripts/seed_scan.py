@@ -21,11 +21,12 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+# lieharm first: it loads OpenBLAS with one thread only if it imports numpy first
 from lieharm.harness import DEFAULT_SPACES, RunConfig, replay_record, run  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 # the reduced sample counts of the scan, per suite
 SAMPLES = {"dual": 2, "crosscheck": 1}

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lieharm
 from lieharm.cli import build_config, main, make_parser
 from lieharm.harness import (
     CheckRecord,
@@ -367,6 +368,62 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# prints the process's task count, its OPENBLAS_NUM_THREADS and whether an OpenBLAS is mapped
+_THREAD_PROBE = (
+    "import json, os; "
+    "blas = any('openblas' in line.lower() for line in open('/proc/self/maps')); "
+    "print(json.dumps([len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'), blas]))"
+)
+needs_proc_tasks = pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task to count threads")
+
+
+def _python(args, **env_vars):
+    """Run the interpreter with `args` in an environment without BLAS thread variables."""
+    env = {k: v for k, v in os.environ.items() if k not in lieharm._BLAS_THREAD_VARIABLES}
+    env.update(PYTHONPATH=os.pathsep.join(sys.path), **env_vars)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@needs_proc_tasks
+def test_import_loads_blas_with_one_thread_and_unsets_the_variable():
+    tasks, value, _ = json.loads(_python(["-c", "import lieharm; " + _THREAD_PROBE]))
+    assert tasks == 1
+    assert value is None
+
+
+@needs_proc_tasks
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_blas_thread_count_set_by_the_caller_wins(variable):
+    code = f"import lieharm, os; assert os.environ[{variable!r}] == '2'; " + _THREAD_PROBE
+    tasks, value, blas = json.loads(_python(["-c", code], **{variable: "2"}))
+    assert value == ("2" if variable == "OPENBLAS_NUM_THREADS" else None)
+    if blas and len(os.sched_getaffinity(0)) >= 2:
+        assert tasks == 2
+
+
+@needs_proc_tasks
+def test_import_after_numpy_changes_nothing():
+    code = (
+        "import json, os, numpy; "
+        "before = [len(os.listdir('/proc/self/task')), dict(os.environ)]; "
+        "import lieharm; "
+        "print(json.dumps(before == [len(os.listdir('/proc/self/task')), dict(os.environ)]))"
+    )
+    assert json.loads(_python(["-c", code])) is True
+
+
+def test_fingerprint_is_the_same_for_any_blas_thread_count():
+    args = ["-m", "lieharm", "all", "--space", "sun_son:2", "--space", "so2n_un:2", "--samples", "2", "--seed", "5"]
+    prints = [
+        [line for line in _python(args, OPENBLAS_NUM_THREADS=threads).splitlines() if line.startswith("fingerprint:")]
+        for threads in ("1", "2")
+    ]
+    assert len(prints[0]) == 1
+    assert prints[0] == prints[1]
 
 
 def test_budget_skip_is_reported_not_failed():
