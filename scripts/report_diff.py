@@ -14,7 +14,8 @@ of their `params` are equal (a record keeps its other residual components,
 such as `tau2_scaled`, and its witness there), the worst residual of B, and
 the summed record time (`ms`) of those records in A and in B; then each
 record both have with its `ms` in A and in B and their ratio.  Exits 1 if a
-verdict flipped or the record sets differ, 0 otherwise.
+verdict flipped or the record sets differ, 0 otherwise, also when the
+reader closes the pipe early.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from lieharm.cli import print_until_closed  # noqa: E402
 from lieharm.harness import report_fingerprint, result_config  # noqa: E402
 
 KEY_PARAMS = ("n", "draw", "p")
@@ -64,6 +66,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         with open(label, encoding="utf-8") as fh:
             reports.append(json.load(fh))
     old, new = (keyed_records(report, label) for report, label in zip(reports, (args.old, args.new)))
+    out: List[str] = []
 
     missing = [key for key in old if key not in new]
     added = [key for key in new if key not in old]
@@ -71,20 +74,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     flips = [key for key in common if old[key]["pass"] != new[key]["pass"]]
     for title, keys in (("missing in new", missing), ("added in new", added)):
         for key in keys:
-            print(f"{title}: {format_key(key)}")
+            out.append(f"{title}: {format_key(key)}")
     for key in flips:
-        print(f"verdict flip: {format_key(key)} pass {old[key]['pass']} -> {new[key]['pass']}, "
-              f"residual {old[key]['residual']:.3e} -> {new[key]['residual']:.3e}")
+        out.append(f"verdict flip: {format_key(key)} pass {old[key]['pass']} -> {new[key]['pass']}, "
+                   f"residual {old[key]['residual']:.3e} -> {new[key]['residual']:.3e}")
     prints = [report_fingerprint(report) for report in reports]
     same = prints[0] == prints[1]
-    print("fingerprints match" if same else f"fingerprints differ: {prints[0][:8]} -> {prints[1][:8]}")
+    out.append("fingerprints match" if same else f"fingerprints differ: {prints[0][:8]} -> {prints[1][:8]}")
     if not same:
         a, b = (result_config(report) for report in reports)
         keys = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-        print(f"config keys that differ: {', '.join(keys) if keys else 'none'}")
+        out.append(f"config keys that differ: {', '.join(keys) if keys else 'none'}")
 
-    print(f"{'suite':12} {'records':>7} {'bitwise':>7} {'new/old ratio':>19} {'params':>7} {'worst new':>10} "
-          f"{'ms old -> new':>21}")
+    out.append(f"{'suite':12} {'records':>7} {'bitwise':>7} {'new/old ratio':>19} {'params':>7} {'worst new':>10} "
+               f"{'ms old -> new':>21}")
     for suite in sorted({key[0].split("/", 1)[0] for key in common}):
         keys = [key for key in common if key[0].split("/", 1)[0] == suite]
         pairs = [(old[key]["residual"], new[key]["residual"]) for key in keys]
@@ -94,13 +97,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         same_params = sum(old[key]["params"] == new[key]["params"] for key in keys)
         worst = max(b for _, b in pairs)
         ms = [sum(report[key]["ms"] for key in keys) for report in (old, new)]
-        print(f"{suite:12} {len(keys):7} {equal:7} {span:>19} {same_params:7} {worst:10.3e} "
-              f"{ms[0]:10.1f} -> {ms[1]:7.1f}")
-    print(f"{'record':44} {'ms old -> new':>21} {'ratio':>8}")
+        out.append(f"{suite:12} {len(keys):7} {equal:7} {span:>19} {same_params:7} {worst:10.3e} "
+                   f"{ms[0]:10.1f} -> {ms[1]:7.1f}")
+    out.append(f"{'record':44} {'ms old -> new':>21} {'ratio':>8}")
     for key in common:
         a, b = old[key]["ms"], new[key]["ms"]
-        print(f"{format_key(key):44} {a:10.1f} -> {b:7.1f} {'x' + format(ratio(a, b), '.2f'):>8}")
-    print(f"{len(flips)} verdict flips, {len(missing)} missing and {len(added)} added records")
+        out.append(f"{format_key(key):44} {a:10.1f} -> {b:7.1f} {'x' + format(ratio(a, b), '.2f'):>8}")
+    out.append(f"{len(flips)} verdict flips, {len(missing)} missing and {len(added)} added records")
+    print_until_closed("\n".join(out))
     return 1 if flips or missing or added else 0
 
 

@@ -30,7 +30,7 @@ import numpy as np  # noqa: E402
 
 # the reduced sample counts of the scan, per suite
 SAMPLES = {"dual": 2, "crosscheck": 1}
-COMPONENTS = ("residual", "tau2_abs", "tau2_scaled", "tau1_rel")
+COMPONENTS = ("residual", "tau2_abs", "tau2_scaled", "tau1_rel", "kinv")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

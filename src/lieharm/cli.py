@@ -6,7 +6,8 @@ Flags mirror the RunConfig keys; precedence is CLI flag > LIEHARM_* env
 var > config-file value > built-in default.  A flag or variable sets the
 key for every suite; a [run] value only replaces the global default, so a
 suite section or a built-in per-suite default beats it.  Exit codes: 0
-pass, 1 verification failure, 2 usage error, 3 I/O error.
+pass, 1 verification failure, 2 usage error, 3 I/O error; a reader that
+closes the pipe early does not change them.
 """
 
 from __future__ import annotations
@@ -149,6 +150,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def print_until_closed(text: str) -> None:
+    """Print text and flush; if the reader has closed the pipe (`| head`),
+    stop quietly: stdout then points at the null device, so neither this
+    write nor the flush at exit raises BrokenPipeError."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lieharm",
@@ -192,12 +204,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    print(summary_table(report))
-    for w in report.warnings:
-        print(f"warning: {w}")
-    print(f"fingerprint: {report_fingerprint(report.to_dict())}")
+    lines = [summary_table(report), *(f"warning: {w}" for w in report.warnings),
+             f"fingerprint: {report_fingerprint(report.to_dict())}"]
     if config.out:
-        print(f"report written to {config.out}")
+        lines.append(f"report written to {config.out}")
+    # a reader that stops early does not change the verdict
+    print_until_closed("\n".join(lines))
     return 0 if report.passed else 1
 
 

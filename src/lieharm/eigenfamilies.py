@@ -1,12 +1,13 @@
 """The four eigenfunction families: construction, parameter validation,
 exact expected eigenvalues, and one routine, `verify_sampled`, that checks
 them at sampled points: the eigen-equations and K-invariance (W phi(x) = 0
-for W in k, read from the sweep) at p = 1, and the nested tau^2 of Phi_2 o
-phi at p = 2, on the compact spaces or (sign-flipped) on their duals.  Each
-order has one evaluator of a batch of coefficient rows; `verify_sampled`
-draws, checks and refills through it, and replay runs it on a witness row.
-Both evaluators compute in the dtype of the point: lambda and mu enter
-through `formal._coefficient`, and phi and the sweep values stay numpy values.
+for W in k, read from the sweep) at every order, and at p = 2 the nested
+tau^2 of Phi_2 o phi, on the compact spaces or (sign-flipped) on their
+duals.  One evaluator, `sampled_evaluator`, takes a batch of coefficient
+rows at either order; `verify_sampled` draws, checks and refills through
+it, and replay runs it on a witness row.  It computes in the dtype of the
+point: lambda and mu enter through `formal._coefficient`, and phi and the
+sweep values stay numpy values.
 
 Families and their data:
 
@@ -184,113 +185,96 @@ def random_parameters(space: SymmetricSpaceSpec, rng: np.random.Generator) -> Ei
 # verification at sampled points
 # ---------------------------------------------------------------------------
 
-# the per-point components of the nested check, in the order `check` returns them
-_NESTED = ("phi", "tau", "kappa", "tau1_rel", "tau2_abs", "tau2_scaled", "residual")
-
 # rows -> (which rows are admissible, the components of the admissible rows)
 Evaluate = Callable[[np.ndarray], Tuple[np.ndarray, Dict[str, np.ndarray]]]
 
 
-def _eigen_evaluator(spec: EigenfunctionSpec) -> Tuple[int, FormalSum, Evaluate]:
-    """p = 1: the row width, a zero formal residual and the evaluator.  A
-    row holds a point x of G over the basis of g; every row is admissible.
-    One sweep over g in the basis k + m serves the batch: tau and kappa do
-    not depend on the orthonormal basis, and K being connected, phi is
-    right-K-invariant exactly where W phi = 0 for W in k, read from the sweep."""
-    g_spec, (k, m) = spec.space.group_spec(), cartan_decomposition(spec.space)
-    dirs = Basis(f"{k.name} + {m.name}", np.concatenate([k.re, m.re]), np.concatenate([k.im, m.im]),
-                 k.weights + m.weights)
-    f = build_eigenfunction(spec)
-    eigenvalues = expected_eigenvalues(spec)
+def sampled_evaluator(
+    spec: EigenfunctionSpec, p: int, dual: bool = False, budget: int = 10**6
+) -> Tuple[int, FormalSum, Evaluate]:
+    """(row width, exact formal residual, evaluator) of the order-p check
+    that `verify_sampled` runs and `replay_record` runs on a witness row.
+    The formal residual is tau^2 of Phi_2 at p = 2, and zero at p = 1.
 
-    def evaluate(rows: np.ndarray):
-        x = rebuild_sample(g_spec, rows)
-        lam, mu = (_coefficient(v, x.dtype) for v in eigenvalues)
-        phi = f(x)
-        t, kap, first = tau_and_kappa(f, x, dirs)
-        # arrays, not numpy scalars, which round otherwise: a point then has
-        # the same residuals in any batch, a replayed batch of one included
-        r_tau, r_kappa = np.abs(t - lam * phi), np.abs(kap - mu * phi * phi)
-        r_kinv = np.abs(first[: len(k)]).max(axis=0)
-        components = dict(phi=phi, tau=r_tau, kappa=r_kappa, kinv=r_kinv)
-        components["residual"] = np.max([r_tau, r_kappa, r_kinv], axis=0)
-        return np.ones(len(rows), dtype=bool), components
+    A row holds a point over g, or on the dual (p = 2) the coefficients of
+    `rebuild_dual_sample` over k, then m.  Every row is admissible at
+    p = 1; at p = 2 a row whose phi fails `log_domain_ok` (called once
+    per row, in row order) is not.  `dual` also flips the signs of (lambda,
+    mu) that the residuals and Phi_2 are built from.  One sweep over the
+    admissible rows, in the basis k + m (k + 1j m on the dual), gives tau,
+    kappa and kinv, the largest |W phi| over W in k: tau and kappa do not
+    depend on the orthonormal basis, and K being connected, phi is
+    right-K-invariant exactly where W phi = 0 for W in k.  These residuals
+    are array expressions over the round, never numpy scalars, which round
+    otherwise, so a replayed batch of one gives its point's bits.
 
-    return len(dirs), FormalSum(), evaluate
-
-
-def _nested_evaluator(spec: EigenfunctionSpec, dual: bool, budget: int) -> Tuple[int, FormalSum, Evaluate]:
-    """p = 2: the row width, the exact formal tau^2 of the Phi_2 in use, and
-    the evaluator, which runs the per-point check below at each point.  A
-    row is rejected where phi is outside the log domain.  `dual` selects
-    the rows and points (over g, or `rebuild_dual_sample` of rows over k,
-    then m), the directions (g, or the Basis 1j * m) and the signs
-    ((lambda, mu), or (-lambda, -mu)) that Phi_2 is built from.  The tau^1
-    comparison holds for any Phi_2 by the chain rule; only tau^2 tells a
-    wrong Phi_2 from the right one.  The check sees one point, in a record
-    and in replay alike, so it works on numpy scalars; only the plain-point
-    path of `evaluate_formal` (tau^1 and |Phi_2 o phi|) is complex128."""
+    At p = 2 each admissible point adds tau(Phi_2 o phi) and the nested
+    tau^2(Phi_2 o phi), over g (the `Basis` 1j m on the dual), one point at
+    a time.  The tau^1 comparison holds for any Phi_2 by the chain rule;
+    only tau^2 tells a wrong Phi_2 from the right one.  Everything is
+    computed in the dtype of the point, apart from the complex128
+    plain-point path of `evaluate_formal` (tau^1 and |Phi_2 o phi|).
+    """
+    if p not in (1, 2) or (p == 1 and dual):
+        raise UsageError(f"no sampled check of order p={p}{' on the dual' if dual else ''}")
     space = spec.space
+    k, m = cartan_decomposition(space)
     f = build_eigenfunction(spec)
     lam, mu = expected_eigenvalues(spec)
     if dual:
         lam, mu = -lam, -mu
-        k, m = cartan_decomposition(space)
-        dirs = Basis(f"1j {m.name}", -m.im, m.re, m.weights)
-        width = len(k) + len(m)
+        m = nested_dirs = Basis(f"1j {m.name}", -m.im, m.re, m.weights)
         rebuild = lambda rows: rebuild_dual_sample(space, rows[:, : len(k)], rows[:, len(k) :])
     else:
-        dirs = basis_g(space.group_spec())
-        width = len(dirs)
+        nested_dirs = basis_g(space.group_spec())
         rebuild = lambda rows: rebuild_sample(space.group_spec(), rows)
-    phi2 = build_phi_p(2, lam, mu)
-    tau1 = tau_formal(phi2, lam, mu)
-    tau2 = tau_formal(tau1, lam, mu)
-    h = GroupFunction(lambda v: evaluate_formal(phi2, f.fn(v)), name="Phi2.phi", left=f.left)
+    dirs = Basis(f"{k.name} + {m.name}", np.concatenate([k.re, m.re]), np.concatenate([k.im, m.im]),
+                 k.weights + m.weights)
+    formal = FormalSum()
+    if p == 2:
+        phi2 = build_phi_p(2, lam, mu)
+        tau1 = tau_formal(phi2, lam, mu)
+        formal = tau_formal(tau1, lam, mu)
+        h = GroupFunction(lambda v: evaluate_formal(phi2, f.fn(v)), name="Phi2.phi", left=f.left)
 
-    def check(x: np.ndarray, lam: np.complexfloating, mu: np.complexfloating):
-        phi = f(x)
-        if not log_domain_ok(phi):
-            return None
-        t, kap, _ = tau_and_kappa(f, x, dirs)
+    def nested(x: np.ndarray, phi: np.complexfloating):
+        """tau1_rel, tau2_abs and tau2_scaled at one point."""
         t1_sym = evaluate_formal(tau1, phi)
-        t1_rel = abs(tau(h, x, dirs) - t1_sym) / max(1.0, abs(t1_sym))
-        t2 = abs(tau_iterated(h, x, dirs, 2, budget=budget))
+        t1_rel = abs(tau(h, x, nested_dirs) - t1_sym) / max(1.0, abs(t1_sym))
+        t2 = abs(tau_iterated(h, x, nested_dirs, 2, budget=budget))
         # phi^{1-lambda/mu} can be huge at small |phi|; judge the nullity of
         # tau^2 relative to the size of the function it acts on
-        t2_scaled = t2 / max(1.0, abs(evaluate_formal(phi2, phi)))
-        r_tau, r_kappa = abs(t - lam * phi), abs(kap - mu * phi * phi)
-        return phi, r_tau, r_kappa, t1_rel, t2, t2_scaled, max(r_tau, r_kappa, t1_rel, t2_scaled)
+        return t1_rel, t2, t2 / max(1.0, abs(evaluate_formal(phi2, phi)))
 
     def evaluate(rows: np.ndarray):
         x = rebuild(rows)
-        eigenvalues = [_coefficient(v, x.dtype) for v in (lam, mu)]
-        points = [check(point, *eigenvalues) for point in x]
-        kept = [p for p in points if p is not None]
-        components = {key: np.array([p[i] for p in kept]) for i, key in enumerate(_NESTED)}
-        return np.array([p is not None for p in points], dtype=bool), components
+        lam_x, mu_x = (_coefficient(v, x.dtype) for v in (lam, mu))
+        phi = f(x)
+        admissible = np.array([p == 1 or log_domain_ok(v) for v in phi], dtype=bool)
+        if not admissible.all():  # no copy of a round that keeps every row
+            x, phi = x[admissible], phi[admissible]
+        # the sweep sizes its chunks by a point, so a round with none skips it
+        t, kap, first = tau_and_kappa(f, x, dirs) if len(x) else (phi, phi, phi[None])
+        r_tau, r_kappa = np.abs(t - lam_x * phi), np.abs(kap - mu_x * phi * phi)
+        components = dict(phi=phi, tau=r_tau, kappa=r_kappa, kinv=np.abs(first[: len(k)]).max(axis=0))
+        judged = [r_tau, r_kappa, components["kinv"]]
+        if p == 2:
+            t1_rel, t2, t2_scaled = np.reshape([nested(*point) for point in zip(x, phi)], (-1, 3)).T
+            components.update(tau1_rel=t1_rel, tau2_abs=t2, tau2_scaled=t2_scaled)
+            judged += [t1_rel, t2_scaled]
+        components["residual"] = np.max(judged, axis=0)
+        return admissible, components
 
-    return width, tau2, evaluate
-
-
-def sampled_evaluator(spec: EigenfunctionSpec, p: int, dual: bool = False, budget: int = 10**6):
-    """(row width, exact formal residual, evaluator) of the order-p check
-    that `verify_sampled` runs and `replay_record` runs on a witness row.
-    The formal residual is tau^2 of Phi_2 at p = 2, and zero at p = 1."""
-    if p == 1 and not dual:
-        return _eigen_evaluator(spec)
-    if p == 2:
-        return _nested_evaluator(spec, dual, budget)
-    raise UsageError(f"no sampled check of order p={p}{' on the dual' if dual else ''}")
+    return len(dirs), formal, evaluate
 
 
 @dataclass
 class SampledCheck:
     """The outcome of `verify_sampled`.  `components` holds, per component,
     one value per accepted point in draw order: `phi`, the residuals of
-    the order (tau, kappa and kinv, the largest |W phi(x)| over W in k read
-    from the sweep, at p = 1; tau, kappa, tau1_rel, tau2_abs and tau2_scaled
-    at p = 2) and `residual`, the largest of those that are judged.
+    every order (tau, kappa and kinv, the largest |W phi(x)| over W in k read
+    from the sweep), at p = 2 also tau1_rel, tau2_abs and tau2_scaled, and
+    `residual`, the largest of those that are judged (all but tau2_abs).
     `witness_coefficients` is the first failing row."""
 
     components: Dict[str, np.ndarray]
@@ -315,10 +299,10 @@ def verify_sampled(
     """The order-p check of phi at `samples` sampled points, on the compact
     space or (p = 2, `dual`) on its non-compact dual.
 
-    p = 1: tau phi = lambda phi, kappa(phi, phi) = mu phi^2 and W phi(x) = 0
-    for W in k, read from the sweep, each within tol * max(1, |phi|).  p = 2:
-    the exact formal tau^2 of Phi_2 is zero; tau phi and kappa(phi, phi) match
-    lambda' phi and mu' phi^2 within tol * max(1, |phi|), tau(Phi_2 o phi)
+    Both orders: tau phi = lambda phi, kappa(phi, phi) = mu phi^2 and
+    W phi(x) = 0 for W in k, read from the sweep, each within
+    tol * max(1, |phi|), with (lambda, mu) sign-flipped on the dual.  p = 2
+    adds: the exact formal tau^2 of Phi_2 is zero, tau(Phi_2 o phi) matches
     the formal tau Phi_2 within tol relative, and
     |tau^2(Phi_2 o phi)| / max(1, |Phi_2 o phi|) is at most tau2_tol, which
     p = 2 requires (UsageError, before any draw, without it).

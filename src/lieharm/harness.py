@@ -4,7 +4,7 @@ seeded runs with structured reports.
 Reproducibility contract: the master seed is split into independent
 substreams keyed by (seed, suite, space, index) through SHA-256 into a
 numpy SeedSequence, so results do not depend on execution order; records
-are sorted by (name, params) before report assembly.  Two runs with the
+are sorted by (name, n, params) before report assembly.  Two runs with the
 same config and seed produce reports that are identical after stripping
 the timestamp and the per-record wall times.
 
@@ -331,7 +331,7 @@ def _phi2_suite(cfg: RunConfig, suite: str) -> List[CheckRecord]:
             except BudgetExceeded:
                 return 0.0, True, {"n": space.n, "skipped": "budget"}
             params = {"n": space.n, "rejected": v.rejected}
-            params.update((key, v.worst(key)) for key in ("tau2_abs", "tau2_scaled", "tau1_rel"))
+            params.update((key, v.worst(key)) for key in ("tau2_abs", "tau2_scaled", "tau1_rel", "kinv"))
             if not v.formal.is_zero():
                 params["tau2_formal"] = v.formal.serialize()
             params.update(_sample_params(spec, samples, v.witness_coefficients))
@@ -434,7 +434,8 @@ def run(config: RunConfig) -> VerificationReport:
     for rec in records:
         if isinstance(rec.params, dict) and rec.params.get("skipped") == "budget":
             warnings.append(f"{rec.name}: skipped (budget)")
-    records.sort(key=lambda r: (r.name, json.dumps(_jsonable(r.params), sort_keys=True)))
+    # n first, so that no result among the params (such as kinv) orders records of one name
+    records.sort(key=lambda r: (r.name, r.params.get("n", 0), json.dumps(_jsonable(r.params), sort_keys=True)))
     report = VerificationReport(
         config=config.echo(),
         records=records,

@@ -389,6 +389,15 @@ def test_k_invariance_fault_fails_through_kinv(monkeypatch, family, n):
     assert v.worst("tau") < 1e-12
     if family != SO2N_UN:
         assert v.worst("kappa") < 1e-12
+    # the order-2 checks, crosscheck and dual at their suite defaults, read
+    # the same first derivatives along k and fail through kinv too
+    for dual, sigma, tol, tau2_tol in ((False, 0.5, 1e-8, 1e-6), (True, 0.2, 1e-7, 1e-5)):
+        v = verify_sampled(spec, 2, 3, tol, rng, dual=dual, sigma=sigma, tau2_tol=tau2_tol)
+        assert not v.passed and v.worst("kinv") > 1e-4, dual
+        assert v.worst("kinv") > tol * max(1.0, np.abs(v.components["phi"]).max())
+        if not dual and family != SO2N_UN:
+            # Phi_2 o phi of the skewed phi is still biharmonic on G: only kinv sees it
+            assert v.worst("tau2_scaled") <= tau2_tol and v.worst("tau") < 1e-12
 
 
 def test_verify_eigen_zero_samples_vacuous():
@@ -574,14 +583,17 @@ def test_batched_nested_draw_matches_point_by_point(monkeypatch, family, dual):
     v = verify_sampled(spec, 2, samples, tol, rng, dual=dual, sigma=sigma, tau2_tol=tau2_tol)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
     assert len(calls) == 2 * samples and v.rejected == rejected
-    assert len(swept) == samples and all(np.array_equal(a, b) for a, b in zip(swept, points))
+    # one sweep a round over its admissible points: the rounds of 4, 2, 1 and
+    # 1 rows keep 2, 1, 0 and 1 of them, and the empty round sweeps nothing
+    assert [len(x) for x in swept] == [2, 1, 1]
+    assert np.array_equal(np.concatenate(swept), np.stack(points))
     assert v.witness_coefficients == witness and not v.passed
 
 
 @pytest.mark.parametrize("dual", [False, True])
 def test_nested_check_reads_its_directions_in_the_dtype_of_the_point(monkeypatch, dual):
-    # the nested check hands a Basis to the sweeps, so a clongdouble point is
-    # swept along stack(np.clongdouble), not along directions rounded to float64
+    # the sampled evaluator hands a Basis to its sweep, so a clongdouble point
+    # is swept along stack(np.clongdouble), not along directions rounded to float64
     from lieharm import eigenfamilies
 
     # SU(3)/SO(3): c = 1/sqrt(6) and more, which float64 rounds, in both g and m
@@ -604,15 +616,50 @@ def test_nested_check_reads_its_directions_in_the_dtype_of_the_point(monkeypatch
     lam = np.clongdouble(np.longdouble(lam.numerator) / np.longdouble(lam.denominator))
     phi = f(x)
     assert phi.dtype == np.clongdouble
-    basis = m if dual else basis_g(space.group_spec())
+    # one sweep of the batch in the basis k + m, and k + 1j m on the dual;
+    # on SU(3)/SO(3) k + m is basis_g itself
     unit = 1j if dual else 1
 
-    def tau_residual(dirs):
-        return abs(tau_and_kappa(f, x, unit * dirs)[0] - lam * phi)
+    def tau_residual(dtype):
+        dirs = np.concatenate([k.stack(dtype), unit * m.stack(dtype)])
+        return np.abs(tau_and_kappa(f, x[None], dirs)[0] - lam * phi)[0]
 
-    assert got == tau_residual(basis.stack(np.clongdouble))
+    assert got == tau_residual(np.clongdouble)
     # the test can tell: directions rounded to complex128 give other bits
-    assert got != tau_residual(basis.stack())
+    assert got != tau_residual(np.complex128)
+
+
+@pytest.mark.parametrize("family", SPACE_FAMILIES)
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("dual", [False, True])
+def test_each_admissible_point_of_an_order_two_batch_keeps_its_bits(monkeypatch, family, n, dual):
+    # replay hands a witness row to the evaluator as a batch of one, so every
+    # admissible point of a batch, also one between rejected rows, must get the
+    # bits it gets alone, from the batched sweep (phi, tau, kappa, kinv) and
+    # from the per-point nested tau (tau1_rel, tau2_abs, tau2_scaled)
+    from lieharm import eigenfamilies
+
+    space = SymmetricSpaceSpec(family, n)
+    spec = random_parameters(space, np.random.default_rng(70 + n))
+    width, _, evaluate = sampled_evaluator(spec, 2, dual)
+    rows = np.random.default_rng(71 + n).normal(0.0, 0.2 if dual else 0.5, (4, width))
+    k = len(cartan_decomposition(space)[0])
+    x = (rebuild_dual_sample(space, rows[:, :k], rows[:, k:]) if dual
+         else eigenfamilies.rebuild_sample(space.group_spec(), rows))
+    phi = build_eigenfunction(spec)(x)
+    # the rows 1 and 3 are rejected, by their phi, in any batch
+    dropped = {complex(v) for v in phi[1::2]}
+    real = eigenfamilies.log_domain_ok
+    monkeypatch.setattr(eigenfamilies, "log_domain_ok", lambda v: complex(v) not in dropped and real(v))
+    kept, batch = evaluate(rows)
+    assert kept.tolist() == [True, False, True, False]
+    assert set(batch) == {"phi", "tau", "kappa", "kinv", "tau1_rel", "tau2_abs", "tau2_scaled", "residual"}
+    for j, i in enumerate((0, 2)):
+        alone_kept, alone = evaluate(rows[i : i + 1])
+        assert alone_kept.tolist() == [True]
+        for key, values in batch.items():
+            assert values[j] == alone[key][0], (key, i)
+            assert values[j].dtype == alone[key].dtype, (key, i)
 
 
 def test_order_two_check_without_tau2_tol_raises_before_drawing():

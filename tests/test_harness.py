@@ -13,6 +13,7 @@ import pytest
 import lieharm
 from lieharm.cli import build_config, main, make_parser
 from lieharm.harness import (
+    SAMPLED_ORDERS,
     CheckRecord,
     ConfigError,
     RunConfig,
@@ -27,7 +28,7 @@ from lieharm.harness import (
     substream,
 )
 from lieharm.diffops import GroupFunction, tau_and_kappa
-from lieharm.eigenfamilies import build_eigenfunction, expected_eigenvalues, random_parameters
+from lieharm.eigenfamilies import build_eigenfunction, expected_eigenvalues, random_parameters, sampled_evaluator
 from lieharm.identities import SPACE_FREE_IDENTITY_NAMES
 from lieharm.lie import (
     SO2N_UN,
@@ -124,6 +125,17 @@ def test_pharmonic_suite_run_and_record_schema():
     assert names == sorted(names)
     assert any(n == "pharmonic/synthetic-mu-zero" for n in names)
     assert any(n == "pharmonic/synthetic-lambda-equals-mu" for n in names)
+
+
+def test_records_of_one_name_are_ordered_by_n():
+    # not by a result among the params: the exact decomposition's batch_records
+    # (1 at the largest n) and the dual's kinv both sort before "n"
+    cfg = RunConfig(suites=("identities", "dual"), spaces=((SUN_SON, 3), (SUN_SON, 2)),
+                    suite_overrides={"identities": {"samples": 2}, "dual": {"samples": 1}})
+    records = run(cfg).records
+    keys = [(r.name, r.params.get("n", 0)) for r in records]
+    assert keys == sorted(keys)
+    assert all("kinv" in r.params for r in records if r.name.startswith("dual/"))
 
 
 def test_determinism_same_seed():
@@ -343,6 +355,22 @@ def test_nested_failure_records_witness_and_replays(suite):
     assert rec.params["tau2_scaled"] > 1e-30
     assert replay_record(rec, cfg) == rec.residual
 
+    # a batch of 4: the witness is the first row of the record's one round,
+    # and its replay, a batch of one, gives the bits of that point in the batch
+    cfg = RunConfig(suites=(suite,), spaces=((SU2N_SPN, 2),),
+                    suite_overrides={suite: {"samples": 4, "tau2_tol": 1e-30}})
+    (rec,) = run(cfg).records
+    assert not rec.passed and rec.params["rejected"] == 0
+    rng = substream(cfg.seed, suite, SU2N_SPN, 2)
+    spec = random_parameters(SymmetricSpaceSpec(SU2N_SPN, 2), rng)
+    p, dual = SAMPLED_ORDERS[suite]
+    width, _, evaluate = sampled_evaluator(spec, p, dual)
+    rows = rng.normal(0.0, cfg.suite_param(suite, "sigma"), (4, width))
+    assert rec.params["witness_coefficients"] == [float(c) for c in rows[0]]
+    residual = evaluate(rows)[1]["residual"]
+    assert rec.residual == residual.max() and rec.params["kinv"] > 0
+    assert replay_record(rec, cfg) == residual[0]
+
 
 def test_nested_record_reports_a_nonzero_formal_tau2(monkeypatch):
     # a Phi_2 built from a wrong lambda is not biharmonic in the formal
@@ -523,6 +551,29 @@ def test_cli_exit_codes(tmp_path):
     assert main(["eigen", "--space", "sun_son:2", "--samples", "3", "--tol", "nan"]) == 2
     bad_path = str(tmp_path / "missing_dir" / "report.json")
     assert main(["pharmonic", "--space", "sun_son:2", "--p-max", "1", "--out", bad_path]) == 3
+
+
+def _into_a_closed_pipe(args):
+    """Run the interpreter with `args`, its stdout a pipe whose reader has
+    already closed it, as `| head` does once it has read enough; returns the
+    exit code and stderr."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, *args], stdout=write, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=300)
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("args,code", [(["pharmonic", "--space", "sun_son:2"], 0),
+                                       (["eigen", "--space", "sun_son:2", "--samples", "2", "--tol", "1e-20"], 1)])
+def test_cli_exits_quietly_with_its_verdict_when_the_reader_closes_the_pipe(args, code):
+    # `lieharm pharmonic | head -2`: no BrokenPipeError traceback, and not the
+    # exit code 1 of a verification failure on a run that passed
+    assert _into_a_closed_pipe(["-m", "lieharm", *args]) == (code, "")
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path):

@@ -1,8 +1,11 @@
-"""Smoke test of scripts/report_diff.py, run in this process."""
+"""Smoke test of scripts/report_diff.py, run in this process and, for a\nclosed pipe, as a script."""
 
 import copy
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +123,20 @@ def test_changed_config_names_its_keys(report_diff, report, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fingerprints differ" in out
     assert "config keys that differ: p_max, seed" in out
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_a_reader_closing_the_pipe_early_keeps_the_exit_code(report, tmp_path, flip):
+    # `report_diff.py A B | head -3`: no BrokenPipeError traceback, and the
+    # exit code of a full read, 1 only for a verdict flip
+    new = copy.deepcopy(report)
+    new["records"][0]["pass"] = not flip
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, str(_SCRIPT), _write(tmp_path, "a.json", report),
+                               _write(tmp_path, "b.json", new)], stdout=write, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (int(flip), "")
