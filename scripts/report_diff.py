@@ -10,12 +10,13 @@ and the config keys that enter the fingerprint and differ, so a changed
 config can be told from changed records), and per
 suite the number of records both reports have, how many of their residuals
 are bitwise equal, the range of the new/old ratio of the others, how many
-of their `params` are equal (a record keeps its other residual components,
-such as `tau2_scaled`, and its witness there), the worst residual of B, and
-the summed record time (`ms`) of those records in A and in B; then each
-record both have with its `ms` in A and in B and their ratio.  Exits 1 if a
-verdict flipped or the record sets differ, 0 otherwise, also when the
-reader closes the pipe early.
+of their `params` are equal on the keys both records have (a record keeps
+its other residual components, such as `tau2_scaled`, and its witness
+there), the worst residual of B, and the summed record time (`ms`) of those
+records in A and in B; then the param keys each suite's records added or
+dropped, and each record both have with its `ms` in A and in B and their
+ratio.  Exits 1 if a verdict flipped or the record sets differ, 0
+otherwise, also when the reader closes the pipe early.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ def keyed_records(report: Dict, label: str) -> Dict[Tuple, Dict]:
 def format_key(key: Tuple) -> str:
     params = " ".join(f"{k}={v}" for k, v in zip(KEY_PARAMS, key[1:]) if v is not None)
     return f"{key[0]} {params}".rstrip()
+
+
+def shared_params_equal(old: Dict, new: Dict) -> bool:
+    """Whether two records' params agree on every key both of them have."""
+    return all(old[k] == new[k] for k in old.keys() & new.keys())
 
 
 def ratio(old: float, new: float) -> float:
@@ -88,17 +94,23 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     out.append(f"{'suite':12} {'records':>7} {'bitwise':>7} {'new/old ratio':>19} {'params':>7} {'worst new':>10} "
                f"{'ms old -> new':>21}")
+    param_lines = []
     for suite in sorted({key[0].split("/", 1)[0] for key in common}):
         keys = [key for key in common if key[0].split("/", 1)[0] == suite]
+        for title, (was, now) in (("added in new", (old, new)), ("missing in new", (new, old))):
+            names = sorted({k for key in keys for k in now[key]["params"].keys() - was[key]["params"].keys()})
+            if names:
+                param_lines.append(f"params of {suite} {title}: {', '.join(names)}")
         pairs = [(old[key]["residual"], new[key]["residual"]) for key in keys]
         ratios = [ratio(a, b) for a, b in pairs if a != b]
         span = f"x{min(ratios):.2f} - x{max(ratios):.2f}" if ratios else "-"
         equal = sum(a == b for a, b in pairs)
-        same_params = sum(old[key]["params"] == new[key]["params"] for key in keys)
+        same_params = sum(shared_params_equal(old[key]["params"], new[key]["params"]) for key in keys)
         worst = max(b for _, b in pairs)
         ms = [sum(report[key]["ms"] for key in keys) for report in (old, new)]
         out.append(f"{suite:12} {len(keys):7} {equal:7} {span:>19} {same_params:7} {worst:10.3e} "
                    f"{ms[0]:10.1f} -> {ms[1]:7.1f}")
+    out += param_lines
     out.append(f"{'record':44} {'ms old -> new':>21} {'ratio':>8}")
     for key in common:
         a, b = old[key]["ms"], new[key]["ms"]

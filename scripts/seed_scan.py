@@ -10,7 +10,8 @@ the residual of its witness point replayed by `replay_record` (or the
 nonzero formal tau^2 of a record that has no witness), then the worst
 value of each residual component and the number of rejected draws per
 suite, and the distribution of the records' scaled tau^2 per suite (max,
-99th percentile and median).  Exits 1 if any record failed, 0 otherwise.
+99th percentile and median).  Exits 1 if any record failed, 0 otherwise,
+also when the reader closes the pipe early.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Dict, List, Optional
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 # lieharm first: it loads OpenBLAS with one thread only if it imports numpy first
+from lieharm.cli import print_until_closed  # noqa: E402
 from lieharm.harness import DEFAULT_SPACES, RunConfig, replay_record, run  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -70,16 +72,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                 why = f"witness replays to {replay_record(rec, cfg):.4e}"
             else:
                 why = f"formal tau^2 {rec.params['tau2_formal']}"
-            print(f"FAIL {rec.name} n={n} seed={seed} residual {rec.residual:.4e}, {why}: "
-                  f"lieharm {suite} --space {family}:{n} --samples {SAMPLES[suite]} --seed {seed}")
+            print_until_closed(f"FAIL {rec.name} n={n} seed={seed} residual {rec.residual:.4e}, {why}: "
+                               f"lieharm {suite} --space {family}:{n} --samples {SAMPLES[suite]} --seed {seed}")
     for suite, values in worst.items():
-        print(f"worst {suite}: " + ", ".join(f"{k} {v:.3e}" for k, v in values.items())
-              + f"; {rejected[suite]} rejected draws")
+        print_until_closed(f"worst {suite}: " + ", ".join(f"{k} {v:.3e}" for k, v in values.items())
+                           + f"; {rejected[suite]} rejected draws")
     for suite, values in scaled.items():
         q = np.percentile(values, [100, 99, 50]) if values else [0.0] * 3
-        print(f"tau2_scaled {suite}: max {q[0]:.3e}, 99th percentile {q[1]:.3e}, "
-              f"median {q[2]:.3e} over {len(values)} records")
-    print(f"{failures} of {records} records failed in {time.perf_counter() - start:.1f} s")
+        print_until_closed(f"tau2_scaled {suite}: max {q[0]:.3e}, 99th percentile {q[1]:.3e}, "
+                           f"median {q[2]:.3e} over {len(values)} records")
+    print_until_closed(f"{failures} of {records} records failed in {time.perf_counter() - start:.1f} s")
     return 1 if failures else 0
 
 

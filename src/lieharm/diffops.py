@@ -124,6 +124,9 @@ def _sweep(f: GroupFunction, x: Point, dirs: np.ndarray) -> Iterator[Tuple[JetSc
     """The first and second derivative jets of f along x (I + tZ + t^2 Z^2/2),
     one pair per chunk of the directions Z, from f's function at the jet
     with blocks P x, (P x) Z and (P x) C, C the sum of Z^2/2 over the chunk.
+    The blocks (P x) Z of a chunk's m directions come from one product
+    (P x) [Z_1 ... Z_m] per matrix of P x, never one that spans two points,
+    so a point of a batch keeps the bits it has alone.
 
     The jets have the variables of x.  The first derivatives have the
     chunk's direction axis in front of the value axes of x; the second
@@ -139,14 +142,17 @@ def _sweep(f: GroupFunction, x: Point, dirs: np.ndarray) -> Iterator[Tuple[JetSc
     chunk = max(1, _CHUNK_ENTRIES // sum(c.size for c in base.b.values()) - 2)
     for start in range(0, len(dirs), chunk):
         z = dirs[start : start + chunk]
+        side_by_side = z.transpose(1, 0, 2).reshape(size, -1)  # [Z_1 ... Z_m]
         # C = sum_Z Z Z / 2 as one product [Z_1 ... Z_m] [Z_1; ...; Z_m] / 2
-        half_square = np.matmul(z.transpose(1, 0, 2).reshape(size, -1), z.reshape(-1, size)) / 2
+        half_square = np.matmul(side_by_side, z.reshape(-1, size)) / 2
         arg = {}
         for d, y in base.b.items():
-            # the new variable's axis goes in front of those of x
-            y = y[None]
-            zs = z.reshape((len(z),) + (1,) * (y.ndim - 3) + z.shape[1:])
-            arg[(0,) + d], arg[(1,) + d], arg[(2,) + d] = y, y @ zs, y @ half_square
+            # (P x) [Z_1 ... Z_m], one product per matrix of P x, its m column
+            # blocks then moved onto the new variable's axis, which goes in
+            # front of those of x
+            moved = np.matmul(y, side_by_side).reshape(y.shape[:-1] + z.shape[:1] + (size,))
+            moved = moved.transpose((y.ndim - 1,) + tuple(range(y.ndim - 1)) + (y.ndim,))
+            arg[(0,) + d], arg[(1,) + d], arg[(2,) + d] = y[None], moved, y[None] @ half_square
         w = f(JetScalar(k + 1, arg))
         if not isinstance(w, JetScalar):  # its blocks have size 1 along the chunk
             w = JetScalar.constant(np.broadcast_to(w, np.shape(base.value)[:-2]), k + 1)

@@ -21,16 +21,19 @@ phi reads g only through a few rows P g, the fixed left factor of its
 `GroupFunction` (`diffops.py`), and is a Frobenius pairing
 <x, y> = sum_ij x_ij y_ij (`pair` of `matrices.py`) of them:
 
-  A = a a^t:      P = a^t (1 x N),        phi = <a^t g, a^t g>
-  J families:     P = rows R of I (3 x N), R = {r, s, q},
-                  phi = <g_R, A_RR g_R J>, A_RR the 3 x 3 block of A on R
+  A = a a^t:      P = a^t (1 x N),          phi = <a^t g, a^t g>
+  J families:     P = F (rows R of I) (2 x N), R = {r, s, q},
+                  phi = <F g_R, J_1 F g_R J>
 
-Both are trace(g^t A g [J]) = <g, A g [J]>, since A is a a^t or vanishes
-off R x R.  So a sweep moves the 1 or 3 rows P x along the curve, not the
-N x N point, and phi never forms the product g^t (A g J): at a jet point
-that would be a Cauchy product of matmuls between two jets, while the
-pairing contracts each pair of coefficients in O(rows N).  The right
-factor J is the exact signed column swap `matrices.swap_j`, no product.
+On the J families A_RR, the 3 x 3 block of A on R, is skew of rank 2, so
+it has the normal form A_RR = F^t J_1 F (`skew_normal_form`), F = [u^t; v^t]
+and J_1 = [[0, 1], [-1, 0]].  Both are trace(g^t A g [J]) = <g, A g [J]>,
+since A is a a^t or vanishes off R x R.  So a sweep moves the 1 or 2 rows
+P x along the curve, not the N x N point, and phi never forms the product
+g^t (A g J): at a jet point that would be a Cauchy product of matmuls
+between two jets, while the pairing contracts each pair of coefficients in
+O(rows N).  Its only product is the 2 x 2 J_1 (F g_R); the right factor J
+is the exact signed column swap `matrices.swap_j`, no product.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .lie import (
     rebuild_dual_sample,
     rebuild_sample,
     sample,
+    standard_symplectic,
 )
 from .matrices import CMatrix
 
@@ -128,15 +132,25 @@ def uses_complex_structure(space: SymmetricSpaceSpec) -> bool:
 def build_eigenfunction(spec: EigenfunctionSpec) -> GroupFunction:
     """phi = trace(g^t A g J) as a scalar-polymorphic group function of the
     rows P g that it reads: <a^t g, a^t g> for A = a a^t, and
-    <g_R, A_RR g_R J> for the J families."""
+    <F g_R, J_1 F g_R J>, A_RR = F^t J_1 F, for the J families."""
     space = spec.space
     name = f"phi[{space}]"
     if not uses_complex_structure(space):
         return GroupFunction(lambda v: v.pair(v), name=name, left=spec.a[None, :].copy())
     rows = [i - 1 for i in spec.indices]
-    a_rr = CMatrix(build_matrix_A(spec)[np.ix_(rows, rows)])
-    left = np.eye(space.matrix_size, dtype=complex)[rows]
-    return GroupFunction(lambda v: v.pair((a_rr @ v).swap_j()), name=name, left=left)
+    left = np.zeros((2, space.matrix_size), dtype=complex)
+    left[:, rows] = skew_normal_form(build_matrix_A(spec)[np.ix_(rows, rows)])
+    j1 = CMatrix(standard_symplectic(1))
+    return GroupFunction(lambda v: v.pair((j1 @ v).swap_j()), name=name, left=left)
+
+
+def skew_normal_form(a_rr: np.ndarray) -> np.ndarray:
+    """F = [u^t; v^t] (2 x 3) with A_RR = F^t J_1 F = u v^t - v u^t, for the
+    nonzero 3 x 3 skew block A_RR, which has rank 2: u = A e_i / A_ij and
+    v = A e_j at the largest |A_ij|.  Entry by entry this is the Pluecker
+    relation A_kl A_ij = A_ki A_lj - A_kj A_li of a skew matrix of rank 2."""
+    i, j = np.unravel_index(np.argmax(np.abs(a_rr)), a_rr.shape)
+    return np.stack([a_rr[:, i] / a_rr[i, j], a_rr[:, j]])
 
 
 def expected_eigenvalues(spec_or_space) -> Tuple[RationalComplex, RationalComplex]:

@@ -17,7 +17,9 @@ k = 2); a term of two degree-1 blocks in v is summed over v's axis.  Every
 block of a product is thus linear in the dense ones, and ring operations
 are exact.  With a contraction of matrix axes in place of the multiply the
 same routine is the Frobenius pairing of two jet matrices (`matrices.py`),
-and `@` with a plain array is one matmul per block.  Value axes broadcast
+and `@` with a plain array is one matmul per block; with the plain array
+on the left a block's variable axes move into its columns, so the block
+takes one product per matrix of its value axes.  Value axes broadcast
 as in numpy, aligned on the right; the blocks keep their dtype (complex128,
 or clongdouble).  A function of a jet, such as phi^a (log phi)^b, is
 composed in `formal.evaluate_formal`.
@@ -141,6 +143,28 @@ class JetScalar:
         return NotImplemented
 
     def __rmatmul__(self, other):
+        """A plain array times a jet whose values end in matrix axes, one
+        product per matrix of the value axes: each block's variable axes move
+        into its columns first, so a chunk's directions share one product."""
         if isinstance(other, np.ndarray):
-            return self.map(lambda c: np.matmul(other, _lift(c, self.k, other.ndim)))
+            return self.map(lambda c: _columns_matmul(other, _lift(c, self.k, other.ndim), self.k))
         return NotImplemented
+
+
+@lru_cache(maxsize=None)
+def _variables_last(k: int, ndim: int) -> Tuple[tuple, tuple]:
+    """The axis order that moves k leading variable axes in front of the last
+    of ndim axes, and its inverse."""
+    order = tuple(range(k, ndim - 1)) + tuple(range(k)) + (ndim - 1,)
+    return order, tuple(int(i) for i in np.argsort(order))
+
+
+def _columns_matmul(a: np.ndarray, c: np.ndarray, k: int) -> np.ndarray:
+    """a @ c for a block c whose k leading variable axes, V, stand in front
+    of its value axes (..., r, n), as one product a @ (..., r, V n), laid
+    out again variables first: the pairings that read it then sum
+    contiguous matrices."""
+    order, inverse = _variables_last(k, c.ndim)
+    moved = c.transpose(order)
+    out = np.matmul(a, moved.reshape(moved.shape[: -k - 1] + (-1,)))
+    return np.ascontiguousarray(out.reshape(out.shape[:-1] + c.shape[:k] + c.shape[-1:]).transpose(inverse))

@@ -56,8 +56,10 @@ def swap_j(m: np.ndarray) -> np.ndarray:
     """m J for J = [[0, I], [-I, 0]]: [-m[..., n:], m[..., :n]] over the last
     (column) axis of size 2n, so it applies to every coefficient of a jet."""
     n = m.shape[-1] // 2
-    out = np.empty_like(m)
-    np.negative(m[..., n:], out=out[..., :n])
+    # -m whole, then its halves moved: numpy negates a strided half one short
+    # row at a time, at twice the cost of the whole array and the copy
+    out = np.negative(m)
+    out[..., :n] = out[..., n:]
     out[..., n:] = m[..., :n]
     return out
 

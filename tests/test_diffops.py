@@ -359,23 +359,42 @@ def test_chunked_sweep_matches_single_chunk(monkeypatch):
             assert abs(alone - whole[i]) <= 1e-12 * max(1.0, abs(whole[i]))
 
 
+def _assert_batch_keeps_bits(family, n, seed, size):
+    """tau, kappa and the first derivatives of phi at each point of a batch
+    of `size` points are bitwise those of the point alone."""
+    space = SymmetricSpaceSpec(family, n)
+    rng = np.random.default_rng(seed)
+    f = build_eigenfunction(random_parameters(space, rng))
+    # phi sweeps 1 row a^t x, or on the J families the 2 rows F x_R
+    assert f.left.shape == (2 if family in (SO2N_UN, SU2N_SPN) else 1, space.matrix_size)
+    b = basis_g(space.group_spec())
+    xs = sample(space.group_spec(), rng, 0.5, (size,))
+    t, k, first = tau_and_kappa(f, xs, b)
+    assert first.shape == (len(b), size)
+    for i, point in enumerate(xs):
+        t_i, k_i, first_i = tau_and_kappa(f, point, b)
+        assert (t_i, k_i) == (t[i], k[i])
+        assert np.array_equal(first_i, first[:, i])
+
+
 def test_batched_sweep_gives_each_point_its_own_bits():
     # replay rebuilds one point of a batch and must reproduce its residual, so a
     # point of a batch gets exactly the tau and kappa it gets alone, on every
-    # family's phi, which sweeps its 1 or 3 rows P x
+    # family's phi
     for family in SPACE_FAMILIES:
-        space = SymmetricSpaceSpec(family, 3)
-        rng = np.random.default_rng(23)
-        f = build_eigenfunction(random_parameters(space, rng))
-        assert f.left.shape == (3 if family in (SO2N_UN, SU2N_SPN) else 1, space.matrix_size)
-        b = basis_g(space.group_spec())
-        xs = sample(space.group_spec(), rng, 0.5, (6,))
-        t, k, first = tau_and_kappa(f, xs, b)
-        assert first.shape == (len(b), 6)
-        for i, point in enumerate(xs):
-            t_i, k_i, first_i = tau_and_kappa(f, point, b)
-            assert (t_i, k_i) == (t[i], k[i])
-            assert np.array_equal(first_i, first[:, i])
+        _assert_batch_keeps_bits(family, 3, 23, 6)
+    # a sweep of 50 points at n = 4, 5 holds more entries; it still fits one
+    # chunk, as one point does, everywhere but on SU(10)/Sp(5) (below)
+    for n in (4, 5):
+        for family in SPACE_FAMILIES:
+            if (family, n) != (SU2N_SPN, 5):
+                _assert_batch_keeps_bits(family, n, 7, 50)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the 99 directions of su(10) take two "
+                   "chunks at a 50-point batch and one at a single point, so the chunk sums differ")
+def test_batched_sweep_on_su10_sp5_gives_each_point_its_own_bits():
+    _assert_batch_keeps_bits(SU2N_SPN, 5, 7, 50)
 
 
 def test_tau_and_kappa_keep_clongdouble():
@@ -449,7 +468,7 @@ def test_group_function_wraps_every_kind_of_point(kind):
     jet = from_coefficients(1, np.stack([xs, xs @ z, xs @ z @ z / 2]))
     point = {"matrix": xs[1], "batch": xs, "jet": jet}[kind]
     got = f(point)
-    assert isinstance(seen[-1], CMatrix) and seen[-1].shape == phi.left.shape == (3, 4)
+    assert isinstance(seen[-1], CMatrix) and seen[-1].shape == phi.left.shape == (2, 4)
     if kind == "jet":
         want = phi.fn(CMatrix.from_jet(jet.map(lambda c: phi.left @ c)))
         assert isinstance(got, JetScalar) and all(np.array_equal(got.b[d], want.b[d]) for d in want.b)

@@ -17,6 +17,7 @@ from lieharm.eigenfamilies import (
     kappa_defect_nonisotropic,
     random_parameters,
     sampled_evaluator,
+    skew_normal_form,
     uses_complex_structure,
     verify_eigen,
     verify_sampled,
@@ -232,7 +233,7 @@ def test_phi_pairing_matches_trace_form(family, n):
     "family, n", [(SUN_SON, 3), (SUN_SON, 6), (SPN_UN, 3), (SO2N_UN, 3), (SU2N_SPN, 3)]
 )
 def test_phi_at_a_jet_point_forms_no_jet_matrix_product(family, n, monkeypatch):
-    # phi = <P g, A_RR P g J>: P g, and on the J families A_RR (P g), multiply
+    # phi = <P g, J_1 P g J>: P g, and on the J families J_1 (P g), multiply
     # the jet g by a plain matrix; J is a signed column swap, no product; the
     # pairing contracts the two, where g^t (A g J) would add a Cauchy product
     # of matmuls between two jets (6 at one variable)
@@ -254,9 +255,51 @@ def test_phi_at_a_jet_point_forms_no_jet_matrix_product(family, n, monkeypatch):
     monkeypatch.undo()
     assert isinstance(phi, JetScalar) and phi.k == 1
     size = space.matrix_size
-    # P, then A_RR on the J families, once per block of the jet (degrees 0, 1
-    # and 2 of its variable); never the size x size A or J
-    assert calls == ([(3, size)] * 3 + [(3, 3)] * 3 if uses_complex_structure(space) else [(1, size)] * 3)
+    # P, then the 2 x 2 J_1 on the J families, once per block of the jet
+    # (degrees 0, 1 and 2 of its variable); never the size x size A or J
+    assert calls == ([(2, size)] * 3 + [(2, 2)] * 3 if uses_complex_structure(space) else [(1, size)] * 3)
+
+
+def _j_family_specs(family, n, rng):
+    """A random draw and a draw whose block A_RR has zero entries: a = (0, 0, 1)
+    on SU(2n)/Sp(n), the isotropic a = (1, i, 0) on SO(2n)/U(n)."""
+    space = SymmetricSpaceSpec(family, n)
+    zeros = (0, 0, 1) if family == SU2N_SPN else (1, 1j, 0)
+    return [random_parameters(space, rng), EigenfunctionSpec(space, np.array(zeros), (1, n, 2 * n))]
+
+
+@pytest.mark.parametrize("family", [SO2N_UN, SU2N_SPN])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_two_row_normal_form_reproduces_the_trace_form(family, n):
+    # phi reads the 2 rows F g_R, F^t J_1 F = A_RR: F must give A_RR back to
+    # rounding, and phi = <F g_R, J_1 F g_R J> must be trace(g^t A g J)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(70 + n)
+    space = SymmetricSpaceSpec(family, n)
+    j = standard_symplectic(n)
+    for spec in _j_family_specs(family, n, rng):
+        rows = [i - 1 for i in spec.indices]
+        a = build_matrix_A(spec)
+        a_rr = a[np.ix_(rows, rows)]
+        form = skew_normal_form(a_rr)
+        assert form.shape == (2, 3)
+        assert np.max(np.abs(form.T @ standard_symplectic(1) @ form - a_rr)) <= 2 * eps * np.max(np.abs(a_rr))
+        f = build_eigenfunction(spec)
+        assert f.left.shape == (2, space.matrix_size)
+        xs = sample(space.group_spec(), rng, 0.5, (20,))
+        want = np.trace(np.swapaxes(xs, -1, -2) @ a @ xs @ j, axis1=-2, axis2=-1)
+        assert np.max(np.abs(f(xs) - want)) <= 8 * eps * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_nonisotropic_defect_through_the_two_row_form(n):
+    # the negative control reads the same normal form: 2(a1^2 + a2^2 + a3^2)
+    # for a random a and for a = (0, 0, 1), whose block has zero entries
+    rng = np.random.default_rng(80 + n)
+    space = SymmetricSpaceSpec(SO2N_UN, n)
+    for a in (rng.standard_normal(3) + 1j * rng.standard_normal(3), np.array([0, 0, 1], dtype=complex)):
+        measured, predicted = kappa_defect_nonisotropic(space, a, (1, n, 2 * n), rng)
+        assert abs(measured - predicted) <= 1e-9 * max(1.0, abs(predicted))
 
 
 # --- eigenvalue pairs -------------------------------------------------------------

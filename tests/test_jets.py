@@ -239,6 +239,27 @@ def test_collapsed_product_is_the_direction_summed_dense_product(k, dirs, value,
         assert np.allclose(got.b[d], want.b[d], rtol=1e-12, atol=1e-12 * np.max(np.abs(want.b[d]))), d
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("left_shape", [(2, 3), (4, 2, 3)])
+def test_plain_array_times_a_jet_takes_one_product_per_block(k, left_shape, monkeypatch):
+    # a @ jet moves each block's direction axes into its columns: the same
+    # values as a product per direction, from one matmul per block
+    rng = np.random.default_rng(k)
+    c = _dense_family(rng, k, (3, 4)[:k], (4, 3, 5))
+    jet = _collapse(c, k)
+    a = rng.standard_normal(left_shape) + 1j * rng.standard_normal(left_shape)
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda x, y: calls.append(np.shape(y)) or matmul(x, y))
+    got = a @ jet
+    monkeypatch.undo()
+    assert len(calls) == 3**k
+    for d, block in jet.b.items():
+        want = matmul(a, block)
+        assert got.b[d].shape == want.shape, d
+        assert np.allclose(got.b[d], want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want))), d
+
+
 def test_mixed_variable_counts_rejected():
     with pytest.raises(ValueError):
         JetScalar.constant(1.0, 1) + JetScalar.constant(1.0, 2)

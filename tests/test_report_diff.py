@@ -75,16 +75,36 @@ def test_changed_residual_flip_and_missing_record(report_diff, report, tmp_path,
 
 def test_a_changed_param_is_counted_where_the_residuals_agree(report_diff, report, tmp_path, capsys):
     # a record whose residual keeps its bits but one of whose params moved
-    new = copy.deepcopy(report)
-    eigen = next(r for r in new["records"] if r["name"] == "eigen/sun_son")
-    eigen["params"]["tau2_scaled"] = 1e-12
-    assert report_diff.main([_write(tmp_path, "a.json", report), _write(tmp_path, "b.json", new)]) == 0
+    old, new = copy.deepcopy(report), copy.deepcopy(report)
+    for rep, value in zip((old, new), (2e-12, 1e-12)):
+        next(r for r in rep["records"] if r["name"] == "eigen/sun_son")["params"]["tau2_scaled"] = value
+    assert report_diff.main([_write(tmp_path, "a.json", old), _write(tmp_path, "b.json", new)]) == 0
     out = capsys.readouterr().out
     assert "fingerprints differ" in out and "config keys that differ: none" in out
     assert "suite        records bitwise       new/old ratio  params" in out
     lines = {line.split()[0]: line for line in out.splitlines() if line.startswith(("eigen ", "pharmonic "))}
     assert lines["eigen"].startswith(f"{'eigen':12} {2:7} {2:7} {'-':>19} {1:7} ")
     assert lines["pharmonic"].startswith(f"{'pharmonic':12} {3:7} {3:7} {'-':>19} {3:7} ")
+
+
+def test_params_compare_on_shared_keys_and_name_added_and_dropped_ones(report_diff, report, tmp_path, capsys):
+    # a key only one record has leaves the record equal on the keys both have,
+    # and is named once per suite, whichever side has it
+    new = copy.deepcopy(report)
+    eigen = [r for r in new["records"] if r["name"] == "eigen/sun_son"]
+    for rec in eigen:
+        rec["params"]["kinv"] = 1e-15
+    eigen[1]["params"]["tau2_scaled"] = 1e-12
+    for rec in new["records"]:
+        rec["params"].pop("exact", None)
+    assert report_diff.main([_write(tmp_path, "a.json", report), _write(tmp_path, "b.json", new)]) == 0
+    out = capsys.readouterr().out
+    lines = {line.split()[0]: line for line in out.splitlines() if line.startswith(("eigen ", "pharmonic "))}
+    assert lines["eigen"].startswith(f"{'eigen':12} {2:7} {2:7} {'-':>19} {2:7} ")
+    assert lines["pharmonic"].startswith(f"{'pharmonic':12} {3:7} {3:7} {'-':>19} {3:7} ")
+    assert "params of eigen added in new: kinv, tau2_scaled\n" in out
+    assert "params of pharmonic missing in new: exact\n" in out
+    assert "params of eigen missing" not in out and "params of pharmonic added" not in out
 
 
 def test_differing_fingerprints_are_printed_old_to_new(report_diff, report, tmp_path, capsys):

@@ -1,6 +1,10 @@
-"""Smoke test of scripts/seed_scan.py, run in this process."""
+"""Smoke test of scripts/seed_scan.py, run in this process and, for a
+closed pipe, as a script."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,22 @@ def test_seed_scan_runs_the_spaces_at_each_given_n(seed_scan, capsys, monkeypatc
     with pytest.raises(SystemExit) as exc:
         seed_scan.main(["--seeds", "100", "100", "--n", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("tau2_tol,code", [(None, 0), (1e-30, 1)])
+def test_a_reader_closing_the_pipe_early_keeps_the_exit_code(tau2_tol, code):
+    # `seed_scan.py --seeds A B | head -1`: no BrokenPipeError traceback, and
+    # the exit code of a full read, 1 only if a record failed
+    patch = f"harness.SUITE_DEFAULTS['dual']['tau2_tol'] = {tau2_tol}; " if tau2_tol else ""
+    script = (f"import runpy, sys; from lieharm import harness; {patch}"
+              f"sys.argv = [{str(_SCRIPT)!r}, '--seeds', '100', '100', '--n', '2']; "
+              f"runpy.run_path({str(_SCRIPT)!r}, run_name='__main__')")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script], stdout=write, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=300)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
