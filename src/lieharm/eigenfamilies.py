@@ -45,7 +45,6 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .diffops import GroupFunction, tau, tau_and_kappa, tau_iterated
-from .exact import RationalComplex
 from .formal import FormalSum, _coefficient, build_phi_p, evaluate_formal, log_domain_ok, tau_formal
 from .lie import (
     SO2N_UN,
@@ -153,8 +152,8 @@ def skew_normal_form(a_rr: np.ndarray) -> np.ndarray:
     return np.stack([a_rr[:, i] / a_rr[i, j], a_rr[:, j]])
 
 
-def expected_eigenvalues(spec_or_space) -> Tuple[RationalComplex, RationalComplex]:
-    """The exact eigenvalue pair (lambda, mu) of the family."""
+def expected_eigenvalues(spec_or_space) -> Tuple[Fraction, Fraction]:
+    """The exact eigenvalue pair (lambda, mu) of the family, two Fractions."""
     space = spec_or_space.space if isinstance(spec_or_space, EigenfunctionSpec) else spec_or_space
     n = space.n
     if space.family == SUN_SON:
@@ -169,7 +168,7 @@ def expected_eigenvalues(spec_or_space) -> Tuple[RationalComplex, RationalComple
     else:
         lam = Fraction(-2 * (2 * n * n - n - 1), n)
         mu = Fraction(-2 * (n - 1), n)
-    return RationalComplex(lam), RationalComplex(mu)
+    return lam, mu
 
 
 def random_parameters(space: SymmetricSpaceSpec, rng: np.random.Generator) -> EigenfunctionSpec:

@@ -1,14 +1,16 @@
-"""Exact scalar arithmetic: rationals extended by sqrt(2), and rational complex numbers.
+"""Exact scalars outside the formal route: rationals extended by sqrt(2),
+and rational complex numbers.
 
-RationalComplex, a reduced Gaussian integer over one positive denominator,
-backs the eigenvalue constants and the formal phi^a (log phi)^b algebra,
-whose results must be *identically* zero rather than merely small.  The one
-exact matrix product left is the trace(A J) = 0 check of
+The formal phi^a (log phi)^b algebra and the eigenvalues are over Q and use
+`fractions.Fraction` (`formal.py`); nothing here backs them.  The one exact
+matrix product left is the trace(A J) = 0 check of
 `identities.check_symplectic_facts`, a matrix of RationalComplex entries
-times the exact J; the generator sums run on integer patterns instead.
-No other module of the package uses QSqrt2: a basis element c N carries
-its exact weight c^2 as a Fraction (`lie.Basis`).  QSqrt2 and that exact
-product stay only while the benchmark tracer counts their arithmetic.
+times the exact J, so RationalComplex keeps only what that product, the
+exact path of `matrices.CMatrix` and the benchmark tracer use: +, * and
+their reflected forms, ==, hash, is_zero, complex() and repr.  No module of
+the package uses QSqrt2: a basis element c N carries its exact weight c^2 as
+a Fraction (`lie.Basis`).  QSqrt2, RationalComplex and that exact product
+stay only while the benchmark tracer counts their arithmetic.
 """
 
 from __future__ import annotations
@@ -184,19 +186,6 @@ class RationalComplex:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d, e = self.den, o.den
-        return _gauss(self.nre * e - o.nre * d, self.nim * e - o.nim * d, d * e)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -205,31 +194,6 @@ class RationalComplex:
         return _gauss(a * c - b * d, a * d + b * c, self.den * o.den)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return _gauss(-self.nre, -self.nim, self.den)
-
-    def conjugate(self) -> "RationalComplex":
-        return _gauss(self.nre, -self.nim, self.den)
-
-    def inverse(self) -> "RationalComplex":
-        # den / (nre + nim i) = den (nre - nim i) / (nre^2 + nim^2)
-        n = self.nre * self.nre + self.nim * self.nim
-        if not n:
-            raise ZeroDivisionError("division by zero RationalComplex")
-        return _gauss(self.den * self.nre, -self.den * self.nim, n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -242,12 +206,6 @@ class RationalComplex:
 
     def is_zero(self) -> bool:
         return not self.nre and not self.nim
-
-    def as_fraction(self) -> Fraction:
-        """The value as a plain rational; raises if an imaginary part exists."""
-        if self.nim:
-            raise ValueError(f"{self} is not real")
-        return self.re
 
     def __complex__(self) -> complex:
         # int / int is correctly rounded, as float(Fraction) is
@@ -262,9 +220,6 @@ class RationalComplex:
 
 
 _gauss = RationalComplex.from_gaussian
-RC_ZERO = RationalComplex(0)
-RC_ONE = RationalComplex(1)
-RC_I = RationalComplex(0, 1)
 
 
 def rc(re=0, im=0) -> RationalComplex:

@@ -7,14 +7,17 @@ the chain rule closes the span of phi^a (log phi)^b under tau:
                    + [lambda b + mu b(2a-1)] phi^a L^{b-1}
                    + mu b(b-1) phi^a L^{b-2},        L = log phi.
 
-Everything here is exact, so "tau^p(S) is the empty sum" is a genuine
-nullity certificate, not a small residual.  A term phi^(p/q) L^b is keyed
-by the integer triple (p, q, b), q > 0 and gcd(p, q) = 1, so no Fraction
-is built or hashed while a certificate is made.
+Everything here is exact over Q, so "tau^p(S) is the empty sum" is a
+genuine nullity certificate, not a small residual.  Every eigenvalue, exponent
+and coefficient is a `fractions.Fraction` (ints are accepted too); a float
+would enter as its binary fraction, so floats, complex numbers and every other
+type raise TypeError.  A term phi^(p/q) L^b is keyed by the integer triple
+(p, q, b), q > 0 and gcd(p, q) = 1, so no Fraction is hashed while a
+certificate is made.
 
 `tau_formal` applies this map on integers.  With a = p/q and den the lcm of
 the denominators of lambda and mu, D = den q^2 makes D tau on the phi^a
-block three Gaussian integers, built once per (a, lambda, mu):
+block three integers, built once per (a, lambda, mu) and cached:
 
     D tau(phi^a L^b) = keep phi^a L^b + b down1 phi^a L^{b-1}
                        + b(b-1) down2 phi^a L^{b-2},
@@ -23,8 +26,7 @@ block three Gaussian integers, built once per (a, lambda, mu):
     down2 = den mu q^2.
 
 The coefficients of a sum are brought to one denominator d0; the map acts on
-their Gaussian-integer numerators, read directly off each RationalComplex
-(nre, nim, den), and each result is a RationalComplex over d0 D.
+their integer numerators, and each result is one Fraction over d0 D.
 """
 
 from __future__ import annotations
@@ -33,21 +35,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from numbers import Integral
 from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .exact import RationalComplex
 from .jets import JetScalar
 
 TermKey = Tuple[int, int, int]  # (p, q, b): phi^(p/q) (log phi)^b, q > 0, gcd(p, q) = 1
-GaussInt = Tuple[int, int]  # (re, im)
 
 
-def _as_rc(x) -> RationalComplex:
-    if isinstance(x, RationalComplex):
+def _rational(x) -> Fraction:
+    """x as a Fraction, for a Fraction or an integer (numpy integers too)."""
+    if isinstance(x, Fraction):
         return x
-    return RationalComplex(Fraction(x))
+    if isinstance(x, Integral):
+        return Fraction(int(x))
+    raise TypeError(f"expected an int or a Fraction, got {x!r} ({type(x).__name__})")
 
 
 class FormalSum:
@@ -60,18 +64,18 @@ class FormalSum:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[TermKey, RationalComplex] = None):
-        self.terms: Dict[TermKey, RationalComplex] = {}
+    def __init__(self, terms: Dict[TermKey, Fraction] = None):
+        self.terms: Dict[TermKey, Fraction] = {}
         for (p, q, b), c in (terms or {}).items():
             if q <= 0 or gcd(p, q) != 1 or b < 0:
                 raise ValueError(f"term key needs q > 0, gcd(p, q) = 1 and b >= 0, got {(p, q, b)}")
-            c = _as_rc(c)
-            if not c.is_zero():
+            c = _rational(c)
+            if c:
                 self.terms[int(p), int(q), int(b)] = c
 
     @staticmethod
     def term(coeff, a=0, b: int = 0) -> "FormalSum":
-        a = Fraction(a)
+        a = _rational(a)
         return FormalSum({(a.numerator, a.denominator, b): coeff})
 
     @staticmethod
@@ -85,7 +89,7 @@ class FormalSum:
         return FormalSum(out)  # which prunes the sums that cancelled
 
     def scale(self, c) -> "FormalSum":
-        c = _as_rc(c)
+        c = _rational(c)
         return FormalSum({key: coeff * c for key, coeff in self.terms.items()})
 
     def __eq__(self, other):
@@ -112,82 +116,68 @@ class FormalSum:
             return "0"
         parts = []
         for (p, q, b), c in self.sorted_terms():
-            parts.append(f"{c!r} * phi^({Fraction(p, q)}) * log^{b}")
+            parts.append(f"{c} * phi^({Fraction(p, q)}) * log^{b}")
         return " + ".join(parts)
 
     def __repr__(self):
         return f"FormalSum({self.serialize()})"
 
 
-def _numerators(x: RationalComplex, d: int) -> GaussInt:
-    """The Gaussian integer d x, for a multiple d of x.den."""
-    return x.nre * (d // x.den), x.nim * (d // x.den)
-
-
-@lru_cache(maxsize=256)
-def _scaled_eigenvalues(lam: RationalComplex, mu: RationalComplex) -> Tuple[int, GaussInt, GaussInt]:
+def _scaled_eigenvalues(lam, mu) -> Tuple[int, int, int]:
     """(den, den lam, den mu) with den the lcm of the denominators of lam and mu."""
-    den = lcm(lam.den, mu.den)
-    return den, _numerators(lam, den), _numerators(mu, den)
+    lam, mu = _rational(lam), _rational(mu)
+    den = lcm(lam.denominator, mu.denominator)
+    return den, lam.numerator * (den // lam.denominator), mu.numerator * (den // mu.denominator)
 
 
 @lru_cache(maxsize=4096)
-def _tau_map(p: int, q: int, eig: Tuple[int, GaussInt, GaussInt]) -> Tuple[int, GaussInt, GaussInt, GaussInt]:
-    """(D, keep, down1, down2) of the integer map D tau on the block of a = p/q
+def _tau_map(p: int, q: int, eig: Tuple[int, int, int]) -> Tuple[int, int, int]:
+    """(keep, down1, down2) of the integer map D tau on the block of a = p/q
     (module docstring), for eig = _scaled_eigenvalues(lam, mu)."""
-    den, (lr, li), (mr, mi) = eig
-    lin = lambda x, y: (x * lr + y * mr, x * li + y * mi)  # den (x lam + y mu)
-    return den * q * q, lin(q * p, p * (p - q)), lin(q * q, q * (2 * p - q)), lin(0, q * q)
+    _, lam, mu = eig
+    return lam * q * p + mu * p * (p - q), lam * q * q + mu * q * (2 * p - q), mu * q * q
 
 
-def tau_formal(s: FormalSum, lam: RationalComplex, mu: RationalComplex) -> FormalSum:
+def tau_formal(s: FormalSum, lam, mu) -> FormalSum:
     """The action of tau on the formal algebra, extended linearly.
 
-    Runs on Gaussian-integer numerators: the coefficients of s over one
-    denominator d0, times the cached integer map D tau of each phi^(p/q)
-    block.  Keys are inserted and pruned in the order a term-by-term
-    accumulation of the three chain-rule terms would give them, so a sum
-    evaluates term by term as it always has.
+    Runs on integer numerators: the coefficients of s over one denominator
+    d0, times the cached integer map D tau of each phi^(p/q) block.  Keys are
+    inserted and pruned in the order a term-by-term accumulation of the three
+    chain-rule terms would give them, so a sum evaluates term by term as it
+    always has.  Each output term is one Fraction.
     """
-    eig = _scaled_eigenvalues(_as_rc(lam), _as_rc(mu))
-    d0 = lcm(*(c.den for c in s.terms.values()))
-    acc: Dict[TermKey, list] = {}  # (p, q, b) -> [denominator, re, im]
+    eig = _scaled_eigenvalues(lam, mu)
+    d0 = lcm(*(c.denominator for c in s.terms.values()))
+    acc: Dict[TermKey, int] = {}  # (p, q, b) -> numerator over d0 D = d0 den q^2
 
-    def add(key: TermKey, den: int, re: int, im: int):
-        if not (re or im):
+    def add(key: TermKey, num: int):
+        if not num:
             return
-        old = acc.get(key)
-        if old is None:
-            acc[key] = [den, re, im]
-        elif old[1] + re or old[2] + im:
-            old[1] += re
-            old[2] += im
+        num += acc.get(key, 0)
+        if num:
+            acc[key] = num  # a key already present keeps its place
         else:
             del acc[key]
 
     for (p, q, b), c in s.terms.items():
-        scale, (kr, ki), (d1r, d1i), (d2r, d2i) = _tau_map(p, q, eig)
-        cr, ci = _numerators(c, d0)
-        den = d0 * scale
-        add((p, q, b), den, cr * kr - ci * ki, cr * ki + ci * kr)
+        keep, down1, down2 = _tau_map(p, q, eig)
+        n = c.numerator * (d0 // c.denominator)
+        add((p, q, b), n * keep)
         if b >= 1:
-            add((p, q, b - 1), den, b * (cr * d1r - ci * d1i), b * (cr * d1i + ci * d1r))
+            add((p, q, b - 1), b * n * down1)
         if b >= 2:
-            m = b * (b - 1)
-            add((p, q, b - 2), den, m * (cr * d2r - ci * d2i), m * (cr * d2i + ci * d2r))
+            add((p, q, b - 2), b * (b - 1) * n * down2)
     out = FormalSum()
-    out.terms = {key: RationalComplex.from_gaussian(re, im, den) for key, (den, re, im) in acc.items()}
+    den = d0 * eig[0]
+    out.terms = {(p, q, b): Fraction(num, den * q * q) for (p, q, b), num in acc.items()}
     return out
 
 
-@lru_cache(maxsize=256)
-def exponent_for(lam: RationalComplex, mu: RationalComplex) -> Fraction:
-    """The rational exponent 1 - lambda/mu, cached; rejects irrational or complex ratios."""
-    ratio = _as_rc(lam) / _as_rc(mu)
-    try:
-        return Fraction(1) - ratio.as_fraction()
-    except ValueError as exc:
-        raise ValueError(f"eigenvalue ratio {ratio!r} is not a real rational") from exc
+def exponent_for(lam, mu) -> Fraction:
+    """The exponent 1 - lambda/mu of the special power phi^(1 - lambda/mu)."""
+    _, lam, mu = _scaled_eigenvalues(lam, mu)
+    return Fraction(mu - lam, mu)
 
 
 def build_phi_p(
@@ -205,11 +195,10 @@ def build_phi_p(
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    lam, mu = _as_rc(lam), _as_rc(mu)
-    c1, c2 = _as_rc(c1), _as_rc(c2)
-    if lam.is_zero() and mu.is_zero():
+    lam, mu, c1, c2 = (_rational(x) for x in (lam, mu, c1, c2))
+    if not lam and not mu:
         raise ValueError("(lambda, mu) = (0, 0) does not define an eigenfunction")
-    if mu.is_zero():
+    if not mu:
         return FormalSum({(0, 1, p - 1): c1})
     if lam == mu:
         return FormalSum({(0, 1, 2 * p - 1): c1, (0, 1, 2 * p - 2): c2})
@@ -237,7 +226,6 @@ def verify_p_harmonic(s: FormalSum, lam, mu, p: int) -> PHarmonicCertificate:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    lam, mu = _as_rc(lam), _as_rc(mu)
     a0, b0 = s.a_support(), s.max_b()
     current = s
     iterates = [s]
@@ -277,12 +265,12 @@ def _principal_pow(w: complex, p: int, q: int) -> complex:
     return complex(np.exp(p / q * np.log(complex(w))))
 
 
-def _coefficient(c: RationalComplex, dtype: np.dtype) -> np.complexfloating:
-    """c in the precision of `dtype`: each part is numerator over denominator
-    in its real dtype, so a clongdouble jet gets a clongdouble coefficient."""
+def _coefficient(c: Fraction, dtype: np.dtype) -> np.floating:
+    """The rational c in the real type of `dtype`, numerator over denominator,
+    so a clongdouble jet gets a longdouble coefficient.  Against a complex
+    value numpy promotes it to c + 0j, with the same bits as a complex one."""
     real = np.finfo(dtype).dtype.type
-    part = lambda x: real(x.numerator) / real(x.denominator)
-    return part(c.re) + 1j * part(c.im)
+    return real(c.numerator) / real(c.denominator)
 
 
 def _series_mul(a: list, b: list) -> list:

@@ -21,6 +21,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -36,7 +37,6 @@ from .eigenfamilies import (
     verify_eigen,
     verify_sampled,
 )
-from .exact import rc
 from .formal import build_phi_p, verify_p_harmonic
 from .identities import (
     IDENTITY_NAMES,
@@ -350,8 +350,8 @@ def pharmonic_suite(cfg: RunConfig) -> List[CheckRecord]:
     for family, n in cfg.spaces:
         lam, mu = expected_eigenvalues(SymmetricSpaceSpec(family, n))
         pairs.append((f"pharmonic/{family}", lam, mu, {"n": n}))
-    pairs.append(("pharmonic/synthetic-mu-zero", rc(1), rc(0), {}))
-    pairs.append(("pharmonic/synthetic-lambda-equals-mu", rc(1), rc(1), {}))
+    pairs.append(("pharmonic/synthetic-mu-zero", Fraction(1), Fraction(0), {}))
+    pairs.append(("pharmonic/synthetic-lambda-equals-mu", Fraction(1), Fraction(1), {}))
     records = []
     for name, lam, mu, params in pairs:
         for p in range(1, cfg.p_max + 1):

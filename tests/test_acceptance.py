@@ -20,7 +20,6 @@ from lieharm.eigenfamilies import (
     verify_eigen,
     verify_sampled,
 )
-from lieharm.exact import RationalComplex
 from lieharm.formal import build_phi_p, evaluate_formal, tau_formal, verify_p_harmonic
 from lieharm.harness import RunConfig, run, strip_timing, substream
 from lieharm.identities import (
@@ -79,7 +78,7 @@ def test_criterion_01_eigen_equations(eigen_results):
     }
     for (family, n), (lam, mu) in named.items():
         got = expected_eigenvalues(SymmetricSpaceSpec(family, n))
-        assert got == (RationalComplex(lam), RationalComplex(mu))
+        assert got == (lam, mu) and all(type(v) is Fraction for v in got)
     worst_tau = max(v.worst("tau") for v in results.values())
     worst_kappa = max(v.worst("kappa") for v in results.values())
     ok = (
@@ -114,8 +113,7 @@ def test_criterion_03_exact_p_harmonicity():
                 count += 1
     assert count == 96
     synth = 0
-    for lam, mu in ((RationalComplex(1), RationalComplex(0)),
-                    (RationalComplex(1), RationalComplex(1))):
+    for lam, mu in ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))):
         for p in range(1, 7):
             cert = verify_p_harmonic(build_phi_p(p, lam, mu), lam, mu, p)
             assert cert.proper, (lam, mu, p)

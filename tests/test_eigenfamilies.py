@@ -22,7 +22,6 @@ from lieharm.eigenfamilies import (
     verify_eigen,
     verify_sampled,
 )
-from lieharm.exact import RationalComplex
 from lieharm.jets import JetScalar, _cauchy
 from lieharm.lie import (
     GroupSpec,
@@ -313,15 +312,15 @@ def test_nonisotropic_defect_through_the_two_row_form(n):
 ])
 def test_expected_eigenvalues(family, n, lam, mu):
     got_lam, got_mu = expected_eigenvalues(SymmetricSpaceSpec(family, n))
-    assert got_lam == RationalComplex(lam)
-    assert got_mu == RationalComplex(mu)
+    assert (got_lam, got_mu) == (lam, mu)
+    assert type(got_lam) is Fraction and type(got_mu) is Fraction
 
 
 def test_eigenvalues_never_degenerate():
     for family in SPACE_FAMILIES:
         for n in range(2, 7):
             lam, mu = expected_eigenvalues(SymmetricSpaceSpec(family, n))
-            assert not mu.is_zero()
+            assert mu != 0
             assert lam != mu
 
 
@@ -526,7 +525,7 @@ def _phi2_at_fault(monkeypatch, eps):
     from lieharm import eigenfamilies
     from lieharm.formal import build_phi_p
 
-    bump = RationalComplex(1 + eps)
+    bump = 1 + eps
     monkeypatch.setattr(eigenfamilies, "build_phi_p", lambda p, lam, mu: build_phi_p(p, lam * bump, mu))
 
 
@@ -655,7 +654,7 @@ def test_nested_check_reads_its_directions_in_the_dtype_of_the_point(monkeypatch
 
     f = build_eigenfunction(spec)
     # lambda and phi in long double too, as the check keeps them
-    lam = expected_eigenvalues(spec)[0].re * (-1 if dual else 1)
+    lam = expected_eigenvalues(spec)[0] * (-1 if dual else 1)
     lam = np.clongdouble(np.longdouble(lam.numerator) / np.longdouble(lam.denominator))
     phi = f(x)
     assert phi.dtype == np.clongdouble

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lieharm.exact import INV_SQRT2, QSqrt2, RC_I, RC_ONE, RationalComplex, SQRT2, rc
+from lieharm.exact import INV_SQRT2, QSqrt2, RationalComplex, SQRT2, rc
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
 
@@ -51,7 +51,7 @@ def test_sqrt2_squares_to_two():
 
 @given(rcs(), rcs())
 def test_rc_add_sub_exact(x, y):
-    assert (x + y) - y == x
+    assert (x + y) + rc(-1) * y == x
 
 
 @given(rcs(), rcs(), rcs())
@@ -59,23 +59,8 @@ def test_rc_mul_associative(x, y, z):
     assert (x * y) * z == x * (y * z)
 
 
-@given(rcs())
-def test_rc_division_roundtrip(x):
-    if x.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            x.inverse()
-    else:
-        assert x * x.inverse() == RC_ONE
-        assert (RC_ONE / x) * x == RC_ONE
-
-
-@given(rcs())
-def test_rc_conjugate_involution(x):
-    assert x.conjugate().conjugate() == x
-
-
 def test_rc_i_squares_to_minus_one():
-    assert RC_I * RC_I == RationalComplex(-1)
+    assert rc(0, 1) * rc(0, 1) == RationalComplex(-1)
 
 
 def test_rc_complex_conversion():
@@ -92,11 +77,13 @@ def test_rc_parts_are_plain_fractions():
 
 
 def test_as_fraction_rejects_irrational_and_imaginary():
+    # a sqrt(2) part is rejected as the real or as the imaginary part
     with pytest.raises(ValueError):
-        RationalComplex(SQRT2).as_fraction()
-    with pytest.raises(ValueError):
-        RC_I.as_fraction()
-    assert rc(Fraction(7, 3)).as_fraction() == Fraction(7, 3)
+        SQRT2.as_fraction()
+    for parts in ((SQRT2, 0), (0, INV_SQRT2)):
+        with pytest.raises(ValueError):
+            RationalComplex(*parts)
+    assert QSqrt2(Fraction(7, 3)).as_fraction() == Fraction(7, 3)
 
 
 # --- RationalComplex against a pair-of-Fractions oracle ------------------------------
@@ -121,14 +108,10 @@ def test_rc_arithmetic_matches_fraction_pairs(a, b, c, d):
     x, y = rc(a, b), rc(c, d)
     results = {
         "+": (x + y, (a + c, b + d)),
-        "-": (x - y, (a - c, b - d)),
         "*": (x * y, (a * c - b * d, a * d + b * c)),
-        "neg": (-x, (-a, -b)),
-        "conj": (x.conjugate(), (a, -b)),
+        "int +": (2 + x, (a + 2, b)),
+        "Fraction *": (Fraction(1, 3) * x, (a / 3, b / 3)),
     }
-    norm = c * c + d * d
-    if norm:
-        results["/"] = (x / y, ((a * c + b * d) / norm, (b * c - a * d) / norm))
     for op, (z, expected) in results.items():
         assert oracle(z) == expected, op
         assert canonical(z), op
@@ -141,9 +124,6 @@ def test_equal_values_by_different_routes_hash_alike(x, y, z):
     left, right = (x + y) * z, x * z + y * z
     assert left == right and hash(left) == hash(right)
     assert (left.nre, left.nim, left.den) == (right.nre, right.nim, right.den)
-    if not z.is_zero():
-        back = (x * z) / z
-        assert back == x and hash(back) == hash(x)
 
 
 @given(rationals, rationals)
@@ -155,7 +135,7 @@ def test_rc_triple_is_canonical(a, b):
 
 
 def test_zero_is_one_triple():
-    zeros = [rc(0), rc(1) - rc(1), RationalComplex.from_gaussian(0, 0, -7), rc(Fraction(2, 3)) * 0]
+    zeros = [rc(0), rc(1) + rc(-1), RationalComplex.from_gaussian(0, 0, -7), rc(Fraction(2, 3)) * 0]
     assert all((z.nre, z.nim, z.den) == (0, 0, 1) for z in zeros)
     assert len({hash(z) for z in zeros}) == 1
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from lieharm.diffops import GroupFunction, tau
 from lieharm.eigenfamilies import build_eigenfunction, expected_eigenvalues, random_parameters
-from lieharm.exact import RationalComplex, rc
+from lieharm import formal
+from lieharm.exact import rc
 from lieharm.formal import (
     FormalSum,
     _principal_pow,
@@ -25,8 +26,8 @@ from lieharm.lie import SPACE_FAMILIES, SU2N_SPN, SUN_SON, SymmetricSpaceSpec, b
 
 from dense_jets import coefficients, from_coefficients
 
-LAM = rc(Fraction(-20, 3))
-MU = rc(Fraction(-8, 3))
+LAM = Fraction(-20, 3)
+MU = Fraction(-8, 3)
 
 
 # --- tau action -----------------------------------------------------------------
@@ -51,19 +52,43 @@ def test_tau_kills_special_power():
 
 
 def test_exponent_rejects_complex_ratio():
-    with pytest.raises(ValueError):
-        exponent_for(rc(0, 1), rc(2))
+    for lam in (1j, 2 + 0j, rc(0, 1), rc(2)):
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            exponent_for(lam, 2)
 
 
-def test_exponent_is_divided_once_per_eigenvalue_pair():
-    lam, mu = rc(Fraction(-7, 3)), rc(Fraction(-5, 6))
-    misses = exponent_for.cache_info().misses
+def test_exponent_is_one_minus_the_ratio_in_lowest_terms():
+    lam, mu = Fraction(-7, 3), Fraction(-5, 6)
     sums = [build_phi_p(p, lam, mu) for p in range(1, 9)]
-    assert exponent_for.cache_info().misses == misses + 1
     assert {a for s in sums for a in s.a_support()} == {(0, 1), (-9, 5)}
-    # equal values built another way share the cached exponent
-    assert exponent_for(rc(Fraction(-14, 6)), rc(Fraction(-10, 12))) == Fraction(-9, 5)
-    assert exponent_for.cache_info().misses == misses + 1
+    # equal values given another way, ints and numpy integers among them
+    assert exponent_for(Fraction(-14, 6), Fraction(-10, 12)) == Fraction(-9, 5)
+    assert exponent_for(np.int64(-4), -2) == -1 and exponent_for(6, 4) == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("bad", [0.1, np.float64(0.5), 1.0, 1j, np.complex128(1), rc(1), rc(0, 1)])
+def test_the_exact_api_rejects_inexact_and_complex_values(bad):
+    # a float would enter as its binary fraction: build_phi_p(2, 0.1, 0.3)
+    # had an exponent over 10808639105689190 and was certified proper
+    calls = [
+        lambda: build_phi_p(2, bad, Fraction(3, 10)),
+        lambda: build_phi_p(2, Fraction(1, 10), bad),
+        lambda: build_phi_p(2, LAM, MU, c1=bad),
+        lambda: build_phi_p(2, LAM, MU, c2=bad),
+        lambda: verify_p_harmonic(build_phi_p(2, LAM, MU), bad, MU, 2),
+        lambda: verify_p_harmonic(build_phi_p(2, LAM, MU), LAM, bad, 2),
+        lambda: tau_formal(FormalSum.term(1, 0, 1), bad, MU),
+        lambda: tau_formal(FormalSum.term(1, 0, 1), LAM, bad),
+        lambda: exponent_for(LAM, bad),
+        lambda: FormalSum.term(bad),
+        lambda: FormalSum.term(1, bad),
+        lambda: FormalSum({(0, 1, 0): bad}),
+        lambda: FormalSum.term(1).scale(bad),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=r"expected an int or a Fraction, got .+") as info:
+            call()
+        assert repr(bad) in str(info.value)
 
 
 @given(
@@ -74,51 +99,49 @@ def test_exponent_is_divided_once_per_eigenvalue_pair():
 )
 @settings(max_examples=80)
 def test_tau_formal_linear(lam, mu, b, a):
-    lam_rc, mu_rc = rc(lam), rc(mu)
-    s = FormalSum.term(2, a, b) + FormalSum.term(rc(Fraction(1, 3)), 0, b)
-    t = FormalSum.term(rc(0, 1), a, 0)
-    alpha, beta = rc(Fraction(5, 7)), rc(-3)
-    lhs = tau_formal(s.scale(alpha) + t.scale(beta), lam_rc, mu_rc)
-    rhs = tau_formal(s, lam_rc, mu_rc).scale(alpha) + tau_formal(t, lam_rc, mu_rc).scale(beta)
+    s = FormalSum.term(2, a, b) + FormalSum.term(Fraction(1, 3), 0, b)
+    t = FormalSum.term(Fraction(-9, 4), a, 0)
+    alpha, beta = Fraction(5, 7), -3
+    lhs = tau_formal(s.scale(alpha) + t.scale(beta), lam, mu)
+    rhs = tau_formal(s, lam, mu).scale(alpha) + tau_formal(t, lam, mu).scale(beta)
     assert lhs == rhs
 
 
 def tau_oracle(s, lam, mu):
-    """The three-term chain rule in RationalComplex arithmetic, term by term:
+    """The three-term chain rule in Fraction arithmetic, term by term:
     tau(phi^a L^b) = [lam a + mu a(a-1)] phi^a L^b + [lam b + mu b(2a-1)] phi^a L^(b-1)
                      + mu b(b-1) phi^a L^(b-2)."""
     out = {}
 
     def accumulate(key, coeff):
-        new = out.get(key, RationalComplex(0)) + coeff
-        if new.is_zero():
+        new = out.get(key, Fraction(0)) + coeff
+        if not new:
             out.pop(key, None)
         else:
             out[key] = new
 
     for (p, q, b), c in s.terms.items():
-        a_rc = RationalComplex(Fraction(p, q))
-        accumulate((p, q, b), c * (lam * a_rc + mu * a_rc * (a_rc - 1)))
+        a = Fraction(p, q)
+        accumulate((p, q, b), c * (lam * a + mu * a * (a - 1)))
         if b >= 1:
-            accumulate((p, q, b - 1), c * (lam * b + mu * b * (2 * a_rc - 1)))
+            accumulate((p, q, b - 1), c * (lam * b + mu * b * (2 * a - 1)))
         if b >= 2:
             accumulate((p, q, b - 2), c * mu * (b * (b - 1)))
     return FormalSum(out)
 
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=15)
-complex_rationals = st.builds(rc, rationals, st.one_of(st.just(0), rationals))
 exponents = st.fractions(min_value=-7, max_value=7, max_denominator=6)
 formal_sums = st.dictionaries(
-    st.tuples(exponents, st.integers(min_value=0, max_value=6)), complex_rationals, max_size=8
+    st.tuples(exponents, st.integers(min_value=0, max_value=6)), rationals, max_size=8
 ).map(lambda terms: FormalSum({(a.numerator, a.denominator, b): c for (a, b), c in terms.items()}))
 
 
 @st.composite
 def eigenvalue_pairs(draw):
-    lam = draw(complex_rationals)
+    lam = draw(rationals)
     kind = draw(st.sampled_from(("generic", "mu-zero", "lambda-equals-mu")))
-    mu = {"generic": draw(complex_rationals), "mu-zero": rc(0), "lambda-equals-mu": lam}[kind]
+    mu = {"generic": draw(rationals), "mu-zero": Fraction(0), "lambda-equals-mu": lam}[kind]
     return lam, mu
 
 
@@ -142,7 +165,7 @@ def test_tau_formal_prunes_and_reinserts_keys_as_the_oracle():
     # tau(phi L^b) feeds phi L^0 from b = 0, 1 and 2: the first two cancel,
     # so phi L^0 is pruned and comes back last, after phi L^1 and phi L^2
     c0, c1 = -(LAM + MU), LAM  # c0 lam + c1 (lam + mu) = 0
-    s = FormalSum({(1, 1, 0): c0, (1, 1, 1): c1, (1, 1, 2): rc(1)})
+    s = FormalSum({(1, 1, 0): c0, (1, 1, 1): c1, (1, 1, 2): 1})
     got = tau_formal(s, LAM, MU)
     _same_terms(got, tau_oracle(s, LAM, MU))
     assert list(got.terms) == [(1, 1, 1), (1, 1, 2), (1, 1, 0)]
@@ -151,8 +174,8 @@ def test_tau_formal_prunes_and_reinserts_keys_as_the_oracle():
 
 def test_tau_formal_matches_the_oracle_on_phi_p():
     pairs = [expected_eigenvalues(SymmetricSpaceSpec(f, n)) for f in SPACE_FAMILIES for n in range(2, 7)]
-    pairs += [(rc(1), rc(0)), (rc(1), rc(1)), (rc(Fraction(2, 3), Fraction(-1, 5)), rc(Fraction(7, 4), 3))]
-    for lam, mu in pairs[:-1]:
+    pairs += [(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))]
+    for lam, mu in pairs:
         for p in range(1, 9):
             s = build_phi_p(p, lam, mu)
             for _ in range(p):
@@ -160,18 +183,41 @@ def test_tau_formal_matches_the_oracle_on_phi_p():
                 _same_terms(got, tau_oracle(s, lam, mu))
                 s = got
             assert s.is_zero(), (lam, mu, p)
-    # complex eigenvalues: exponent_for rejects the ratio, so build the sum by hand
-    lam, mu = pairs[-1]
-    s = FormalSum.term(rc(1, 2), Fraction(-5, 3), 4) + FormalSum.term(rc(Fraction(1, 7)), 0, 3)
+    # a sum off the Phi_p family, with log degree 4 and two phi exponents
+    lam, mu = Fraction(2, 3), Fraction(7, 4)
+    s = FormalSum.term(Fraction(1, 2), Fraction(-5, 3), 4) + FormalSum.term(Fraction(1, 7), 0, 3)
     for _ in range(5):
         got = tau_formal(s, lam, mu)
         _same_terms(got, tau_oracle(s, lam, mu))
         s = got
 
 
-def test_phi_p_certificate_makes_no_rational_complex_arithmetic(monkeypatch):
-    # tau_formal runs on Gaussian-integer numerators: the p = 8 certificate
-    # of SU(12)/Sp(6) makes no RationalComplex product or sum
+@pytest.mark.parametrize("doubled", [0, 1, 2], ids=["keep", "down1", "down2"])
+def test_each_coefficient_of_the_integer_map_is_pinned(monkeypatch, doubled):
+    # Phi_3 of SU(3)/SO(3) has log degree 2, so down1 and down2 reach it;
+    # keep vanishes on both of its blocks (that is what makes Phi_p
+    # p-harmonic), so phi L^2 joins it.  Doubling any one coefficient of
+    # the cached integer map moves tau_formal off the Fraction oracle.
+    lam, mu = expected_eigenvalues(SymmetricSpaceSpec(SUN_SON, 3))
+    phi3 = build_phi_p(3, lam, mu)
+    eig = formal._scaled_eigenvalues(lam, mu)
+    assert phi3.max_b() == 2 and [formal._tau_map(p, q, eig)[0] for p, q in phi3.a_support()] == [0, 0]
+    s = phi3 + FormalSum.term(1, 1, 2)
+    _same_terms(tau_formal(s, lam, mu), tau_oracle(s, lam, mu))
+    tau_map = formal._tau_map
+
+    def faulty(*args):
+        out = list(tau_map(*args))
+        out[doubled] *= 2
+        return tuple(out)
+
+    monkeypatch.setattr(formal, "_tau_map", faulty)
+    assert tau_formal(s, lam, mu) != tau_oracle(s, lam, mu)
+
+
+def test_phi_p_certificate_makes_no_fraction_arithmetic(monkeypatch):
+    # tau_formal runs on integer numerators: the p = 8 certificate of
+    # SU(12)/Sp(6) makes no Fraction product or sum
     lam, mu = expected_eigenvalues(SymmetricSpaceSpec(SU2N_SPN, 6))
     s = build_phi_p(8, lam, mu)
     calls = {"mul": 0, "add": 0}
@@ -184,7 +230,7 @@ def test_phi_p_certificate_makes_no_rational_complex_arithmetic(monkeypatch):
         return wrapper
 
     for dunder, name in (("__mul__", "mul"), ("__rmul__", "mul"), ("__add__", "add"), ("__radd__", "add")):
-        monkeypatch.setattr(RationalComplex, dunder, counted(name, getattr(RationalComplex, dunder)))
+        monkeypatch.setattr(Fraction, dunder, counted(name, getattr(Fraction, dunder)))
     iterates = [s]
     for _ in range(8):
         iterates.append(tau_formal(iterates[-1], lam, mu))
@@ -192,7 +238,7 @@ def test_phi_p_certificate_makes_no_rational_complex_arithmetic(monkeypatch):
     assert calls == {"mul": 0, "add": 0}
     assert iterates[8].is_zero() and not iterates[7].is_zero()
     # the counter sees the oracle's arithmetic
-    monkeypatch.setattr(RationalComplex, "__mul__", counted("mul", RationalComplex.__mul__))
+    monkeypatch.setattr(Fraction, "__mul__", counted("mul", Fraction.__mul__))
     tau_oracle(s, lam, mu)
     monkeypatch.undo()
     assert calls["mul"] > 0
@@ -218,7 +264,7 @@ def test_phi_p_certificate_hashes_no_fraction(monkeypatch):
 
 
 def test_formal_sum_keys_are_reduced_integer_triples():
-    s = FormalSum.term(rc(2), Fraction(6, -4), 3) + FormalSum.term(1, 2, 0)
+    s = FormalSum.term(2, Fraction(6, -4), 3) + FormalSum.term(1, 2, 0)
     assert list(s.terms) == [(-3, 2, 3), (2, 1, 0)]
     assert FormalSum({(-3, 2, 3): 2, (0, 1, 1): 0}) == FormalSum.term(2, Fraction(-3, 2), 3)
     for bad in ((1, 0, 0), (3, -2, 0), (2, 4, 0), (0, 2, 0), (1, 1, -1)):
@@ -242,18 +288,18 @@ def test_phi_p_case3_at_p1():
 
 
 def test_phi_p_case1_log():
-    out = build_phi_p(2, rc(1), rc(0))
+    out = build_phi_p(2, 1, 0)
     assert out == FormalSum.term(1, 0, 1)
 
 
 def test_phi_p_case2_cubed_log():
-    out = build_phi_p(2, rc(1), rc(1), c1=1, c2=0)
+    out = build_phi_p(2, 1, 1, c1=1, c2=0)
     assert out == FormalSum.term(1, 0, 3)
 
 
 def test_phi_p_rejects_double_zero():
     with pytest.raises(ValueError):
-        build_phi_p(2, rc(0), rc(0))
+        build_phi_p(2, 0, 0)
 
 
 # --- certificates -----------------------------------------------------------------
@@ -269,7 +315,7 @@ def test_all_catalog_families_properly_p_harmonic():
 
 
 def test_synthetic_degenerate_cases():
-    for lam, mu in ((rc(1), rc(0)), (rc(2), rc(2))):
+    for lam, mu in ((Fraction(1), Fraction(0)), (Fraction(2), Fraction(2))):
         for p in range(1, 7):
             cert = verify_p_harmonic(build_phi_p(p, lam, mu), lam, mu, p)
             assert cert.proper, (lam, mu, p)
@@ -387,11 +433,9 @@ def test_numeric_consistency_with_diffops():
     lam, mu = expected_eigenvalues(spec)
     b = basis_g(space.group_spec())
     for r in (Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-1)):
-        lam_r = rc(r) * lam + rc(r * (r - 1)) * mu
-        mu_r = rc(r * r) * mu
-        s = FormalSum.term(rc(Fraction(2, 3)), Fraction(1, 2), 1) + FormalSum.term(
-            rc(0, 1), Fraction(-1), 0
-        )
+        lam_r = r * lam + r * (r - 1) * mu
+        mu_r = r * r * mu
+        s = FormalSum.term(Fraction(2, 3), Fraction(1, 2), 1) + FormalSum.term(Fraction(-5, 4), Fraction(-1), 0)
         t_s = tau_formal(s, lam_r, mu_r)
 
         def composed(v):
@@ -420,6 +464,20 @@ def test_serialize_stable_form():
     s = build_phi_p(2, LAM, MU)
     assert s.serialize() == "1 * phi^(0) * log^1 + 1 * phi^(-3/2) * log^1"
     assert FormalSum.zero().serialize() == "0"
+
+
+def test_serialize_prints_each_coefficient_as_before():
+    # the text of the tau2_formal param: str of each Fraction, never its repr
+    # Fraction(-3, 2); both strings are the output of the RationalComplex form
+    s = FormalSum({(-3, 2, 3): Fraction(-3, 2), (0, 1, 1): 2, (1, 1, 0): Fraction(5, 7), (2, 1, 2): -4,
+                   (1, 3, 0): Fraction(22, 6)})
+    text = ("-4 * phi^(2) * log^2 + 5/7 * phi^(1) * log^0 + 11/3 * phi^(1/3) * log^0"
+            " + 2 * phi^(0) * log^1 + -3/2 * phi^(-3/2) * log^3")
+    assert s.serialize() == text and repr(s) == f"FormalSum({text})"
+    tau_phi3 = tau_formal(build_phi_p(3, LAM, MU), LAM, MU)
+    assert tau_phi3.serialize() == (
+        "-8 * phi^(0) * log^1 + -16/3 * phi^(0) * log^0 + 8 * phi^(-3/2) * log^1 + -16/3 * phi^(-3/2) * log^0"
+    )
 
 
 def test_canonical_pruning():

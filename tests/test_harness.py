@@ -378,10 +378,9 @@ def test_nested_record_reports_a_nonzero_formal_tau2(monkeypatch):
     from fractions import Fraction
 
     from lieharm import eigenfamilies
-    from lieharm.exact import RationalComplex
     from lieharm.formal import build_phi_p
 
-    bump = RationalComplex(1 + Fraction(1, 10**12))
+    bump = 1 + Fraction(1, 10**12)
     monkeypatch.setattr(eigenfamilies, "build_phi_p", lambda p, lam, mu: build_phi_p(p, lam * bump, mu))
     cfg = RunConfig(suites=("dual",), spaces=((SUN_SON, 2),), suite_overrides={"dual": {"samples": 1}})
     (rec,) = run(cfg).records

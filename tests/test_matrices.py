@@ -38,7 +38,8 @@ def complex_of(m: CMatrix) -> np.ndarray:
 
 def conj_transpose(m: CMatrix) -> CMatrix:
     """The conjugate transpose of an exact matrix, entry by entry."""
-    return CMatrix(np.vectorize(lambda v: v.conjugate(), otypes=[object])(m.data).T)
+    conj = lambda v: RationalComplex.from_gaussian(v.nre, -v.nim, v.den)
+    return CMatrix(np.vectorize(conj, otypes=[object])(m.data).T)
 
 
 def exact_equal(a: CMatrix, b: CMatrix) -> bool:
