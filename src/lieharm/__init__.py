@@ -23,7 +23,7 @@ if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREA
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .exact import QSqrt2, RationalComplex, rc
+from .exact import RationalComplex
 from .jets import JetScalar
 from .matrices import ShapeError
 from .lie import GroupSpec, SymmetricSpaceSpec, basis_g, cartan_decomposition, standard_symplectic
@@ -39,9 +39,7 @@ from .formal import FormalSum, build_phi_p, evaluate_formal, tau_formal, verify_
 from .harness import RunConfig, run
 
 __all__ = [
-    "QSqrt2",
     "RationalComplex",
-    "rc",
     "JetScalar",
     "ShapeError",
     "standard_symplectic",

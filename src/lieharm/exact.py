@@ -1,5 +1,5 @@
-"""Exact scalars outside the formal route: rationals extended by sqrt(2),
-and rational complex numbers.
+"""Exact scalars outside the formal route: rational complex numbers, and a
+stub of the rationals extended by sqrt(2).
 
 The formal phi^a (log phi)^b algebra and the eigenvalues are over Q and use
 `fractions.Fraction` (`formal.py`); nothing here backs them.  The one exact
@@ -7,33 +7,32 @@ matrix product left is the trace(A J) = 0 check of
 `identities.check_symplectic_facts`, a matrix of RationalComplex entries
 times the exact J, so RationalComplex keeps only what that product, the
 exact path of `matrices.CMatrix` and the benchmark tracer use: +, * and
-their reflected forms, ==, hash, is_zero, complex() and repr.  No module of
-the package uses QSqrt2: a basis element c N carries its exact weight c^2 as
-a Fraction (`lie.Basis`).  QSqrt2, RationalComplex and that exact product
-stay only while the benchmark tracer counts their arithmetic.
+their reflected forms, ==, hash, is_zero, complex() and repr.  Its parts
+are ints or Fractions (`formal._rational`), never floats.  No module of the
+package makes a QSqrt2: it keeps only the four dunders the benchmark tracer
+counts.  Both classes stay only while the tracer binds them by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
 
-_RatLike = Union[int, Fraction]
+from .formal import _rational
 
 
 class QSqrt2:
-    """A number a + b*sqrt(2) with exact rational a, b.
+    """A number a + b*sqrt(2) with exact rational a, b, closed under + and *.
 
-    Closed under +, -, *, / (the field Q(sqrt 2)); Fraction keeps all
-    denominators gcd-reduced and positive.
+    `__add__`, `__radd__`, `__mul__` and `__rmul__` stay separate entries of
+    the class dict, because the benchmark tracer counts the calls of each.
     """
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: _RatLike = 0, b: _RatLike = 0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+    def __init__(self, a=0, b=0):
+        self.a = _rational(a)
+        self.b = _rational(b)
 
     @staticmethod
     def _coerce(x) -> "QSqrt2":
@@ -51,102 +50,26 @@ class QSqrt2:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QSqrt2(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QSqrt2(o.a - self.a, o.b - self.b)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.b == 0 and o.b == 0:
-            return QSqrt2(self.a * o.a)
         return QSqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return QSqrt2(-self.a, -self.b)
-
-    def inverse(self) -> "QSqrt2":
-        # 1/(a + b s2) = (a - b s2) / (a^2 - 2 b^2); the norm is nonzero
-        # for nonzero arguments because sqrt(2) is irrational.
-        norm = self.a * self.a - 2 * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        return QSqrt2(self.a / norm, -self.b / norm)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        """The value as a plain rational; raises if a sqrt(2) part is present."""
-        if self.b != 0:
-            raise ValueError(f"{self} has an irrational sqrt(2) part")
-        return self.a
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 1.4142135623730951
-
-    def __repr__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt2"
-        return f"{self.a}+{self.b}*sqrt2"
-
-
-SQRT2 = QSqrt2(0, 1)
-INV_SQRT2 = QSqrt2(0, Fraction(1, 2))  # 1/sqrt(2) == sqrt(2)/2
-
-
-def _rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, QSqrt2):
-        return x.as_fraction()
-    return Fraction(x)
 
 
 class RationalComplex:
     """Exact complex scalar (nre + nim*i) / den: a Gaussian integer over a
     denominator den > 0 with gcd(nre, nim, den) = 1, so zero is (0, 0, 1).
 
-    Each result costs integer products and one gcd; the reduced triple is
-    canonical, so == and hash read it directly.  `re` and `im` are the parts
-    as Fractions, made on demand.  A QSqrt2 part is accepted only when it is
-    rational: building one from a value with a sqrt(2) part raises ValueError.
-    `__mul__`, `__rmul__`, `__add__` and `__radd__` stay separate entries of
-    the class dict, because the benchmark tracer counts the calls of each.
+    Built from two ints or Fractions; any other part (a float, a complex
+    number, a string) raises TypeError naming it.  Each result costs integer
+    products and one gcd; the reduced triple is canonical, so == and hash
+    read it directly.  `re` and `im` are the parts as Fractions, made on
+    demand.  `__mul__`, `__rmul__`, `__add__` and `__radd__` stay separate
+    entries of the class dict, because the benchmark tracer counts the calls
+    of each.
     """
 
     __slots__ = ("nre", "nim", "den")
@@ -220,8 +143,3 @@ class RationalComplex:
 
 
 _gauss = RationalComplex.from_gaussian
-
-
-def rc(re=0, im=0) -> RationalComplex:
-    """Shorthand constructor accepting ints, Fractions or rational QSqrt2 parts."""
-    return RationalComplex(re, im)

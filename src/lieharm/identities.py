@@ -26,7 +26,7 @@ from typing import Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from .diffops import GroupFunction, _sweep, coordinate_kappa
-from .exact import RationalComplex, rc
+from .exact import RationalComplex
 from .lie import (
     SO,
     SP,
@@ -398,7 +398,7 @@ def check_symplectic_facts(
 
     tr = IdentityCheckResult("symmetric_times_skew_traceless", {"n": n}, exact=True)
     size = 2 * n
-    j_exact = CMatrix(np.vectorize(lambda v: rc(int(v)), otypes=[object])(j.real))
+    j_exact = CMatrix(np.vectorize(lambda v: RationalComplex(int(v)), otypes=[object])(j.real))
     num, den = _symmetric_rationals(rng, samples, size)
     # num_re/den_re + i num_im/den_im over the denominator den_re den_im
     parts = (x.ravel().tolist() for x in (num[:, 0], num[:, 1], den[:, 0], den[:, 1]))

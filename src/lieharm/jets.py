@@ -16,13 +16,13 @@ pair of degrees that survives truncation (6 pairs for k = 1, 36 for
 k = 2); a term of two degree-1 blocks in v is summed over v's axis.  Every
 block of a product is thus linear in the dense ones, and ring operations
 are exact.  With a contraction of matrix axes in place of the multiply the
-same routine is the Frobenius pairing of two jet matrices (`matrices.py`),
-and `@` with a plain array is one matmul per block; with the plain array
-on the left a block's variable axes move into its columns, so the block
-takes one product per matrix of its value axes.  Value axes broadcast
-as in numpy, aligned on the right; the blocks keep their dtype (complex128,
-or clongdouble).  A function of a jet, such as phi^a (log phi)^b, is
-composed in `formal.evaluate_formal`.
+same routine is the Frobenius pairing of two jet matrices (`matrices.py`).
+A plain array @ a jet moves each block's variable axes into its columns,
+so the block takes one product per matrix of its value axes; a jet on the
+left of `@` raises TypeError, since phi forms no such product.  Value axes
+broadcast as in numpy, aligned on the right; the blocks keep their dtype
+(complex128, or clongdouble).  A function of a jet, such as
+phi^a (log phi)^b, is composed in `formal.evaluate_formal`.
 """
 
 from __future__ import annotations
@@ -135,12 +135,6 @@ class JetScalar:
         return _cauchy(self, o, np.multiply)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        """A jet whose values end in matrix axes times a plain array, block by block."""
-        if isinstance(other, np.ndarray):
-            return self.map(lambda c: np.matmul(_lift(c, self.k, other.ndim), other))
-        return NotImplemented
 
     def __rmatmul__(self, other):
         """A plain array times a jet whose values end in matrix axes, one

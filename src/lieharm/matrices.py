@@ -10,17 +10,19 @@ is one of three kinds:
   with leading batch axes, handled as one: `@` broadcasts over them,
   `pair` contracts each pair of matrices, and `shape` is the shape of one
   matrix;
-* exact: `data` is a 2-D object array of RationalComplex entries; `@`
-  and `pair` of two exact matrices stay exact, and `trace` sums the
-  diagonal exactly;
+* exact: `data` is a 2-D object array of RationalComplex entries, made
+  only by the trace(A J) = 0 check of `identities.check_symplectic_facts`
+  and the tests' oracles; `@` and `pair` of two exact matrices stay
+  exact, and `trace` sums the diagonal exactly;
 * jet-valued, built by `CMatrix.from_jet`: `data` is None and the `jet`
   slot holds one JetScalar whose value axes end in (rows, cols), in front
-  of them any batch axes shared by every entry.  `@` with a numeric
-  matrix, on either side, is one matmul per degree block (`jets.py`), and
-  `pair` is the truncated Cauchy product of `jets.py` with the Frobenius
-  contraction as the product of two blocks; a term of two degree-1 blocks
-  in a variable is summed over that variable's directions there, so a
-  pairing of two swept jet matrices comes out collapsed.
+  of them any batch axes shared by every entry.  A numeric matrix @ a
+  jet-valued one is one matmul per degree block (`jets.py`); a jet-valued
+  matrix on the left of `@` raises TypeError.  `pair` is the truncated
+  Cauchy product of `jets.py` with the Frobenius contraction as the
+  product of two blocks; a term of two degree-1 blocks in a variable is
+  summed over that variable's directions there, so a pairing of two swept
+  jet matrices comes out collapsed.
 
 `x.swap_j()` is x J for the standard symplectic J = [[0, I], [-I, 0]],
 the exact signed column swap of `swap_j`, with no product.

@@ -43,6 +43,8 @@ from lieharm.lie import (
 )
 from lieharm.matrices import CMatrix
 
+from dense_jets import times_on_the_right
+
 
 def e1(n):
     v = np.zeros(n, dtype=complex)
@@ -174,7 +176,7 @@ def _phi_trace_form(spec):
         x = g.jet if g.jet is not None else JetScalar(0, {(): g.data})
         m = _cauchy(x.map(lambda c: np.swapaxes(c, -1, -2)), a @ x, np.matmul)
         if j is not None:
-            m = m @ j
+            m = m.map(lambda c: c @ j)
         t = m.map(lambda c: np.trace(c, axis1=-2, axis2=-1))
         return t if g.jet is not None else t.value
 
@@ -420,8 +422,8 @@ def test_k_invariance_fault_fails_through_kinv(monkeypatch, family, n):
 
     def skewed(spec):
         f = build(spec)
-        d = CMatrix(np.diag(np.linspace(1, 1.001, spec.space.matrix_size)).astype(complex))
-        return GroupFunction(lambda v: f.fn(v @ d), name=f.name, left=f.left)
+        d = np.diag(np.linspace(1, 1.001, spec.space.matrix_size)).astype(complex)
+        return GroupFunction(lambda v: f.fn(times_on_the_right(v, d)), name=f.name, left=f.left)
 
     monkeypatch.setattr(eigenfamilies, "build_eigenfunction", skewed)
     rng = np.random.default_rng(60 + n)

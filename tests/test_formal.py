@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lieharm.diffops import GroupFunction, tau
 from lieharm.eigenfamilies import build_eigenfunction, expected_eigenvalues, random_parameters
 from lieharm import formal
-from lieharm.exact import rc
+from lieharm.exact import RationalComplex
 from lieharm.formal import (
     FormalSum,
     _principal_pow,
@@ -52,7 +52,7 @@ def test_tau_kills_special_power():
 
 
 def test_exponent_rejects_complex_ratio():
-    for lam in (1j, 2 + 0j, rc(0, 1), rc(2)):
+    for lam in (1j, 2 + 0j, RationalComplex(0, 1), RationalComplex(2)):
         with pytest.raises(TypeError, match="expected an int or a Fraction"):
             exponent_for(lam, 2)
 
@@ -66,7 +66,9 @@ def test_exponent_is_one_minus_the_ratio_in_lowest_terms():
     assert exponent_for(np.int64(-4), -2) == -1 and exponent_for(6, 4) == Fraction(-1, 2)
 
 
-@pytest.mark.parametrize("bad", [0.1, np.float64(0.5), 1.0, 1j, np.complex128(1), rc(1), rc(0, 1)])
+@pytest.mark.parametrize(
+    "bad", [0.1, np.float64(0.5), 1.0, 1j, np.complex128(1), RationalComplex(1), RationalComplex(0, 1)]
+)
 def test_the_exact_api_rejects_inexact_and_complex_values(bad):
     # a float would enter as its binary fraction: build_phi_p(2, 0.1, 0.3)
     # had an exponent over 10808639105689190 and was certified proper

@@ -42,7 +42,8 @@ from lieharm.lie import (
     rebuild_sample,
     sample_with_coefficients,
 )
-from lieharm.matrices import CMatrix
+
+from dense_jets import times_on_the_right
 
 
 # --- seeding -----------------------------------------------------------------
@@ -327,13 +328,13 @@ def test_eigen_replay_reproduces_a_k_invariance_failure(monkeypatch):
     # the record
     from lieharm import eigenfamilies
 
-    g0 = CMatrix(pade_exp(0.7 * basis_g(SymmetricSpaceSpec(SUN_SON, 3).group_spec()).stack()[-1]))
+    g0 = pade_exp(0.7 * basis_g(SymmetricSpaceSpec(SUN_SON, 3).group_spec()).stack()[-1])
     build = eigenfamilies.build_eigenfunction
 
     def translated(spec):
         f = build(spec)
         # P (g g0) = (P g) g0
-        return GroupFunction(lambda v: f.fn(v @ g0), name=f.name, left=f.left)
+        return GroupFunction(lambda v: f.fn(times_on_the_right(v, g0)), name=f.name, left=f.left)
 
     monkeypatch.setattr(eigenfamilies, "build_eigenfunction", translated)
     cfg = RunConfig(suites=("eigen",), spaces=((SUN_SON, 3),),

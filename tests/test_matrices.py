@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lieharm.exact import RationalComplex, rc
+from lieharm.exact import RationalComplex
 from lieharm.jets import JetScalar
 from lieharm.lie import generator, standard_symplectic
 from lieharm.matrices import CMatrix, ShapeError, swap_j
@@ -19,7 +19,7 @@ def random_exact(rng, rows, cols):
     m = np.empty((rows, cols), dtype=object)
     for i in range(rows):
         for j in range(cols):
-            m[i, j] = rc(
+            m[i, j] = RationalComplex(
                 Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 7))),
                 Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 7))),
             )
@@ -28,7 +28,7 @@ def random_exact(rng, rows, cols):
 
 def exact_of(ints) -> CMatrix:
     """The exact matrix of an integer array."""
-    return CMatrix(np.vectorize(lambda v: rc(int(v)), otypes=[object])(np.asarray(ints)))
+    return CMatrix(np.vectorize(lambda v: RationalComplex(int(v)), otypes=[object])(np.asarray(ints)))
 
 
 def complex_of(m: CMatrix) -> np.ndarray:
@@ -176,15 +176,10 @@ JET_CASES = [(1, (5,)), (2, ())]  # k = 1 batched over 5 directions; k = 2 neste
 
 
 @pytest.mark.parametrize("k, batch", JET_CASES)
-@pytest.mark.parametrize("kinds", ["complex@jet", "jet@complex"])
-def test_packed_jet_matmul_matches_entrywise_product(k, batch, kinds):
-    rng = np.random.default_rng(len(kinds) + 10 * k)
-    left_kind, right_kind = kinds.split("@")
-    make = {
-        "jet": lambda r, c: random_jet_matrix(rng, r, c, k, batch),
-        "complex": lambda r, c: CMatrix(complex_array(rng, (r, c))),
-    }
-    a, b = make[left_kind](2, 3), make[right_kind](3, 4)
+def test_packed_jet_matmul_matches_entrywise_product(k, batch):
+    # a numeric matrix @ a jet-valued one, the only order phi forms
+    rng = np.random.default_rng(11 + 10 * k)
+    a, b = CMatrix(complex_array(rng, (2, 3))), random_jet_matrix(rng, 3, 4, k, batch)
     out = a @ b
     assert out.jet is not None and out.is_object()
     assert_jet_matrices_close(out, entrywise_matmul(entries(a, k), entries(b, k)), k, batch)
@@ -192,13 +187,13 @@ def test_packed_jet_matmul_matches_entrywise_product(k, batch, kinds):
 
 @pytest.mark.parametrize("k, batch", JET_CASES)
 def test_packed_chain(k, batch):
-    # A g J, the products phi forms at a jet point
+    # a (b g): each product takes the jet on the right, as phi's J1 (F g) does
     rng = np.random.default_rng(20 + k)
-    g = random_jet_matrix(rng, 3, 3, k, batch)
-    a = CMatrix(complex_array(rng, (3, 3)))
-    j = CMatrix(complex_array(rng, (3, 2)))
-    out = a @ g @ j
-    ref = entrywise_matmul(entrywise_matmul(entries(a, k), entries(g, k)), entries(j, k))
+    g = random_jet_matrix(rng, 3, 4, k, batch)
+    a = CMatrix(complex_array(rng, (2, 3)))
+    b = CMatrix(complex_array(rng, (3, 3)))
+    out = a @ (b @ g)
+    ref = entrywise_matmul(entries(a, k), entrywise_matmul(entries(b, k), entries(g, k)))
     assert_jet_matrices_close(out, ref, k, batch)
 
 
@@ -211,6 +206,9 @@ def test_packed_jet_shape_errors():
         out @ g
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         g @ g
+    # a jet-valued matrix on the left of @ has no product
+    with pytest.raises(TypeError):
+        g @ CMatrix(complex_array(rng, (3, 2)))
     # trace takes one numeric or exact matrix, not a jet or a stack
     for m in (out, CMatrix(complex_array(rng, (4, 3, 3)))):
         with pytest.raises(ShapeError, match="one square matrix"):
