@@ -1,13 +1,14 @@
 """The four eigenfunction families: construction, parameter validation,
-exact expected eigenvalues, and one routine, `verify_sampled`, that checks
-them at sampled points: the eigen-equations and K-invariance (W phi(x) = 0
-for W in k, read from the sweep) at every order, and at p = 2 the nested
-tau^2 of Phi_2 o phi, on the compact spaces or (sign-flipped) on their
-duals.  One evaluator, `sampled_evaluator`, takes a batch of coefficient
-rows at either order; `verify_sampled` draws, checks and refills through
-it, and replay runs it on a witness row.  It computes in the dtype of the
-point: lambda and mu enter through `formal._coefficient`, and phi and the
-sweep values stay numpy values.
+and one routine, `verify_sampled`, that checks them at sampled points: the
+eigen-equations and K-invariance (W phi(x) = 0 for W in k, read from the
+sweep) at every order, and at p = 2 the nested tau^2 of Phi_2 o phi, on
+the compact spaces or (sign-flipped) on their duals.  One evaluator,
+`sampled_evaluator`, takes a batch of coefficient rows at either order;
+`verify_sampled` draws, checks and refills through it, and replay runs it
+on a witness row.  It computes in the dtype of the point: lambda and mu
+(the exact pair of `lie.expected_eigenvalues`, re-exported here) enter
+through `formal._coefficient`, and phi and the sweep values stay numpy
+values.
 
 Families and their data:
 
@@ -39,7 +40,6 @@ is the exact signed column swap `matrices.swap_j`, no product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -56,6 +56,7 @@ from .lie import (
     UsageError,
     basis_g,
     cartan_decomposition,
+    expected_eigenvalues,
     generator,
     rebuild_dual_sample,
     rebuild_sample,
@@ -150,25 +151,6 @@ def skew_normal_form(a_rr: np.ndarray) -> np.ndarray:
     relation A_kl A_ij = A_ki A_lj - A_kj A_li of a skew matrix of rank 2."""
     i, j = np.unravel_index(np.argmax(np.abs(a_rr)), a_rr.shape)
     return np.stack([a_rr[:, i] / a_rr[i, j], a_rr[:, j]])
-
-
-def expected_eigenvalues(spec_or_space) -> Tuple[Fraction, Fraction]:
-    """The exact eigenvalue pair (lambda, mu) of the family, two Fractions."""
-    space = spec_or_space.space if isinstance(spec_or_space, EigenfunctionSpec) else spec_or_space
-    n = space.n
-    if space.family == SUN_SON:
-        lam = Fraction(-2 * (n * n + n - 2), n)
-        mu = Fraction(-4 * (n - 1), n)
-    elif space.family == SPN_UN:
-        lam = Fraction(-2 * (n + 1))
-        mu = Fraction(-2)
-    elif space.family == SO2N_UN:
-        lam = Fraction(-2 * (n - 1))
-        mu = Fraction(-1)
-    else:
-        lam = Fraction(-2 * (2 * n * n - n - 1), n)
-        mu = Fraction(-2 * (n - 1), n)
-    return lam, mu
 
 
 def random_parameters(space: SymmetricSpaceSpec, rng: np.random.Generator) -> EigenfunctionSpec:

@@ -46,9 +46,13 @@ TermKey = Tuple[int, int, int]  # (p, q, b): phi^(p/q) (log phi)^b, q > 0, gcd(p
 
 
 def _rational(x) -> Fraction:
-    """x as a Fraction, for a Fraction or an integer (numpy integers too)."""
+    """x as a Fraction of Python ints, for a Fraction or an integer (numpy
+    integers too).  A Fraction built from numpy integers keeps them as its
+    parts, and their arithmetic wraps at 64 bits, so it is rebuilt."""
     if isinstance(x, Fraction):
-        return x
+        if type(x.numerator) is int and type(x.denominator) is int:
+            return x
+        return Fraction(int(x.numerator), int(x.denominator))
     if isinstance(x, Integral):
         return Fraction(int(x))
     raise TypeError(f"expected an int or a Fraction, got {x!r} ({type(x).__name__})")

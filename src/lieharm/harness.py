@@ -11,6 +11,13 @@ the timestamp and the per-record wall times.
 The sampled suites (eigen, dual, crosscheck) run `verify_sampled` at the
 order p and on the space of `SAMPLED_ORDERS`; `replay_record` hands a
 failed record's witness row to the evaluator of that same order.
+
+Each suite runs the code of one module (`SUITE_MODULES`), and
+`RunConfig.validate` imports the modules of the configured suites.  So a
+process compiles only what its suites execute, and does it before `run`
+starts, outside the run's wall time.  The suite functions and
+`replay_record` import what they call from those modules when they are
+called, so they call whatever the module holds under that name then.
 """
 
 from __future__ import annotations
@@ -22,36 +29,27 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import __version__
-from .diffops import BudgetExceeded
-from .eigenfamilies import (
-    EigenfunctionSpec,
-    ValidationError,
-    expected_eigenvalues,
-    random_parameters,
-    sampled_evaluator,
-    verify_eigen,
-    verify_sampled,
-)
-from .formal import build_phi_p, verify_p_harmonic
-from .identities import (
-    IDENTITY_NAMES,
-    SPACE_FREE_IDENTITY_NAMES,
-    IdentityCheckResult,
-    assert_full_coverage,
-    check_coordinate_identities,
-    check_generator_sums,
-    check_kappa_basis_decomposition,
-    check_skew_lemma,
-    check_symplectic_facts,
-)
-from .lie import SO, SP, SPACE_FAMILIES, SU, GroupSpec, SymmetricSpaceSpec
+from .lie import SO, SP, SPACE_FAMILIES, SU, GroupSpec, SymmetricSpaceSpec, expected_eigenvalues
+
+if TYPE_CHECKING:
+    from .eigenfamilies import EigenfunctionSpec
+    from .identities import IdentityCheckResult
 
 SUITES = ("eigen", "dual", "pharmonic", "identities", "crosscheck")
+
+# the module whose code each suite runs, loaded by `RunConfig.validate`
+SUITE_MODULES = {
+    "eigen": "eigenfamilies",
+    "dual": "eigenfamilies",
+    "pharmonic": "formal",
+    "identities": "identities",
+    "crosscheck": "eigenfamilies",
+}
 
 # the sampled suites: their order p and whether they sample the dual
 SAMPLED_ORDERS = {"eigen": (1, False), "crosscheck": (2, False), "dual": (2, True)}
@@ -120,6 +118,9 @@ class RunConfig:
             raise ConfigError(f"jobs must be 1, got {self.jobs}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        for suite in self.suites:
+            # not importlib.import_module, so that `python -X importtime` lists it
+            __import__(f"{__package__}.{SUITE_MODULES[suite]}")
         return self
 
     def suite_param(self, suite: str, key: str, default=None):
@@ -277,6 +278,8 @@ def _timed(fn: Callable[[], Tuple[float, bool, Dict]], name: str) -> CheckRecord
 
 
 def eigen_suite(cfg: RunConfig) -> List[CheckRecord]:
+    from .eigenfamilies import random_parameters, verify_eigen
+
     records = []
     samples = cfg.suite_param("eigen", "samples")
     tol = cfg.suite_param("eigen", "tol")
@@ -316,6 +319,9 @@ def _sample_params(spec: EigenfunctionSpec, samples: int, witness: Optional[list
 def _phi2_suite(cfg: RunConfig, suite: str) -> List[CheckRecord]:
     """`verify_sampled` at p = 2 per space: on the dual for "dual", the
     compact space for "crosscheck"."""
+    from .diffops import BudgetExceeded
+    from .eigenfamilies import random_parameters, verify_sampled
+
     records = []
     samples, tol, sigma, tau2_tol = (cfg.suite_param(suite, k) for k in ("samples", "tol", "sigma", "tau2_tol"))
     p, dual = SAMPLED_ORDERS[suite]
@@ -346,6 +352,8 @@ crosscheck_suite = functools.partial(_phi2_suite, suite="crosscheck")
 
 
 def pharmonic_suite(cfg: RunConfig) -> List[CheckRecord]:
+    from .formal import build_phi_p, verify_p_harmonic
+
     pairs = []  # (record name, lam, mu, params)
     for family, n in cfg.spaces:
         lam, mu = expected_eigenvalues(SymmetricSpaceSpec(family, n))
@@ -365,6 +373,17 @@ def pharmonic_suite(cfg: RunConfig) -> List[CheckRecord]:
 
 
 def identities_suite(cfg: RunConfig) -> List[CheckRecord]:
+    from .identities import (
+        IDENTITY_NAMES,
+        SPACE_FREE_IDENTITY_NAMES,
+        assert_full_coverage,
+        check_coordinate_identities,
+        check_generator_sums,
+        check_kappa_basis_decomposition,
+        check_skew_lemma,
+        check_symplectic_facts,
+    )
+
     samples = cfg.suite_param("identities", "samples")
     tol = cfg.suite_param("identities", "tol")
     sigma = cfg.suite_param("identities", "sigma")
@@ -460,6 +479,8 @@ def replay_record(record: CheckRecord, config: RunConfig) -> float:
     residual.  A witness of another length than a row, or parameters that
     `EigenfunctionSpec` rejects, is a `ConfigError`.
     """
+    from .eigenfamilies import EigenfunctionSpec, ValidationError, sampled_evaluator
+
     params = record.params
     if "witness_coefficients" not in params:
         raise ConfigError("record carries no witness to replay")

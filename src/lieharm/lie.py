@@ -1,5 +1,9 @@
 """Catalog of the classical groups in play: orthonormal Lie-algebra bases,
-Cartan decompositions of the four symmetric pairs, and random sampling.
+Cartan decompositions of the four symmetric pairs, the exact eigenvalue
+pair (lambda, mu) of each space's family (`expected_eigenvalues`), and
+random sampling.  The eigenvalue pair is a fact of the space, so the exact
+route (`harness.pharmonic_suite`) reads it here without loading the
+numeric route's `eigenfamilies`.
 
 Conventions.  The inner product is g(Z, W) = Re trace(Z W*); every basis
 below is orthonormal for it.  Elementary matrices E_rs, the symmetric /
@@ -124,6 +128,27 @@ class SymmetricSpaceSpec:
             SU2N_SPN: f"SU({2 * self.n})/Sp({self.n})",
         }
         return names[self.family]
+
+
+def expected_eigenvalues(spec_or_space) -> Tuple[Fraction, Fraction]:
+    """The exact eigenvalue pair (lambda, mu) of the family, two Fractions:
+    tau phi = lambda phi and kappa(phi, phi) = mu phi^2 for each phi of the
+    family on the space, or on the `.space` of an eigenfunction spec."""
+    space = getattr(spec_or_space, "space", spec_or_space)
+    n = space.n
+    if space.family == SUN_SON:
+        lam = Fraction(-2 * (n * n + n - 2), n)
+        mu = Fraction(-4 * (n - 1), n)
+    elif space.family == SPN_UN:
+        lam = Fraction(-2 * (n + 1))
+        mu = Fraction(-2)
+    elif space.family == SO2N_UN:
+        lam = Fraction(-2 * (n - 1))
+        mu = Fraction(-1)
+    else:
+        lam = Fraction(-2 * (2 * n * n - n - 1), n)
+        mu = Fraction(-2 * (n - 1), n)
+    return lam, mu
 
 
 # ---------------------------------------------------------------------------

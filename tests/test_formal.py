@@ -1,6 +1,7 @@
 """Formal phi^a (log phi)^b algebra: exact tau action, the three-case
 construction, p-harmonicity certificates, evaluation and serialization."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,22 @@ def test_the_exact_api_rejects_inexact_and_complex_values(bad):
         with pytest.raises(TypeError, match=r"expected an int or a Fraction, got .+") as info:
             call()
         assert repr(bad) in str(info.value)
+
+
+def test_a_fraction_of_numpy_integers_is_rebuilt_from_python_ints():
+    # Fraction(np.int64(...), 3) keeps np.int64 parts, whose products wrap at
+    # 64 bits: scale(4) wrapped to the empty sum and RationalComplex mixed
+    # up the denominators
+    big = Fraction(np.int64(2**62), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = FormalSum.term(big).scale(4)
+        assert scaled == FormalSum.term(Fraction(2**64, 3))
+        assert RationalComplex(big, Fraction(1, 5)).re == Fraction(2**62, 3)
+    (coeff,) = scaled.terms.values()
+    assert type(coeff.numerator) is int and type(coeff.denominator) is int
+    (key,) = FormalSum.term(1, Fraction(np.int64(-9), np.int64(5))).terms
+    assert key == (-9, 5, 0) and all(type(k) is int for k in key)
 
 
 @given(

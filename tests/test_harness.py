@@ -398,6 +398,88 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+# prints, as JSON, the lieharm submodules loaded after `import lieharm` and,
+# per config, those loaded after `validate()` and those that `run` adds
+_MODULE_PROBE = """
+import json, sys
+import lieharm
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("lieharm."))
+out = {"import": loaded()}
+for name, suites in json.loads(sys.argv[1]).items():
+    cfg = lieharm.RunConfig(suites=tuple(suites), spaces=(("sun_son", 2),), samples=2, p_max=2)
+    before = loaded()
+    cfg.validate()
+    validated = loaded()
+    lieharm.harness.run(cfg)
+    out[name] = {"validate": sorted(set(validated) - set(before)), "run": sorted(set(loaded()) - set(validated))}
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize(
+    "suites, loaded, unloaded",
+    [
+        (["eigen"], {"eigenfamilies", "formal", "diffops"}, {"identities", "exact"}),
+        (["identities", "pharmonic"], {"identities", "exact", "formal"}, {"eigenfamilies"}),
+        (list(SUITES), {"eigenfamilies", "identities", "exact", "formal"}, set()),
+    ],
+    ids=["eigen", "identities-pharmonic", "all"],
+)
+def test_a_config_loads_the_modules_of_its_suites_at_validation(suites, loaded, unloaded):
+    # one fresh interpreter per config, so no other config's modules are loaded
+    out = json.loads(_python(["-c", _MODULE_PROBE, json.dumps({"cfg": suites})]))
+    assert out["import"] == []
+    validated = {m.removeprefix("lieharm.") for m in out["cfg"]["validate"]}
+    assert loaded <= validated and not unloaded & validated
+    # no module is compiled inside the timed run
+    assert out["cfg"]["run"] == []
+
+
+def test_an_unknown_suite_is_rejected_before_any_module_loads():
+    code = (
+        "import sys, lieharm\n"
+        "try:\n"
+        "    lieharm.RunConfig(suites=('eigen', 'nope')).validate()\n"
+        "except lieharm.harness.ConfigError:\n"
+        "    print(sorted(m for m in sys.modules if m.startswith('lieharm.')))\n"
+    )
+    assert _python(["-c", code]).strip() == "['lieharm.harness', 'lieharm.lie']"
+
+
+_LAZY_API_PROBE = """
+import importlib, json, sys
+import lieharm
+out = {}
+# before any name is looked up, and so cached in the package namespace
+out["not_in_dir"] = sorted(set(lieharm.__all__) - set(dir(lieharm)))
+# the path benchmarks/child.py takes: a submodule as an attribute, with no prior import
+out["harness"] = lieharm.harness is sys.modules["lieharm.harness"]
+out["not_home"] = [
+    name for name, home in lieharm._HOMES.items()
+    if getattr(lieharm, name) is not getattr(importlib.import_module("lieharm." + home), name)
+]
+namespace = {}
+exec("from lieharm import *", namespace)
+out["not_starred"] = [name for name in lieharm.__all__ if namespace.get(name) is not getattr(lieharm, name)]
+out["eigenfamilies_pair"] = lieharm.expected_eigenvalues is sys.modules["lieharm.eigenfamilies"].expected_eigenvalues
+try:
+    lieharm.no_such_name
+except AttributeError as exc:
+    out["unknown"] = str(exc)
+print(json.dumps(out))
+"""
+
+
+def test_lazy_package_names_are_the_objects_of_their_home_modules():
+    out = json.loads(_python(["-c", _LAZY_API_PROBE]))
+    assert out["harness"] and out["eigenfamilies_pair"]
+    assert out["not_home"] == [] and out["not_starred"] == [] and out["not_in_dir"] == []
+    assert out["unknown"] == "module 'lieharm' has no attribute 'no_such_name'"
+    assert set(lieharm.__all__) == set(lieharm._HOMES) | {"__version__"}
+    assert lieharm.RunConfig is lieharm.harness.RunConfig
+    assert lieharm.expected_eigenvalues is lieharm.lie.expected_eigenvalues
+
+
 # prints the process's task count, its OPENBLAS_NUM_THREADS and whether an OpenBLAS is mapped
 _THREAD_PROBE = (
     "import json, os; "
