@@ -40,7 +40,7 @@ is the exact signed column swap `matrices.swap_j`, no product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -64,6 +64,9 @@ from .lie import (
     standard_symplectic,
 )
 from .matrices import CMatrix
+
+if TYPE_CHECKING:
+    from .harness import CounterStream
 
 
 class ValidationError(ValueError):
@@ -153,7 +156,7 @@ def skew_normal_form(a_rr: np.ndarray) -> np.ndarray:
     return np.stack([a_rr[:, i] / a_rr[i, j], a_rr[:, j]])
 
 
-def random_parameters(space: SymmetricSpaceSpec, rng: np.random.Generator) -> EigenfunctionSpec:
+def random_parameters(space: SymmetricSpaceSpec, rng: CounterStream) -> EigenfunctionSpec:
     """A random valid parameter draw; isotropic a comes from the rational
     parametrization (u^2 - v^2, i(u^2 + v^2), 2uv) of the isotropic cone."""
     fam, n = space.family, space.n
@@ -288,7 +291,7 @@ class SampledCheck:
 
 
 def verify_sampled(
-    spec: EigenfunctionSpec, p: int, samples: int, tol: float, rng: np.random.Generator,
+    spec: EigenfunctionSpec, p: int, samples: int, tol: float, rng: CounterStream,
     *, dual: bool = False, sigma: float = 0.5, tau2_tol: Optional[float] = None, budget: int = 10**6,
 ) -> SampledCheck:
     """The order-p check of phi at `samples` sampled points, on the compact
@@ -340,7 +343,7 @@ def verify_sampled(
 
 
 def verify_eigen(
-    spec: EigenfunctionSpec, samples: int, tol: float, rng: np.random.Generator, sigma: float = 0.5
+    spec: EigenfunctionSpec, samples: int, tol: float, rng: CounterStream, sigma: float = 0.5
 ) -> SampledCheck:
     """The eigen check, `verify_sampled` at p = 1: all rows come from one
     rng.normal call, in the order of a point-by-point draw."""
@@ -351,7 +354,7 @@ def kappa_defect_nonisotropic(
     space: SymmetricSpaceSpec,
     a: np.ndarray,
     indices: Tuple[int, int, int],
-    rng: np.random.Generator,
+    rng: CounterStream,
     samples: int = 5,
     sigma: float = 0.5,
 ) -> Tuple[complex, complex]:

@@ -2,11 +2,14 @@
 seeded runs with structured reports.
 
 Reproducibility contract: the master seed is split into independent
-substreams keyed by (seed, suite, space, index) through SHA-256 into a
-numpy SeedSequence, so results do not depend on execution order; records
-are sorted by (name, n, params) before report assembly.  Two runs with the
-same config and seed produce reports that are identical after stripping
-the timestamp and the per-record wall times.
+substreams keyed by (seed, suite, space, index) through SHA-256 into the
+64-bit key of a `CounterStream`, so results do not depend on execution
+order; records are sorted by (name, n, params) before report assembly.  Two
+runs with the same config and seed produce reports that are identical after
+stripping the timestamp and the per-record wall times.  A draw depends only
+on its key and its position: the stream's integer arithmetic is exact, and
+its normals use `math`, never a vectorized transcendental, so no SIMD
+dispatch or BLAS build changes them.
 
 The sampled suites (eigen, dual, crosscheck) run `verify_sampled` at the
 order p and on the space of `SAMPLED_ORDERS`; `replay_record` hands a
@@ -26,6 +29,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -73,6 +77,12 @@ class ConfigError(ValueError):
     """Invalid run configuration (CLI exit code 2)."""
 
 
+def _is_count(value) -> bool:
+    """A Python or numpy integer, not a bool: a float seed or sample count
+    would be truncated where it is used but echoed as given."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     suites: Tuple[str, ...] = SUITES
@@ -99,6 +109,9 @@ class RunConfig:
                 raise ConfigError(f"unknown space family {family!r}")
             if not isinstance(n, int) or n < 2:
                 raise ConfigError(f"space parameter n must be an integer >= 2, got {n!r}")
+        for key in ("seed", "budget", "p_max"):
+            if not _is_count(getattr(self, key)):
+                raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}")
         if self.p_max < 1:
             raise ConfigError(f"p_max must be >= 1, got {self.p_max}")
         globals_ = {"samples": self.samples, "tol": self.tol, "sigma": self.sigma}
@@ -109,6 +122,8 @@ class RunConfig:
                     raise ConfigError(f"unknown config key {key!r} in [{section}]")
                 # samples >= 0 and draws >= 1; tol, sigma and tau2_tol positive and finite
                 least = {"samples": 0, "draws": 1}.get(key)
+                if least is not None and not _is_count(value):
+                    raise ConfigError(f"{key} in [{section}] must be an integer, got {value!r}")
                 if (value < least) if least is not None else not 0 < value < math.inf:
                     bound = "positive and finite" if least is None else f">= {least}"
                     raise ConfigError(f"{key} in [{section}] must be {bound}, got {value!r}")
@@ -148,16 +163,149 @@ class RunConfig:
         return d
 
 
-def substream(seed: int, *keys) -> np.random.Generator:
-    """Deterministic child RNG: SeedSequence([seed, sha256(key)...])."""
-    parts = [int(seed)]
+def substream(seed: int, *keys) -> CounterStream:
+    """Deterministic child stream, keyed by 64 bits of SHA-256 over 8 bytes
+    per part of [seed, key...]: an integer key gives its low 64 bits, any
+    other key the first 8 bytes of SHA-256 of its text."""
+    parts = [operator.index(seed).to_bytes(8, "big")]
     for k in keys:
         if isinstance(k, (int, np.integer)):
-            parts.append(int(k) & 0xFFFFFFFFFFFFFFFF)
+            parts.append((int(k) & _MASK64).to_bytes(8, "big"))
         else:
-            digest = hashlib.sha256(str(k).encode("utf-8")).digest()
-            parts.append(int.from_bytes(digest[:8], "big"))
-    return np.random.default_rng(np.random.SeedSequence(parts))
+            parts.append(hashlib.sha256(str(k).encode("utf-8")).digest()[:8])
+    return CounterStream(int.from_bytes(hashlib.sha256(b"".join(parts)).digest()[:8], "big"))
+
+
+_MASK64 = 2**64 - 1
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): Weyl increment, finalizer multipliers
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+# a stream draws far fewer than 2^32 values, so its ziggurat's retry lanes,
+# lane L at the draws 2^32 L positions ahead, share no draw
+_LANE = 2**32
+
+
+def _draws(key: int, positions: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer of key + k gamma mod 2^64 at each position k,
+    in uint64 arithmetic, exact on every host (on a 1-d array, which wraps
+    silently where numpy scalars warn)."""
+    z = np.uint64(key) + positions.reshape(-1) * _GAMMA
+    z = (z ^ (z >> 30)) * _M1
+    z = (z ^ (z >> 27)) * _M2
+    return (z ^ (z >> 31)).reshape(positions.shape)
+
+
+def _mantissas(bits: np.ndarray) -> np.ndarray:
+    return (bits >> 11).astype(np.float64)
+
+
+# The 256-layer ziggurat of exp(-x^2/2) (Marsaglia & Tsang, J. Stat. Softw.
+# 5(8), 2000), built with `math`.  Layer i >= 1 is the box [0, x_i) x
+# [y_i, y_(i+1)), y = exp(-x^2/2), from x_1 = R down to x_256 = 0; layer 0
+# is [0, R) x [0, y_1) plus the tail beyond R, of area V as is each box,
+# and x_0 = V / y_1.
+_ZIG_R, _ZIG_V = 3.6541528853610088, 4.92867323399e-3
+_ZIG_X = [_ZIG_V / math.exp(-0.5 * _ZIG_R**2), _ZIG_R]
+while len(_ZIG_X) < 256:
+    _ZIG_X.append(math.sqrt(-2.0 * math.log(math.exp(-0.5 * _ZIG_X[-1] ** 2) + _ZIG_V / _ZIG_X[-1])))
+_ZIG_X.append(0.0)
+_ZIG_Y = [math.exp(-0.5 * x * x) for x in _ZIG_X]
+# u x_i = m (x_i 2^-53) exactly, for u = m 2^-53
+_ZIG_SCALED, _ZIG_CORE = np.array(_ZIG_X) * 2.0**-53, np.array(_ZIG_X[1:])
+
+
+def _ziggurat(bits: np.ndarray):
+    """One try per draw, from disjoint bits: the low 8 pick the layer i, bit
+    8 is the sign and the top 53 give u.  Returns |x| = u x_i, i, the sign,
+    and whether x lies on the layer's edge, at or beyond x_(i+1)."""
+    layer = (bits & 0xFF).astype(np.intp)
+    x = _mantissas(bits) * _ZIG_SCALED[layer]
+    return x, layer, (bits & 0x100) != 0, x >= _ZIG_CORE[layer]
+
+
+def _edges(key: int, positions: np.ndarray, xs: List[float], layers: List[int]) -> List[float]:
+    """Settles the tries on an edge.  Round t reads a draw at each pending
+    position from lanes 2t - 1 and 2t, with uniforms u and v.  A wedge try
+    (layer i >= 1) keeps x if y_i + u (y_(i+1) - y_i) < exp(-x^2/2), and
+    else takes the second draw as a fresh try; a tail try (layer 0) is
+    R + a, a = -log(1 - u) / R, if -2 log(1 - v) > a^2, and else stays."""
+    todo, lanes = list(range(len(xs))), np.array([[_LANE], [2 * _LANE]], np.uint64)
+    while todo:
+        both = _draws(key, positions[todo] + lanes)
+        u, v = (_mantissas(both) * 2.0**-53).tolist()
+        left = []
+        retries = (values.tolist() for values in _ziggurat(both[1]))
+        for j, u_j, v_j, retry_x, retry_layer, _, retry_edge in zip(todo, u, v, *retries):
+            i, x_j = layers[j], xs[j]
+            if i == 0:
+                a = -math.log(1.0 - u_j) / _ZIG_R
+                if -2.0 * math.log(1.0 - v_j) > a * a:
+                    xs[j] = _ZIG_R + a
+                    continue
+            elif _ZIG_Y[i] + u_j * (_ZIG_Y[i + 1] - _ZIG_Y[i]) < math.exp(-0.5 * x_j * x_j):
+                continue
+            else:
+                xs[j], layers[j] = retry_x, retry_layer
+                if not retry_edge:
+                    continue
+            left.append(j)
+        todo, lanes = left, lanes + np.uint64(2 * _LANE)
+    return xs
+
+
+def _shape(size) -> Tuple[int, ...]:
+    return () if size is None else tuple(np.atleast_1d(size).tolist())
+
+
+class CounterStream:
+    """A counter-based stream with the names and signatures of the numpy
+    `Generator` methods lieharm calls, so a caller may pass either.  Each
+    call reads the stream's next positions, one per value, so a batch draws
+    what that many one-value calls in a row draw."""
+
+    def __init__(self, key: int):
+        self._key, self._next = key & _MASK64, 0
+
+    def _positions(self, size) -> np.ndarray:
+        shape = _shape(size)
+        start, self._next = self._next, self._next + math.prod(shape)
+        return np.arange(start, self._next, dtype=np.uint64).reshape(shape)
+
+    def standard_normal(self, size=None):
+        positions = self._positions(size)
+        x, layer, negative, edge = _ziggurat(_draws(self._key, positions))
+        if edge.any():
+            x[edge] = _edges(self._key, positions[edge], x[edge].tolist(), layer[edge].tolist())
+        return np.where(negative, -x, x)[()]
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return loc + scale * self.standard_normal(size)
+
+    def integers(self, low, high=None, size=None):
+        """floor(u span) + low for a 53-bit uniform u: each value of [low,
+        high), or of [0, low) without high, has probability 1/span within
+        2^-52, a relative bias below span 2^-52."""
+        low, high = (0, low) if high is None else (low, high)
+        span = int(high) - int(low)
+        if not 0 < span <= 2**53:
+            raise ValueError("integers needs 0 < high - low <= 2^53")
+        u = _mantissas(_draws(self._key, self._positions(size))) * 2.0**-53
+        return (np.floor(u * span).astype(np.int64) + int(low))[()]
+
+    def permuted(self, x, *, axis=None):
+        """Each slice of x along axis (x flattened, without one) in the order
+        of a stable argsort of one draw per entry."""
+        x = np.asarray(x)
+        order = np.argsort(_draws(self._key, self._positions(x.shape)), axis=axis, kind="stable")
+        return np.take_along_axis(x, order, axis).reshape(x.shape)
+
+    def choice(self, a, size=None, replace=True):
+        """The first entries of a (of range(a)) permuted; only draws without
+        replacement exist."""
+        if replace:
+            raise NotImplementedError("CounterStream.choice draws without replacement only")
+        shape = _shape(size)
+        return self.permuted(np.arange(a) if np.ndim(a) == 0 else a)[: math.prod(shape)].reshape(shape)[()]
 
 
 @dataclass

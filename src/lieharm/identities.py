@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -40,6 +40,9 @@ from .lie import (
     standard_symplectic,
 )
 from .matrices import CMatrix
+
+if TYPE_CHECKING:
+    from .harness import CounterStream
 
 IDENTITY_NAMES = (
     "generator_sum_X",
@@ -204,7 +207,7 @@ def _chunks(points: np.ndarray):
     return (points[start : start + step] for start in range(0, len(points), step))
 
 
-def _index_tuples(size: int, exhaustive: bool, rng: np.random.Generator):
+def _index_tuples(size: int, exhaustive: bool, rng: CounterStream):
     if exhaustive:
         return list(product(range(size), repeat=4))
     picks = rng.integers(0, size, size=(50, 4))
@@ -215,7 +218,7 @@ def check_coordinate_identities(
     spec: GroupSpec,
     samples: int,
     tol: float,
-    rng: np.random.Generator,
+    rng: CounterStream,
     sigma: float = 0.5,
 ) -> List[IdentityCheckResult]:
     """tau and kappa of the matrix coefficients against their closed forms.
@@ -281,7 +284,7 @@ def check_kappa_basis_decomposition(
     n: int,
     samples: int,
     tol: float,
-    rng: np.random.Generator,
+    rng: CounterStream,
     sigma: float = 0.5,
 ) -> List[IdentityCheckResult]:
     """Exactly: sum_{Q in basis sp(n)} Q E_ab Q^t = -E_ba/2 + (J)_ab J/2 for
@@ -339,7 +342,7 @@ def _force_coincidence(idx: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return idx
 
 
-def check_skew_lemma(samples: int, n: int, rng: np.random.Generator) -> List[IdentityCheckResult]:
+def check_skew_lemma(samples: int, n: int, rng: CounterStream) -> List[IdentityCheckResult]:
     """For complex skew-symmetric Phi and indices with a forced coincidence:
     Phi_jb Phi_ka + Phi_jk Phi_ab = Phi_ja Phi_kb within 1e-12.  A companion
     negative control shows the coincidence hypothesis is necessary: with all
@@ -385,7 +388,7 @@ def check_skew_lemma(samples: int, n: int, rng: np.random.Generator) -> List[Ide
 
 
 def check_symplectic_facts(
-    n: int, samples: int, tol: float, rng: np.random.Generator, sigma: float = 0.5
+    n: int, samples: int, tol: float, rng: CounterStream, sigma: float = 0.5
 ) -> List[IdentityCheckResult]:
     """q J q^t = J at sampled q in Sp(n), and trace(A J) = 0 exactly for
     random rational symmetric A."""
@@ -410,7 +413,7 @@ def check_symplectic_facts(
     return [inv, tr]
 
 
-def _symmetric_rationals(rng: np.random.Generator, samples: int, size: int):
+def _symmetric_rationals(rng: CounterStream, samples: int, size: int):
     """(numerators in [-9, 9], denominators in [1, 9]) of the real and imaginary
     parts of `samples` random symmetric size x size matrices, each a
     (samples, 2, size, size) array from one generator call."""

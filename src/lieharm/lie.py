@@ -42,9 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .harness import CounterStream
 
 SO = "SO"
 SU = "SU"
@@ -404,7 +407,7 @@ def _combination(stack: np.ndarray, coeffs) -> np.ndarray:
 
 def sample_with_coefficients(
     spec: GroupSpec,
-    rng: Optional[np.random.Generator],
+    rng: Optional[CounterStream],
     sigma: float = 0.5,
     shape: Tuple[int, ...] = (),
     coeffs: Optional[np.ndarray] = None,
@@ -426,7 +429,7 @@ def sample_with_coefficients(
 
 
 def sample(
-    spec: GroupSpec, rng: np.random.Generator, sigma: float = 0.5, shape: Tuple[int, ...] = ()
+    spec: GroupSpec, rng: CounterStream, sigma: float = 0.5, shape: Tuple[int, ...] = ()
 ) -> np.ndarray:
     return sample_with_coefficients(spec, rng, sigma, shape)[0]
 

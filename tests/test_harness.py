@@ -1,6 +1,8 @@
 """Harness and CLI: configuration, seeding, reports, exit codes, replay."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import lieharm
+from lieharm import harness
 from lieharm.cli import build_config, main, make_parser
 from lieharm.harness import (
     SAMPLED_ORDERS,
@@ -59,6 +62,84 @@ def test_substream_deterministic_and_keyed():
     assert not np.array_equal(a1, c)
 
 
+# a digest of every method's draws, 20,000 normals among them (about 300 on an edge)
+_STREAM_PROBE = """
+import hashlib
+import numpy as np
+from lieharm.harness import substream
+rng = substream(7, "probe")
+parts = [rng.standard_normal(20000), rng.normal(0.5, 2.0, (30, 7)), rng.integers(-9, 10, 500),
+         rng.permuted(np.tile(np.arange(6), (40, 1)), axis=1), rng.choice(50, 10, replace=False)]
+print(hashlib.sha256(b"".join(np.asarray(part, dtype="<f8").tobytes() for part in parts)).hexdigest())
+"""
+_STREAM_DIGEST = "26403df5deec8c6041e6e0660b37e81dfe834111ca6c959be60a77847623ef1b"
+
+
+def test_substream_golden_draws():
+    # the first draws of each method and the ziggurat's tables, pinned: a
+    # change to the stream, or a libm that builds other tables, fails here
+    assert substream(7, "golden").standard_normal(3).tolist() == [
+        -0.15140119182850162, -0.7503147609817189, -0.7811997354231034]
+    assert substream(7, "golden").normal(1.0, 2.0, size=2).tolist() == [0.6971976163429967, -0.5006295219634378]
+    assert substream(7, "golden").integers(0, 10, size=8).tolist() == [1, 3, 4, 2, 8, 5, 7, 4]
+    assert substream(7, "golden").permuted(np.arange(6)).tolist() == [0, 3, 1, 2, 5, 4]
+    assert substream(7, "golden").choice(np.arange(1, 9), size=3, replace=False).tolist() == [1, 4, 2]
+    tables = np.array(harness._ZIG_X + harness._ZIG_Y, dtype="<f8").tobytes()
+    assert hashlib.sha256(tables).hexdigest() == "770b991f71acbe29d5363685386184dd50a074dfa64b3132a3d75b91e77c9e8c"
+    assert _python(["-c", _STREAM_PROBE]).strip() == _STREAM_DIGEST
+
+
+def _dispatched_cpu_features() -> str:
+    """The SIMD targets numpy dispatches to on this host."""
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath  # numpy 2, or 1.x
+    return " ".join(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))
+
+
+@pytest.mark.parametrize("variable", ["NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE"])
+def test_stream_draws_do_not_depend_on_simd_dispatch_or_blas(variable):
+    # np.log and np.exp round otherwise without the host's SIMD loops; the
+    # stream's integer arithmetic and `math` calls do not
+    value = _dispatched_cpu_features() if variable == "NPY_DISABLE_CPU_FEATURES" else "Sandybridge"
+    assert _python(["-c", _STREAM_PROBE], **{variable: value}).strip() == _STREAM_DIGEST
+
+
+def test_stream_distributions_meet_bounds_fixed_in_advance():
+    rng = substream(11, "distribution")
+    z = rng.standard_normal(10**6)
+    n = len(z)
+    # each within 5 standard errors under N(0, 1): var z = 1, var z^2 = 2, var z^4 = 96
+    assert abs(z.mean()) < 5 * math.sqrt(1 / n)
+    assert abs(z.var() - 1) < 5 * math.sqrt(2 / n)
+    assert abs(np.mean(z**4) - 3) < 5 * math.sqrt(96 / n)
+    # the share beyond 3, and beyond R, where the ziggurat's tail starts
+    for cut in (3.0, harness._ZIG_R):
+        share = math.erfc(cut / math.sqrt(2))
+        assert abs(np.mean(np.abs(z) > cut) - share) < 5 * math.sqrt(share * (1 - share) / n), cut
+
+    values = rng.integers(-3, 7, size=10**5)
+    assert values.min() >= -3 and values.max() < 7
+    counts = np.bincount(values + 3)
+    assert ((counts - 10**4) ** 2 / 10**4).sum() < 44.81  # the 1 - 1e-6 quantile of chi-square(9)
+
+    rows = rng.permuted(np.tile(np.arange(6), (1000, 1)), axis=1)
+    assert (np.sort(rows, axis=1) == np.arange(6)).all()
+    for _ in range(200):
+        picks = rng.choice(np.arange(1, 9), size=3, replace=False)
+        assert len(set(picks.tolist())) == 3 and set(picks.tolist()) <= set(range(1, 9))
+    with pytest.raises(NotImplementedError):
+        rng.choice(8, size=3)
+    with pytest.raises(ValueError):
+        rng.choice(8, size=9, replace=False)
+
+
+def test_a_batch_of_normals_is_that_many_one_row_draws_in_a_row():
+    # `verify_sampled` draws a round's rows in one call; an edge try is
+    # retried from lanes at its own position, so no split moves a value
+    batch = substream(5, "rows").normal(0.0, 0.5, size=(400, 7))
+    rng = substream(5, "rows")
+    assert np.array_equal(batch, np.array([rng.normal(0.0, 0.5, size=7) for _ in range(400)]))
+
+
 # --- config validation ----------------------------------------------------------
 
 
@@ -87,6 +168,14 @@ def test_config_defaults_valid():
     {"jobs": 0},
     {"jobs": 2},
     {"seed": -1},
+    # a float seed ran as its integer part but was echoed, and fingerprinted, as given
+    {"seed": 1.9},
+    {"seed": True},
+    {"budget": 2.5},
+    {"p_max": 2.0},
+    {"samples": 2.5},
+    {"suite_overrides": {"eigen": {"draws": 1.5}}},
+    {"suite_overrides": {"dual": {"samples": False}}},
 ])
 def test_config_rejections(kwargs):
     with pytest.raises(ConfigError):
@@ -411,7 +500,8 @@ for name, suites in json.loads(sys.argv[1]).items():
     cfg.validate()
     validated = loaded()
     lieharm.harness.run(cfg)
-    out[name] = {"validate": sorted(set(validated) - set(before)), "run": sorted(set(loaded()) - set(validated))}
+    out[name] = {"validate": sorted(set(validated) - set(before)), "run": sorted(set(loaded()) - set(validated)),
+                 "numpy.random": "numpy.random" in sys.modules}
 print(json.dumps(out))
 """
 
@@ -431,8 +521,20 @@ def test_a_config_loads_the_modules_of_its_suites_at_validation(suites, loaded, 
     assert out["import"] == []
     validated = {m.removeprefix("lieharm.") for m in out["cfg"]["validate"]}
     assert loaded <= validated and not unloaded & validated
-    # no module is compiled inside the timed run
+    # no module is compiled inside the timed run, numpy's generator neither
     assert out["cfg"]["run"] == []
+    assert out["cfg"]["numpy.random"] is False
+
+
+def test_replaying_a_failing_eigen_record_does_not_load_numpy_random():
+    code = (
+        "import sys, lieharm\n"
+        "cfg = lieharm.RunConfig(suites=('eigen',), spaces=(('sun_son', 2),), samples=2, tol=1e-20)\n"
+        "rec = next(r for r in lieharm.harness.run(cfg).records if not r.passed)\n"
+        "assert lieharm.harness.replay_record(rec, cfg) > 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert _python(["-c", code]).strip() == "False"
 
 
 def test_an_unknown_suite_is_rejected_before_any_module_loads():
