@@ -26,7 +26,6 @@ called, so they call whatever the module holds under that name then.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import operator
@@ -36,6 +35,19 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+
+# CPython's own SHA-256 (`_sha2` from 3.12, `_sha256` before), the one
+# `hashlib` falls back to: `hashlib` loads `_hashlib` and with it OpenSSL's
+# libcrypto, 3.3 MB of a run's resident memory for a few dozen short hashes.
+# A build with neither (`--with-builtin-hashlib-hashes` without sha256) takes
+# OpenSSL's.  Every path gives the same digest.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .lie import SO, SP, SPACE_FAMILIES, SU, GroupSpec, SymmetricSpaceSpec, expected_eigenvalues
@@ -172,8 +184,8 @@ def substream(seed: int, *keys) -> CounterStream:
         if isinstance(k, (int, np.integer)):
             parts.append((int(k) & _MASK64).to_bytes(8, "big"))
         else:
-            parts.append(hashlib.sha256(str(k).encode("utf-8")).digest()[:8])
-    return CounterStream(int.from_bytes(hashlib.sha256(b"".join(parts)).digest()[:8], "big"))
+            parts.append(sha256(str(k).encode("utf-8")).digest()[:8])
+    return CounterStream(int.from_bytes(sha256(b"".join(parts)).digest()[:8], "big"))
 
 
 _MASK64 = 2**64 - 1
@@ -389,7 +401,7 @@ def report_fingerprint(report_dict: Dict) -> str:
     if "config" in out:
         out["config"] = result_config(out)
     canonical = json.dumps(out, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def report_write(report: VerificationReport, path: str):

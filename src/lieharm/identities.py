@@ -9,11 +9,11 @@ Every basis element is c N with N a Gaussian-integer matrix and c^2
 rational (a `lie.Basis`), and (N E_ab N^t)_ij = N_ia N_jb, so the sums
 over a basis for all (a, b) at once are one int64 scatter-add of the
 products of each element's pairs of nonzero entries weighted by the c^2,
-compared in integers with the closed forms.  `dense_exact_crosscheck`
-recomputes one (a, b) by a second route: per-element integer matrix
-products W_q N_q E_ab N_q^t.  The coordinate checks read tau and the first
-derivatives of every coordinate function at once (g -> g) off the sweep of
-the sampled checks (`diffops._sweep`), over batches of points.
+compared in integers with the closed forms; the tests recompute one (a, b)
+by a second route, per-element integer matrix products W_q N_q E_ab N_q^t.
+The coordinate checks read tau and the first derivatives of every
+coordinate function at once (g -> g) off the sweep of the sampled checks
+(`diffops._sweep`), over batches of points.
 """
 
 from __future__ import annotations
@@ -422,25 +422,6 @@ def _symmetric_rationals(rng: CounterStream, samples: int, size: int):
     for m in draws:
         m[..., cols, rows] = m[..., rows, cols]
     return draws
-
-
-def dense_exact_crosscheck(basis: Basis, alpha: int, beta: int) -> bool:
-    """Second exact route: sum_q W_q N_q E_ab N_q^t by one integer matrix
-    product per basis element agrees, in integers over the same common
-    denominator, with the contraction of `conjugation_sums`."""
-    size = basis.re.shape[1]
-    e = np.zeros((size, size), dtype=np.int64)
-    e[alpha - 1, beta - 1] = 1
-    denom, weights = _integer_weights(basis)
-    re_sum, im_sum = np.zeros_like(e), np.zeros_like(e)
-    for re, im, w in zip(basis.re, basis.im, weights):
-        # (re + i im) E_ab (re + i im)^t, split into real and imaginary parts
-        left_re, left_im = re @ e, im @ e
-        re_sum += w * (left_re @ re.T - left_im @ im.T)
-        im_sum += w * (left_re @ im.T + left_im @ re.T)
-    sums = conjugation_sums(basis)
-    at = (alpha - 1, beta - 1)
-    return sums.denom == denom and np.array_equal(re_sum, sums.re[at]) and np.array_equal(im_sum, sums.im[at])
 
 
 def covered_identity_names(results: List[IdentityCheckResult]) -> set:

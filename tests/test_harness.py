@@ -89,6 +89,63 @@ def test_substream_golden_draws():
     assert _python(["-c", _STREAM_PROBE]).strip() == _STREAM_DIGEST
 
 
+def _sha256_key(seed, *keys) -> int:
+    """The substream key by `hashlib`: 64 bits of SHA-256 over 8 bytes per
+    part, an integer's low 64 bits or 8 bytes of SHA-256 of the text."""
+    parts = [seed.to_bytes(8, "big")]
+    for k in keys:
+        if isinstance(k, (int, np.integer)):
+            parts.append((int(k) % 2**64).to_bytes(8, "big"))
+        else:
+            parts.append(hashlib.sha256(str(k).encode("utf-8")).digest()[:8])
+    return int.from_bytes(hashlib.sha256(b"".join(parts)).digest()[:8], "big")
+
+
+def test_substream_keys_are_sha256_of_their_parts():
+    cases = [(42, ("eigen", "sun_son", 3, 0)), (0, ()), (2**64 - 1, (-1, "\u00fc", 2**70)), (7, (np.int64(5), "probe"))]
+    for seed, keys in cases:
+        assert substream(seed, *keys)._key == _sha256_key(seed, *keys), (seed, keys)
+    # taken with `hashlib` before the harness hashed with CPython's built-in module
+    assert substream(42, "eigen", "sun_son", 3, 0)._key == 0xCBBCA0E612248493
+    assert substream(2**64 - 1, -1, "\u00fc", 2**70)._key == 0xE3303220739DE749
+
+
+# a report whose fingerprint hashes one record, a seed and `explicit`, without
+# the timestamp, the record's ms and the run-only keys
+_FIXED_REPORT = {
+    "schema_version": 1,
+    "timestamp": "2026-01-01T00:00:00",
+    "config": {"seed": 7, "out": "a.json", "jobs": 1, "explicit": ["seed", "out"]},
+    "records": [{"name": "eigen/sun_son", "params": {"n": 2}, "residual": 1.5e-12, "pass": True, "ms": 3.25}],
+}
+_FIXED_CANONICAL = {
+    "schema_version": 1,
+    "config": {"seed": 7, "explicit": ["seed"]},
+    "records": [{"name": "eigen/sun_son", "params": {"n": 2}, "residual": 1.5e-12, "pass": True}],
+}
+# taken with `hashlib` before the harness hashed with CPython's built-in module
+_FIXED_FINGERPRINT = "45a515534a4f614525fc766480b7339db132c44d8399b75783aa0d37240955dd"
+
+
+def test_report_fingerprint_is_sha256_of_the_canonical_json():
+    canonical = json.dumps(_FIXED_CANONICAL, sort_keys=True).encode("utf-8")
+    assert report_fingerprint(_FIXED_REPORT) == hashlib.sha256(canonical).hexdigest() == _FIXED_FINGERPRINT
+
+
+def test_without_a_built_in_sha256_the_hashlib_fallback_gives_the_same_bits():
+    # a build without `_sha2` and `_sha256` takes `hashlib.sha256`, OpenSSL's
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "from lieharm import harness\n"
+        "assert harness.sha256 is hashlib.sha256\n"
+        f"print(harness.report_fingerprint({_FIXED_REPORT!r}))\n"
+        + _STREAM_PROBE
+    )
+    assert _python(["-c", code]).split() == [_FIXED_FINGERPRINT, _STREAM_DIGEST]
+
+
 def _dispatched_cpu_features() -> str:
     """The SIMD targets numpy dispatches to on this host."""
     umath = (getattr(np, "_core", None) or np.core)._multiarray_umath  # numpy 2, or 1.x
@@ -501,7 +558,7 @@ for name, suites in json.loads(sys.argv[1]).items():
     validated = loaded()
     lieharm.harness.run(cfg)
     out[name] = {"validate": sorted(set(validated) - set(before)), "run": sorted(set(loaded()) - set(validated)),
-                 "numpy.random": "numpy.random" in sys.modules}
+                 "numpy.random": "numpy.random" in sys.modules, "_hashlib": "_hashlib" in sys.modules}
 print(json.dumps(out))
 """
 
@@ -524,6 +581,8 @@ def test_a_config_loads_the_modules_of_its_suites_at_validation(suites, loaded, 
     # no module is compiled inside the timed run, numpy's generator neither
     assert out["cfg"]["run"] == []
     assert out["cfg"]["numpy.random"] is False
+    # nor OpenSSL: the harness hashes with CPython's built-in SHA-256
+    assert out["cfg"]["_hashlib"] is False
 
 
 def test_replaying_a_failing_eigen_record_does_not_load_numpy_random():
@@ -532,9 +591,43 @@ def test_replaying_a_failing_eigen_record_does_not_load_numpy_random():
         "cfg = lieharm.RunConfig(suites=('eigen',), spaces=(('sun_son', 2),), samples=2, tol=1e-20)\n"
         "rec = next(r for r in lieharm.harness.run(cfg).records if not r.passed)\n"
         "assert lieharm.harness.replay_record(rec, cfg) > 0\n"
-        "print('numpy.random' in sys.modules)\n"
+        "print('numpy.random' in sys.modules, '_hashlib' in sys.modules)\n"
     )
-    assert _python(["-c", code]).strip() == "False"
+    assert _python(["-c", code]).split() == ["False", "False"]
+
+
+# the CLI on a small all-suites run, then, as JSON on the last line, its exit
+# code, whether `_hashlib` is loaded and the libcrypto paths mapped (None
+# where there is no /proc/self/maps)
+_OPENSSL_PROBE = """
+import json, os, sys
+from lieharm.cli import main
+code = main(["all", "--space", "sun_son:2", "--space", "so2n_un:2", "--samples", "2", "--seed", "5"])
+crypto = None
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as fh:
+        crypto = sorted({line.split()[-1] for line in fh if "libcrypto" in line})
+print(json.dumps({"code": code, "_hashlib": "_hashlib" in sys.modules, "libcrypto": crypto}))
+"""
+
+
+@pytest.fixture(scope="module")
+def openssl_probe():
+    lines = _python(["-c", _OPENSSL_PROBE]).splitlines()
+    return lines, json.loads(lines[-1])
+
+
+def test_a_cli_run_prints_its_fingerprint_without_loading_openssl(openssl_probe):
+    lines, out = openssl_probe
+    assert out["code"] == 0
+    assert sum(line.startswith("fingerprint: ") for line in lines) == 1
+    assert out["_hashlib"] is False
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="no /proc/self/maps to read mappings")
+def test_an_all_suites_run_maps_no_libcrypto(openssl_probe):
+    _, out = openssl_probe
+    assert out["libcrypto"] == []
 
 
 def test_an_unknown_suite_is_rejected_before_any_module_loads():

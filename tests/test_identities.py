@@ -18,7 +18,6 @@ from lieharm.identities import (
     check_skew_lemma,
     check_symplectic_facts,
     conjugation_sums,
-    dense_exact_crosscheck,
 )
 from lieharm.lie import (
     GROUP_FAMILIES,
@@ -50,6 +49,26 @@ def unit(n: int, r: int, s: int) -> np.ndarray:
     m = np.zeros((n, n), dtype=np.int64)
     m[r - 1, s - 1] = 1
     return m
+
+
+def dense_exact_crosscheck(basis: Basis, alpha: int, beta: int) -> bool:
+    """Second exact route: sum_q W_q N_q E_ab N_q^t by one integer matrix
+    product per basis element agrees, in integers over the same common
+    denominator, with the contraction of `identities.conjugation_sums`
+    (looked up on the module, so a test may patch it)."""
+    size = basis.re.shape[1]
+    e = np.zeros((size, size), dtype=np.int64)
+    e[alpha - 1, beta - 1] = 1
+    denom, weights = identities._integer_weights(basis)
+    re_sum, im_sum = np.zeros_like(e), np.zeros_like(e)
+    for re, im, w in zip(basis.re, basis.im, weights):
+        # (re + i im) E_ab (re + i im)^t, split into real and imaginary parts
+        left_re, left_im = re @ e, im @ e
+        re_sum += w * (left_re @ re.T - left_im @ im.T)
+        im_sum += w * (left_re @ im.T + left_im @ re.T)
+    sums = identities.conjugation_sums(basis)
+    at = (alpha - 1, beta - 1)
+    return sums.denom == denom and np.array_equal(re_sum, sums.re[at]) and np.array_equal(im_sum, sums.im[at])
 
 
 def assert_sum_equals(sums, alpha: int, beta: int, expected, denom: int = 1):
